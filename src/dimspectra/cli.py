@@ -46,7 +46,7 @@ from .maps import (
     linear_full_branch_map,
     manneville_pomeau_map,
 )
-from .numerics import format_float
+from .numerics import format_float, thread_count
 from .pressure import bowen_root, normalize_potential, pressure
 from .spectrum import b_of_a, legendre_spectrum, spectrum_endpoints
 from .symbolic import Potential, geometric, locally_constant, validate_potential
@@ -862,6 +862,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
+        # Small arrays never read DIMSPECTRA_THREADS, so check it up front.
+        thread_count()
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:

@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Fixed chunk size for log-sum-exp reductions.  Determinism requires this to
 # be a constant of the build, never derived from the thread count.
 _CHUNK = 1 << 15
@@ -23,14 +25,18 @@ _THREAD_ENV = "DIMSPECTRA_THREADS"
 
 
 def thread_count() -> int:
-    """Worker threads for chunked reductions, from DIMSPECTRA_THREADS (default 1)."""
+    """Worker threads for chunked reductions, from DIMSPECTRA_THREADS (default 1).
+
+    Raises:
+        ConfigError: the variable is not an integer >= 1.
+    """
     raw = os.environ.get(_THREAD_ENV, "1")
     try:
         n = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{_THREAD_ENV} must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"{_THREAD_ENV} must be an integer, got {raw!r}") from exc
     if n < 1:
-        raise ValueError(f"{_THREAD_ENV} must be >= 1, got {n}")
+        raise ConfigError(f"{_THREAD_ENV} must be >= 1, got {n}")
     return n
 
 
@@ -61,8 +67,9 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
 
     Args:
         values: 1-d float array; -inf entries contribute zero mass.
-        threads: worker threads for per-chunk partial sums; the reduction
-            result does not depend on this value.
+        threads: worker threads for per-chunk partial sums (default:
+            `thread_count()`, read only when there is more than one chunk);
+            the reduction result does not depend on this value.
 
     Returns:
         The log-sum, or -inf for an empty / all -inf input.
@@ -70,19 +77,22 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return -math.inf
-    m = float(np.max(values))
+    m = float(values.max())
     if not math.isfinite(m):
         if m == -math.inf:
             return -math.inf
         raise ValueError("log_sum_exp received a non-finite (nan or +inf) entry")
+    if values.size <= _CHUNK:
+        # One chunk: the compensated sum of a single partial is that partial.
+        return m + math.log(float(np.exp(values - m).sum()))
     chunks = [values[i : i + _CHUNK] for i in range(0, values.size, _CHUNK)]
 
     def partial(chunk: np.ndarray) -> float:
-        return float(np.sum(np.exp(chunk - m)))
+        return float(np.exp(chunk - m).sum())
 
     if threads is None:
         threads = thread_count()
-    if threads > 1 and len(chunks) > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(partial, chunks))
     else:

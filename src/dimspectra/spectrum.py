@@ -174,27 +174,43 @@ def b_of_a(
     guess = 0.0
     for n in range(2, max_level + 1):
         arr = table.level(n)
-        prev = table.level(n - 1)
+        # With no gluing symbols and exact Birkhoff sums the lower and upper
+        # curves are the same function, bit for bit, so one root serves both.
+        same_curves = (
+            k == 0
+            and np.array_equal(arr.psi_lo, arr.psi_hi)
+            and np.array_equal(arr.phi_lo, arr.phi_hi)
+        )
 
         def lower_curve(b: float) -> float:
+            f_lo, _ = arr.combined(a, b)
+            if k == 0:  # the floor would only be multiplied by k
+                return log_sum_exp(f_lo, threads) / n
             if b not in floor_cache:
                 floor_cache[b] = potential_floor(table, a, b)
-            f_lo, _ = arr.combined(a, b)
             return (log_sum_exp(f_lo, threads) + k * floor_cache[b]) / (n + k)
 
         def upper_curve(b: float) -> float:
             _, f_hi = arr.combined(a, b)
             return log_sum_exp(f_hi, threads) / n
 
+        # Pressure is strictly decreasing in b, so all three curves cross
+        # zero exactly once; roots of lower/upper bound the true b(a).
+        root = _descending_root(lower_curve, guess, xtol=1e-13)
+        best_lo = max(best_lo, root)
+        if not same_curves:
+            root = _descending_root(upper_curve, guess, xtol=1e-13)
+        best_hi = min(best_hi, root)
+        if best_hi <= best_lo:
+            # A closed bracket clamps every ratio estimate to best_hi.
+            return BPoint(a, best_hi, best_lo, best_hi, n, False)
+        prev = table.level(n - 1)
+
         def ratio_curve(b: float) -> float:
             _, f_hi = arr.combined(a, b)
             _, g_hi = prev.combined(a, b)
             return log_sum_exp(f_hi, threads) - log_sum_exp(g_hi, threads)
 
-        # Pressure is strictly decreasing in b, so all three curves cross
-        # zero exactly once; roots of lower/upper bound the true b(a).
-        best_lo = max(best_lo, _descending_root(lower_curve, guess, xtol=1e-13))
-        best_hi = min(best_hi, _descending_root(upper_curve, guess, xtol=1e-13))
         value = _descending_root(ratio_curve, guess, xtol=1e-14)
         guess = value
         est = accel.push(value)

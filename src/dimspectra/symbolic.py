@@ -247,11 +247,12 @@ class CylinderTable:
         self._lc = _LocallyConstantPlan(m, phi) if _needs_plan(phi) else None
 
     def level(self, n: int) -> LevelArrays:
+        cached = self._levels.get(n)
+        if cached is not None:  # no larger than a level that passed the budget
+            return cached
         count = self.map.word_count(n)
         if count > self.budget:
             raise LevelTooLarge(f"level {n} holds {count} words, budget is {self.budget}")
-        if n in self._levels:
-            return self._levels[n]
         base_n = max((k for k in self._levels if k < n), default=0)
         arrays = self._levels.get(base_n) or self._base_level()
         for step in range(arrays.n + 1, n + 1):

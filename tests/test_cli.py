@@ -12,6 +12,7 @@ from dimspectra.errors import ConfigError, IoError
 LOG2 = math.log(2.0)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+OUT_DIR = CONFIG_DIR.parent / "out"
 
 
 def base_config(tmp_path: Path, **command) -> dict:
@@ -186,6 +187,24 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert capsys.readouterr().out.startswith("dimspectra ")
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch, raw):
+    # Checked before dispatch: this run's arrays are too small to read it.
+    monkeypatch.setenv("DIMSPECTRA_THREADS", raw)
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dimspectra: error: ConfigError: DIMSPECTRA_THREADS")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_spectrum_config_reproduces_shipped_csv(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    config = CONFIG_DIR / "doubling_bernoulli_spectrum.yaml"
+    assert main([str(config), "--set", f"output.csv={out}"]) == 0
+    assert out.read_bytes() == (OUT_DIR / "doubling_bernoulli_spectrum.csv").read_bytes()
 
 
 def test_shipped_configs_round_trip():

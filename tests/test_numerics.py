@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dimspectra.numerics import (
+    _CHUNK,
     AitkenAccelerator,
     NeumaierSum,
     bisect_root,
@@ -37,6 +38,33 @@ def test_log_sum_exp_thread_count_invariant():
     one = log_sum_exp(vals, 1)
     assert log_sum_exp(vals, 4) == pytest.approx(one, abs=1e-13)
     assert log_sum_exp(vals, 16) == pytest.approx(one, abs=1e-13)
+
+
+def _chunked_log_sum_exp(values: np.ndarray) -> float:
+    """Reference: per-chunk partial sums composed by a Neumaier sum."""
+    m = float(np.max(values))
+    acc = NeumaierSum()
+    for i in range(0, values.size, _CHUNK):
+        acc.add(float(np.sum(np.exp(values[i : i + _CHUNK] - m))))
+    return m + math.log(acc.value)
+
+
+@pytest.mark.parametrize("size", [1, 4, _CHUNK, _CHUNK + 1])
+def test_log_sum_exp_equals_chunked_composition(size):
+    vals = np.random.default_rng(size).normal(scale=20.0, size=size)
+    ref = _chunked_log_sum_exp(vals)
+    assert log_sum_exp(vals, 1) == ref
+    assert log_sum_exp(vals, 2) == ref
+
+
+@pytest.mark.parametrize("size", [4, _CHUNK + 1])
+def test_log_sum_exp_non_finite(size):
+    for bad in (math.nan, math.inf):
+        vals = np.zeros(size)
+        vals[size // 2] = bad
+        with pytest.raises(ValueError):
+            log_sum_exp(vals)
+    assert log_sum_exp(np.full(size, -math.inf)) == -math.inf
 
 
 def test_log_sum_exp_empty_and_pair():

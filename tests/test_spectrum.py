@@ -16,6 +16,8 @@ from dimspectra import (
     locally_constant,
     spectrum_endpoints,
 )
+from dimspectra.numerics import bisect_root, expand_to_sign_change, log_sum_exp
+from dimspectra.symbolic import CylinderTable
 
 LOG2 = math.log(2.0)
 ALPHA_MIN_BE = math.log(4.0 / 3.0) / LOG2  # 0.4150374992788438
@@ -38,6 +40,34 @@ def test_b_of_a_bernoulli_root_residual(doubling, bernoulli_phi):
     # closed form pressure: P = a log2 + log((1/4)^b + (3/4)^b)
     assert 2.0 * (0.25**pt.b + 0.75**pt.b) == pytest.approx(1.0, abs=1e-9)
     assert pt.b == pytest.approx(2.6030478148, abs=1e-8)
+
+
+@pytest.mark.parametrize("a", [-2.0, -0.5, 0.0, 1.0, 3.0])
+def test_b_of_a_one_root_when_curves_coincide(doubling, bernoulli_phi, a):
+    # A full shift needs no gluing symbols and Bernoulli sums over the doubling
+    # map are exact, so the lower and upper curves are one function: the
+    # bracket closes at level 2 on that function's root.
+    pt = b_of_a(doubling, bernoulli_phi, a, tol=1e-10)
+    arr = CylinderTable(doubling, bernoulli_phi).level(2)
+
+    def curve(b: float) -> float:
+        return log_sum_exp(arr.combined(a, b)[0]) / 2
+
+    step = 1.0 if curve(0.0) > 0.0 else -1.0
+    lo, hi = expand_to_sign_change(curve, 0.0, step, max_expand=60)
+    root = bisect_root(curve, lo, hi, xtol=1e-13)
+    assert pt.level == 2
+    assert pt.lower == pt.b == pt.upper == root
+
+
+def test_b_of_a_full_ladder_when_curves_differ(golden, mp, uniform_phi):
+    # The golden mean shift needs one gluing symbol; off a = 0 the
+    # Manneville-Pomeau log-derivative sums are brackets, not exact values.
+    for m, a in ((golden, 0.0), (mp, -0.5), (mp, 0.5)):
+        pt = b_of_a(m, uniform_phi, a, tol=1e-4, max_level=12)
+        assert not pt.on_ray
+        assert pt.lower < pt.upper
+        assert pt.lower <= pt.b <= pt.upper
 
 
 def test_positive_potential_rejected(doubling):
