@@ -78,14 +78,12 @@ from .spectrum import (
 from .finite_measures import (
     BlockMeasure,
     ConnectorTable,
-    SpreadStats,
     block_measure,
     block_objective,
     bowen_sn,
     connector_length,
     moran_weights,
     optimize_block_weights,
-    spread_to_shift_invariant,
     window_mask,
     window_weights,
 )

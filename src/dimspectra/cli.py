@@ -47,7 +47,7 @@ from .maps import (
     manneville_pomeau_map,
 )
 from .numerics import format_float, thread_count
-from .pressure import bowen_root, normalize_potential, pressure
+from .pressure import normalize_potential, pressure
 from .spectrum import b_of_a, legendre_spectrum, spectrum_endpoints
 from .symbolic import Potential, geometric, locally_constant, validate_potential
 from .weak_gibbs import declared_model, exact_model, local_dimension
@@ -444,7 +444,8 @@ def serialize_config(cfg: RunConfig) -> str:
     return yaml.safe_dump(cfg.to_mapping(), sort_keys=True, default_flow_style=False)
 
 
-def load_config(path: str | Path) -> RunConfig:
+def _read_config(path: str | Path) -> dict:
+    """The raw mapping of a YAML config file, before overrides and checks."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -452,8 +453,12 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return parse_config(data)
+        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+    return _expect_mapping(data, "config")
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return parse_config(_read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +602,10 @@ def _cmd_pressure(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
 def _cmd_bcurve(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
     cmd = cfg.command
     res = _Result(["a", "b", "b_low", "b_high", "on_ray"], [])
-    ray_at = None
-    if m.has_parabolic:
-        # One Bowen-root solve shared by the whole grid; the ray starts at
-        # a = -dim(Lambda).
-        ray_at = -bowen_root(m, tol=cmd["tol"], max_level=cmd["max_level"]).value
     for a in _grid_values(cmd["a_grid"]):
         try:
             point = b_of_a(
-                m, phi, float(a),
-                tol=cmd["tol"], max_level=cmd["max_level"], _ray_at=ray_at,
+                m, phi, float(a), tol=cmd["tol"], max_level=cmd["max_level"]
             )
             row = [point.a, point.b, point.lower, point.upper, point.on_ray]
             res.widths.append(point.width)
@@ -864,15 +863,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # Small arrays never read DIMSPECTRA_THREADS, so check it up front.
         thread_count()
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config is not valid YAML: {exc}") from exc
-        data = _expect_mapping(data, "config")
+        data = _read_config(args.config)
         for spec in args.overrides:
             _apply_override(data, spec)
         cfg = parse_config(data)

@@ -29,7 +29,13 @@ from .errors import (
     NoConnector,
 )
 from .maps import MarkovMap
-from .numerics import bisect_root, expand_to_sign_change, log_sum_exp
+from .numerics import (
+    bisect_root,
+    descending_root,
+    expand_to_sign_change,
+    log_sum_exp,
+)
+from .pressure import _moran_root
 from .symbolic import Potential, shared_table, words_at_level
 
 CONNECTOR_CAP_SLACK = 8
@@ -283,32 +289,6 @@ def block_measure(
     )
 
 
-@dataclass(frozen=True)
-class SpreadStats:
-    """Statistics of the shift-invariant average of a block measure."""
-
-    entropy: float
-    lyapunov_bracket: tuple[float, float]
-    phi_avg_bracket: tuple[float, float]
-    alpha_bracket: tuple[float, float]
-    dim_bracket: tuple[float, float]
-
-
-def spread_to_shift_invariant(bm: BlockMeasure) -> SpreadStats:
-    """Entropy rate and Birkhoff averages of the shift-invariant spread.
-
-    Entropy is the block entropy over the period n + k (Abramov); averages
-    carry the connector-dilution brackets already attached to the block.
-    """
-    return SpreadStats(
-        entropy=bm.spread_entropy,
-        lyapunov_bracket=bm.spread_lyapunov_bracket,
-        phi_avg_bracket=bm.spread_phi_bracket,
-        alpha_bracket=bm.spread_alpha_bracket,
-        dim_bracket=bm.spread_dim_bracket,
-    )
-
-
 def optimize_block_weights(
     m: MarkovMap,
     phi: Potential,
@@ -435,12 +415,9 @@ def bowen_sn(
     if count == 1:
         return 0.0
     log_d = np.log(shared_table(m, phi).level(n).diameters()[mask])
-
-    def total(s: float) -> float:
-        return log_sum_exp(s * log_d, threads)
-
-    lo, hi = expand_to_sign_change(total, 0.0, 1.0, max_expand=60)
-    return bisect_root(total, lo, hi, xtol=1e-10)
+    return descending_root(
+        lambda s: log_sum_exp(s * log_d, threads), 0.0, xtol=1e-10
+    )
 
 
 def window_weights(
@@ -481,8 +458,6 @@ def moran_weights(
     s_n here is the full-level root (window covering every word), the
     dimension ladder value.
     """
-    from .pressure import _moran_root
-
     table = shared_table(m, phi)
     s_n = _moran_root(shared_table(m, None), n, threads)
     con = connector_length(m, n)

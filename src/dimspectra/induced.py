@@ -26,7 +26,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .maps import MarkovMap
-from .numerics import bisect_root, expand_to_sign_change, log_sum_exp
+from .numerics import descending_root, log_sum_exp
 from .symbolic import Potential, cylinder
 
 WORD_CAP = 1 << 20
@@ -41,11 +41,6 @@ class InducedBranch:
     domain: tuple[float, float]
     psi_bracket: tuple[float, float]
     phi_bracket: tuple[float, float] | None
-
-    @property
-    def derivative_bracket(self) -> tuple[float, float]:
-        """Range of |(T^r)'| on the domain."""
-        return (math.exp(self.psi_bracket[0]), math.exp(self.psi_bracket[1]))
 
 
 @dataclass(frozen=True)
@@ -279,14 +274,10 @@ def induced_b_point(
             )
 
     def solve(fn) -> float:
-        start = fn(1.0)
-        if start == 0.0:
-            return 1.0
         try:
-            lo, hi = expand_to_sign_change(fn, 1.0, 1.0 if start > 0.0 else -1.0)
+            return descending_root(fn, 1.0, xtol=tol)
         except ValueError as exc:
             raise NotConverged("induced pressure root expansion failed") from exc
-        return bisect_root(fn, lo, hi, xtol=tol)
 
     b_lower = solve(lower_pressure)
     ratio = _tail_ratio(f_hi, phi_hi, times, max(b_lower, 0.0), isys.truncation)

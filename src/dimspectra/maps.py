@@ -289,11 +289,8 @@ class MarkovMap:
         self.aperiodicity_power = aperiodicity_power
         self.parabolic_orbits = parabolic_orbits
         self.core_spans = core_spans
-        self.follow_spans = tuple(
-            _hull([core_spans[j] for j in range(len(branches)) if transition[i, j]])
-            for i in range(len(branches))
-        )
         self._table_cache: dict = {}
+        self._ray_cache: dict = {}
         self._cache_lock = threading.Lock()
 
     # -- basic queries ------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -103,16 +103,6 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
     return m + math.log(acc.value)
 
 
-def log_sum_exp_pair(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)) for scalars."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
 class AitkenAccelerator:
     """Repeated Aitken delta-squared extrapolation of a scalar sequence.
 
@@ -126,7 +116,7 @@ class AitkenAccelerator:
 
     def __init__(self, depth: int = 2) -> None:
         self._values: list[float] = []
-        self._next = AitkenAccelerator(depth - 1) if depth > 1 else None
+        self._next = type(self)(depth - 1) if depth > 1 else None
 
     def push(self, value: float) -> float:
         """Record the next raw value; return the best current estimate."""
@@ -213,6 +203,29 @@ def expand_to_sign_change(
     raise ValueError("no sign change found while expanding bracket")
 
 
+def descending_root(
+    fn: Callable[[float], float],
+    start: float,
+    *,
+    xtol: float,
+    step: float = 1.0,
+) -> float:
+    """Root of a strictly decreasing function, bracketed by walking from
+    `start` (forward while fn > 0, backward while fn < 0) with a doubling
+    `step`, then bisected to `xtol`.
+
+    Raises:
+        ValueError: no sign change within 60 doublings of the step.
+    """
+    f0 = fn(start)
+    if f0 == 0.0:
+        return start
+    lo, hi = expand_to_sign_change(
+        fn, start, step if f0 > 0.0 else -step, max_expand=60
+    )
+    return bisect_root(fn, lo, hi, xtol=xtol)
+
+
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -255,21 +268,3 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return format(x, ".17g")
-
-
-def pairwise_interval_sum(intervals: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """Sum of closed intervals, endpoints accumulated with compensation."""
-    lo = NeumaierSum()
-    hi = NeumaierSum()
-    for a, b in intervals:
-        lo.add(a)
-        hi.add(b)
-    return lo.value, hi.value
-
-
-def weighted_mean(weights: Sequence[float], values: Sequence[float]) -> float:
-    """Compensated dot product / sum(weights); weights must sum to ~1."""
-    acc = NeumaierSum()
-    for w, v in zip(weights, values):
-        acc.add(w * v)
-    return acc.value

@@ -10,29 +10,34 @@ All quantities here come with certified finite-level enclosures:
         worst-case potential value on the k connector symbols.
 
 The bracket width decays like 1/n, which is far too slow for tight targets,
-so the reported `value` is the ratio estimate log(Z_{n+1}^sup / Z_n^sup).
-Under a spectral gap the ratio converges geometrically; its successive-gap
-Cauchy test is the practical stopping rule, while the bracket stays the
-certificate.  Parabolic maps have no spectral gap and no finite-level upper
-certificate for Bowen roots (the neutral word pins sup-sums at a nonnegative
-pressure), which is reported honestly as an infinite upper endpoint.
+so the reported `value` is the ratio estimate log(Z_n^sup / Z_{n-1}^sup),
+Aitken-accelerated and clamped into the bracket.  Under a spectral gap the
+ratio converges geometrically; its successive-gap Cauchy test is the
+practical (heuristic) stopping rule, while the bracket stays the
+certificate.
+
+One ladder, `_ladder`, runs these stops for pressure(), bowen_root() and
+spectrum.b_of_a().  Each caller supplies per-level certified bounds and a
+lazily computed ratio value, built by `_Curves`, where the gluing floor
+above is written once; for the roots, the bounds are the roots of the lower
+and upper curves and the value is the root of the ratio curve.  Parabolic
+maps have no spectral gap and no finite-level upper certificate for Bowen
+roots (the neutral word pins sup-sums at a nonnegative pressure), which is
+reported honestly as an infinite upper endpoint; their Bowen estimate is
+the Moran root instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import NotConverged, NotStrictlyNegative
 from .maps import MarkovMap
-from .numerics import (
-    AitkenAccelerator,
-    bisect_root,
-    expand_to_sign_change,
-    log_sum_exp,
-)
+from .numerics import AitkenAccelerator, descending_root, log_sum_exp
 from .symbolic import CylinderTable, Potential, shared_table
 
 
@@ -40,9 +45,11 @@ from .symbolic import CylinderTable, Potential, shared_table
 class Pressure:
     """Pressure estimate with a certified enclosure.
 
-    `value` is the ratio estimate (or the bracket midpoint when the bracket
-    itself met the tolerance; `mode` records which).  `lower`/`upper` always
-    hold the best certified enclosure seen up to `level`.
+    `value` is the accelerated ratio estimate clamped into the bracket (its
+    upper end once the bracket has closed); `mode` records whether the
+    bracket ("bracket") or the heuristic ratio Cauchy gap ("ratio") stopped
+    the ladder.  `lower`/`upper` always hold the best certified enclosure
+    seen up to `level`.
     """
 
     value: float
@@ -88,20 +95,6 @@ def gluing_length(m: MarkovMap) -> int:
     return max(m.aperiodicity_power - 1, 0)
 
 
-def level_logsums(
-    table: CylinderTable,
-    n: int,
-    coeff_psi: float,
-    coeff_phi: float = 0.0,
-    *,
-    threads: int | None = None,
-) -> tuple[float, float]:
-    """(log Z_n^inf, log Z_n^sup) for the potential a*log|T'| + b*phi."""
-    arr = table.level(n)
-    f_lo, f_hi = arr.combined(coeff_psi, coeff_phi)
-    return log_sum_exp(f_lo, threads), log_sum_exp(f_hi, threads)
-
-
 def potential_floor(
     table: CylinderTable, coeff_psi: float, coeff_phi: float = 0.0
 ) -> float:
@@ -110,20 +103,120 @@ def potential_floor(
     return float(np.min(f_lo))
 
 
-def level_bracket(
-    m: MarkovMap,
-    table: CylinderTable,
-    n: int,
-    coeff_psi: float,
-    coeff_phi: float = 0.0,
+class _Curves:
+    """Level-n certified pressure curves of a*log|T'| + b*phi, as functions
+    of one unknown x through (a, b) = coeffs(x)."""
+
+    def __init__(
+        self,
+        m: MarkovMap,
+        table: CylinderTable,
+        n: int,
+        coeffs: Callable[[float], tuple[float, float]],
+        threads: int | None,
+    ):
+        self.table, self.n, self.coeffs, self.threads = table, n, coeffs, threads
+        self.arr = table.level(n)
+        self.k = gluing_length(m)
+        self._floors: dict[float, float] = {}
+        self._prev = None
+
+    def lower(self, x: float) -> float:
+        """(log Z_n^inf + k * inf f) / (n + k)."""
+        a, b = self.coeffs(x)
+        z_inf = log_sum_exp(self.arr.combined(a, b)[0], self.threads)
+        if self.k == 0:  # the floor would only be multiplied by k
+            return z_inf / self.n
+        if x not in self._floors:
+            self._floors[x] = potential_floor(self.table, a, b)
+        return (z_inf + self.k * self._floors[x]) / (self.n + self.k)
+
+    def z_sup(self, x: float) -> float:
+        """log Z_n^sup."""
+        return log_sum_exp(self.arr.combined(*self.coeffs(x))[1], self.threads)
+
+    def upper(self, x: float) -> float:
+        return self.z_sup(x) / self.n
+
+    def ratio(self, x: float) -> float:
+        """log(Z_n^sup / Z_{n-1}^sup), fetching level n-1 on first use."""
+        if self._prev is None:
+            self._prev = self.table.level(self.n - 1)
+        z_prev = log_sum_exp(self._prev.combined(*self.coeffs(x))[1], self.threads)
+        return self.z_sup(x) - z_prev
+
+    def roots(
+        self, start: float, *, step: float, xtol: float
+    ) -> tuple[float, float, Callable[[], float]]:
+        """Rung of a root ladder: the roots of the lower and upper curves,
+        which enclose the true root since pressure decreases in x, and the
+        ratio-curve root to xtol / 10 as the lazy estimate."""
+        lower = descending_root(self.lower, start, step=step, xtol=xtol)
+        arr = self.arr
+        if (  # no gluing symbols and exact Birkhoff sums: one curve, one root
+            self.k == 0
+            and np.array_equal(arr.psi_lo, arr.psi_hi)
+            and np.array_equal(arr.phi_lo, arr.phi_hi)
+        ):
+            upper = lower
+        else:
+            upper = descending_root(self.upper, start, step=step, xtol=xtol)
+        return lower, upper, (
+            lambda: descending_root(self.ratio, start, step=step, xtol=xtol / 10)
+        )
+
+
+def _ladder(
+    rung: Callable[[int, float | None], tuple],
+    first: int,
+    max_level: int,
     *,
-    threads: int | None = None,
-) -> tuple[float, float]:
-    """Certified (lower, upper) pressure bounds from level n alone."""
-    z_inf, z_sup = level_logsums(table, n, coeff_psi, coeff_phi, threads=threads)
-    k = gluing_length(m)
-    lower = (z_inf + k * potential_floor(table, coeff_psi, coeff_phi)) / (n + k)
-    return lower, z_sup / n
+    tol: float,
+    what: str,
+) -> tuple[float, float, float, int, str]:
+    """The level ladder behind pressure(), bowen_root() and b_of_a().
+
+    rung(n, last) gives level n's certified (lower, upper) bounds and a
+    callable for its ratio estimate, run only while the best bracket is
+    open (None: no estimate yet); `last` is the previous level's raw
+    estimate.  Stops on a closed bracket (value: its upper end), a width
+    <= tol ("bracket"), or a raw or Aitken-accelerated estimate that moved
+    by <= tol ("ratio", heuristic); the value is then the accelerated
+    estimate clamped into the bracket.  Returns (value, lower, upper,
+    level, mode).
+
+    Raises:
+        NotConverged: no stop by `max_level`; the best enclosure rides along.
+    """
+    best_lo, best_hi = -math.inf, math.inf
+    accel = AitkenAccelerator()
+    value_prev: float | None = None
+    est_prev: float | None = None
+    est = math.nan
+    for n in range(first, max_level + 1):
+        lower, upper, estimate = rung(n, value_prev)
+        best_lo, best_hi = max(best_lo, lower), min(best_hi, upper)
+        if best_hi <= best_lo:
+            # A closed bracket clamps every estimate to best_hi.
+            return best_hi, best_lo, best_hi, n, "bracket"
+        if estimate is None:
+            continue
+        value = estimate()
+        est = accel.push(value)
+        clamped = min(max(est, best_lo), best_hi)
+        if best_hi - best_lo <= tol:
+            return clamped, best_lo, best_hi, n, "bracket"
+        raw_ok = value_prev is not None and abs(value - value_prev) <= tol
+        acc_ok = est_prev is not None and abs(est - est_prev) <= tol
+        if raw_ok or acc_ok:
+            return clamped, best_lo, best_hi, n, "ratio"
+        value_prev, est_prev = value, est
+    raise NotConverged(
+        f"{what} not within {tol:g} by level {max_level}; "
+        f"certified enclosure [{best_lo:.12g}, {best_hi:.12g}], "
+        f"last accelerated value {est:.12g}",
+        enclosure=(best_lo, best_hi),
+    )
 
 
 def pressure_bracket(
@@ -134,55 +227,9 @@ def pressure_bracket(
     threads: int | None = None,
 ) -> Pressure:
     """Single-level pressure enclosure for a potential; value is the midpoint."""
-    table = shared_table(m, phi)
-    lower, upper = level_bracket(m, table, n, 0.0, 1.0, threads=threads)
+    level = _Curves(m, shared_table(m, phi), n, lambda _: (0.0, 1.0), threads)
+    lower, upper = level.lower(0.0), level.upper(0.0)
     return Pressure(0.5 * (lower + upper), lower, upper, n, "bracket")
-
-
-def _pressure_ladder(
-    m: MarkovMap,
-    table: CylinderTable,
-    coeff_psi: float,
-    coeff_phi: float,
-    *,
-    tol: float,
-    max_level: int,
-    threads: int | None = None,
-) -> Pressure:
-    """Shared ladder behind pressure() and the spectrum solvers.
-
-    Stops when the certified bracket or the ratio Cauchy gap reaches `tol`.
-    """
-    k = gluing_length(m)
-    floor = potential_floor(table, coeff_psi, coeff_phi)
-    best_lo, best_hi = -math.inf, math.inf
-    z_sup_prev: float | None = None
-    ratio_prev: float | None = None
-    accel = AitkenAccelerator()
-    est_prev: float | None = None
-    est = math.nan
-    for n in range(1, max_level + 1):
-        z_inf, z_sup = level_logsums(table, n, coeff_psi, coeff_phi, threads=threads)
-        best_lo = max(best_lo, (z_inf + k * floor) / (n + k))
-        best_hi = min(best_hi, z_sup / n)
-        if best_hi - best_lo <= tol:
-            return Pressure(0.5 * (best_lo + best_hi), best_lo, best_hi, n, "bracket")
-        ratio = z_sup - z_sup_prev if z_sup_prev is not None else None
-        if ratio is not None:
-            est = accel.push(ratio)
-            raw_ok = ratio_prev is not None and abs(ratio - ratio_prev) <= tol
-            acc_ok = est_prev is not None and abs(est - est_prev) <= tol
-            if raw_ok or acc_ok:
-                value = min(max(est, best_lo), best_hi)
-                return Pressure(value, best_lo, best_hi, n, "ratio")
-            est_prev = est
-        z_sup_prev, ratio_prev = z_sup, ratio
-    raise NotConverged(
-        f"pressure not within {tol:g} by level {max_level}; "
-        f"certified enclosure [{best_lo:.12g}, {best_hi:.12g}], "
-        f"last accelerated value {est:.12g}",
-        enclosure=(best_lo, best_hi),
-    )
 
 
 def pressure(
@@ -193,16 +240,23 @@ def pressure(
     max_level: int = 32,
     threads: int | None = None,
 ) -> Pressure:
-    """Pressure of a potential by the level ladder.
+    """Pressure of a potential by the level ladder; the ratio estimate is
+    log(Z_n^sup / Z_{n-1}^sup).
 
     Raises:
         NotConverged: neither the certified bracket nor the ratio Cauchy gap
             reached `tol` by `max_level`; the best enclosure rides along.
     """
     table = shared_table(m, phi)
-    return _pressure_ladder(
-        m, table, 0.0, 1.0, tol=tol, max_level=max_level, threads=threads
-    )
+    z_sup: dict[int, float] = {}
+
+    def rung(n: int, _last: float | None):
+        level = _Curves(m, table, n, lambda _: (0.0, 1.0), threads)
+        z_sup[n] = level.z_sup(0.0)
+        estimate = None if n == 1 else (lambda: z_sup[n] - z_sup[n - 1])
+        return level.lower(0.0), z_sup[n] / n, estimate
+
+    return Pressure(*_ladder(rung, 1, max_level, tol=tol, what="pressure"))
 
 
 def normalize_potential(
@@ -245,12 +299,9 @@ def normalize_potential(
 def _moran_root(table: CylinderTable, n: int, threads: int | None) -> float:
     """Root of sum_w diam(w)^s = 1 at level n (unique: strictly decreasing)."""
     log_d = np.log(table.level(n).diameters())
-
-    def total(s: float) -> float:
-        return log_sum_exp(s * log_d, threads)
-
-    lo, hi = expand_to_sign_change(total, 0.0, 1.0, max_expand=40)
-    return bisect_root(total, max(lo, 0.0), hi, xtol=1e-14)
+    return descending_root(
+        lambda s: log_sum_exp(s * log_d, threads), 0.0, xtol=1e-14
+    )
 
 
 def bowen_root(
@@ -263,56 +314,25 @@ def bowen_root(
     """Dimension-type root of s -> P(-s log|T'|).
 
     Enclosure endpoints are roots of the certified lower/upper pressure
-    curves at the final level (both strictly decreasing in s).  Convergence
-    is the enclosure width for hyperbolic maps; parabolic maps, whose upper
-    endpoint is +inf at any feasible level, fall back to the Cauchy gap of
-    the Moran-equation values.
+    curves (both strictly decreasing in s), and the estimate is the
+    partition-ratio root, on the shared ladder.  Parabolic maps, whose
+    upper endpoint is +inf at any feasible level, take the Moran-equation
+    root as their estimate instead, so they stop only on its Cauchy gap.
 
     Raises:
         NotConverged: neither criterion met by `max_level`.
     """
     table = shared_table(m, None)
-    k = gluing_length(m)
     parabolic = m.has_parabolic
-    psi_sup = float(np.max(table.level(1).psi_hi))
-    best_lo, best_hi = 0.0, math.inf
-    value = math.nan
-    value_prev: float | None = None
-    for n in range(2, max_level + 1):
-        arr = table.level(n)
-        prev = table.level(n - 1)
 
-        def lower_curve(s: float) -> float:
-            z_inf = log_sum_exp(-s * arr.psi_hi, threads)
-            return (z_inf - k * s * psi_sup) / (n + k)
+    def rung(n: int, _last: float | None):
+        level = _Curves(m, table, n, lambda s: (-s, 0.0), threads)
+        if not parabolic:
+            return level.roots(0.0, step=8.0, xtol=1e-12)
+        # The Moran root is exact for full-interval parabolic maps; the
+        # ratio root would inherit the neutral word's slow drift.
+        lower = descending_root(level.lower, 0.0, step=8.0, xtol=1e-12)
+        return lower, math.inf, lambda: _moran_root(table, n, threads)
 
-        def upper_curve(s: float) -> float:
-            return log_sum_exp(-s * arr.psi_lo, threads) / n
-
-        def ratio_curve(s: float) -> float:
-            return log_sum_exp(-s * arr.psi_lo, threads) - log_sum_exp(
-                -s * prev.psi_lo, threads
-            )
-
-        lo_bracket = expand_to_sign_change(lower_curve, 0.0, 8.0, max_expand=16)
-        best_lo = max(best_lo, bisect_root(lower_curve, *lo_bracket, xtol=1e-12))
-        if parabolic:
-            # The Moran root is exact for full-interval parabolic maps; the
-            # ratio root would inherit the neutral word's slow drift.
-            value = _moran_root(table, n, threads)
-        else:
-            hi_bracket = expand_to_sign_change(upper_curve, 0.0, 8.0, max_expand=16)
-            best_hi = min(best_hi, bisect_root(upper_curve, *hi_bracket, xtol=1e-12))
-            rt_bracket = expand_to_sign_change(ratio_curve, 0.0, 8.0, max_expand=16)
-            value = bisect_root(ratio_curve, *rt_bracket, xtol=1e-13)
-        if not parabolic and best_hi - best_lo <= tol:
-            return BowenRoot(min(max(value, best_lo), best_hi), best_lo, best_hi, n, False)
-        if value_prev is not None and abs(value - value_prev) <= tol:
-            upper = math.inf if parabolic else best_hi
-            return BowenRoot(value, best_lo, upper, n, parabolic)
-        value_prev = value
-    raise NotConverged(
-        f"bowen root not within {tol:g} by level {max_level}; "
-        f"enclosure [{best_lo:.12g}, {best_hi:.12g}], last value {value:.12g}",
-        enclosure=(best_lo, best_hi),
-    )
+    value, lower, upper, n, _ = _ladder(rung, 2, max_level, tol=tol, what="bowen root")
+    return BowenRoot(value, lower, upper, n, parabolic)

@@ -4,12 +4,14 @@ b(a) is the unique root in b of P(a log|T'| + b phi) = 0 for a strictly
 negative normalized potential phi.  Strict negativity makes the pressure
 strictly decreasing in b, so roots of the certified lower/upper pressure
 curves enclose b(a), while the partition-ratio root supplies the fast value
-estimate (same pattern as the Bowen root).
+estimate.  The level ladder and its stopping rules are the ones pressure()
+and bowen_root() use (see pressure.py).
 
 On parabolic maps b(a) hits an affine ray: once a <= -dim(Lambda) the pure
-geometric pressure already vanishes and b(a) = 0 identically.  Points on the
-ray get the one-sided enclosure [0, U_n / (-sup phi)] coming from the
-Lipschitz bound |dP/db| >= -sup phi.
+geometric pressure already vanishes and b(a) = 0 identically.  The ray's
+start is one Bowen root per (map, tol, max_level), memoised on the map.
+Points on the ray get the one-sided enclosure [0, U_n / (-sup phi)] coming
+from the Lipschitz bound |dP/db| >= -sup phi.
 
 The local dimension spectrum is the Legendre-type transform
 
@@ -34,14 +36,8 @@ from .errors import (
     NotStrictlyNegative,
 )
 from .maps import MarkovMap
-from .numerics import (
-    AitkenAccelerator,
-    bisect_root,
-    expand_to_sign_change,
-    golden_section_min,
-    log_sum_exp,
-)
-from .pressure import bowen_root, gluing_length, potential_floor
+from .numerics import golden_section_min, log_sum_exp
+from .pressure import _Curves, _ladder, bowen_root
 from .symbolic import CylinderTable, Potential, shared_table, words_at_level
 
 
@@ -106,21 +102,6 @@ def _require_negative(m: MarkovMap, phi: Potential) -> float:
     return sup
 
 
-def _ray_threshold(m: MarkovMap, *, tol: float, max_level: int) -> float:
-    """a-value at which b(a) reaches 0 on a parabolic map: a = -dim(Lambda)."""
-    root = bowen_root(m, tol=tol, max_level=max_level)
-    return -root.value
-
-
-def _descending_root(fn, guess: float, *, xtol: float) -> float:
-    """Root of a strictly decreasing scalar function, expanding from a guess."""
-    f0 = fn(guess)
-    if f0 == 0.0:
-        return guess
-    lo, hi = expand_to_sign_change(fn, guess, 1.0 if f0 > 0.0 else -1.0, max_expand=60)
-    return bisect_root(fn, lo, hi, xtol=xtol)
-
-
 def b_of_a(
     m: MarkovMap,
     phi: Potential,
@@ -129,7 +110,6 @@ def b_of_a(
     tol: float = 1e-8,
     max_level: int = 24,
     threads: int | None = None,
-    _ray_at: float | None = None,
 ) -> BPoint:
     """Root in b of P(a log|T'| + b phi) = 0 with certified enclosure.
 
@@ -147,13 +127,19 @@ def b_of_a(
     sup_phi = _require_negative(m, phi)
     table = shared_table(m, phi)
     if m.has_parabolic:
-        ray_at = _ray_at if _ray_at is not None else _ray_threshold(
-            m, tol=tol, max_level=max_level
-        )
+        # The ray starts at a = -dim(Lambda): one Bowen solve per (map, tol,
+        # max_level), kept beside the map's tables.  It runs outside the
+        # lock, which bowen_root takes too.
+        key = (tol, max_level)
+        with m._cache_lock:
+            ray_at = m._ray_cache.get(key)
+        if ray_at is None:
+            ray_at = -bowen_root(m, tol=tol, max_level=max_level).value
+            with m._cache_lock:
+                m._ray_cache[key] = ray_at
         if a <= ray_at + 1e-12:
             n = min(10, max_level)
-            arr = table.level(n)
-            f_lo, f_hi = arr.combined(a, 0.0)
+            _, f_hi = table.level(n).combined(a, 0.0)
             upper_pressure = max(log_sum_exp(f_hi, threads) / n, 0.0)
             return BPoint(
                 a=a,
@@ -163,71 +149,14 @@ def b_of_a(
                 level=n,
                 on_ray=True,
             )
-    k = gluing_length(m)
-    floor_cache: dict[float, float] = {}
-    best_lo, best_hi = -math.inf, math.inf
-    value = math.nan
-    value_prev: float | None = None
-    accel = AitkenAccelerator()
-    est_prev: float | None = None
-    est = math.nan
-    guess = 0.0
-    for n in range(2, max_level + 1):
-        arr = table.level(n)
-        # With no gluing symbols and exact Birkhoff sums the lower and upper
-        # curves are the same function, bit for bit, so one root serves both.
-        same_curves = (
-            k == 0
-            and np.array_equal(arr.psi_lo, arr.psi_hi)
-            and np.array_equal(arr.phi_lo, arr.phi_hi)
-        )
 
-        def lower_curve(b: float) -> float:
-            f_lo, _ = arr.combined(a, b)
-            if k == 0:  # the floor would only be multiplied by k
-                return log_sum_exp(f_lo, threads) / n
-            if b not in floor_cache:
-                floor_cache[b] = potential_floor(table, a, b)
-            return (log_sum_exp(f_lo, threads) + k * floor_cache[b]) / (n + k)
+    def rung(n: int, last: float | None):
+        # Each level's roots start from the previous level's estimate.
+        level = _Curves(m, table, n, lambda b: (a, b), threads)
+        return level.roots(0.0 if last is None else last, step=1.0, xtol=1e-13)
 
-        def upper_curve(b: float) -> float:
-            _, f_hi = arr.combined(a, b)
-            return log_sum_exp(f_hi, threads) / n
-
-        # Pressure is strictly decreasing in b, so all three curves cross
-        # zero exactly once; roots of lower/upper bound the true b(a).
-        root = _descending_root(lower_curve, guess, xtol=1e-13)
-        best_lo = max(best_lo, root)
-        if not same_curves:
-            root = _descending_root(upper_curve, guess, xtol=1e-13)
-        best_hi = min(best_hi, root)
-        if best_hi <= best_lo:
-            # A closed bracket clamps every ratio estimate to best_hi.
-            return BPoint(a, best_hi, best_lo, best_hi, n, False)
-        prev = table.level(n - 1)
-
-        def ratio_curve(b: float) -> float:
-            _, f_hi = arr.combined(a, b)
-            _, g_hi = prev.combined(a, b)
-            return log_sum_exp(f_hi, threads) - log_sum_exp(g_hi, threads)
-
-        value = _descending_root(ratio_curve, guess, xtol=1e-14)
-        guess = value
-        est = accel.push(value)
-        if best_hi - best_lo <= tol:
-            mid = min(max(est, best_lo), best_hi)
-            return BPoint(a, mid, best_lo, best_hi, n, False)
-        raw_ok = value_prev is not None and abs(value - value_prev) <= tol
-        acc_ok = est_prev is not None and abs(est - est_prev) <= tol
-        if raw_ok or acc_ok:
-            mid = min(max(est, best_lo), best_hi)
-            return BPoint(a, mid, best_lo, best_hi, n, False)
-        value_prev, est_prev = value, est
-    raise NotConverged(
-        f"b({a:g}) not within {tol:g} by level {max_level}; "
-        f"enclosure [{best_lo:.12g}, {best_hi:.12g}], last value {est:.12g}",
-        enclosure=(best_lo, best_hi),
-    )
+    b, lower, upper, n, _ = _ladder(rung, 2, max_level, tol=tol, what=f"b({a:g})")
+    return BPoint(a, b, lower, upper, n, False)
 
 
 def b_curve(
@@ -240,14 +169,8 @@ def b_curve(
     threads: int | None = None,
 ) -> list[BPoint]:
     """b(a) sampled over a list of a-values (shared tables, shared ray test)."""
-    ray_at = None
-    if m.has_parabolic:
-        ray_at = _ray_threshold(m, tol=tol, max_level=max_level)
     return [
-        b_of_a(
-            m, phi, float(a),
-            tol=tol, max_level=max_level, threads=threads, _ray_at=ray_at,
-        )
+        b_of_a(m, phi, float(a), tol=tol, max_level=max_level, threads=threads)
         for a in a_values
     ]
 
@@ -271,14 +194,10 @@ def alpha_of_a(
     Raises:
         DerivativeUnstable: inconsistent or nonpositive slope estimates.
     """
-    ray_at = _ray_threshold(m, tol=1e-8, max_level=max_level) if m.has_parabolic else None
-
-    def b_at(x: float) -> BPoint:
-        return b_of_a(
-            m, phi, x, tol=tol, max_level=max_level, threads=threads, _ray_at=ray_at
-        )
-
-    points = {x: b_at(x) for x in (a - step, a + step, a - step / 2, a + step / 2)}
+    points = {
+        x: b_of_a(m, phi, x, tol=tol, max_level=max_level, threads=threads)
+        for x in (a - step, a + step, a - step / 2, a + step / 2)
+    }
     if all(pt.on_ray for pt in points.values()):
         return AlphaPoint(a=a, alpha=math.inf, b_prime=0.0, spread=0.0)
     d1 = (points[a + step].b - points[a - step].b) / (2 * step)
@@ -464,15 +383,13 @@ def legendre_spectrum(
     "no points with that local dimension".
     """
     _require_negative(m, phi)
-    ray_at = _ray_threshold(m, tol=tol, max_level=max_level) if m.has_parabolic else None
     cache: dict[float, BPoint] = {}
 
     def bp(a: float) -> BPoint:
         key = round(a, 12)
         if key not in cache:
             cache[key] = b_of_a(
-                m, phi, key, tol=tol, max_level=max_level,
-                threads=threads, _ray_at=ray_at,
+                m, phi, key, tol=tol, max_level=max_level, threads=threads
             )
         return cache[key]
 

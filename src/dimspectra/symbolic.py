@@ -61,7 +61,6 @@ class Potential:
     table: tuple[tuple[tuple[int, ...], float], ...] = ()
     coefficient: float = 0.0
     funcs: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
-    holder_theta: float | None = None
     pressure_shift: float = 0.0
 
     def __post_init__(self) -> None:
@@ -117,12 +116,9 @@ def geometric(coefficient: float) -> Potential:
     return Potential(kind="geometric", coefficient=float(coefficient))
 
 
-def pointwise(
-    funcs: Sequence[Callable[[np.ndarray], np.ndarray]],
-    holder_theta: float | None = None,
-) -> Potential:
+def pointwise(funcs: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Potential:
     """Per-branch callables; each must be monotone on its branch domain."""
-    return Potential(kind="pointwise", funcs=tuple(funcs), holder_theta=holder_theta)
+    return Potential(kind="pointwise", funcs=tuple(funcs))
 
 
 def validate_potential(m: MarkovMap, phi: Potential) -> None:

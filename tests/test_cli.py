@@ -200,11 +200,14 @@ def test_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch, raw):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_spectrum_config_reproduces_shipped_csv(tmp_path):
-    out = tmp_path / "spectrum.csv"
-    config = CONFIG_DIR / "doubling_bernoulli_spectrum.yaml"
+@pytest.mark.parametrize(
+    "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem
+)
+def test_spectrum_config_reproduces_shipped_csv(tmp_path, config):
+    # Every shipped config converges (exit 0) and writes its out/ CSV bytes.
+    out = tmp_path / f"{config.stem}.csv"
     assert main([str(config), "--set", f"output.csv={out}"]) == 0
-    assert out.read_bytes() == (OUT_DIR / "doubling_bernoulli_spectrum.csv").read_bytes()
+    assert out.read_bytes() == (OUT_DIR / f"{config.stem}.csv").read_bytes()
 
 
 def test_shipped_configs_round_trip():

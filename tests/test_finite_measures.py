@@ -15,7 +15,6 @@ from dimspectra import (
     connector_length,
     moran_weights,
     optimize_block_weights,
-    spread_to_shift_invariant,
     window_mask,
     window_weights,
 )
@@ -170,15 +169,3 @@ def test_window_weights_are_suboptimal(doubling, bernoulli_phi):
     assert block_objective(ww) <= block_objective(opt) + 1e-9
     mask = window_mask(doubling, bernoulli_phi, 8, ALPHA_FIX, 0.05)
     assert not np.any((ww.weights > 0) & ~mask)
-
-
-def test_spread_stats_mirror_block(golden, uniform_phi):
-    bm = block_measure(
-        golden, uniform_phi, 2, {(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.25}
-    )
-    st = spread_to_shift_invariant(bm)
-    assert st.entropy == bm.spread_entropy
-    assert st.lyapunov_bracket == bm.spread_lyapunov_bracket
-    assert st.phi_avg_bracket == bm.spread_phi_bracket
-    assert st.alpha_bracket == bm.spread_alpha_bracket
-    assert st.dim_bracket == bm.spread_dim_bracket

@@ -14,9 +14,6 @@ from dimspectra.numerics import (
     format_float,
     golden_section_min,
     log_sum_exp,
-    log_sum_exp_pair,
-    pairwise_interval_sum,
-    weighted_mean,
 )
 
 
@@ -69,8 +66,6 @@ def test_log_sum_exp_non_finite(size):
 
 def test_log_sum_exp_empty_and_pair():
     assert log_sum_exp(np.array([])) == -math.inf
-    assert log_sum_exp_pair(-math.inf, 0.5) == 0.5
-    assert log_sum_exp_pair(0.0, 0.0) == pytest.approx(math.log(2.0))
 
 
 def test_log_sum_exp_no_overflow():
@@ -107,14 +102,3 @@ def test_format_float_round_trips():
     for x in (0.1, math.pi, 1.0 / 3.0, 1e300, -7.25, 0.0):
         assert float(format_float(x)) == x
     assert format_float(math.inf) == "inf"
-
-
-def test_pairwise_interval_sum():
-    lo, hi = pairwise_interval_sum([(0.1, 0.2)] * 1000)
-    assert lo == pytest.approx(100.0, abs=1e-9)
-    assert hi == pytest.approx(200.0, abs=1e-9)
-    assert lo <= hi
-
-
-def test_weighted_mean():
-    assert weighted_mean([0.25, 0.75], [2.0, 4.0]) == pytest.approx(3.5)

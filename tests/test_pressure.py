@@ -82,6 +82,17 @@ def test_bowen_root_two_slopes(two_slopes):
     assert not root.parabolic
 
 
+def test_bowen_root_golden_mean(golden):
+    # One gluing symbol (k = 1) keeps the lower curve below the upper one,
+    # so the bracket stays open and the ratio root carries the value.
+    truth = GOLDEN_ENTROPY / LOG2
+    root = bowen_root(golden)
+    assert root.lower <= truth <= root.upper
+    assert root.lower < root.upper
+    assert abs(root.value - truth) <= 1e-6
+    assert not root.parabolic
+
+
 def test_bowen_root_doubling(doubling):
     root = bowen_root(doubling)
     assert root.value == pytest.approx(1.0, abs=1e-12)
