@@ -48,6 +48,7 @@ from .symbolic import (
     Potential,
     boundary_ratio,
     cylinder,
+    cylinders,
     distortion_report,
     geometric,
     locally_constant,

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .maps import MarkovMap
 from .numerics import descending_root, log_sum_exp
-from .symbolic import Potential, cylinder
+from .symbolic import Potential, cylinders
 
 WORD_CAP = 1 << 20
 
@@ -119,12 +119,12 @@ def build_induced(
 
     branches: list[InducedBranch] = []
     log_weights: list[float] = []
-    for word in _excursion_words(m, base, truncation):
-        cyl = cylinder(m, word, phi, terminal=base_iv)
+    words = _excursion_words(m, base, truncation)
+    for cyl in cylinders(m, words, phi, terminal=base_iv):
         branches.append(
             InducedBranch(
-                word=word,
-                return_time=len(word),
+                word=cyl.word,
+                return_time=len(cyl.word),
                 domain=cyl.interval,
                 psi_bracket=cyl.birkhoff_psi,
                 phi_bracket=cyl.birkhoff_phi,

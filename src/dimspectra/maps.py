@@ -39,6 +39,7 @@ from .errors import (
 
 ENDPOINT_TOL = 1e-12
 PARABOLIC_TOL = 1e-10
+NEWTON_SWEEPS = 120
 
 _FAMILIES = ("linear", "manneville_pomeau", "power", "farey_left", "farey_right")
 
@@ -157,7 +158,12 @@ class Branch:
     # -- inverse ----------------------------------------------------------
 
     def inverse(self, y, *, clamp_tol: float = 1e-9):
-        """Preimage under T_i, to absolute tolerance 1e-14.
+        """Preimage under T_i.
+
+        Linear and Farey branches invert in closed form.  The power-law
+        families run a vector Newton iteration until each point settles,
+        then solve again by bisection every point whose residual
+        |x + c*x**(1+s) - z| exceeds 1e-12 * max(|z|, x), where z = y + lift.
 
         Args:
             y: point(s) in the branch image.
@@ -165,14 +171,16 @@ class Branch:
                 image endpoint; anything farther raises OutOfImage.
 
         Raises:
-            OutOfImage: if some y lies outside the image beyond clamp_tol.
+            OutOfImage: if some y is not finite, or lies outside the image
+                beyond clamp_tol.
         """
         y = np.asarray(y, dtype=float)
         ilo, ihi = self.image
-        if float(np.min(y)) < ilo - clamp_tol or float(np.max(y)) > ihi + clamp_tol:
+        y_min, y_max = float(np.min(y)), float(np.max(y))
+        # Stated so that NaN, which fails every comparison, is rejected too.
+        if not (ilo - clamp_tol <= y_min and y_max <= ihi + clamp_tol):
             raise OutOfImage(
-                f"point outside branch image [{ilo}, {ihi}]: "
-                f"range [{float(np.min(y))}, {float(np.max(y))}]"
+                f"point outside branch image [{ilo}, {ihi}]: range [{y_min}, {y_max}]"
             )
         y = np.clip(y, ilo, ihi)
         lo, hi = self.domain
@@ -199,21 +207,36 @@ def _power_inverse(c: float, s: float, z, lo: float, hi: float):
 
     Starts at the right endpoint so convexity makes the iteration decrease
     monotonically onto the root; a bisection sweep catches any stragglers.
+
+    The result is that of NEWTON_SWEEPS full sweeps, but a point leaves the
+    sweep as soon as that value is known: at a fixed point of the Newton
+    step, or on a 2-cycle between adjacent floats, where the parity of the
+    remaining sweeps picks the member.
     """
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    x = np.full_like(z, hi)
-    for _ in range(120):
-        fx = x + c * x ** (1.0 + s) - z
-        dfx = 1.0 + c * (1.0 + s) * x**s
-        x_new = np.clip(x - fx / dfx, lo, hi)
-        # Relative step criterion: near a root at 0 the absolute steps are
-        # tiny long before the relative error is, so 1e-16*|x| not 1e-16.
-        if np.all(np.abs(x_new - x) <= 1e-16 * np.abs(x_new)):
-            x = x_new
-            break
-        x = x_new
+    x = np.empty_like(z)
+    live = np.arange(z.size)
+    xs, zs = np.full_like(z, hi), z
+    back = np.nan  # the iterate two sweeps back
+    for k in range(1, NEWTON_SWEEPS + 1):
+        # One expression, so that no temporary outlives the step.
+        step = np.clip(
+            xs - (xs + c * xs ** (1.0 + s) - zs) / (1.0 + c * (1.0 + s) * xs**s), lo, hi
+        )
+        fixed = step == xs
+        settled = fixed | (step == back)
+        if settled.any():
+            last = step if (NEWTON_SWEEPS - k) % 2 == 0 else xs
+            x[live[settled]] = np.where(fixed, step, last)[settled]
+            keep = ~settled
+            live, zs, back, xs = live[keep], zs[keep], xs[keep], step[keep]
+            if not live.size:
+                break
+        else:
+            back, xs = xs, step
+    x[live] = xs
     resid = np.abs(x + c * x ** (1.0 + s) - z)
     bad = resid > 1e-12 * np.maximum(np.abs(z), x)
     if np.any(bad):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -459,8 +459,8 @@ class _LocallyConstantPlan:
         first = np.empty(size, dtype=np.int8)
         last = np.empty(size, dtype=np.int8)
         code = np.empty(size, dtype=np.int64)
-        for r, w in enumerate(words):
-            cyl = cylinder(m, w, self.phi)
+        for r, cyl in enumerate(cylinders(m, words, self.phi)):
+            w = cyl.word
             lo[r], hi[r] = cyl.interval
             psi_lo[r], psi_hi[r] = cyl.birkhoff_psi
             phi_lo[r], phi_hi[r] = cyl.birkhoff_phi
@@ -508,9 +508,27 @@ def cylinder(
 ) -> Cylinder:
     """Cylinder interval and Birkhoff brackets for one word (scalar path).
 
-    The interval is the span of the projected cylinder, computed by composing
-    inverse branches right to left starting from the core span of the last
-    symbol's follow set.  Brackets accumulate exact per-step endpoint ranges.
+    The one-word case of :func:`cylinders`, which documents the arguments.
+    """
+    return cylinders(m, [word], phi, terminal=terminal)[0]
+
+
+def cylinders(
+    m: MarkovMap,
+    words: Iterable[Sequence[int]],
+    phi: Potential | None = None,
+    *,
+    terminal: tuple[float, float] | None = None,
+) -> list[Cylinder]:
+    """Cylinder intervals and Birkhoff brackets for each word (scalar path).
+
+    Each interval is the span of the projected cylinder, computed by
+    composing inverse branches right to left starting from the core span of
+    the last symbol's follow set.  Brackets accumulate exact per-step
+    endpoint ranges.  The state after the symbols word[k:] (interval and
+    both partial sums, added in the same order) depends on that suffix
+    alone, so words sharing a suffix share its steps: the states are kept
+    in a suffix trie for the length of the call.
 
     Args:
         terminal: replaces the terminal span, restricting to the points whose
@@ -521,25 +539,29 @@ def cylinder(
         ValueError: inadmissible word.
         DegenerateCylinder: interval collapsed to a point in float arithmetic.
     """
-    word = tuple(word)
-    if not word or not m.admissible(word):
-        raise ValueError(f"word {word} is not admissible for this map")
+    words = [tuple(w) for w in words]
+    for word in words:
+        if not word or not m.admissible(word):
+            raise ValueError(f"word {word} is not admissible for this map")
     if phi is not None:
         validate_potential(m, phi)
-    n = len(word)
-    lo, hi = m.core_spans[word[-1]] if terminal is None else terminal
-    psi_lo = psi_hi = 0.0
-    phi_lo = phi_hi = 0.0
     plan = _LocallyConstantPlan(m, phi) if _needs_plan(phi) else None
-    for k in range(n - 1, -1, -1):
+    table = phi.table_dict() if phi is not None and phi.kind == "locally_constant" else None
+
+    def step(state, word: tuple[int, ...], k: int):
         br = m.branches[word[k]]
-        if k < n - 1 or terminal is not None:
+        if state is None:  # the last symbol
+            lo, hi = m.core_spans[word[-1]] if terminal is None else terminal
+            psi_lo = psi_hi = phi_lo = phi_hi = 0.0
+        else:
+            lo, hi, psi_lo, psi_hi, phi_lo, phi_hi = state
+        if state is not None or terminal is not None:
             lo, hi = br.preimage_interval(lo, hi)
         a, b = br.log_deriv_range(lo, hi)
         psi_lo += float(a)
         psi_hi += float(b)
         if phi is None:
-            continue
+            return lo, hi, psi_lo, psi_hi, phi_lo, phi_hi
         if phi.kind == "geometric":
             c = phi.coefficient
             inc = sorted((c * float(a), c * float(b)))
@@ -551,28 +573,43 @@ def cylinder(
             phi_lo += min(fa, fb) - phi.pressure_shift
             phi_hi += max(fa, fb) - phi.pressure_shift
         elif plan is None:
-            v = phi.table_dict()[(word[k],)] - phi.pressure_shift
+            v = table[(word[k],)] - phi.pressure_shift
             phi_lo += v
             phi_hi += v
         else:
             visible = word[k : k + phi.depth]
             if len(visible) == phi.depth:
-                v = phi.table_dict()[visible]
+                v = table[visible]
                 phi_lo += v - phi.pressure_shift
                 phi_hi += v - phi.pressure_shift
             else:
                 rlo, rhi = plan.suffix_range(visible)
                 phi_lo += rlo - phi.pressure_shift
                 phi_hi += rhi - phi.pressure_shift
-    if hi - lo <= 0.0:
-        raise DegenerateCylinder(f"cylinder of {word} collapsed to a point")
-    return Cylinder(
-        word=word,
-        interval=(lo, hi),
-        diameter=hi - lo,
-        birkhoff_psi=(psi_lo, psi_hi),
-        birkhoff_phi=None if phi is None else (phi_lo, phi_hi),
-    )
+        return lo, hi, psi_lo, psi_hi, phi_lo, phi_hi
+
+    trie: dict[int, tuple] = {}  # symbol -> (state, trie of longer suffixes)
+    out: list[Cylinder] = []
+    for word in words:
+        node, state = trie, None
+        for k in range(len(word) - 1, -1, -1):
+            entry = node.get(word[k])
+            if entry is None:
+                entry = node[word[k]] = (step(state, word, k), {})
+            state, node = entry
+        lo, hi, psi_lo, psi_hi, phi_lo, phi_hi = state
+        if hi - lo <= 0.0:
+            raise DegenerateCylinder(f"cylinder of {word} collapsed to a point")
+        out.append(
+            Cylinder(
+                word=word,
+                interval=(lo, hi),
+                diameter=hi - lo,
+                birkhoff_psi=(psi_lo, psi_hi),
+                birkhoff_phi=None if phi is None else (phi_lo, phi_hi),
+            )
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from dimspectra import (
     b_of_a,
     build_induced,
     cylinder,
+    geometric,
     induced_b_curve,
     induced_b_point,
     linear_full_branch_map,
     locally_constant,
+    pointwise,
 )
 
 LOG2 = math.log(2.0)
@@ -76,6 +78,37 @@ def test_induced_brackets_telescope(farey, uniform_phi, farey_sys):
         plain = cylinder(farey, br.word, uniform_phi)
         assert plain.birkhoff_psi[0] - 1e-12 <= br.psi_bracket[0]
         assert br.psi_bracket[1] <= plain.birkhoff_psi[1] + 1e-12
+
+
+_DEPTH2 = locally_constant(
+    {(0, 0): -0.3, (0, 1): -1.1, (1, 0): -0.9, (1, 1): -2.0}
+)
+
+
+@pytest.mark.parametrize(
+    "case, truncation",
+    [("farey_bernoulli", 300), ("mp_geometric", 60), ("farey_depth2", 60),
+     ("mp_none", 60), ("farey_pointwise", 60)],
+)
+def test_induced_branches_equal_per_word_cylinders(farey, mp, case, truncation):
+    # build_induced shares suffix states across return words; every branch
+    # must carry the same bits as its own one-word cylinder.
+    m, phi = {
+        "farey_bernoulli": (farey, locally_constant({(0,): -LOG2, (1,): -LOG2})),
+        "mp_geometric": (mp, geometric(-0.7)),
+        "farey_depth2": (farey, _DEPTH2),
+        "mp_none": (mp, None),
+        "farey_pointwise": (
+            farey, pointwise([lambda x: -LOG2 - 0.1 * x, lambda x: -LOG2 + 0.1 * x])
+        ),
+    }[case]
+    isys = build_induced(m, phi, truncation=truncation)
+    assert len(isys.branches) == truncation
+    for br in isys.branches:
+        one = cylinder(m, br.word, phi, terminal=isys.base)
+        assert br.domain == one.interval
+        assert br.psi_bracket == one.birkhoff_psi
+        assert br.phi_bracket == one.birkhoff_phi
 
 
 def test_induced_domains_disjoint_in_base(farey_sys):

@@ -15,6 +15,9 @@ from dimspectra import (
     linear_full_branch_map,
     parabolic_exponent,
 )
+from dimspectra import maps
+from dimspectra.maps import _power_inverse
+from dimspectra.symbolic import CylinderTable
 
 LOG2 = math.log(2.0)
 
@@ -42,6 +45,117 @@ def test_inverse_outside_image(golden):
     # branch 1 maps onto (0, 1/2) only
     with pytest.raises(OutOfImage):
         golden.branches[1].inverse(0.8)
+
+
+@pytest.mark.parametrize("family", ["linear", "manneville_pomeau", "farey_right"])
+@pytest.mark.parametrize("y", [math.nan, [0.2, math.nan, 0.7], math.inf, [-math.inf]])
+def test_inverse_rejects_non_finite(doubling, mp, farey, family, y):
+    br = {"linear": doubling, "manneville_pomeau": mp, "farey_right": farey}[family].branches[1]
+    assert br.family == family
+    with pytest.raises(OutOfImage):
+        br.inverse(y)
+
+
+def _fixed_sweep_power_inverse(c, s, z, lo, hi, sweeps=120):
+    """Reference: the Newton loop that always runs every sweep (stopping
+    early only when every point is a fixed point), with the same residual
+    check and bisection fallback as the shipped solver."""
+    z = np.asarray(z, dtype=float)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    x = np.full_like(z, hi)
+    for _ in range(sweeps):
+        fx = x + c * x ** (1.0 + s) - z
+        dfx = 1.0 + c * (1.0 + s) * x**s
+        x_new = np.clip(x - fx / dfx, lo, hi)
+        if np.all(np.abs(x_new - x) <= 1e-16 * np.abs(x_new)):
+            x = x_new
+            break
+        x = x_new
+    resid = np.abs(x + c * x ** (1.0 + s) - z)
+    bad = resid > 1e-12 * np.maximum(np.abs(z), x)
+    if np.any(bad):
+        xlo = np.full(int(bad.sum()), lo)
+        xhi = np.full(int(bad.sum()), hi)
+        zb = z[bad]
+        for _ in range(120):
+            xm = 0.5 * (xlo + xhi)
+            below = xm + c * xm ** (1.0 + s) < zb
+            xlo = np.where(below, xm, xlo)
+            xhi = np.where(below, xhi, xm)
+        xb = 0.5 * (xlo + xhi)
+        for _ in range(10):
+            fb = xb + c * xb ** (1.0 + s) - zb
+            xb = np.clip(xb - fb / (1.0 + c * (1.0 + s) * xb**s), lo, hi)
+        x[bad] = xb
+    return x[0] if scalar else x
+
+
+def _power_branch():
+    """T(x) = x + 2 x**1.7 on [0, d] onto [0, 1]."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid + 2.0 * mid**1.7 < 1.0 else (lo, mid)
+    return Branch("power", (0.0, 0.5 * (lo + hi)), (0.0, 1.0), s=0.7, c=2.0)
+
+
+def _assert_matches_fixed_sweeps(br, y, sweeps=120):
+    lo, hi = br.domain
+    z = br.lift + np.asarray(y, dtype=float)
+    got = _power_inverse(br.c, br.s, z, lo, hi)
+    want = _fixed_sweep_power_inverse(br.c, br.s, z, lo, hi, sweeps)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.ndim(got) == np.ndim(want)
+
+
+@pytest.fixture(scope="module")
+def mp_level18_ends(mp):
+    level = CylinderTable(mp).level(18)
+    return np.unique(np.concatenate([level.lo, level.hi]))
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_power_inverse_equals_fixed_sweeps_on_mp_level18(mp, mp_level18_ends, j):
+    # About 17% of these points end on a 2-cycle between adjacent floats.
+    assert mp_level18_ends.size > 1 << 18
+    _assert_matches_fixed_sweeps(mp.branches[j], mp_level18_ends)
+
+
+@pytest.mark.parametrize("j", [0, 1, "power"])
+def test_power_inverse_equals_fixed_sweeps(mp, j):
+    br = _power_branch() if j == "power" else mp.branches[j]
+    rng = np.random.default_rng(5)
+    _assert_matches_fixed_sweeps(br, rng.uniform(0.0, 1.0, 20000))
+    _assert_matches_fixed_sweeps(br, 10.0 ** rng.uniform(-300.0, 0.0, 20000))
+    _assert_matches_fixed_sweeps(br, [0.0, 1.0])
+    for y in (0.0, 1e-300, 0.3, 1.0):
+        _assert_matches_fixed_sweeps(br, y)
+
+
+@pytest.mark.parametrize("sweeps", [2, 3, 4, 5])
+def test_power_inverse_sweep_budget(mp, monkeypatch, sweeps):
+    # Too few sweeps for most points to settle: the unsettled points and the
+    # parity rule for 2-cycles must still give the fixed-sweep values.
+    monkeypatch.setattr(maps, "NEWTON_SWEEPS", sweeps)
+    y = np.random.default_rng(6).uniform(0.0, 1.0, 5000)
+    for br in (*mp.branches, _power_branch()):
+        _assert_matches_fixed_sweeps(br, y, sweeps)
+
+
+def test_mp_inverse_round_trip(mp):
+    rng = np.random.default_rng(7)
+    y = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, 20000), [0.0, 1.0]])
+    eps = np.finfo(float).eps
+    left, right = mp.branches
+    x0 = left.inverse(y)
+    assert np.all((0.0 <= x0) & (x0 <= left.domain[1]))
+    # Near the parabolic point T(x) = x(1 + x**s): relative error stays at rounding.
+    assert np.all(np.abs(left.value(x0) - y) <= 2.0 * eps * y)
+    x1 = right.inverse(y)
+    assert np.all((right.domain[0] <= x1) & (x1 <= 1.0))
+    assert np.max(np.abs(right.value(x1) - y)) <= 4.0 * eps
 
 
 def test_cantor_gap_domains():

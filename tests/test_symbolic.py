@@ -10,6 +10,7 @@ from dimspectra import (
     PointOutsideCylinder,
     boundary_ratio,
     cylinder,
+    cylinders,
     distortion_report,
     geometric,
     locally_constant,
@@ -89,6 +90,15 @@ def test_cylinder_lives_on_core(golden):
     one_zero = cylinder(golden, (1, 0))
     assert one.interval == pytest.approx(one_zero.interval, abs=1e-12)
     assert one.interval[1] == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
+def test_cylinders_share_suffixes_without_changing_bits(golden, bernoulli_phi):
+    words = [(0, 1, 0), (1, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0,), (1, 0)]
+    many = cylinders(golden, words, bernoulli_phi)
+    assert [c.word for c in many] == words
+    assert many == [cylinder(golden, w, bernoulli_phi) for w in words]
+    with pytest.raises(ValueError):
+        cylinders(golden, [(0, 1), (1, 1)], bernoulli_phi)
 
 
 def test_level_arrays_contents(doubling, bernoulli_phi):
