@@ -27,14 +27,10 @@ from .errors import (
     EmptyWindow,
     InadmissibleSupport,
     NoConnector,
+    NotConverged,
 )
 from .maps import MarkovMap
-from .numerics import (
-    bisect_root,
-    descending_root,
-    expand_to_sign_change,
-    log_sum_exp,
-)
+from .numerics import descending_root, log_sum_exp
 from .pressure import _moran_root
 from .symbolic import Potential, shared_table, words_at_level
 
@@ -289,6 +285,9 @@ def block_measure(
     )
 
 
+NEWTON_CAP = 100  # block-weight Newton steps; interior alphas need about 5
+
+
 def optimize_block_weights(
     m: MarkovMap,
     phi: Potential,
@@ -301,15 +300,18 @@ def optimize_block_weights(
 
     Maximizes entropy / (weighted psi sum) subject to the ratio constraint
     (weighted -phi sum) / (weighted psi sum) = alpha, over eligible words.
-    The maximizer is exponential-family, q_w = exp(a*psi_w + b*phi_w) at
-    bracket midpoints: a normalizes, b matches the constraint.  Along the
-    normalized family the constraint mean is monotone in b, so the outer
-    solve is a bisection; the attained objective equals b*alpha - a, the
-    finite-level mirror of the pressure-equation spectrum value.
+    The maximizer is exponential-family, q = exp(a*psi + b*phi) at bracket
+    midpoints, with log Z(a, b) = 0 and E_q[g] = 0 for g = phi + alpha*psi.
+    One 2x2 Newton solves both, with Jacobian
+    [[E psi, E phi], [Cov(g, psi), Cov(g, phi)]] from the same q; a step
+    that does not reduce |(log Z, E g)| is halved, and the solve stops once
+    the step is below 1e-13 relative.  The attained objective equals
+    b*alpha - a, the finite-level mirror of the pressure-equation value.
 
     Raises:
         ConstraintInfeasible: alpha outside the reachable ratio range of
             eligible level-n words.
+        NotConverged: Newton stalled above rounding or used NEWTON_CAP steps.
     """
     if phi is None:
         raise ConstraintInfeasible("ratio optimization needs a potential")
@@ -325,43 +327,46 @@ def optimize_block_weights(
             f"alpha = {alpha:g} outside the level-{n} ratio range "
             f"[{float(np.min(ratios)):.6g}, {float(np.max(ratios)):.6g}]"
         )
+    g = phv + alpha * psi
 
-    def normalizing_a(b: float) -> float:
-        def total(a: float) -> float:
-            return log_sum_exp(a * psi + b * phv, threads)
-
-        t0 = total(0.0)
-        if t0 == 0.0:
-            return 0.0
-        # total is strictly increasing in a (psi > 0), so the sign at zero
-        # fixes the search direction.
-        lo, hi = expand_to_sign_change(total, 0.0, -1.0 if t0 > 0.0 else 1.0, max_expand=60)
-        return bisect_root(total, lo, hi, xtol=1e-13)
-
-    def constraint(b: float) -> float:
-        a = normalizing_a(b)
+    def state(a: float, b: float) -> tuple[float, np.ndarray, float]:
         logq = a * psi + b * phv
-        q = np.exp(logq - log_sum_exp(logq, threads))
-        return float(q @ (phv + alpha * psi))
+        log_z = log_sum_exp(logq, threads)
+        q = np.exp(logq - log_z)
+        return log_z, q, float(q @ g)
 
-    g0 = constraint(0.0)
-    if g0 == 0.0:
-        b_star = 0.0
+    a = b = 0.0
+    log_z, q, mean_g = state(a, b)
+    for _ in range(NEWTON_CAP):
+        mean_psi, mean_phi = float(q @ psi), float(q @ phv)
+        cov_psi = float(q @ (g * psi)) - mean_g * mean_psi
+        cov_phi = float(q @ (g * phv)) - mean_g * mean_phi
+        det = mean_psi * cov_phi - mean_phi * cov_psi
+        residual, t = math.hypot(log_z, mean_g), 1.0 if det else 0.0
+        if det:
+            da = (mean_phi * mean_g - cov_phi * log_z) / det
+            db = (cov_psi * log_z - mean_psi * mean_g) / det
+            if max(abs(da), abs(db)) <= 1e-13 * (1.0 + abs(a) + abs(b)):
+                break
+        while t >= 2.0**-20:
+            trial = state(a + t * da, b + t * db)
+            if math.hypot(trial[0], trial[2]) < residual:
+                break
+            t *= 0.5
+        else:  # stalled: accept only the logits' rounding floor
+            if residual <= 1e-12 * (1.0 + abs(a) * psi.max() + abs(b) * np.abs(phv).max()):
+                break
+            raise NotConverged(
+                f"block weights at alpha = {alpha:g}, level {n}: Newton stalled "
+                f"at residual {residual:.3g}"
+            )
+        a, b = a + t * da, b + t * db
+        log_z, q, mean_g = trial
     else:
-        step = 1.0 if g0 < 0.0 else -1.0  # constraint mean increases in b
-        try:
-            lo, hi = expand_to_sign_change(constraint, 0.0, step, max_expand=60)
-        except ValueError as exc:
-            raise ConstraintInfeasible(
-                f"no exponential weights reach alpha = {alpha:g} at level {n}"
-            ) from exc
-        b_star = bisect_root(constraint, lo, hi, xtol=1e-11)
-    a_star = normalizing_a(b_star)
-    logq = a_star * psi + b_star * phv
-    qm = np.exp(logq - log_sum_exp(logq, threads))
-    q = np.zeros(arr.count)
-    q[mask] = qm / qm.sum()
-    return block_measure(m, phi, n, q)
+        raise NotConverged(f"block weights at alpha = {alpha:g}, level {n}: {NEWTON_CAP} steps")
+    full = np.zeros(arr.count)
+    full[mask] = q / q.sum()
+    return block_measure(m, phi, n, full)
 
 
 def block_objective(bm: BlockMeasure) -> float:

@@ -18,8 +18,9 @@ The local dimension spectrum is the Legendre-type transform
     f(alpha) = inf_a (alpha * b(a) - a),
 
 with alpha range endpoints equal to the extreme cycle-mean ratios of
-(-phi-sums)/(log|T'|-sums) on the word digraph, found by Lawler's bisection
-with a Bellman-Ford negative-cycle test.
+(-phi-sums)/(log|T'|-sums) on the word digraph, found by Howard policy
+iteration: the value is the ratio of a cycle that attains it, checked
+against every edge's reduced cost.
 """
 
 from __future__ import annotations
@@ -245,22 +246,7 @@ def _edge_graph(
     return len(prefix_index), tails, heads, (num_lo, num_hi), (den_lo, den_hi)
 
 
-def _has_negative_cycle(
-    nodes: int, tails: np.ndarray, heads: np.ndarray, w: np.ndarray
-) -> bool:
-    """Bellman-Ford negative-cycle test (vectorized edge relaxation).
-
-    Relaxing all edges `nodes` times without reaching a fixed point proves a
-    negative cycle; early fixed point proves there is none.
-    """
-    dist = np.zeros(nodes)
-    for _ in range(nodes):
-        new = dist.copy()
-        np.minimum.at(new, heads, dist[tails] + w)
-        if np.array_equal(new, dist):
-            return False
-        dist = new
-    return True
+HOWARD_CAP = 200  # policy iterations; word digraphs need one or two
 
 
 def _min_cycle_ratio(
@@ -269,31 +255,67 @@ def _min_cycle_ratio(
     heads: np.ndarray,
     num: np.ndarray,
     den: np.ndarray,
-    *,
-    xtol: float = 1e-11,
 ) -> float:
     """Minimum of sum(num)/sum(den) over directed cycles, den >= 0.
 
-    Cycles with zero total denominator have +inf ratio and never produce a
-    negative cycle of num - lambda*den, so they exclude themselves.  Lawler
-    bisection: ratio(lambda) feasible iff some cycle has num - lambda*den < 0.
+    Howard policy iteration.  A policy picks one out-edge per node; each
+    node takes the ratio lam of the policy cycle it leads to, and potentials
+    x with x[tail] = w + x[head] along the policy (0 at the cycle's least
+    node), for edge weights w = num - lam*den.  Nodes switch to an edge
+    whose head has a smaller lam, or the same lam and an x lower by more
+    than rounding, until none does.  Zero-denominator cycles have ratio +inf
+    and weigh w = -den, the large-lam limit of w/lam.  The result is the
+    ratio of a policy cycle, returned once one pass has checked that every
+    edge's reduced cost w + x[head] - x[tail] is >= -tol under it.
+
+    Raises:
+        NotConverged: HOWARD_CAP iterations used up, or the check failed.
     """
-    finite = den > 0
-    if not np.any(finite):
+    if not np.any(den > 0):
         return math.inf
-    lo = float(np.min(num[finite] / den[finite])) - 1e-9
-    hi = float(np.max(num[finite] / den[finite])) + 1e-9
-    if _has_negative_cycle(nodes, tails, heads, num - lo * den):
-        return lo  # should not happen: lo is below every edge ratio
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)) or mid in (lo, hi):
+    order = np.argsort(tails, kind="stable")
+    tails, heads, num, den = tails[order], heads[order], num[order], den[order]
+    if np.any(np.bincount(tails, minlength=nodes) == 0):
+        raise ValueError("every node needs an out-edge")
+    policy = first = np.searchsorted(tails, np.arange(nodes))
+    node = np.arange(nodes)
+
+    def weights(lam) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isfinite(lam), num - lam * den, -den)
+
+    for _ in range(HOWARD_CAP):
+        succ = heads[policy]
+        # 2**bit_length > nodes jumps end on the policy cycle; `low` is the
+        # least node passed, so low[jump] names the cycle.
+        jump, low = succ, node
+        for _ in range(nodes.bit_length()):
+            low, jump = np.minimum(low, low[jump]), jump[jump]
+        root, on_cycle = low[jump], np.flatnonzero(np.bincount(jump, minlength=nodes))
+        sums = [np.bincount(root[on_cycle], v[policy[on_cycle]], nodes) for v in (num, den)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(sums[1] > 0, sums[0] / sums[1], math.inf)[root]
+        w = weights(lam[tails])
+        tol = 8 * nodes * np.finfo(float).eps * float(np.max(np.abs(num) + np.abs(w)))
+        x, up = np.where(root == node, 0.0, w[policy]), np.where(root == node, node, succ)
+        for _ in range(nodes.bit_length()):
+            x, up = x + x[up], up[up]
+        lam_head = lam[heads]
+        value = weights(lam_head) + x[heads]
+        best = np.lexsort((value, lam_head, tails))[first]
+        better = (lam_head[best] < lam) | ((lam_head[best] == lam) & (value[best] < x - tol))
+        if not np.any(better):
             break
-        if _has_negative_cycle(nodes, tails, heads, num - mid * den):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        policy = np.where(better, best, policy)
+    else:
+        raise NotConverged(f"cycle ratio: no stable policy in {HOWARD_CAP} iterations")
+    ratio = float(lam.min())
+    reduced = weights(ratio) + x[heads] - x[tails]
+    if not np.all(reduced >= -tol):
+        raise NotConverged(
+            f"cycle ratio {ratio!r}: reduced cost {float(np.min(reduced)):.3g} below -{tol:.3g}"
+        )
+    return ratio
 
 
 def spectrum_endpoints(
@@ -306,7 +328,7 @@ def spectrum_endpoints(
 
     alpha_max is +inf exactly when the map has a parabolic orbit (Birkhoff
     ratios along orbits approaching it diverge).  Enclosures come from
-    rerunning Lawler's bisection on the outer bracket combinations.
+    solving the same cycle-ratio problem on the outer bracket combinations.
 
     Returns:
         (alpha_min, alpha_max, (alpha_min_lo, alpha_min_hi),
@@ -407,7 +429,7 @@ def legendre_spectrum(
             return alpha * bp(a).b - a
 
         for _ in range(8):  # widen while the minimizer presses the bracket
-            a_star, f_star = golden_section_min(objective, lo, hi, xtol=refine_tol)
+            a_star, _ = golden_section_min(objective, lo, hi, xtol=refine_tol)
             span = hi - lo
             if a_star - lo < 0.02 * span:
                 lo -= span
@@ -415,8 +437,9 @@ def legendre_spectrum(
                 hi += span
             else:
                 break
+        a_star = round(a_star, 12)  # the a whose b(a) the cache holds
         point = bp(a_star)
-        f_vals.append(f_star)
+        f_vals.append(alpha * point.b - a_star)
         f_los.append(alpha * point.lower - a_star)
         f_ups.append(alpha * point.upper - a_star)
         a_mins.append(a_star)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 from pathlib import Path
 
@@ -208,6 +209,37 @@ def test_spectrum_config_reproduces_shipped_csv(tmp_path, config):
     out = tmp_path / f"{config.stem}.csv"
     assert main([str(config), "--set", f"output.csv={out}"]) == 0
     assert out.read_bytes() == (OUT_DIR / f"{config.stem}.csv").read_bytes()
+
+
+def _bernoulli_b(a: float, log_p: float, log_q: float) -> float:
+    """Closed-form b(a) for the doubling map with a Bernoulli potential: the
+    root of a log 2 + log(p^b + q^b) = 0, which is convex and decreasing in
+    b, by Newton to rounding."""
+    b = 1.0 + a
+    for _ in range(100):
+        wp, wq = math.exp(b * log_p), math.exp(b * log_q)
+        step = (a * LOG2 + math.log(wp + wq)) * (wp + wq) / (wp * log_p + wq * log_q)
+        b -= step
+        if abs(step) <= 1e-16 * abs(b):
+            break
+    return b
+
+
+def test_spectrum_rows_solve_b_at_the_printed_a(tmp_path):
+    # Each row's b bracket belongs to the a printed beside it: the closed-form
+    # b at that a lies inside it to the bisection's xtol.
+    config = CONFIG_DIR / "doubling_bernoulli_spectrum.yaml"
+    table = yaml.safe_load(config.read_text(encoding="utf-8"))["potential"]["table"]
+    out = tmp_path / "s.csv"
+    assert main([str(config), "--set", f"output.csv={out}"]) == 0
+    rows = list(csv.DictReader(out.open(encoding="utf-8")))
+    assert len(rows) == 50
+    for row in rows:
+        b = _bernoulli_b(float(row["a"]), table["0"], table["1"])
+        assert float(row["b_low"]) - 1e-13 <= b <= float(row["b_high"]) + 1e-13, row
+        alpha, a = float(row["alpha"]), float(row["a"])
+        assert float(row["f"]) == alpha * float(row["b"]) - a
+        assert float(row["f_low"]) == alpha * float(row["b_low"]) - a
 
 
 def test_shipped_configs_round_trip():

@@ -7,8 +7,10 @@ import pytest
 
 from dimspectra import (
     ConstraintInfeasible,
+    finite_measures,
     EmptyWindow,
     InadmissibleSupport,
+    NotConverged,
     block_measure,
     block_objective,
     bowen_sn,
@@ -18,7 +20,8 @@ from dimspectra import (
     window_mask,
     window_weights,
 )
-from dimspectra.symbolic import words_at_level
+from dimspectra.numerics import bisect_root, expand_to_sign_change, log_sum_exp
+from dimspectra.symbolic import shared_table, words_at_level
 
 LOG2 = math.log(2.0)
 ALPHA_PEAK = math.log(16.0 / 3.0) / (2.0 * LOG2)
@@ -169,3 +172,85 @@ def test_window_weights_are_suboptimal(doubling, bernoulli_phi):
     assert block_objective(ww) <= block_objective(opt) + 1e-9
     mask = window_mask(doubling, bernoulli_phi, 8, ALPHA_FIX, 0.05)
     assert not np.any((ww.weights > 0) & ~mask)
+
+
+def _midpoint_sums(m, phi, n):
+    """Eligible words' psi and phi sums at bracket midpoints, and the mask."""
+    arr = shared_table(m, phi).level(n)
+    mask = connector_length(m, n).eligible
+    psi = (0.5 * (arr.psi_lo + arr.psi_hi))[mask]
+    phv = (0.5 * (arr.phi_lo + arr.phi_hi))[mask]
+    return psi, phv, mask
+
+
+def _nested_bisection_weights(m, phi, n, alpha):
+    """Block weights by the nested bisection optimize_block_weights once ran
+    (the test oracle for its 2x2 Newton): b is bisected on the constraint
+    mean, and each constraint value bisects the normalizing a."""
+    psi, phv, mask = _midpoint_sums(m, phi, n)
+
+    def normalizing_a(b):
+        def total(a):
+            return log_sum_exp(a * psi + b * phv)
+
+        t0 = total(0.0)
+        if t0 == 0.0:
+            return 0.0
+        lo, hi = expand_to_sign_change(total, 0.0, -1.0 if t0 > 0.0 else 1.0, max_expand=60)
+        return bisect_root(total, lo, hi, xtol=1e-13)
+
+    def constraint(b):
+        logq = normalizing_a(b) * psi + b * phv
+        q = np.exp(logq - log_sum_exp(logq))
+        return float(q @ (phv + alpha * psi))
+
+    g0 = constraint(0.0)
+    if g0 == 0.0:
+        b_star = 0.0
+    else:
+        lo, hi = expand_to_sign_change(constraint, 0.0, 1.0 if g0 < 0.0 else -1.0, max_expand=60)
+        b_star = bisect_root(constraint, lo, hi, xtol=1e-11)
+    logq = normalizing_a(b_star) * psi + b_star * phv
+    qm = np.exp(logq - log_sum_exp(logq))
+    q = np.zeros(mask.size)
+    q[mask] = qm / qm.sum()
+    return q
+
+
+@pytest.mark.parametrize("where", [1e-4, 0.5, 1.0 - 1e-4], ids=["low", "mid", "high"])
+@pytest.mark.parametrize(
+    "family, n",
+    [("doubling", 6), ("doubling", 8), ("doubling", 10), ("two_slopes", 6), ("two_slopes", 12)],
+)
+def test_block_newton_matches_nested_bisection(request, bernoulli_phi, family, n, where):
+    # `where` places alpha in the level-n ratio range: near either end the
+    # optimal weights crowd onto the extreme words and b grows large.
+    m = request.getfixturevalue(family)
+    psi, phv, mask = _midpoint_sums(m, bernoulli_phi, n)
+    lo, hi = float(np.min(-phv / psi)), float(np.max(-phv / psi))
+    alpha = lo + where * (hi - lo)
+    bm = optimize_block_weights(m, bernoulli_phi, n, alpha)
+    oracle = block_measure(m, bernoulli_phi, n, _nested_bisection_weights(m, bernoulli_phi, n, alpha))
+    assert block_objective(bm) == pytest.approx(block_objective(oracle), abs=1e-10)
+    q = bm.weights[mask]
+    achieved = -float(q @ phv) / float(q @ psi)
+    assert abs(achieved - alpha) <= 1e-12 * alpha
+
+
+def test_block_newton_pass_count(two_slopes, bernoulli_phi, monkeypatch):
+    # A level-12 solve takes a handful of log-sum-exp passes; the nested
+    # bisection took hundreds.
+    calls = []
+
+    def counting(values, threads=None):
+        calls.append(values.size)
+        return log_sum_exp(values, threads)
+
+    monkeypatch.setattr(finite_measures, "log_sum_exp", counting)
+    bm = optimize_block_weights(two_slopes, bernoulli_phi, 12, 1.0)
+    assert 0 < len(calls) <= 20
+    assert block_objective(bm) == pytest.approx(0.6941893813185, abs=1e-12)
+    # Capped short of convergence, the solve raises instead of returning.
+    monkeypatch.setattr(finite_measures, "NEWTON_CAP", 2)
+    with pytest.raises(NotConverged, match="2 steps"):
+        optimize_block_weights(two_slopes, bernoulli_phi, 12, 1.0)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dimspectra import (
     NoParabolicOrbit,
+    NotConverged,
     NotStrictlyNegative,
     alpha_of_a,
     b_curve,
@@ -17,7 +19,9 @@ from dimspectra import (
     spectrum_endpoints,
 )
 from dimspectra.numerics import bisect_root, expand_to_sign_change, log_sum_exp
-from dimspectra.symbolic import CylinderTable
+from dimspectra import spectrum
+from dimspectra.spectrum import _edge_graph, _min_cycle_ratio
+from dimspectra.symbolic import CylinderTable, shared_table
 
 LOG2 = math.log(2.0)
 ALPHA_MIN_BE = math.log(4.0 / 3.0) / LOG2  # 0.4150374992788438
@@ -99,13 +103,125 @@ def test_mp_off_ray_bracket(mp, uniform_phi):
 
 
 def test_endpoints_bernoulli_exact(doubling, bernoulli_phi):
+    # The extreme cycles are the fixed points 1 and 0; their ratios are the
+    # values returned, so only the rounding of the Birkhoff sums remains.
     a_min, a_max, enc_min, enc_max = spectrum_endpoints(
         doubling, bernoulli_phi, level=4
     )
-    assert a_min == pytest.approx(ALPHA_MIN_BE, abs=1e-10)
-    assert a_max == pytest.approx(2.0, abs=1e-10)
-    assert enc_min[0] - 1e-10 <= a_min <= enc_min[1] + 1e-10
-    assert enc_max[0] - 1e-10 <= a_max <= enc_max[1] + 1e-10
+    assert a_min == pytest.approx(ALPHA_MIN_BE, abs=1e-14)
+    assert a_max == pytest.approx(2.0, abs=1e-14)
+    assert enc_min[0] <= a_min <= enc_min[1]
+    assert enc_max[0] <= a_max <= enc_max[1]
+
+
+def _has_negative_cycle(nodes, tails, heads, w):
+    """Bellman-Ford negative-cycle test: relaxing every edge `nodes` times
+    without reaching a fixed point proves a negative cycle."""
+    dist = np.zeros(nodes)
+    for _ in range(nodes):
+        new = dist.copy()
+        np.minimum.at(new, heads, dist[tails] + w)
+        if np.array_equal(new, dist):
+            return False
+        dist = new
+    return True
+
+
+def _lawler_min_cycle_ratio(nodes, tails, heads, num, den, xtol=1e-11):
+    """Lawler's bisection on lambda over the Bellman-Ford test, the cycle-ratio
+    solver spectrum_endpoints used before policy iteration (test oracle)."""
+    finite = den > 0
+    lo = float(np.min(num[finite] / den[finite])) - 1e-9
+    hi = float(np.max(num[finite] / den[finite])) + 1e-9
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)) or mid in (lo, hi):
+            break
+        if _has_negative_cycle(nodes, tails, heads, num - mid * den):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _simple_cycle_min_ratio(nodes, tails, heads, num, den):
+    """Minimum ratio over simple cycles, each walked once from its least node.
+    With num >= 0 every cycle is a union of simple ones whose combined ratio
+    is no smaller, so this is the minimum over all cycles."""
+    best = math.inf
+
+    def walk(start, node, seen, n_sum, d_sum):
+        nonlocal best
+        for e in np.flatnonzero(tails == node):
+            head, n_e, d_e = int(heads[e]), n_sum + num[e], d_sum + den[e]
+            if head == start:
+                if d_e > 0:
+                    best = min(best, n_e / d_e)
+            elif head > start and head not in seen:
+                walk(start, head, seen | {head}, n_e, d_e)
+
+    for start in range(nodes):
+        walk(start, start, {start}, 0.0, 0.0)
+    return best
+
+
+@st.composite
+def ratio_digraphs(draw):
+    """Strongly connected digraphs on <= 6 nodes (a Hamiltonian cycle plus
+    random edges, loops and parallel edges allowed) with num, den >= 0."""
+    nodes = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(nodes)))
+    edges = [(order[i], order[(i + 1) % nodes]) for i in range(nodes)]
+    node = st.integers(0, nodes - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=12))
+    count = len(edges)
+    num = draw(st.lists(st.floats(0.0, 10.0), min_size=count, max_size=count))
+    den = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=count, max_size=count
+    ))
+    tails, heads = (np.array(side, dtype=np.int64) for side in zip(*edges))
+    return nodes, tails, heads, np.array(num), np.array(den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio_digraphs())
+# Node 1's out-edges both carry den 0 and its first is a loop, so the first
+# policy ends every node on a +inf cycle; only 0 -> 1 -> 0 has a ratio (1).
+@example((2, np.array([0, 1, 1]), np.array([1, 1, 0]), np.array([1.0, 0, 0]), np.array([1.0, 0, 0])))
+def test_min_cycle_ratio_matches_simple_cycles(graph):
+    # _min_cycle_ratio raises NotConverged unless its reduced-cost check holds,
+    # so a returned value has passed it.  That check forgives rounding-scale
+    # gaps, so a zero optimum may come back as a cycle ratio of 1e-44.
+    value = _min_cycle_ratio(*graph)
+    truth = _simple_cycle_min_ratio(*graph)
+    if math.isinf(truth):
+        assert value == math.inf
+    else:
+        assert value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+
+
+def test_min_cycle_ratio_farey_level8_against_lawler(farey, uniform_phi):
+    nodes, tails, heads, (num_lo, num_hi), (den_lo, den_hi) = _edge_graph(
+        farey, shared_table(farey, uniform_phi), 8
+    )
+    mid_num, mid_den = 0.5 * (num_lo + num_hi), 0.5 * (den_lo + den_hi)
+    # The word 0^8 has den_lo = 0: the parabolic fixed point's cycle is +inf.
+    assert np.any(den_lo == 0.0)
+    for num, den in ((mid_num, mid_den), (num_lo, den_hi), (num_hi, den_lo), (-mid_num, mid_den)):
+        value = _min_cycle_ratio(nodes, tails, heads, num, den)
+        oracle = _lawler_min_cycle_ratio(nodes, tails, heads, num, den)
+        # Lawler stops on a bracket 1e-11 wide (relative) and returns its midpoint.
+        assert abs(value - oracle) <= 1e-11 * max(1.0, abs(oracle))
+
+
+def test_min_cycle_ratio_cap_raises(monkeypatch):
+    # The example above needs a second policy: with one allowed, the solver
+    # raises instead of returning the first policy's +inf.
+    graph = (2, np.array([0, 1, 1]), np.array([1, 1, 0]), np.array([1.0, 0, 0]), np.array([1.0, 0, 0]))
+    assert _min_cycle_ratio(*graph) == 1.0
+    monkeypatch.setattr(spectrum, "HOWARD_CAP", 1)
+    with pytest.raises(NotConverged, match="no stable policy"):
+        _min_cycle_ratio(*graph)
 
 
 def test_endpoints_degenerate_uniform(golden, uniform_phi):
