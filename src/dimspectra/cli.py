@@ -114,6 +114,15 @@ def _reject_unknown(d: dict, allowed: Sequence[str], path: str) -> None:
         raise ConfigError(f"unknown key {path}.{unknown[0]}")
 
 
+def _finite(value: Any, label: str) -> float:
+    """The one number rule: an int or float, not a bool, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{label} must be a number")
+    if not abs(value) <= sys.float_info.max:  # inf, nan, or an int past float range
+        raise ConfigError(f"{label} must be finite, got {value!r}")
+    return float(value)
+
+
 def _get_number(
     d: dict,
     key: str,
@@ -131,8 +140,7 @@ def _get_number(
         value = default
     else:
         value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number")
+    _finite(value, f"{path}.{key}")
     if integer:
         if float(value) != int(value):
             raise ConfigError(f"{path}.{key} must be an integer")
@@ -152,10 +160,9 @@ def _parse_word(text: Any, path: str) -> tuple[int, ...]:
         items = list(text)
     elif isinstance(text, str):
         items = text.split(",") if "," in text else list(text)
-    elif isinstance(text, int):
-        items = list(str(text))
     else:
-        raise ConfigError(f"{path} must be a symbol string or list")
+        # YAML reads unquoted digits as a number, and 010101 as octal 4161.
+        raise ConfigError(f"{path} must be a list or a quoted symbol string: quote digit words")
     try:
         word = tuple(int(s) for s in items)
     except (TypeError, ValueError):
@@ -195,7 +202,7 @@ def _parse_map_section(obj: Any) -> dict:
     if "family" not in d:
         raise ConfigError("map.family is required")
     family = d["family"]
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(
             f"map.family must be one of {', '.join(sorted(_FAMILIES))}; got {family!r}"
         )
@@ -205,13 +212,15 @@ def _parse_map_section(obj: Any) -> dict:
         slopes = d.get("slopes")
         if not isinstance(slopes, list) or len(slopes) < 2:
             raise ConfigError("map.slopes must be a list of at least two numbers")
-        vals = []
-        for i, s in enumerate(slopes):
-            if isinstance(s, bool) or not isinstance(s, (int, float)):
-                raise ConfigError(f"map.slopes[{i}] must be a number")
-            if abs(float(s)) <= 1.0:
-                raise ConfigError(f"map.slopes[{i}] must have absolute value > 1")
-            vals.append(float(s))
+        vals = [_finite(s, f"map.slopes[{i}]") for i, s in enumerate(slopes)]
+        for i, s in enumerate(vals):
+            # A branch of width 1/|s| under 1e-15 can vanish next to its
+            # neighbour in [0, 1] at float resolution.
+            if not 1.0 < abs(s) <= 1e15:
+                raise ConfigError(f"map.slopes[{i}] must have absolute value in (1, 1e15]")
+        width = sum(1.0 / abs(s) for s in vals)
+        if width > 1.0 + 1e-12:
+            raise ConfigError(f"map.slopes: the branch widths 1/|s| sum to {width:.6g} > 1")
         out["slopes"] = vals
     elif family == "linear_markov":
         raw = d.get("branches")
@@ -224,18 +233,11 @@ def _parse_map_section(obj: Any) -> dict:
             entry: dict = {}
             for key in ("domain", "image"):
                 iv = b.get(key)
-                if (
-                    not isinstance(iv, list)
-                    or len(iv) != 2
-                    or any(
-                        isinstance(v, bool) or not isinstance(v, (int, float))
-                        for v in iv
-                    )
-                ):
+                if not isinstance(iv, list) or len(iv) != 2:
                     raise ConfigError(
                         f"map.branches[{i}].{key} must be a [lo, hi] number pair"
                     )
-                lo, hi = float(iv[0]), float(iv[1])
+                lo, hi = (_finite(v, f"map.branches[{i}].{key}") for v in iv)
                 if not lo < hi:
                     raise ConfigError(f"map.branches[{i}].{key} must have lo < hi")
                 entry[key] = [lo, hi]
@@ -257,7 +259,11 @@ def _parse_map_section(obj: Any) -> dict:
                 raise ConfigError(f"map.transition must be a {p}x{p} 0/1 matrix")
             out["transition"] = [[int(v) for v in r] for r in rows]
     elif family == "manneville_pomeau":
-        out["s"] = _get_number(d, "s", "map", default=0.5, minimum=0.0, strict_min=True)
+        # Past s ~ 1e17 the branch split rounds to 1; the exponent fit gives
+        # up from s ~ 2 on, so the cap takes away no working map.
+        out["s"] = _get_number(
+            d, "s", "map", default=0.5, minimum=0.0, strict_min=True, maximum=1000.0
+        )
     return out
 
 
@@ -283,14 +289,13 @@ def _parse_potential_section(obj: Any) -> dict:
         parsed: dict[tuple[int, ...], float] = {}
         for key, value in table.items():
             word = _parse_word(key, f"potential.table[{key!r}]")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"potential.table[{key!r}] must be a number")
-            parsed[word] = float(value)
+            parsed[word] = _finite(value, f"potential.table[{key!r}]")
         depths = {len(w) for w in parsed}
         if len(depths) != 1:
             raise ConfigError("potential.table words must share one depth")
         depth = _get_number(
-            d, "depth", "potential", default=depths.pop(), integer=True, minimum=1
+            d, "depth", "potential", default=depths.pop(), integer=True, minimum=1,
+            maximum=8,
         )
         if any(len(w) != depth for w in parsed):
             raise ConfigError("potential.table words do not match potential.depth")
@@ -375,7 +380,10 @@ def _parse_command_section(obj: Any) -> dict:
     if name == "localdim":
         if "word" not in d:
             raise ConfigError("command.word is required")
-        out["word"] = _word_key(_parse_word(d["word"], "command.word"))
+        word = _parse_word(d["word"], "command.word")
+        if len(word) < 4:
+            raise ConfigError(f"command.word needs at least 4 symbols, got {len(word)}")
+        out["word"] = _word_key(word)
         out["flag_threshold"] = _get_number(
             d, "flag_threshold", "command", default=0.01, minimum=0.0, strict_min=True
         )
@@ -426,17 +434,33 @@ def _parse_output_section(obj: Any, command: str) -> dict:
     return out
 
 
+def _check_symbols(cfg: RunConfig) -> None:
+    """Every word symbol must index a branch of the map."""
+    # The linear families list their branches; the others have two.
+    p = len(cfg.map.get("slopes", cfg.map.get("branches", (0, 1))))
+    words = {f"potential.table[{k!r}]": k for k in cfg.potential.get("table", {})}
+    for key in ("word", "base_symbols"):
+        if key in cfg.command:
+            words[f"command.{key}"] = cfg.command[key]
+    for label, raw in words.items():
+        top = max(_parse_word(raw, label))
+        if top >= p:
+            raise ConfigError(f"{label} has symbol {top}, but the map has {p} branches")
+
+
 def parse_config(data: Any) -> RunConfig:
     """Validate a raw mapping into a RunConfig; reject unknown keys."""
     d = _expect_mapping(data, "config")
     _reject_unknown(d, ("map", "potential", "command", "output"), "config")
     command = _parse_command_section(d.get("command"))
-    return RunConfig(
+    cfg = RunConfig(
         map=_parse_map_section(d.get("map")),
         potential=_parse_potential_section(d.get("potential")),
         command=command,
         output=_parse_output_section(d.get("output"), command["name"]),
     )
+    _check_symbols(cfg)
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -681,6 +705,8 @@ def _cmd_localdim(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
     cmd = cfg.command
     model = _envelope_model(cfg, m, phi)
     word = _parse_word(cmd["word"], "command.word")
+    if not m.admissible(word):
+        raise ConfigError(f"command.word {cmd['word']} is not admissible for this map")
     ld = local_dimension(model, m, word, flag_threshold=cmd["flag_threshold"])
     res = _Result(
         [

@@ -32,7 +32,7 @@ from .errors import (
 from .maps import MarkovMap
 from .numerics import descending_root, log_sum_exp
 from .pressure import _moran_root
-from .symbolic import Potential, shared_table, words_at_level
+from .symbolic import CylinderTable, Potential, shared_table, words_at_level
 
 CONNECTOR_CAP_SLACK = 8
 
@@ -82,7 +82,7 @@ def _exact_length_word(
 
 
 def connector_length(
-    m: MarkovMap, n: int, *, k_max: int | None = None
+    table: CylinderTable, n: int, *, k_max: int | None = None
 ) -> ConnectorTable:
     """Smallest uniform connector length for gluing eligible level-n words.
 
@@ -91,13 +91,15 @@ def connector_length(
     strictly positive: the lower Birkhoff bracket of the leading word plus
     the connector's own bracket must exceed zero.  Words failing that bound
     on their own (neutral-orbit words on parabolic maps) are excluded from
-    eligibility rather than from the search.
+    eligibility rather than from the search.  The psi brackets come from
+    `table`, whatever its potential (they do not depend on it), so callers
+    pass the table they already hold.
 
     Raises:
         NoConnector: no uniform length up to k_max works (default cap
             3 * aperiodicity_power + 8).
     """
-    table = shared_table(m, None)
+    m = table.map
     arr = table.level(n)
     eligible = arr.psi_lo > 0.0
     if not np.any(eligible):
@@ -225,7 +227,7 @@ def block_measure(
     if not np.any(q > 0.0):
         raise EmptyWindow("block measure has empty support")
 
-    con = connector_length(m, n)
+    con = connector_length(table, n)
     if np.any((q > 0.0) & ~con.eligible):
         raise InadmissibleSupport(
             "weight on a word with nonpositive expansion bracket"
@@ -317,7 +319,7 @@ def optimize_block_weights(
         raise ConstraintInfeasible("ratio optimization needs a potential")
     table = shared_table(m, phi)
     arr = table.level(n)
-    con = connector_length(m, n)
+    con = connector_length(table, n)
     mask = con.eligible
     psi = (0.5 * (arr.psi_lo + arr.psi_hi))[mask]
     phv = (0.5 * (arr.phi_lo + arr.phi_hi))[mask]
@@ -443,11 +445,10 @@ def window_weights(
     """
     s_n = bowen_sn(m, phi, n, alpha, eps, threads=threads)
     mask = window_mask(m, phi, n, alpha, eps)
-    con = connector_length(m, n)
-    mask &= con.eligible
+    table = shared_table(m, phi)
+    mask &= connector_length(table, n).eligible
     if not np.any(mask):
         raise EmptyWindow(f"alpha window at level {n} has no eligible words")
-    table = shared_table(m, phi)
     q = np.zeros(table.level(n).count)
     d = table.level(n).diameters()[mask]
     w = np.exp(s_n * np.log(d))
@@ -464,8 +465,8 @@ def moran_weights(
     dimension ladder value.
     """
     table = shared_table(m, phi)
-    s_n = _moran_root(shared_table(m, None), n, threads)
-    con = connector_length(m, n)
+    s_n = _moran_root(table, n, threads)
+    con = connector_length(table, n)
     d = table.level(n).diameters()
     q = np.where(con.eligible, np.exp(s_n * np.log(d)), 0.0)
     q /= q.sum()

@@ -263,10 +263,11 @@ def _min_cycle_ratio(
     x with x[tail] = w + x[head] along the policy (0 at the cycle's least
     node), for edge weights w = num - lam*den.  Nodes switch to an edge
     whose head has a smaller lam, or the same lam and an x lower by more
-    than rounding, until none does.  Zero-denominator cycles have ratio +inf
-    and weigh w = -den, the large-lam limit of w/lam.  The result is the
-    ratio of a policy cycle, returned once one pass has checked that every
-    edge's reduced cost w + x[head] - x[tail] is >= -tol under it.
+    than that edge's rounding bound tol, until none does.  Zero-denominator
+    cycles have ratio +inf and weigh w = -den, the large-lam limit of w/lam.
+    The result is the ratio of a policy cycle, returned once one pass has
+    checked that every edge's reduced cost w + x[head] - x[tail] is >= -tol
+    under it.
 
     Raises:
         NotConverged: HOWARD_CAP iterations used up, or the check failed.
@@ -296,14 +297,24 @@ def _min_cycle_ratio(
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(sums[1] > 0, sums[0] / sums[1], math.inf)[root]
         w = weights(lam[tails])
-        tol = 8 * nodes * np.finfo(float).eps * float(np.max(np.abs(num) + np.abs(w)))
         x, up = np.where(root == node, 0.0, w[policy]), np.where(root == node, node, succ)
+        # Rounding scale: |w| along each policy path, plus |num| + |w|
+        # around the cycle it ends on (where lam rounds).
+        size = np.abs(x)
         for _ in range(nodes.bit_length()):
-            x, up = x + x[up], up[up]
-        lam_head = lam[heads]
-        value = weights(lam_head) + x[heads]
-        best = np.lexsort((value, lam_head, tails))[first]
-        better = (lam_head[best] < lam) | ((lam_head[best] == lam) & (value[best] < x - tol))
+            x, size, up = x + x[up], size + size[up], up[up]
+        cyc = (np.abs(num) + np.abs(w))[policy[on_cycle]]
+        size += np.bincount(root[on_cycle], cyc, nodes)[root]
+        lam_head, lam_tail = lam[heads], lam[tails]
+        w_head = weights(lam_head)
+        value = w_head + x[heads]
+        # Per edge, so that a small gap on an edge with small numbers is not
+        # taken for rounding on a larger one; the subnormal term is the floor.
+        scale = np.abs(num) + np.abs(w_head) + size[heads] + size[tails]
+        tol = 8 * nodes * (np.finfo(float).eps * scale + np.finfo(float).smallest_subnormal)
+        improves = (lam_head < lam_tail) | ((lam_head == lam_tail) & (value < x[tails] - tol))
+        best = np.lexsort((value, lam_head, ~improves, tails))[first]
+        better = improves[best] & (best != policy)
         if not np.any(better):
             break
         policy = np.where(better, best, policy)
@@ -313,7 +324,8 @@ def _min_cycle_ratio(
     reduced = weights(ratio) + x[heads] - x[tails]
     if not np.all(reduced >= -tol):
         raise NotConverged(
-            f"cycle ratio {ratio!r}: reduced cost {float(np.min(reduced)):.3g} below -{tol:.3g}"
+            f"cycle ratio {ratio!r}: reduced cost {float(np.min(reduced + tol)):.3g} "
+            "beyond its rounding bound"
         )
     return ratio
 

@@ -1,25 +1,33 @@
 """Symbolic dynamics over a Markov map: words, cylinders, Birkhoff brackets.
 
-The central object is :class:`CylinderTable`, which holds, per word length n,
-flat arrays over all admissible n-words (in lexicographic order) with the
-cylinder interval and certified ranges of the Birkhoff sums S_n(psi) and
-S_n(phi) over each cylinder.  Levels are built by prepending a symbol and
-applying one inverse branch to the whole previous level at once, so the cost
-of level n is O(number of n-words) vectorized operations.
+One cylinder step, `_Prepend`, carries everything: from the data of a set
+of n-words w (cylinder interval, certified ranges of the Birkhoff sums
+S_n(psi) and S_n(phi), and for locally constant phi the base-p code of the
+first few symbols) it gives the data of the words i·w, by applying the
+inverse branch of i to the intervals and adding one summand per sum.
+
+:class:`CylinderTable` applies the step to masked arrays: per word length
+n it holds flat arrays over all admissible n-words in lexicographic order,
+level 1 one step from each symbol's core span and level n+1 one step from
+level n, so the cost of level n is O(number of n-words) vectorized
+operations.  :func:`cylinders` applies the same step to scalars, word by
+word inside a suffix trie, so a word's scalar data equal its table row
+bit for bit.
 
 Bracket soundness: every branch family has a monotone derivative, so the
 range of log|T'| over an interval is attained at the endpoints, and summing
 per-step endpoint ranges encloses the true range of S_n(psi).  The same
-argument covers pointwise potentials declared monotone per branch; locally
-constant potentials contribute exact summands once the visible word is at
-least as long as their depth, with min/max over admissible completions for
-the trailing positions.
+argument covers pointwise potentials declared monotone per branch.  A
+locally constant potential of depth d contributes at word position k the
+table value of symbols k..k+d-1 once they are visible, and at the last
+d-1 positions (every position of a shorter word) the range of the table
+over admissible completions, read from per-length range tables built once
+per potential.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -172,12 +180,113 @@ def words_at_level(
 
 
 # ---------------------------------------------------------------------------
+# the cylinder step
+
+
+def _same(col):
+    return col
+
+
+def _range_tables(m: MarkovMap, phi: Potential) -> list:
+    """Entry L = 1..d: (min, max) of the shifted table over the admissible
+    completions of every L-word, indexed by the word's base-p code; entry d
+    is the table itself.  One masked min/max over the next symbol per L."""
+    p, d = m.p, phi.depth
+    if d > 8:
+        raise ValueError("locally constant depth > 8 is not supported")
+    vals = np.zeros(p**d)
+    ok = np.zeros(p**d, dtype=bool)
+    for word, v in phi.table:
+        if m.admissible(word):
+            idx = 0
+            for sym in word:
+                idx = idx * p + sym
+            vals[idx] = v - phi.pressure_shift
+            ok[idx] = True
+    tables = [(vals, vals)]
+    for _ in range(d - 1):
+        lo, hi = tables[0]
+        ok = ok.reshape(-1, p)
+        tables.insert(0, (
+            np.where(ok, lo.reshape(-1, p), np.inf).min(axis=1),
+            np.where(ok, hi.reshape(-1, p), -np.inf).max(axis=1),
+        ))
+        ok = ok.any(axis=1)
+    return [None] + tables
+
+
+class _Prepend:
+    """The one cylinder step: from the data of n-words w, that of i·w.
+
+    A word's data is the tuple (lo, hi, psi_lo, psi_hi, phi_lo, phi_hi,
+    code): its cylinder interval, the brackets of S_n psi and S_n phi (None
+    without phi), and for a locally constant phi of depth d >= 2 the base-p
+    code of its first min(n, d-1) symbols (None otherwise).  Columns are
+    arrays with one row per word (the level table) or scalars (one node of
+    the suffix trie in `cylinders`).
+    """
+
+    def __init__(self, m: MarkovMap, phi: Potential | None):
+        if phi is not None:
+            validate_potential(m, phi)
+        self.map = m
+        self.phi = phi
+        lc = phi is not None and phi.kind == "locally_constant"
+        self.ranges = _range_tables(m, phi) if lc else None
+
+    def __call__(self, i: int, prev: tuple, n: int, take=_same, pull: bool = True) -> tuple:
+        """Data of i·w from the data `prev` of the n-words w.
+
+        `take` picks the rows of `prev` that admit i; it is applied to each
+        column where that column is used, so no masked copy is held through
+        the inverse.  With pull=False, prev's interval is already the
+        cylinder of i·w (a symbol's core span, for n = 0).
+        """
+        m, phi = self.map, self.phi
+        br = m.branches[i]
+        if pull:
+            a, b = br.inverse(take(prev[0])), br.inverse(take(prev[1]))
+            lo, hi = (a, b) if br.increasing else (b, a)
+        else:
+            lo, hi = take(prev[0]), take(prev[1])
+        dlo, dhi = br.log_deriv_range(lo, hi)
+        psi_lo = take(prev[2]) + dlo
+        psi_hi = take(prev[3]) + dhi
+        if phi is None:
+            return lo, hi, psi_lo, psi_hi, None, None, None
+        shift, code = phi.pressure_shift, None
+        if self.ranges is not None:
+            # The summand at i·w reads its first min(n+1, d) symbols: exact
+            # once d are visible, else its range over admissible completions.
+            # The tables hold v - shift, which keeps the sum prev + (v - shift).
+            d = phi.depth
+            idx = i if d == 1 else i * m.p ** min(n, d - 1) + take(prev[6])
+            r_lo, r_hi = self.ranges[min(n + 1, d)]
+            inc_lo, inc_hi, shift = r_lo[idx], r_hi[idx], 0.0
+            code = None if d == 1 else idx if n + 1 < d else idx // m.p
+        elif phi.kind == "geometric":
+            c = phi.coefficient
+            inc_lo, inc_hi = (c * dlo, c * dhi) if c >= 0 else (c * dhi, c * dlo)
+        else:  # pointwise, monotone on the branch
+            fa = np.asarray(phi.funcs[i](np.asarray(lo)), dtype=float)
+            fb = np.asarray(phi.funcs[i](np.asarray(hi)), dtype=float)
+            inc_lo, inc_hi = np.minimum(fa, fb), np.maximum(fa, fb)
+        phi_lo = take(prev[4]) + inc_lo - shift
+        phi_hi = take(prev[5]) + inc_hi - shift
+        return lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, code
+
+
+# ---------------------------------------------------------------------------
 # level arrays
 
 
 @dataclass
 class LevelArrays:
-    """Flat per-word data for one level, rows in lexicographic word order."""
+    """Flat per-word data for one level, rows in lexicographic word order.
+
+    The columns lo .. prefix_code are the cylinder step's data (see
+    `_Prepend`); `first` and `last` hold each word's end symbols.
+    """
 
     n: int
     lo: np.ndarray
@@ -186,9 +295,9 @@ class LevelArrays:
     psi_hi: np.ndarray
     phi_lo: np.ndarray | None
     phi_hi: np.ndarray | None
+    prefix_code: np.ndarray | None
     first: np.ndarray
     last: np.ndarray
-    prefix_code: np.ndarray | None = None  # first (depth-1) symbols, base-p packed
 
     @property
     def count(self) -> int:
@@ -220,9 +329,12 @@ class LevelArrays:
 class CylinderTable:
     """Lazy per-level cylinder data for one (map, potential) pair.
 
-    Levels whose word count stays under `cache_words` are cached; above that
-    only the most recently built level is kept, so deep parabolic ladders do
-    not hold every large level at once.
+    Level 1 is one cylinder step from each symbol's core span; level n+1
+    prepends each symbol to the level-n rows that admit it, the same step
+    applied to masked arrays.  Levels whose word count stays under
+    `cache_words` are cached; above that only the most recently built level
+    is kept, so deep parabolic ladders do not hold every large level at
+    once.
     """
 
     def __init__(
@@ -237,10 +349,8 @@ class CylinderTable:
         self.phi = phi
         self.budget = budget
         self.cache_words = cache_words
-        if phi is not None:
-            validate_potential(m, phi)
         self._levels: dict[int, LevelArrays] = {}
-        self._lc = _LocallyConstantPlan(m, phi) if _needs_plan(phi) else None
+        self._step = _Prepend(m, phi)
 
     def level(self, n: int) -> LevelArrays:
         cached = self._levels.get(n)
@@ -263,101 +373,29 @@ class CylinderTable:
         self._levels[n] = arrays
 
     def _base_level(self) -> LevelArrays:
-        m = self.map
-        if self._lc is not None and self._lc.depth >= 2:
-            arrays = self._lc.base_level()
-            self._store(arrays.n, arrays)
-            return arrays
-        p = m.p
-        lo = np.array([m.core_spans[j][0] for j in range(p)])
-        hi = np.array([m.core_spans[j][1] for j in range(p)])
-        psi_lo = np.empty(p)
-        psi_hi = np.empty(p)
-        for j, br in enumerate(m.branches):
-            a, b = br.log_deriv_range(lo[j], hi[j])
-            psi_lo[j], psi_hi[j] = a, b
-        phi_lo, phi_hi = self._phi_level1(lo, hi, psi_lo, psi_hi)
-        idx = np.arange(p, dtype=np.int8)
-        arrays = LevelArrays(1, lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, idx, idx.copy())
+        zero = np.zeros(1)
+        parts = []
+        for j, (lo, hi) in enumerate(self.map.core_spans):
+            empty = (np.array([lo]), np.array([hi]), zero, zero, zero, zero, np.zeros(1, np.int64))
+            sym = np.full(1, j, dtype=np.int8)
+            parts.append(LevelArrays(1, *self._step(j, empty, 0, pull=False), sym, sym.copy()))
+        arrays = _concat_levels(parts)
         self._store(1, arrays)
         return arrays
 
-    def _phi_level1(self, lo, hi, psi_lo, psi_hi):
-        phi = self.phi
-        if phi is None:
-            return None, None
-        shift = phi.pressure_shift
-        if phi.kind == "geometric":
-            c = phi.coefficient
-            if c >= 0:
-                return c * psi_lo - shift, c * psi_hi - shift
-            return c * psi_hi - shift, c * psi_lo - shift
-        if phi.kind == "pointwise":
-            a = np.array([float(phi.funcs[j](np.asarray(lo[j]))) for j in range(self.map.p)])
-            b = np.array([float(phi.funcs[j](np.asarray(hi[j]))) for j in range(self.map.p)])
-            return np.minimum(a, b) - shift, np.maximum(a, b) - shift
-        # locally constant, depth 1 (depth >= 2 goes through the plan)
-        table = phi.table_dict()
-        vals = np.array([table[(j,)] for j in range(self.map.p)])
-        return vals - shift, vals - shift
-
     def _extend(self, prev: LevelArrays) -> LevelArrays:
-        m = self.map
-        phi = self.phi
-        A = m.transition
+        data = (
+            prev.lo, prev.hi, prev.psi_lo, prev.psi_hi,
+            prev.phi_lo, prev.phi_hi, prev.prefix_code,
+        )
         parts: list[LevelArrays] = []
-        for i in range(m.p):
-            mask = A[i, prev.first].astype(bool)
+        for i in range(self.map.p):
+            mask = self.map.transition[i, prev.first].astype(bool)
             if not mask.any():
                 continue
-            br = m.branches[i]
-            plo = prev.lo[mask]
-            phi_prev_lo = prev.phi_lo[mask] if prev.phi_lo is not None else None
-            phi_prev_hi = prev.phi_hi[mask] if prev.phi_hi is not None else None
-            a = br.inverse(plo)
-            b = br.inverse(prev.hi[mask])
-            new_lo, new_hi = (a, b) if br.increasing else (b, a)
-            dlo, dhi = br.log_deriv_range(new_lo, new_hi)
-            psi_lo = prev.psi_lo[mask] + dlo
-            psi_hi = prev.psi_hi[mask] + dhi
-            phi_lo = phi_hi = None
-            prefix_code = None
-            if phi is not None:
-                shift = phi.pressure_shift
-                if phi.kind == "geometric":
-                    c = phi.coefficient
-                    inc_lo, inc_hi = (c * dlo, c * dhi) if c >= 0 else (c * dhi, c * dlo)
-                    phi_lo = phi_prev_lo + inc_lo - shift
-                    phi_hi = phi_prev_hi + inc_hi - shift
-                elif phi.kind == "pointwise":
-                    fa = np.asarray(phi.funcs[i](new_lo), dtype=float)
-                    fb = np.asarray(phi.funcs[i](new_hi), dtype=float)
-                    phi_lo = phi_prev_lo + np.minimum(fa, fb) - shift
-                    phi_hi = phi_prev_hi + np.maximum(fa, fb) - shift
-                elif self._lc is None:  # depth 1: exact summand
-                    v = self._depth1_value(i) - shift
-                    phi_lo = phi_prev_lo + v
-                    phi_hi = phi_prev_hi + v
-                else:
-                    code = prev.prefix_code[mask]
-                    v = self._lc.flat[i * self._lc.stride + code] - shift
-                    phi_lo = phi_prev_lo + v
-                    phi_hi = phi_prev_hi + v
-                    prefix_code = i * self._lc.code_base + code // m.p
-            parts.append(
-                LevelArrays(
-                    prev.n + 1,
-                    new_lo,
-                    new_hi,
-                    psi_lo,
-                    psi_hi,
-                    phi_lo,
-                    phi_hi,
-                    np.full(new_lo.size, i, dtype=np.int8),
-                    prev.last[mask].copy(),
-                    prefix_code,
-                )
-            )
+            new = self._step(i, data, prev.n, lambda col: col[mask])
+            first = np.full(new[0].size, i, dtype=np.int8)
+            parts.append(LevelArrays(prev.n + 1, *new, first, prev.last[mask]))
         out = _concat_levels(parts)
         if float(np.min(out.diameters())) <= 0.0:
             raise DegenerateCylinder(
@@ -365,111 +403,18 @@ class CylinderTable:
             )
         return out
 
-    def _depth1_value(self, i: int) -> float:
-        return self.phi.table_dict()[(i,)]
-
 
 def _concat_levels(parts: list[LevelArrays]) -> LevelArrays:
     if not parts:
         raise ValueError("no admissible continuations; transition matrix broken")
     if len(parts) == 1:
         return parts[0]
-    has_phi = parts[0].phi_lo is not None
-    has_code = parts[0].prefix_code is not None
-    return LevelArrays(
-        parts[0].n,
-        np.concatenate([q.lo for q in parts]),
-        np.concatenate([q.hi for q in parts]),
-        np.concatenate([q.psi_lo for q in parts]),
-        np.concatenate([q.psi_hi for q in parts]),
-        np.concatenate([q.phi_lo for q in parts]) if has_phi else None,
-        np.concatenate([q.phi_hi for q in parts]) if has_phi else None,
-        np.concatenate([q.first for q in parts]),
-        np.concatenate([q.last for q in parts]),
-        np.concatenate([q.prefix_code for q in parts]) if has_code else None,
-    )
-
-
-def _needs_plan(phi: Potential | None) -> bool:
-    return phi is not None and phi.kind == "locally_constant" and phi.depth >= 2
-
-
-class _LocallyConstantPlan:
-    """Precomputed lookup data for locally constant potentials of depth >= 2.
-
-    The base level is built at length depth-1 by direct enumeration, with
-    per-position min/max over admissible completions for the trailing
-    summands; from there each prepended symbol contributes an exact table
-    value located through a packed prefix code.
-    """
-
-    def __init__(self, m: MarkovMap, phi: Potential):
-        if phi.depth > 8:
-            raise ValueError("locally constant depth > 8 is not supported")
-        self.map = m
-        self.phi = phi
-        self.depth = phi.depth
-        p = m.p
-        d = phi.depth
-        self.code_base = p ** (d - 2) if d >= 2 else 1
-        self.stride = p ** (d - 1)
-        table = phi.table_dict()
-        flat = np.full(p**d, np.nan)
-        for word, v in table.items():
-            idx = 0
-            for sym in word:
-                idx = idx * p + sym
-            flat[idx] = v
-        self.flat = flat
-        self._suffix_range_cache: dict[tuple[int, ...], tuple[float, float]] = {}
-
-    def suffix_range(self, suffix: tuple[int, ...]) -> tuple[float, float]:
-        """Range of the table over admissible completions of a short suffix."""
-        if suffix in self._suffix_range_cache:
-            return self._suffix_range_cache[suffix]
-        m, d = self.map, self.depth
-        table = self.phi.table_dict()
-        lo, hi = math.inf, -math.inf
-
-        def complete(word: tuple[int, ...]) -> None:
-            nonlocal lo, hi
-            if len(word) == d:
-                v = table[word]
-                lo, hi = min(lo, v), max(hi, v)
-                return
-            for j in range(m.p):
-                if m.transition[word[-1], j]:
-                    complete(word + (j,))
-
-        complete(suffix)
-        self._suffix_range_cache[suffix] = (lo, hi)
-        return lo, hi
-
-    def base_level(self) -> LevelArrays:
-        m = self.map
-        n0 = self.depth - 1
-        words = list(words_at_level(m, n0))
-        size = len(words)
-        lo = np.empty(size)
-        hi = np.empty(size)
-        psi_lo = np.empty(size)
-        psi_hi = np.empty(size)
-        phi_lo = np.empty(size)
-        phi_hi = np.empty(size)
-        first = np.empty(size, dtype=np.int8)
-        last = np.empty(size, dtype=np.int8)
-        code = np.empty(size, dtype=np.int64)
-        for r, cyl in enumerate(cylinders(m, words, self.phi)):
-            w = cyl.word
-            lo[r], hi[r] = cyl.interval
-            psi_lo[r], psi_hi[r] = cyl.birkhoff_psi
-            phi_lo[r], phi_hi[r] = cyl.birkhoff_phi
-            first[r], last[r] = w[0], w[-1]
-            c = 0
-            for sym in w:
-                c = c * m.p + sym
-            code[r] = c
-        return LevelArrays(n0, lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, first, last, code)
+    columns = {
+        f.name: None if getattr(parts[0], f.name) is None
+        else np.concatenate([getattr(q, f.name) for q in parts])
+        for f in fields(LevelArrays)[1:]
+    }
+    return LevelArrays(parts[0].n, **columns)
 
 
 def shared_table(m: MarkovMap, phi: Potential | None = None) -> CylinderTable:
@@ -498,6 +443,19 @@ class Cylinder:
     birkhoff_psi: tuple[float, float]
     birkhoff_phi: tuple[float, float] | None
 
+    def boundary_ratio(self, x: float) -> float:
+        """Distance of x to the cylinder boundary, relative to the diameter.
+
+        Returns Z_n/D_n in [0, 1/2]; raises PointOutsideCylinder when x lies
+        outside the interval beyond 1e-12.
+        """
+        lo, hi = self.interval
+        if x < lo - 1e-12 or x > hi + 1e-12:
+            raise PointOutsideCylinder(
+                f"x = {x:.17g} outside cylinder [{lo:.17g}, {hi:.17g}] of {self.word}"
+            )
+        return max(min(x - lo, hi - x), 0.0) / self.diameter
+
 
 def cylinder(
     m: MarkovMap,
@@ -522,13 +480,13 @@ def cylinders(
 ) -> list[Cylinder]:
     """Cylinder intervals and Birkhoff brackets for each word (scalar path).
 
-    Each interval is the span of the projected cylinder, computed by
-    composing inverse branches right to left starting from the core span of
-    the last symbol's follow set.  Brackets accumulate exact per-step
-    endpoint ranges.  The state after the symbols word[k:] (interval and
-    both partial sums, added in the same order) depends on that suffix
-    alone, so words sharing a suffix share its steps: the states are kept
-    in a suffix trie for the length of the call.
+    Each word is built right to left by the level table's cylinder step on
+    scalars: the last symbol's core span (or the preimage of `terminal`)
+    first, then one prepended symbol at a time, so a word's data equals its
+    row in the level table bit for bit.  The data after the symbols
+    word[k:] depends on that suffix alone, so words sharing a suffix share
+    its steps: the data are kept in a suffix trie for the length of the
+    call.
 
     Args:
         terminal: replaces the terminal span, restricting to the points whose
@@ -543,61 +501,21 @@ def cylinders(
     for word in words:
         if not word or not m.admissible(word):
             raise ValueError(f"word {word} is not admissible for this map")
-    if phi is not None:
-        validate_potential(m, phi)
-    plan = _LocallyConstantPlan(m, phi) if _needs_plan(phi) else None
-    table = phi.table_dict() if phi is not None and phi.kind == "locally_constant" else None
-
-    def step(state, word: tuple[int, ...], k: int):
-        br = m.branches[word[k]]
-        if state is None:  # the last symbol
-            lo, hi = m.core_spans[word[-1]] if terminal is None else terminal
-            psi_lo = psi_hi = phi_lo = phi_hi = 0.0
-        else:
-            lo, hi, psi_lo, psi_hi, phi_lo, phi_hi = state
-        if state is not None or terminal is not None:
-            lo, hi = br.preimage_interval(lo, hi)
-        a, b = br.log_deriv_range(lo, hi)
-        psi_lo += float(a)
-        psi_hi += float(b)
-        if phi is None:
-            return lo, hi, psi_lo, psi_hi, phi_lo, phi_hi
-        if phi.kind == "geometric":
-            c = phi.coefficient
-            inc = sorted((c * float(a), c * float(b)))
-            phi_lo += inc[0] - phi.pressure_shift
-            phi_hi += inc[1] - phi.pressure_shift
-        elif phi.kind == "pointwise":
-            fa = float(phi.funcs[word[k]](np.asarray(lo)))
-            fb = float(phi.funcs[word[k]](np.asarray(hi)))
-            phi_lo += min(fa, fb) - phi.pressure_shift
-            phi_hi += max(fa, fb) - phi.pressure_shift
-        elif plan is None:
-            v = table[(word[k],)] - phi.pressure_shift
-            phi_lo += v
-            phi_hi += v
-        else:
-            visible = word[k : k + phi.depth]
-            if len(visible) == phi.depth:
-                v = table[visible]
-                phi_lo += v - phi.pressure_shift
-                phi_hi += v - phi.pressure_shift
-            else:
-                rlo, rhi = plan.suffix_range(visible)
-                phi_lo += rlo - phi.pressure_shift
-                phi_hi += rhi - phi.pressure_shift
-        return lo, hi, psi_lo, psi_hi, phi_lo, phi_hi
-
-    trie: dict[int, tuple] = {}  # symbol -> (state, trie of longer suffixes)
+    step = _Prepend(m, phi)
+    trie: dict[int, tuple] = {}  # symbol -> (data, trie of longer suffixes)
     out: list[Cylinder] = []
     for word in words:
-        node, state = trie, None
-        for k in range(len(word) - 1, -1, -1):
+        n = len(word)
+        node = trie
+        lo, hi = m.core_spans[word[-1]] if terminal is None else terminal
+        data = (lo, hi, 0.0, 0.0, 0.0, 0.0, 0)
+        for k in range(n - 1, -1, -1):
             entry = node.get(word[k])
             if entry is None:
-                entry = node[word[k]] = (step(state, word, k), {})
-            state, node = entry
-        lo, hi, psi_lo, psi_hi, phi_lo, phi_hi = state
+                pull = k < n - 1 or terminal is not None
+                entry = node[word[k]] = (step(word[k], data, n - 1 - k, pull=pull), {})
+            data, node = entry
+        lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, _ = data
         if hi - lo <= 0.0:
             raise DegenerateCylinder(f"cylinder of {word} collapsed to a point")
         out.append(
@@ -605,8 +523,8 @@ def cylinders(
                 word=word,
                 interval=(lo, hi),
                 diameter=hi - lo,
-                birkhoff_psi=(psi_lo, psi_hi),
-                birkhoff_phi=None if phi is None else (phi_lo, phi_hi),
+                birkhoff_psi=(float(psi_lo), float(psi_hi)),
+                birkhoff_phi=None if phi is None else (float(phi_lo), float(phi_hi)),
             )
         )
     return out
@@ -656,16 +574,6 @@ def distortion_report(
 
 
 def boundary_ratio(m: MarkovMap, word: Sequence[int], x: float) -> float:
-    """Distance of x to the cylinder boundary, relative to the diameter.
-
-    Returns Z_n/D_n in [0, 1/2]; raises PointOutsideCylinder when x lies
-    outside the cylinder interval beyond 1e-12.
-    """
-    cyl = cylinder(m, word)
-    lo, hi = cyl.interval
-    if x < lo - 1e-12 or x > hi + 1e-12:
-        raise PointOutsideCylinder(
-            f"x = {x:.17g} outside cylinder [{lo:.17g}, {hi:.17g}] of {tuple(word)}"
-        )
-    z = max(min(x - lo, hi - x), 0.0)
-    return z / cyl.diameter
+    """Distance of x to the boundary of the cylinder of `word`, relative to
+    its diameter (see :meth:`Cylinder.boundary_ratio`)."""
+    return cylinder(m, word).boundary_ratio(x)

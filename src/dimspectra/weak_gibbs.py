@@ -31,7 +31,7 @@ from .errors import ConfigError, EmptyWindow
 from .finite_measures import bowen_sn, window_mask
 from .maps import MarkovMap
 from .numerics import log_sum_exp
-from .symbolic import Potential, boundary_ratio, cylinder, shared_table
+from .symbolic import Cylinder, Potential, cylinder, cylinders, shared_table
 
 BOUNDARY_FLAG_THRESHOLD = 0.01
 
@@ -98,9 +98,11 @@ def cylinder_mass_bracket(
     model: WeakGibbsModel, m: MarkovMap, word: Sequence[int]
 ) -> tuple[float, float]:
     """[exp(-n·k_n + inf S_n phi), exp(n·k_n + sup S_n phi)] for one word."""
-    word = tuple(word)
-    cyl = cylinder(m, word, model.phi)
-    n = len(word)
+    return _mass_bracket(model, cylinder(m, word, model.phi))
+
+
+def _mass_bracket(model: WeakGibbsModel, cyl: Cylinder) -> tuple[float, float]:
+    n = len(cyl.word)
     k = model.k(n)
     lo, hi = cyl.birkhoff_phi
     return (math.exp(-n * k + lo), math.exp(n * k + hi))
@@ -156,11 +158,11 @@ def local_dimension(
     levels = tuple(range(big_n // 2, big_n + 1))
     ratio_lo = np.empty(len(levels))
     ratio_hi = np.empty(len(levels))
-    deep = cylinder(m, word, model.phi)
+    prefixes = cylinders(m, [word[:n] for n in levels], model.phi)
+    deep = prefixes[-1]
     x = 0.5 * (deep.interval[0] + deep.interval[1])
     boundary_min = math.inf
-    for i, n in enumerate(levels):
-        cyl = cylinder(m, word[:n], model.phi) if n < big_n else deep
+    for i, cyl in enumerate(prefixes):
         p_lo, p_hi = cyl.birkhoff_phi
         s_lo, s_hi = cyl.birkhoff_psi
         # s_lo = 0 happens on all-neutral prefixes of parabolic maps; the
@@ -172,8 +174,8 @@ def local_dimension(
             _safe_ratio(-p_hi, s_hi),
         ]
         ratio_lo[i], ratio_hi[i] = min(combos), max(combos)
-        boundary_min = min(boundary_min, boundary_ratio(m, word[:n], x))
-    mass_lo, mass_hi = cylinder_mass_bracket(model, m, word)
+        boundary_min = min(boundary_min, cyl.boundary_ratio(x))
+    mass_lo, mass_hi = _mass_bracket(model, deep)
     log_d = math.log(deep.diameter)
     combos = [
         (math.log(mass_lo) if mass_lo > 0.0 else -math.inf) / log_d,

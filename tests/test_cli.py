@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from pathlib import Path
@@ -7,8 +8,16 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dimspectra.cli import emit_csv, load_config, main, parse_config, serialize_config
-from dimspectra.errors import ConfigError, IoError
+from dimspectra.cli import (
+    build_map_from,
+    build_potential_from,
+    emit_csv,
+    load_config,
+    main,
+    parse_config,
+    serialize_config,
+)
+from dimspectra.errors import ConfigError, DimspectraError, IoError
 
 LOG2 = math.log(2.0)
 
@@ -318,3 +327,102 @@ def test_endpoints_inf_literal(tmp_path):
     assert main([str(path)]) == 0
     body = (tmp_path / "e.csv").read_text()
     assert "inf" in body.splitlines()[1]
+
+
+LINEAR_MARKOV = (
+    "map.branches=[{domain: [0.0, 0.5], image: [0.0, 1.0]},"
+    " {domain: [0.5, 1.0], image: [0.0, 1.0]}]"
+)
+DECLARED = ("potential.envelope.mode=declared", "potential.envelope.c=1.0",
+            "potential.envelope.gamma=1.0")
+
+
+@pytest.mark.parametrize("config, overrides, needle", [
+    # non-finite integers
+    ("doubling_bernoulli_spectrum", ["potential.depth=.inf"], "potential.depth"),
+    ("doubling_bernoulli_spectrum", ["potential.depth=.nan"], "potential.depth"),
+    ("farey_endpoints", ["command.level=.inf"], "command.level"),
+    ("farey_endpoints", ["command.level=.nan"], "command.level"),
+    ("farey_endpoints", ["output.precision=.inf"], "output.precision"),
+    ("farey_endpoints", ["output.precision=.nan"], "output.precision"),
+    # unhashable family
+    ("farey_endpoints", ["map.family=[farey]"], "map.family"),
+    ("farey_endpoints", ["map.family={farey: 1}"], "map.family"),
+    # non-finite map parameters
+    ("mp_ray_bcurve", ["map.s=.inf"], "map.s"),
+    ("mp_ray_bcurve", ["map.s=.nan"], "map.s"),
+    ("two_slopes_blockopt", ["map.slopes=[2.0, .inf]"], "map.slopes[1]"),
+    ("two_slopes_blockopt", ["map.slopes=[.nan, 4.0]"], "map.slopes[0]"),
+    ("farey_endpoints", ["map.family=linear_markov",
+                         LINEAR_MARKOV.replace("[0.5, 1.0], image", "[0.5, .inf], image")],
+     "map.branches[1].domain"),
+    ("farey_endpoints", ["map.family=linear_markov",
+                         LINEAR_MARKOV.replace("image: [0.0, 1.0]}]", "image: [0.0, .inf]}]")],
+     "map.branches[1].image"),
+    # branch widths 1/2 + 2/3 exceed [0, 1]
+    ("two_slopes_blockopt", ["map.slopes=[2.0, 1.5]"], "map.slopes"),
+    # symbols past the branch count, and a word too short for localdim
+    ("bernoulli_localdim", ['command.word="0120"'], "command.word has symbol 2"),
+    ("farey_induced", ["command.base_symbols=[0, 2]"], "command.base_symbols"),
+    ("bernoulli_localdim", ['command.word="010"'], "at least 4 symbols"),
+    # unquoted digits are an octal int to YAML: 010101 -> 4161
+    ("bernoulli_localdim", ["command.word=010101"], "quote digit words"),
+    # a NaN grid end, non-finite table values
+    ("doubling_bernoulli_spectrum", ["command.alpha_grid.start=.nan"], "alpha_grid.start"),
+    ("doubling_bernoulli_spectrum", ["potential.table.0=.inf"], "potential.table['0']"),
+    ("doubling_bernoulli_spectrum", ["potential.table.1=.nan"], "potential.table['1']"),
+    # NaN or infinite tolerances and envelope constants
+    ("doubling_bernoulli_spectrum", ["command.tol=.nan"], "command.tol"),
+    ("doubling_bernoulli_spectrum", ["command.refine_tol=.nan"], "command.refine_tol"),
+    ("farey_induced", ["command.tail_tol=.nan"], "command.tail_tol"),
+    ("bernoulli_localdim", ["command.flag_threshold=.nan"], "command.flag_threshold"),
+    ("bernoulli_localdim", [*DECLARED, "potential.envelope.c=.nan"], "potential.envelope.c"),
+    ("bernoulli_localdim", [*DECLARED, "potential.envelope.c=.inf"], "potential.envelope.c"),
+    ("bernoulli_localdim", [*DECLARED, "potential.envelope.gamma=.nan"],
+     "potential.envelope.gamma"),
+])
+def test_bad_values_are_config_errors(tmp_path, capsys, config, overrides, needle):
+    args = [str(CONFIG_DIR / f"{config}.yaml"), "--set", f"output.csv={tmp_path / 'x.csv'}"]
+    for spec in overrides:
+        args += ["--set", spec]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert needle in err
+
+
+def _leaves(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+_DELETE = object()
+FUZZ_VALUES = (_DELETE, math.inf, math.nan, -1, 0, 1e300, 2**70, "", [], {}, None, True)
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIG_DIR.glob("*.yaml")))
+def test_mutated_shipped_configs_fail_typed(config):
+    raw = yaml.safe_load((CONFIG_DIR / f"{config}.yaml").read_text(encoding="utf-8"))
+    maps = {}
+    for path in _leaves(raw):
+        for value in FUZZ_VALUES:
+            data = copy.deepcopy(raw)
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            if value is _DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+            try:
+                cfg = parse_config(data)
+                key = serialize_config(cfg)
+                if key not in maps:
+                    maps[key] = build_map_from(cfg)
+                build_potential_from(cfg, maps[key])
+            except DimspectraError:
+                pass

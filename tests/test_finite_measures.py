@@ -15,6 +15,7 @@ from dimspectra import (
     block_objective,
     bowen_sn,
     connector_length,
+    doubling_map,
     moran_weights,
     optimize_block_weights,
     window_mask,
@@ -33,7 +34,7 @@ def binary_entropy(t: float) -> float:
 
 
 def test_connector_full_shift(doubling):
-    con = connector_length(doubling, 3)
+    con = connector_length(shared_table(doubling), 3)
     assert con.k == 0
     assert con.excluded == 0
     assert bool(con.eligible.all())
@@ -42,7 +43,7 @@ def test_connector_full_shift(doubling):
 
 def test_connector_golden_mean(golden):
     # gluing ...1 to 1... needs one symbol: 1-0-1
-    con = connector_length(golden, 2)
+    con = connector_length(shared_table(golden), 2)
     assert con.k == 1
     assert con.words[(1, 1)] == (0,)
     assert con.join((0, 1), (0, 0)) == (0, 1, 0, 0, 0)
@@ -52,7 +53,7 @@ def test_connector_golden_mean(golden):
 
 def test_connector_excludes_neutral_word(mp):
     # the all-parabolic word has no positive expansion bracket
-    con = connector_length(mp, 4)
+    con = connector_length(shared_table(mp), 4)
     assert con.k == 0
     assert con.excluded == 1
     assert not con.eligible[0]  # lexicographically first word is 0000
@@ -116,6 +117,14 @@ def test_optimizer_recovers_bernoulli_product(doubling, bernoulli_phi):
     assert bm.weights[i] == pytest.approx(0.25**3 * 0.75**3, abs=1e-12)
 
 
+def test_block_weights_read_one_table(bernoulli_phi):
+    # the connector reads psi from the potential's table: no second,
+    # potential-free table is built beside it
+    m = doubling_map()
+    optimize_block_weights(m, bernoulli_phi, 6, ALPHA_FIX)
+    assert list(m._table_cache) == [bernoulli_phi]
+
+
 def test_optimizer_infeasible_alpha(doubling, bernoulli_phi):
     # ratios on the full 2-shift stay within [alpha_min, 2]
     with pytest.raises(ConstraintInfeasible):
@@ -176,8 +185,9 @@ def test_window_weights_are_suboptimal(doubling, bernoulli_phi):
 
 def _midpoint_sums(m, phi, n):
     """Eligible words' psi and phi sums at bracket midpoints, and the mask."""
-    arr = shared_table(m, phi).level(n)
-    mask = connector_length(m, n).eligible
+    table = shared_table(m, phi)
+    arr = table.level(n)
+    mask = connector_length(table, n).eligible
     psi = (0.5 * (arr.psi_lo + arr.psi_hi))[mask]
     phv = (0.5 * (arr.phi_lo + arr.phi_hi))[mask]
     return psi, phv, mask

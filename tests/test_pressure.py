@@ -2,15 +2,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimspectra import (
     NotConverged,
     bowen_root,
+    doubling_map,
+    golden_mean_map,
+    linear_full_branch_map,
     locally_constant,
     normalize_potential,
     pressure,
     pressure_bracket,
+    words_at_level,
 )
 from dimspectra.pressure import gluing_length
 
@@ -113,3 +119,76 @@ def test_pressure_thread_invariance(golden, zero_phi):
     b = pressure(golden, zero_phi, tol=1e-9, threads=4)
     assert b.value == pytest.approx(a.value, abs=1e-13)
     assert b.level == a.level
+
+
+def _transfer_matrix_pressure(m, phi):
+    """log of the spectral radius of the transfer matrix on (d-1)-words
+    (symbols when d = 1): entry (u, w[1:]) = exp(phi(w)) for every
+    admissible word w = u + (j,), phi reading its first d symbols."""
+    d = phi.depth
+    table = phi.table_dict()
+    states = list(words_at_level(m, max(d - 1, 1)))
+    index = {u: k for k, u in enumerate(states)}
+    M = np.zeros((len(states), len(states)))
+    for u in states:
+        for j in range(m.p):
+            w = u + (j,)
+            if m.admissible(w):
+                M[index[u], index[w[1:]]] += math.exp(table[w[:d]])
+    return math.log(float(np.max(np.abs(np.linalg.eigvals(M)))))
+
+
+def _enclosure(m, phi, **kw):
+    try:
+        p = pressure(m, phi, **kw)
+        return p.lower, p.upper
+    except NotConverged as exc:
+        return exc.enclosure
+
+
+def _encloses(lo, hi, truth):
+    slack = 1e-12 * max(1.0, abs(truth))
+    return lo - slack <= truth <= hi + slack
+
+
+DEPTH3_DOUBLING = {
+    "000": -1.0, "001": -0.8, "010": -1.0, "011": -0.8,
+    "100": -1.3, "101": -1.1, "110": -1.3, "111": -1.1,
+}
+
+
+def test_depth3_pressure_encloses_transfer_matrix_value(doubling):
+    phi = locally_constant({tuple(map(int, w)): v for w, v in DEPTH3_DOUBLING.items()})
+    truth = _transfer_matrix_pressure(doubling, phi)
+    assert truth == pytest.approx(-0.355603, abs=1e-6)
+    lo, hi = _enclosure(doubling, phi)
+    assert lo <= hi
+    assert _encloses(lo, hi, truth)
+
+
+ORACLE_MAPS = {
+    "doubling": doubling_map(),
+    "golden": golden_mean_map(),
+    "three_branch": linear_full_branch_map([3.0, 4.0, 2.5]),
+}
+
+
+@st.composite
+def locally_constant_cases(draw):
+    name = draw(st.sampled_from(sorted(ORACLE_MAPS)))
+    m = ORACLE_MAPS[name]
+    depth = draw(st.integers(1, 4))
+    words = list(words_at_level(m, depth))
+    values = draw(st.lists(
+        st.floats(-3.0, 1.0), min_size=len(words), max_size=len(words)
+    ))
+    return m, locally_constant(dict(zip(words, values)), depth)
+
+
+@settings(max_examples=120, deadline=None)
+@given(locally_constant_cases())
+def test_pressure_encloses_transfer_matrix_value(case):
+    m, phi = case
+    truth = _transfer_matrix_pressure(m, phi)
+    lo, hi = _enclosure(m, phi, tol=1e-6, max_level=8)
+    assert _encloses(lo, hi, truth)

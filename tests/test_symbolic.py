@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dimspectra import (
+    CylinderTable,
     InadmissibleSupport,
     PointOutsideCylinder,
     boundary_ratio,
@@ -159,3 +160,53 @@ def test_distortion_zero_for_linear(doubling, bernoulli_phi):
     rep = distortion_report(doubling, bernoulli_phi, 5)
     assert rep.K_psi == pytest.approx(0.0, abs=1e-13)
     assert rep.K_phi == pytest.approx(0.0, abs=1e-13)
+
+
+def _random_table(m, depth, seed):
+    """A locally constant potential with seeded values on every admissible
+    depth-word."""
+    rng = np.random.default_rng(seed)
+    return locally_constant(
+        {w: float(rng.uniform(-2.0, 0.5)) for w in words_at_level(m, depth)}, depth
+    )
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_level_n_holds_n_words_at_every_depth(doubling, golden, depth, n):
+    for m in (doubling, golden):
+        arr = CylinderTable(m, _random_table(m, depth, seed=depth)).level(n)
+        assert arr.n == n
+        assert arr.count == m.word_count(n)
+
+
+def _potentials(m):
+    yield None
+    yield geometric(-0.7)
+    # increasing on one branch, decreasing on the other
+    yield pointwise((np.square, np.negative))
+    for depth in (1, 2, 3, 4):
+        yield _random_table(m, depth, seed=10 + depth)
+
+
+@pytest.mark.parametrize("name", ["doubling", "golden", "farey", "mp"])
+def test_table_rows_equal_scalar_cylinders_bit_for_bit(request, name):
+    m = request.getfixturevalue(name)
+    for phi in _potentials(m):
+        table = CylinderTable(m, phi)
+        for n in range(1, 7):
+            arr = table.level(n)
+            cyls = cylinders(m, words_at_level(m, n), phi)
+            assert [c.word[0] for c in cyls] == arr.first.tolist()
+            assert [c.word[-1] for c in cyls] == arr.last.tolist()
+            columns = {
+                "lo": [c.interval[0] for c in cyls],
+                "hi": [c.interval[1] for c in cyls],
+                "psi_lo": [c.birkhoff_psi[0] for c in cyls],
+                "psi_hi": [c.birkhoff_psi[1] for c in cyls],
+            }
+            if phi is not None:
+                columns["phi_lo"] = [c.birkhoff_phi[0] for c in cyls]
+                columns["phi_hi"] = [c.birkhoff_phi[1] for c in cyls]
+            for key, scalar in columns.items():
+                assert np.array(scalar).tobytes() == getattr(arr, key).tobytes(), (phi, n, key)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dimspectra import (
     sample_points,
     shared_table,
 )
+from dimspectra.maps import Branch
 
 LOG2 = math.log(2.0)
 
@@ -115,6 +117,26 @@ def test_local_dimension_alternating(bernoulli_model, doubling):
 def test_local_dimension_short_word(bernoulli_model, doubling):
     with pytest.raises(ValueError):
         local_dimension(bernoulli_model, doubling, (0, 1, 0))
+
+
+def test_local_dimension_builds_each_prefix_once(bernoulli_model, doubling, monkeypatch):
+    calls = 0
+    inverse = Branch.inverse
+
+    def counting(self, y, **kwargs):
+        nonlocal calls
+        calls += 1
+        return inverse(self, y, **kwargs)
+
+    monkeypatch.setattr(Branch, "inverse", counting)
+    rng = random.Random(40)
+    word = tuple(rng.randrange(2) for _ in range(40))
+    ld = local_dimension(bernoulli_model, doubling, word)
+    # Building each prefix once costs at most n - 1 prepended symbols of two
+    # inverse calls for the prefix of length n (shared suffixes cost less);
+    # building every prefix twice, as before, costs more than that bound.
+    assert ld.levels == tuple(range(20, 41))
+    assert 0 < calls <= sum(2 * (n - 1) for n in ld.levels)
 
 
 def test_sample_points_deterministic(bernoulli_model, doubling):
