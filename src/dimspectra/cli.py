@@ -163,10 +163,10 @@ def _parse_word(text: Any, path: str) -> tuple[int, ...]:
     else:
         # YAML reads unquoted digits as a number, and 010101 as octal 4161.
         raise ConfigError(f"{path} must be a list or a quoted symbol string: quote digit words")
-    try:
-        word = tuple(int(s) for s in items)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} has a non-integer symbol") from None
+    # int() alone would read 0.9 and true as symbols 0 and 1
+    if not all(type(s) is int or isinstance(s, str) and s.strip().isdecimal() for s in items):
+        raise ConfigError(f"{path} has a non-integer symbol")
+    word = tuple(int(s) for s in items)
     if not word or any(s < 0 for s in word):
         raise ConfigError(f"{path} must be nonempty with symbols >= 0")
     return word

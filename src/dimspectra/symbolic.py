@@ -234,18 +234,19 @@ class _Prepend:
         lc = phi is not None and phi.kind == "locally_constant"
         self.ranges = _range_tables(m, phi) if lc else None
 
-    def __call__(self, i: int, prev: tuple, n: int, take=_same, pull: bool = True) -> tuple:
+    def __call__(self, i: int, prev: tuple, n: int, take=_same, pull=True, images=None) -> tuple:
         """Data of i·w from the data `prev` of the n-words w.
 
         `take` picks the rows of `prev` that admit i; it is applied to each
         column where that column is used, so no masked copy is held through
-        the inverse.  With pull=False, prev's interval is already the
-        cylinder of i·w (a symbol's core span, for n = 0).
+        the inverse.  `images` may hold branch i's inverses of the taken
+        prev[0] and prev[1].  With pull=False, prev's interval is already
+        the cylinder of i·w (a symbol's core span, for n = 0).
         """
         m, phi = self.map, self.phi
         br = m.branches[i]
         if pull:
-            a, b = br.inverse(take(prev[0])), br.inverse(take(prev[1]))
+            a, b = images or (br.inverse(take(prev[0])), br.inverse(take(prev[1])))
             lo, hi = (a, b) if br.increasing else (b, a)
         else:
             lo, hi = take(prev[0]), take(prev[1])
@@ -389,13 +390,18 @@ class CylinderTable:
             prev.phi_lo, prev.phi_hi, prev.prefix_code,
         )
         parts: list[LevelArrays] = []
-        for i in range(self.map.p):
+        for i, br in enumerate(self.map.branches):
             mask = self.map.transition[i, prev.first].astype(bool)
             if not mask.any():
                 continue
-            new = self._step(i, data, prev.n, lambda col: col[mask])
+            take = _same if mask.all() else lambda col: col[mask]
+            # Linear and Farey branches invert in a few flops; Newton does not.
+            newton = br.family in ("manneville_pomeau", "power")
+            images = self._new_images(i, prev, take) if newton else None
+            new = self._step(i, data, prev.n, take, images=images)
             first = np.full(new[0].size, i, dtype=np.int8)
-            parts.append(LevelArrays(prev.n + 1, *new, first, prev.last[mask]))
+            parts.append(LevelArrays(prev.n + 1, *new, first, take(prev.last)))
+            del images, new, first  # the parts alone hold their columns
         out = _concat_levels(parts)
         if float(np.min(out.diameters())) <= 0.0:
             raise DegenerateCylinder(
@@ -403,17 +409,50 @@ class CylinderTable:
             )
         return out
 
+    def _new_images(self, i: int, prev: LevelArrays, take) -> tuple:
+        """Branch i's inverses of the taken prev.lo and prev.hi, inverting
+        only inputs that no earlier call has.  The row order says where a
+        repeat may sit: the taken rows hold one run of children per cached
+        (n-1)-word u that admits i, whose first lo and last hi may equal u's
+        (their images are prev's row i·u), and a lo may equal the hi above.
+        Reuse needs equal bits, so each image is what `Branch.inverse` gives.
+        """
+        m, br, before = self.map, self.map.branches[i], self._levels.get(prev.n - 1)
+        y = take(prev.lo), take(prev.hi)
+        x = np.empty_like(y[0]), np.empty_like(y[1])
+        new = np.ones(y[0].size, dtype=bool), np.ones(y[1].size, dtype=bool)
+        if before is not None:
+            adm = m.transition[i, before.first].astype(bool)
+            start = int(np.searchsorted(prev.first, i))  # prev's rows i·u, in u order
+            images = (prev.lo, prev.hi)[:: 1 if br.increasing else -1]
+            runs = m.transition.sum(axis=1)[before.last[adm]]
+            last = np.cumsum(runs) - 1
+            for k, (at, ends) in enumerate(((last - runs + 1, before.lo), (last, before.hi))):
+                hit = y[k][at].view(np.int64) == ends[adm].view(np.int64)
+                x[k][at[hit]] = images[k][start + np.flatnonzero(hit)]
+                new[k][at[hit]] = False
+        shared = np.zeros_like(new[0])
+        shared[1:] = new[0][1:] & (y[0][1:].view(np.int64) == y[1][:-1].view(np.int64))
+        new[0][shared] = False
+        fresh = np.concatenate((y[0][new[0]], y[1][new[1]]))
+        if fresh.size:
+            x[0][new[0]], x[1][new[1]] = np.split(br.inverse(fresh), [np.count_nonzero(new[0])])
+        rows = np.flatnonzero(shared)
+        x[0][rows] = x[1][rows - 1]
+        return x
+
 
 def _concat_levels(parts: list[LevelArrays]) -> LevelArrays:
     if not parts:
         raise ValueError("no admissible continuations; transition matrix broken")
     if len(parts) == 1:
         return parts[0]
-    columns = {
-        f.name: None if getattr(parts[0], f.name) is None
-        else np.concatenate([getattr(q, f.name) for q in parts])
-        for f in fields(LevelArrays)[1:]
-    }
+    columns = {}
+    for f in fields(LevelArrays)[1:]:  # empties the parts as it goes: peak one column
+        cols = [getattr(q, f.name) for q in parts]
+        columns[f.name] = None if cols[0] is None else np.concatenate(cols)
+        for q in parts:
+            setattr(q, f.name, None)
     return LevelArrays(parts[0].n, **columns)
 
 

@@ -17,6 +17,7 @@ from dimspectra import (
     locally_constant,
     manneville_pomeau_map,
 )
+from dimspectra.cli import build_map_from, parse_config
 
 LOG2 = math.log(2.0)
 
@@ -44,6 +45,28 @@ def farey():
 @pytest.fixture(scope="session")
 def two_slopes():
     return linear_full_branch_map([2.0, 4.0])
+
+
+def linear_markov_map():
+    """A `linear_markov` map (built through the config schema) with a
+    decreasing branch and a non-full transition matrix: branch 2's image
+    [0, 1/2] covers domain 0 only."""
+    branches = [
+        {"domain": [0.0, 0.5], "image": [0.0, 1.0]},
+        {"domain": [0.5, 0.75], "image": [0.0, 1.0], "orientation": -1},
+        {"domain": [0.75, 1.0], "image": [0.0, 0.5]},
+    ]
+    return build_map_from(parse_config({
+        "map": {"family": "linear_markov", "branches": branches},
+        "potential": {"kind": "geometric", "coefficient": -1.0},
+        "command": {"name": "validate"},
+        "output": {},
+    }))
+
+
+@pytest.fixture(scope="session")
+def markov():
+    return linear_markov_map()
 
 
 @pytest.fixture(scope="session")

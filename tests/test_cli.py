@@ -214,10 +214,16 @@ def test_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch, raw):
     "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem
 )
 def test_spectrum_config_reproduces_shipped_csv(tmp_path, config):
-    # Every shipped config converges (exit 0) and writes its out/ CSV bytes.
+    # Every shipped config converges (exit 0) and writes its out/ CSV bytes,
+    # so a change that moves a shipped number fails here, not only in the
+    # benchmark's sweep.
     out = tmp_path / f"{config.stem}.csv"
     assert main([str(config), "--set", f"output.csv={out}"]) == 0
-    assert out.read_bytes() == (OUT_DIR / f"{config.stem}.csv").read_bytes()
+    assert out.read_bytes() == (OUT_DIR / f"{config.stem}.csv").read_bytes(), (
+        f"{config.name} no longer reproduces out/{config.stem}.csv; if the change "
+        f"is intended, regenerate it from the repository root with "
+        f"`dimspectra {config.relative_to(CONFIG_DIR.parent)}`"
+    )
 
 
 def _bernoulli_b(a: float, log_p: float, log_q: float) -> float:
@@ -380,6 +386,9 @@ DECLARED = ("potential.envelope.mode=declared", "potential.envelope.c=1.0",
     ("bernoulli_localdim", [*DECLARED, "potential.envelope.c=.inf"], "potential.envelope.c"),
     ("bernoulli_localdim", [*DECLARED, "potential.envelope.gamma=.nan"],
      "potential.envelope.gamma"),
+    # int() would read 0.9 and true as symbols: the word 01011
+    ("bernoulli_localdim", ["command.word=[0.9, true, 0, 1, 1.5]"],
+     "command.word has a non-integer symbol"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, config, overrides, needle):
     args = [str(CONFIG_DIR / f"{config}.yaml"), "--set", f"output.csv={tmp_path / 'x.csv'}"]

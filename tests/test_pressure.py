@@ -20,6 +20,8 @@ from dimspectra import (
 )
 from dimspectra.pressure import gluing_length
 
+from conftest import linear_markov_map
+
 LOG2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 
@@ -170,6 +172,7 @@ ORACLE_MAPS = {
     "doubling": doubling_map(),
     "golden": golden_mean_map(),
     "three_branch": linear_full_branch_map([3.0, 4.0, 2.5]),
+    "markov": linear_markov_map(),
 }
 
 

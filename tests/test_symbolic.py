@@ -1,26 +1,32 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dimspectra import (
+    Branch,
     CylinderTable,
     InadmissibleSupport,
     PointOutsideCylinder,
     boundary_ratio,
+    build_map,
     cylinder,
     cylinders,
     distortion_report,
     geometric,
+    linear_full_branch_map,
     locally_constant,
+    manneville_pomeau_map,
     pointwise,
     shared_table,
     validate_potential,
     words_at_level,
 )
 from dimspectra.errors import LevelTooLarge
+from dimspectra.symbolic import LevelArrays, _same
 
 LOG2 = math.log(2.0)
 
@@ -210,3 +216,93 @@ def test_table_rows_equal_scalar_cylinders_bit_for_bit(request, name):
                 columns["phi_hi"] = [c.birkhoff_phi[1] for c in cyls]
             for key, scalar in columns.items():
                 assert np.array(scalar).tobytes() == getattr(arr, key).tobytes(), (phi, n, key)
+
+
+def _masked_power_map():
+    """A Newton branch whose image [0, 3/8] leaves out domain 2, so the
+    table prepends 0 to a masked set of rows (0.25 + 0.25**1.5 = 0.375)."""
+    return build_map([
+        Branch("power", (0.0, 0.25), (0.0, 0.375), s=0.5, c=1.0),
+        Branch("linear", (0.25, 0.375), (0.375, 1.0), slope=5.0, offset=-0.875),
+        Branch("linear", (0.375, 1.0), (0.0, 1.0), slope=1.6, offset=-0.6),
+    ])
+
+
+ORACLE_MAPS = {
+    "mp": lambda request: request.getfixturevalue("mp"),
+    "mp_1": lambda request: manneville_pomeau_map(1.0),
+    "farey": lambda request: request.getfixturevalue("farey"),
+    "golden": lambda request: request.getfixturevalue("golden"),
+    "doubling": lambda request: request.getfixturevalue("doubling"),
+    "negative_slope": lambda request: linear_full_branch_map([2.0, -2.5]),
+    "markov": lambda request: request.getfixturevalue("markov"),
+    "masked_power": lambda request: _masked_power_map(),
+}
+
+
+def _reference_level(table, prev):
+    """Level n+1 by the cylinder step with every endpoint inverted: per
+    symbol, Branch.inverse on the masked prev.lo and prev.hi in full."""
+    m = table.map
+    parts = []
+    for i, br in enumerate(m.branches):
+        mask = m.transition[i, prev.first].astype(bool)
+        if not mask.any():
+            continue
+        a, b = br.inverse(prev.lo[mask]), br.inverse(prev.hi[mask])
+        rest = (prev.psi_lo, prev.psi_hi, prev.phi_lo, prev.phi_hi, prev.prefix_code)
+        data = ((a, b) if br.increasing else (b, a)) + tuple(
+            None if col is None else col[mask] for col in rest
+        )
+        new = table._step(i, data, prev.n, pull=False)
+        parts.append((*new, np.full(a.size, i, dtype=np.int8), prev.last[mask]))
+    return LevelArrays(prev.n + 1, *(
+        None if col[0] is None else np.concatenate(col) for col in zip(*parts)
+    ))
+
+
+@pytest.mark.parametrize("cache_words", [1 << 18, 64])
+@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+def test_table_levels_equal_full_inversion_bit_for_bit(request, name, cache_words):
+    # The table inverts each endpoint once, reusing the images of shared and
+    # previous-level inputs; the reference inverts every endpoint.  Above
+    # cache_words the previous level is gone and only shared ends are reused.
+    m = ORACLE_MAPS[name](request)
+    for phi in (geometric(-0.7), _random_table(m, 2, seed=3)):
+        table = CylinderTable(m, phi, cache_words=cache_words)
+        prev = table.level(1)
+        for n in range(2, 15):
+            arr, ref = table.level(n), _reference_level(table, prev)
+            for f in fields(LevelArrays)[1:]:
+                got, want = getattr(arr, f.name), getattr(ref, f.name)
+                assert (got is None) == (want is None), (phi, n, f.name)
+                if got is not None:
+                    assert got.tobytes() == want.tobytes(), (phi, n, f.name)
+            prev = arr
+
+
+def test_reuse_needs_identical_input_bits(mp):
+    # Move every end of a level one ulp inward: no input then repeats an
+    # earlier one, although the rows still nest, so none may be reused.
+    table = CylinderTable(mp)
+    prev = table.level(6)  # level 5 stays cached beside it
+    moved = replace(prev, lo=np.nextafter(prev.lo, 1.0), hi=np.nextafter(prev.hi, 0.0))
+    for i, br in enumerate(mp.branches):
+        lo, hi = table._new_images(i, moved, _same)
+        assert lo.tobytes() == br.inverse(moved.lo).tobytes()
+        assert hi.tobytes() == br.inverse(moved.hi).tobytes()
+
+
+def test_parabolic_table_inverts_each_endpoint_once(mp, monkeypatch):
+    # MP(0.5) to level 19 passes 2,097,144 endpoints through the inverse
+    # when every endpoint is inverted; 524,296 of them are new.
+    points = []
+    inverse = Branch.inverse
+
+    def counted(self, y, **kw):
+        points.append(np.size(y))
+        return inverse(self, y, **kw)
+
+    monkeypatch.setattr(Branch, "inverse", counted)
+    CylinderTable(mp, geometric(-0.7)).level(19)
+    assert sum(points) <= 600_000
