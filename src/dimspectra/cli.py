@@ -259,8 +259,9 @@ def _parse_map_section(obj: Any) -> dict:
                 raise ConfigError(f"map.transition must be a {p}x{p} 0/1 matrix")
             out["transition"] = [[int(v) for v in r] for r in rows]
     elif family == "manneville_pomeau":
-        # Past s ~ 1e17 the branch split rounds to 1; the exponent fit gives
-        # up from s ~ 2 on, so the cap takes away no working map.
+        # Past s ~ 1e17 the branch split rounds to 1; from s ~ 3.05 on the
+        # unit-derivative grid check refuses the map, so the cap takes away
+        # no working map.
         out["s"] = _get_number(
             d, "s", "map", default=0.5, minimum=0.0, strict_min=True, maximum=1000.0
         )

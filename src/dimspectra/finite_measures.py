@@ -32,7 +32,7 @@ from .errors import (
 from .maps import MarkovMap
 from .numerics import descending_root, log_sum_exp
 from .pressure import _moran_root
-from .symbolic import CylinderTable, Potential, shared_table, words_at_level
+from .symbolic import CylinderTable, Potential, cylinders, shared_table, words_at_level
 
 CONNECTOR_CAP_SLACK = 8
 
@@ -91,9 +91,10 @@ def connector_length(
     strictly positive: the lower Birkhoff bracket of the leading word plus
     the connector's own bracket must exceed zero.  Words failing that bound
     on their own (neutral-orbit words on parabolic maps) are excluded from
-    eligibility rather than from the search.  The psi brackets come from
-    `table`, whatever its potential (they do not depend on it), so callers
-    pass the table they already hold.
+    eligibility rather than from the search.  The level-n psi brackets come
+    from `table`, whatever its potential (they do not depend on it), so
+    callers pass the table they already hold; the connectors' come from the
+    scalar cylinder path, which equals the table rows bit for bit.
 
     Raises:
         NoConnector: no uniform length up to k_max works (default cap
@@ -107,7 +108,6 @@ def connector_length(
     min_psi = float(np.min(arr.psi_lo[eligible]))
     cap = k_max if k_max is not None else 3 * m.aperiodicity_power + CONNECTOR_CAP_SLACK
 
-    lvl = {}
     for k in range(cap + 1):
         words: dict[tuple[int, int], tuple[int, ...]] = {}
         ok = True
@@ -122,14 +122,9 @@ def connector_length(
                 break
         if not ok:
             continue
+        con_psi = 0.0
         if k > 0:
-            if k not in lvl:
-                lvl[k] = table.level(k)
-            karr = lvl[k]
-            index = {word: i for i, word in enumerate(words_at_level(m, k))}
-            con_psi = min(float(karr.psi_lo[index[w]]) for w in set(words.values()))
-        else:
-            con_psi = 0.0
+            con_psi = min(c.birkhoff_psi[0] for c in cylinders(m, set(words.values())))
         if min_psi + con_psi > 0.0:
             return ConnectorTable(
                 level=n,
@@ -295,8 +290,6 @@ def optimize_block_weights(
     phi: Potential,
     n: int,
     alpha: float,
-    *,
-    threads: int | None = None,
 ) -> BlockMeasure:
     """Entropy-maximizing block weights with mean ratio alpha at level n.
 
@@ -333,7 +326,7 @@ def optimize_block_weights(
 
     def state(a: float, b: float) -> tuple[float, np.ndarray, float]:
         logq = a * psi + b * phv
-        log_z = log_sum_exp(logq, threads)
+        log_z = log_sum_exp(logq)
         q = np.exp(logq - log_z)
         return log_z, q, float(q @ g)
 
@@ -394,15 +387,7 @@ def window_mask(
     return (ratio_lo < alpha + eps) & (ratio_hi > alpha - eps)
 
 
-def bowen_sn(
-    m: MarkovMap,
-    phi: Potential,
-    n: int,
-    alpha: float,
-    eps: float,
-    *,
-    threads: int | None = None,
-) -> float:
+def bowen_sn(m: MarkovMap, phi: Potential, n: int, alpha: float, eps: float) -> float:
     """Root s of sum of diam^s over the level-n words in the alpha window.
 
     The window keeps words whose ratio bracket intersects
@@ -422,9 +407,7 @@ def bowen_sn(
     if count == 1:
         return 0.0
     log_d = np.log(shared_table(m, phi).level(n).diameters()[mask])
-    return descending_root(
-        lambda s: log_sum_exp(s * log_d, threads), 0.0, xtol=1e-10
-    )
+    return descending_root(lambda s: log_sum_exp(s * log_d), 0.0, xtol=1e-10)
 
 
 def window_weights(
@@ -433,8 +416,6 @@ def window_weights(
     n: int,
     alpha: float,
     eps: float,
-    *,
-    threads: int | None = None,
 ) -> tuple[BlockMeasure, float]:
     """Preset block weights q_w = diam(w)^(s_n) on the alpha window.
 
@@ -443,7 +424,7 @@ def window_weights(
     optimize_block_weights: both objectives agree within the connector and
     distortion slack.
     """
-    s_n = bowen_sn(m, phi, n, alpha, eps, threads=threads)
+    s_n = bowen_sn(m, phi, n, alpha, eps)
     mask = window_mask(m, phi, n, alpha, eps)
     table = shared_table(m, phi)
     mask &= connector_length(table, n).eligible
@@ -456,16 +437,14 @@ def window_weights(
     return block_measure(m, phi, n, q), s_n
 
 
-def moran_weights(
-    m: MarkovMap, phi: Potential | None, n: int, *, threads: int | None = None
-) -> tuple[BlockMeasure, float]:
+def moran_weights(m: MarkovMap, phi: Potential | None, n: int) -> tuple[BlockMeasure, float]:
     """Block measure with q_w = diam(w)^(s_n) over all eligible words.
 
     s_n here is the full-level root (window covering every word), the
     dimension ladder value.
     """
     table = shared_table(m, phi)
-    s_n = _moran_root(table, n, threads)
+    s_n = _moran_root(table, n)
     con = connector_length(table, n)
     d = table.level(n).diameters()
     q = np.where(con.eligible, np.exp(s_n * np.log(d)), 0.0)

@@ -201,7 +201,7 @@ def _tail_ratio(
         if not np.any(mask):
             return -math.inf
         contrib = f_hi[mask] + b * phi_hi[mask]
-        return log_sum_exp(contrib, None)
+        return log_sum_exp(contrib)
 
     top = [level_sum(r) for r in range(max(1, n_tr - 3), n_tr + 1)]
     top = [t for t in top if t > -math.inf]
@@ -246,11 +246,11 @@ def induced_b_point(
 
     def upper_pressure(b: float) -> float:
         contrib = f_hi + (b * phi_hi if b >= 0.0 else b * phi_lo)
-        return log_sum_exp(contrib, None)
+        return log_sum_exp(contrib)
 
     def lower_pressure(b: float) -> float:
         contrib = f_lo + (b * phi_lo if b >= 0.0 else b * phi_hi)
-        return log_sum_exp(contrib, None)
+        return log_sum_exp(contrib)
 
     def padded_pressure(b: float) -> float:
         r = _tail_ratio(f_hi, phi_hi, times, b, isys.truncation)
@@ -294,9 +294,7 @@ def induced_b_point(
             f"{b_upper:.4f} (> {tail_tol:.3g}); raise the truncation"
         )
     mid = solve(
-        lambda b: log_sum_exp(
-            0.5 * (f_lo + f_hi) + b * 0.5 * (phi_lo + phi_hi), None
-        )
+        lambda b: log_sum_exp(0.5 * (f_lo + f_hi) + b * 0.5 * (phi_lo + phi_hi))
     )
     lo_b, hi_b = min(b_lower, b_upper), max(b_lower, b_upper)
     if countable:
@@ -324,7 +322,7 @@ def _tail_log_bound(
     mask = times == n_tr
     if not np.any(mask) or ratio <= 0.0:
         return -math.inf
-    last = log_sum_exp(f_hi[mask] + b * phi_hi[mask], None)
+    last = log_sum_exp(f_hi[mask] + b * phi_hi[mask])
     return last + math.log(ratio) - math.log1p(-ratio)
 
 

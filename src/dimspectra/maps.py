@@ -563,7 +563,11 @@ def _detect_parabolic_orbits(
             if canon in seen:
                 continue
             seen.add(canon)
-            point = _periodic_point(branches, A, core, canon)
+            # An increasing branch that fixes a domain end fixes that very
+            # point; bisection stops where F(x) - x rounds to 0, off the end.
+            br = branches[canon[0]]
+            ends = [x for x in br.domain if br.increasing and br.value(x) == x]
+            point = ends[0] if m == 1 and ends else _periodic_point(branches, A, core, canon)
             if point is None:
                 continue
             points = [point]

@@ -69,7 +69,9 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
         values: 1-d float array; -inf entries contribute zero mass.
         threads: worker threads for per-chunk partial sums (default:
             `thread_count()`, read only when there is more than one chunk);
-            the reduction result does not depend on this value.
+            the reduction result does not depend on this value.  The
+            library passes None everywhere, so DIMSPECTRA_THREADS is the
+            one setting.
 
     Returns:
         The log-sum, or -inf for an empty / all -inf input.

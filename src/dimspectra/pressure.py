@@ -113,9 +113,8 @@ class _Curves:
         table: CylinderTable,
         n: int,
         coeffs: Callable[[float], tuple[float, float]],
-        threads: int | None,
     ):
-        self.table, self.n, self.coeffs, self.threads = table, n, coeffs, threads
+        self.table, self.n, self.coeffs = table, n, coeffs
         self.arr = table.level(n)
         self.k = gluing_length(m)
         self._floors: dict[float, float] = {}
@@ -124,7 +123,7 @@ class _Curves:
     def lower(self, x: float) -> float:
         """(log Z_n^inf + k * inf f) / (n + k)."""
         a, b = self.coeffs(x)
-        z_inf = log_sum_exp(self.arr.combined(a, b)[0], self.threads)
+        z_inf = log_sum_exp(self.arr.combined(a, b)[0])
         if self.k == 0:  # the floor would only be multiplied by k
             return z_inf / self.n
         if x not in self._floors:
@@ -133,7 +132,7 @@ class _Curves:
 
     def z_sup(self, x: float) -> float:
         """log Z_n^sup."""
-        return log_sum_exp(self.arr.combined(*self.coeffs(x))[1], self.threads)
+        return log_sum_exp(self.arr.combined(*self.coeffs(x))[1])
 
     def upper(self, x: float) -> float:
         return self.z_sup(x) / self.n
@@ -142,7 +141,7 @@ class _Curves:
         """log(Z_n^sup / Z_{n-1}^sup), fetching level n-1 on first use."""
         if self._prev is None:
             self._prev = self.table.level(self.n - 1)
-        z_prev = log_sum_exp(self._prev.combined(*self.coeffs(x))[1], self.threads)
+        z_prev = log_sum_exp(self._prev.combined(*self.coeffs(x))[1])
         return self.z_sup(x) - z_prev
 
     def roots(
@@ -219,15 +218,9 @@ def _ladder(
     )
 
 
-def pressure_bracket(
-    m: MarkovMap,
-    phi: Potential,
-    n: int,
-    *,
-    threads: int | None = None,
-) -> Pressure:
+def pressure_bracket(m: MarkovMap, phi: Potential, n: int) -> Pressure:
     """Single-level pressure enclosure for a potential; value is the midpoint."""
-    level = _Curves(m, shared_table(m, phi), n, lambda _: (0.0, 1.0), threads)
+    level = _Curves(m, shared_table(m, phi), n, lambda _: (0.0, 1.0))
     lower, upper = level.lower(0.0), level.upper(0.0)
     return Pressure(0.5 * (lower + upper), lower, upper, n, "bracket")
 
@@ -238,7 +231,6 @@ def pressure(
     *,
     tol: float = 1e-8,
     max_level: int = 32,
-    threads: int | None = None,
 ) -> Pressure:
     """Pressure of a potential by the level ladder; the ratio estimate is
     log(Z_n^sup / Z_{n-1}^sup).
@@ -251,7 +243,7 @@ def pressure(
     z_sup: dict[int, float] = {}
 
     def rung(n: int, _last: float | None):
-        level = _Curves(m, table, n, lambda _: (0.0, 1.0), threads)
+        level = _Curves(m, table, n, lambda _: (0.0, 1.0))
         z_sup[n] = level.z_sup(0.0)
         estimate = None if n == 1 else (lambda: z_sup[n] - z_sup[n - 1])
         return level.lower(0.0), z_sup[n] / n, estimate
@@ -296,12 +288,10 @@ def normalize_potential(
     return out
 
 
-def _moran_root(table: CylinderTable, n: int, threads: int | None) -> float:
+def _moran_root(table: CylinderTable, n: int) -> float:
     """Root of sum_w diam(w)^s = 1 at level n (unique: strictly decreasing)."""
     log_d = np.log(table.level(n).diameters())
-    return descending_root(
-        lambda s: log_sum_exp(s * log_d, threads), 0.0, xtol=1e-14
-    )
+    return descending_root(lambda s: log_sum_exp(s * log_d), 0.0, xtol=1e-14)
 
 
 def bowen_root(
@@ -309,7 +299,6 @@ def bowen_root(
     *,
     tol: float = 1e-6,
     max_level: int = 22,
-    threads: int | None = None,
 ) -> BowenRoot:
     """Dimension-type root of s -> P(-s log|T'|).
 
@@ -326,13 +315,13 @@ def bowen_root(
     parabolic = m.has_parabolic
 
     def rung(n: int, _last: float | None):
-        level = _Curves(m, table, n, lambda s: (-s, 0.0), threads)
+        level = _Curves(m, table, n, lambda s: (-s, 0.0))
         if not parabolic:
             return level.roots(0.0, step=8.0, xtol=1e-12)
         # The Moran root is exact for full-interval parabolic maps; the
         # ratio root would inherit the neutral word's slow drift.
         lower = descending_root(level.lower, 0.0, step=8.0, xtol=1e-12)
-        return lower, math.inf, lambda: _moran_root(table, n, threads)
+        return lower, math.inf, lambda: _moran_root(table, n)
 
     value, lower, upper, n, _ = _ladder(rung, 2, max_level, tol=tol, what="bowen root")
     return BowenRoot(value, lower, upper, n, parabolic)

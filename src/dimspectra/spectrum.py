@@ -39,7 +39,7 @@ from .errors import (
 from .maps import MarkovMap
 from .numerics import golden_section_min, log_sum_exp
 from .pressure import _Curves, _ladder, bowen_root
-from .symbolic import CylinderTable, Potential, shared_table, words_at_level
+from .symbolic import Potential, shared_table
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,6 @@ def b_of_a(
     *,
     tol: float = 1e-8,
     max_level: int = 24,
-    threads: int | None = None,
 ) -> BPoint:
     """Root in b of P(a log|T'| + b phi) = 0 with certified enclosure.
 
@@ -141,7 +140,7 @@ def b_of_a(
         if a <= ray_at + 1e-12:
             n = min(10, max_level)
             _, f_hi = table.level(n).combined(a, 0.0)
-            upper_pressure = max(log_sum_exp(f_hi, threads) / n, 0.0)
+            upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
             return BPoint(
                 a=a,
                 b=0.0,
@@ -153,7 +152,7 @@ def b_of_a(
 
     def rung(n: int, last: float | None):
         # Each level's roots start from the previous level's estimate.
-        level = _Curves(m, table, n, lambda b: (a, b), threads)
+        level = _Curves(m, table, n, lambda b: (a, b))
         return level.roots(0.0 if last is None else last, step=1.0, xtol=1e-13)
 
     b, lower, upper, n, _ = _ladder(rung, 2, max_level, tol=tol, what=f"b({a:g})")
@@ -167,13 +166,9 @@ def b_curve(
     *,
     tol: float = 1e-8,
     max_level: int = 24,
-    threads: int | None = None,
 ) -> list[BPoint]:
     """b(a) sampled over a list of a-values (shared tables, shared ray test)."""
-    return [
-        b_of_a(m, phi, float(a), tol=tol, max_level=max_level, threads=threads)
-        for a in a_values
-    ]
+    return [b_of_a(m, phi, float(a), tol=tol, max_level=max_level) for a in a_values]
 
 
 def alpha_of_a(
@@ -184,7 +179,6 @@ def alpha_of_a(
     step: float = 1e-3,
     tol: float = 1e-10,
     max_level: int = 24,
-    threads: int | None = None,
 ) -> AlphaPoint:
     """alpha(a) = 1/b'(a) by central differences at two step sizes.
 
@@ -196,7 +190,7 @@ def alpha_of_a(
         DerivativeUnstable: inconsistent or nonpositive slope estimates.
     """
     points = {
-        x: b_of_a(m, phi, x, tol=tol, max_level=max_level, threads=threads)
+        x: b_of_a(m, phi, x, tol=tol, max_level=max_level)
         for x in (a - step, a + step, a - step / 2, a + step / 2)
     }
     if all(pt.on_ray for pt in points.values()):
@@ -216,34 +210,6 @@ def alpha_of_a(
 
 # ---------------------------------------------------------------------------
 # alpha range from extreme cycle-mean ratios
-
-
-def _edge_graph(
-    m: MarkovMap, table: CylinderTable, n: int
-) -> tuple[
-    int,
-    np.ndarray,
-    np.ndarray,
-    tuple[np.ndarray, np.ndarray],
-    tuple[np.ndarray, np.ndarray],
-]:
-    """Word digraph at level n: nodes are (n-1)-words, edges are n-words.
-
-    Returns (node_count, tails, heads, (num_lo, num_hi), (den_lo, den_hi));
-    numerators and denominators are the per-edge Birkhoff brackets of -phi
-    and log|T'|.
-    """
-    prefix_index = {w: i for i, w in enumerate(words_at_level(m, n - 1))}
-    arr = table.level(n)
-    words = list(words_at_level(m, n))
-    tails = np.empty(len(words), dtype=np.int64)
-    heads = np.empty(len(words), dtype=np.int64)
-    for r, w in enumerate(words):
-        tails[r] = prefix_index[w[:-1]]
-        heads[r] = prefix_index[w[1:]]
-    num_lo, num_hi = -arr.phi_hi, -arr.phi_lo
-    den_lo, den_hi = arr.psi_lo.copy(), arr.psi_hi.copy()
-    return len(prefix_index), tails, heads, (num_lo, num_hi), (den_lo, den_hi)
 
 
 HOWARD_CAP = 200  # policy iterations; word digraphs need one or two
@@ -341,6 +307,8 @@ def spectrum_endpoints(
     alpha_max is +inf exactly when the map has a parabolic orbit (Birkhoff
     ratios along orbits approaching it diverge).  Enclosures come from
     solving the same cycle-ratio problem on the outer bracket combinations.
+    The word digraph has the (level-1)-words as nodes and the level-words
+    as edges, each weighted by its brackets of S(-phi) and S(log|T'|).
 
     Returns:
         (alpha_min, alpha_max, (alpha_min_lo, alpha_min_hi),
@@ -348,9 +316,10 @@ def spectrum_endpoints(
     """
     _require_negative(m, phi)
     table = shared_table(m, phi)
-    nodes, tails, heads, (num_lo, num_hi), (den_lo, den_hi) = _edge_graph(
-        m, table, level
-    )
+    tails, heads = table.links(level)
+    nodes, arr = table.level(level - 1).count, table.level(level)
+    num_lo, num_hi = -arr.phi_hi, -arr.phi_lo
+    den_lo, den_hi = arr.psi_lo, arr.psi_hi
     mid_num = 0.5 * (num_lo + num_hi)
     mid_den = 0.5 * (den_lo + den_hi)
     a_min = _min_cycle_ratio(nodes, tails, heads, mid_num, mid_den)
@@ -404,7 +373,6 @@ def legendre_spectrum(
     tol: float = 1e-8,
     max_level: int = 24,
     refine_tol: float = 1e-7,
-    threads: int | None = None,
 ) -> SpectrumCurve:
     """f(alpha) = inf_a (alpha*b(a) - a) over a sampled alpha grid.
 
@@ -422,9 +390,7 @@ def legendre_spectrum(
     def bp(a: float) -> BPoint:
         key = round(a, 12)
         if key not in cache:
-            cache[key] = b_of_a(
-                m, phi, key, tol=tol, max_level=max_level, threads=threads
-            )
+            cache[key] = b_of_a(m, phi, key, tol=tol, max_level=max_level)
         return cache[key]
 
     f_vals: list[float] = []

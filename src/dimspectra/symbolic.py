@@ -367,6 +367,16 @@ class CylinderTable:
             self._store(step, arrays)
         return arrays
 
+    def links(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """For each level-n row w (n >= 2), the level-(n-1) rows of w[:-1]
+        and of w[1:].  In lexicographic order the children of a word u are
+        consecutive, one per symbol u's last symbol admits, and the rows i·v
+        run over the v that admit i, symbol by symbol."""
+        prev, A = self.level(n - 1), self.map.transition
+        prefix = np.repeat(np.arange(prev.count), A.sum(axis=1)[prev.last])
+        suffix = np.concatenate([np.flatnonzero(A[i, prev.first]) for i in range(self.map.p)])
+        return prefix, suffix
+
     def _store(self, n: int, arrays: LevelArrays) -> None:
         if arrays.count > self.cache_words:
             for k in [k for k, v in self._levels.items() if v.count > self.cache_words]:

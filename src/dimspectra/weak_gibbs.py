@@ -71,7 +71,7 @@ def exact_model(m: MarkovMap, phi: Potential) -> WeakGibbsModel:
     if not m.is_full_shift:
         raise ConfigError("exact mode needs a full shift")
     values = np.array([v for _, v in phi.table], dtype=float) - phi.pressure_shift
-    total = log_sum_exp(values, None)
+    total = log_sum_exp(values)
     if abs(total) > 1e-12:
         raise ConfigError(
             f"weights sum to exp({total:.3e}), not 1; normalize the potential first"
@@ -214,16 +214,6 @@ def sample_points(
     mass = [None] + [_level_mass_midpoints(model, m, n) for n in range(1, depth + 1)]
     arrs = [None] + [table.level(n) for n in range(1, depth + 1)]
 
-    # Children of a word are consecutive rows at the next level (lex order),
-    # one per allowed next symbol in ascending order.
-    deg = m.transition.sum(axis=1).astype(np.int64)
-    max_deg = int(deg.max())
-    offsets = []
-    for n in range(1, depth):
-        d = deg[arrs[n].last]
-        start = np.concatenate(([0], np.cumsum(d)[:-1]))
-        offsets.append(start)
-
     uniforms = np.empty((count, depth))
     root = np.random.SeedSequence(seed)
     for i, child in enumerate(root.spawn(count)):
@@ -237,10 +227,14 @@ def sample_points(
     rows = np.minimum(rows, len(w1) - 1)
     words[:, 0] = arrs[1].last[rows]
     for t in range(1, depth):
-        base = offsets[t - 1][rows]
-        d = deg[arrs[t].last[rows]]
-        idx = base[:, None] + np.arange(max_deg)[None, :]
-        valid = np.arange(max_deg)[None, :] < d[:, None]
+        # The children of a row are the consecutive next-level rows whose
+        # prefix it is, one per allowed next symbol in ascending order.
+        parent, _ = table.links(t + 1)
+        base = np.searchsorted(parent, rows)
+        d = np.searchsorted(parent, rows, side="right") - base
+        width = np.arange(m.p)[None, :]  # no symbol has more children
+        idx = base[:, None] + width
+        valid = width < d[:, None]
         w = np.where(valid, mass[t + 1][np.minimum(idx, len(mass[t + 1]) - 1)], 0.0)
         cum = np.cumsum(w, axis=1)
         u = uniforms[:, t] * cum[:, -1]
@@ -272,8 +266,6 @@ def coarse_spectrum(
     n: int,
     alphas: Sequence[float] | np.ndarray,
     eps: float,
-    *,
-    threads: int | None = None,
 ) -> CoarseSpectrum:
     """Windowed roots over an alpha grid; empty windows are marked absent."""
     alphas = np.asarray(alphas, dtype=float)
@@ -281,7 +273,7 @@ def coarse_spectrum(
     counts = np.zeros(alphas.shape, dtype=np.int64)
     for i, alpha in enumerate(alphas):
         try:
-            s_values[i] = bowen_sn(m, model.phi, n, float(alpha), eps, threads=threads)
+            s_values[i] = bowen_sn(m, model.phi, n, float(alpha), eps)
         except EmptyWindow:
             continue
         counts[i] = int(np.sum(window_mask(m, model.phi, n, float(alpha), eps)))

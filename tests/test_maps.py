@@ -13,6 +13,7 @@ from dimspectra import (
     OutOfImage,
     build_map,
     linear_full_branch_map,
+    manneville_pomeau_map,
     parabolic_exponent,
 )
 from dimspectra import maps
@@ -273,6 +274,7 @@ def test_parabolic_exponent_fit(mp, farey):
 def test_farey_orbit_detected(farey):
     orbit = farey.parabolic_orbits[0]
     assert orbit.word == (0,)
+    assert orbit.points == (0.0,)  # the fixed domain end, not a bisected 1e-16
     assert orbit.beta == pytest.approx(1.0, abs=1e-9)
     assert farey.is_full_shift
 
@@ -280,3 +282,21 @@ def test_farey_orbit_detected(farey):
 def test_hyperbolic_maps_have_no_orbit(doubling, golden, two_slopes):
     for m in (doubling, golden, two_slopes):
         assert m.parabolic_orbits == ()
+
+
+@pytest.mark.parametrize("s", [0.001, 0.01, 0.5, 1.0, 1.5, 2.0, 3.0])
+def test_mp_builds_with_analytic_exponent(s):
+    # The neutral point is the domain end 0, which branch 0 fixes exactly;
+    # a bisected point (2e-11 at s = 1.5) missed the closed form.
+    orbit, = manneville_pomeau_map(s).parabolic_orbits
+    assert orbit.points == (0.0,)
+    assert orbit.multiplier == 1.0
+    assert orbit.analytic
+    assert (orbit.beta, orbit.L) == (s, 1.0 + s)
+
+
+def test_mp_limit_is_the_unit_derivative_grid_check():
+    # From s ~ 3.05 on, |T'| - 1 = (1+s) x^s falls below 1e-9 at the first
+    # grid point off 0, whose orbit creeps and never nears the neutral point.
+    with pytest.raises(ContractionViolation, match="never reaches"):
+        manneville_pomeau_map(5.0)

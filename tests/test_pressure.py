@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dimspectra import (
     pressure_bracket,
     words_at_level,
 )
+from dimspectra import numerics
 from dimspectra.pressure import gluing_length
 
 from conftest import linear_markov_map
@@ -116,11 +118,24 @@ def test_bowen_root_parabolic(farey, mp):
         assert root.value == pytest.approx(1.0, abs=1e-6)
 
 
-def test_pressure_thread_invariance(golden, zero_phi):
-    a = pressure(golden, zero_phi, tol=1e-9, threads=1)
-    b = pressure(golden, zero_phi, tol=1e-9, threads=4)
-    assert b.value == pytest.approx(a.value, abs=1e-13)
-    assert b.level == a.level
+def test_pressure_thread_invariance(doubling, bernoulli_phi, monkeypatch):
+    # Level 17 holds 131,072 words, four chunks of log_sum_exp, so four
+    # threads really split each reduction; the bits must not move.
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(numerics, "ThreadPoolExecutor", Pool)
+    brackets = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("DIMSPECTRA_THREADS", threads)
+        got = pressure_bracket(doubling, bernoulli_phi, 17)
+        brackets.append((got.value, got.lower, got.upper))
+    assert pools and set(pools) == {4}
+    assert brackets[0] == brackets[1]
 
 
 def _transfer_matrix_pressure(m, phi):

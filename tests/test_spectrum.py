@@ -20,7 +20,7 @@ from dimspectra import (
 )
 from dimspectra.numerics import bisect_root, expand_to_sign_change, log_sum_exp
 from dimspectra import spectrum
-from dimspectra.spectrum import _edge_graph, _min_cycle_ratio
+from dimspectra.spectrum import _min_cycle_ratio
 from dimspectra.symbolic import CylinderTable, shared_table
 
 LOG2 = math.log(2.0)
@@ -201,9 +201,11 @@ def test_min_cycle_ratio_matches_simple_cycles(graph):
 
 
 def test_min_cycle_ratio_farey_level8_against_lawler(farey, uniform_phi):
-    nodes, tails, heads, (num_lo, num_hi), (den_lo, den_hi) = _edge_graph(
-        farey, shared_table(farey, uniform_phi), 8
-    )
+    # The digraph spectrum_endpoints solves: 7-words as nodes, 8-words as edges.
+    table = shared_table(farey, uniform_phi)
+    tails, heads = table.links(8)
+    nodes, arr = table.level(7).count, table.level(8)
+    num_lo, num_hi, den_lo, den_hi = -arr.phi_hi, -arr.phi_lo, arr.psi_lo, arr.psi_hi
     mid_num, mid_den = 0.5 * (num_lo + num_hi), 0.5 * (den_lo + den_hi)
     # The word 0^8 has den_lo = 0: the parabolic fixed point's cycle is +inf.
     assert np.any(den_lo == 0.0)

@@ -306,3 +306,28 @@ def test_parabolic_table_inverts_each_endpoint_once(mp, monkeypatch):
     monkeypatch.setattr(Branch, "inverse", counted)
     CylinderTable(mp, geometric(-0.7)).level(19)
     assert sum(points) <= 600_000
+
+
+LINK_MAPS = {
+    "doubling": lambda request: request.getfixturevalue("doubling"),
+    "golden": lambda request: request.getfixturevalue("golden"),
+    "three_branch": lambda request: linear_full_branch_map([3.0, 4.0, 2.5]),
+    "markov": lambda request: request.getfixturevalue("markov"),
+    "mp": lambda request: request.getfixturevalue("mp"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINK_MAPS))
+def test_links_match_word_lookup(request, name):
+    # Oracle: the rows of w[:-1] and w[1:], looked up word by word in the
+    # level-(n-1) enumeration.
+    m = LINK_MAPS[name](request)
+    table = CylinderTable(m)
+    for n in range(2, 10):
+        index = {w: r for r, w in enumerate(words_at_level(m, n - 1))}
+        words = list(words_at_level(m, n))
+        prefix, suffix = table.links(n)
+        assert prefix.tolist() == [index[w[:-1]] for w in words], n
+        assert suffix.tolist() == [index[w[1:]] for w in words], n
+    with pytest.raises(ValueError):
+        table.links(1)
