@@ -48,7 +48,7 @@ from .maps import (
 )
 from .numerics import format_float, thread_count
 from .pressure import normalize_potential, pressure
-from .spectrum import b_of_a, legendre_spectrum, spectrum_endpoints
+from .spectrum import b_curve, legendre_spectrum, spectrum_endpoints
 from .symbolic import Potential, geometric, locally_constant, validate_potential
 from .weak_gibbs import declared_model, exact_model, local_dimension
 from . import __version__
@@ -627,18 +627,17 @@ def _cmd_pressure(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
 def _cmd_bcurve(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
     cmd = cfg.command
     res = _Result(["a", "b", "b_low", "b_high", "on_ray"], [])
-    for a in _grid_values(cmd["a_grid"]):
-        try:
-            point = b_of_a(
-                m, phi, float(a), tol=cmd["tol"], max_level=cmd["max_level"]
-            )
-            row = [point.a, point.b, point.lower, point.upper, point.on_ray]
-            res.widths.append(point.width)
-        except NotConverged as exc:
-            lo, hi = exc.enclosure
-            row = [float(a), 0.5 * (lo + hi), lo, hi, False]
+    a_values = [float(a) for a in _grid_values(cmd["a_grid"])]
+    points = b_curve(m, phi, a_values, tol=cmd["tol"], max_level=cmd["max_level"])
+    for a, point in zip(a_values, points):
+        if isinstance(point, NotConverged):
+            lo, hi = point.enclosure
+            row = [a, 0.5 * (lo + hi), lo, hi, False]
             res.widths.append(hi - lo)
             res.status = "enclosure"
+        else:
+            row = [point.a, point.b, point.lower, point.upper, point.on_ray]
+            res.widths.append(point.width)
         res.rows.append(row)
     return res
 

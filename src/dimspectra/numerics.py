@@ -4,6 +4,11 @@ All reductions here are deterministic: chunk boundaries are fixed by array
 length (never by thread count), within-chunk sums use numpy's pairwise
 reduction, and cross-chunk combination is sequential and compensated.
 Repeated runs on the same machine therefore produce identical bits.
+
+A row reduction equals the 1-d one: `log_sum_exp` on a 2-d array gives,
+for each row, the bits the 1-d call on that row gives, so a solve that
+evaluates many lanes in one call (see `_lockstep`) computes what solving
+each lane alone would.
 """
 
 from __future__ import annotations
@@ -66,7 +71,10 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
     """log(sum(exp(values))) with max shifting, safe against overflow.
 
     Args:
-        values: 1-d float array; -inf entries contribute zero mass.
+        values: 1-d float array; -inf entries contribute zero mass.  A 2-d
+            array is reduced along its last axis, one result per row, each
+            bit for bit the 1-d call's on that row (rows longer than one
+            chunk take that call).
         threads: worker threads for per-chunk partial sums (default:
             `thread_count()`, read only when there is more than one chunk);
             the reduction result does not depend on this value.  The
@@ -74,9 +82,15 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
             one setting.
 
     Returns:
-        The log-sum, or -inf for an empty / all -inf input.
+        The log-sum, or -inf for an empty / all -inf input; an array of
+        them for a 2-d input.
+
+    Raises:
+        ValueError: a nan or +inf entry (in any row).
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim == 2:
+        return _log_sum_exp_rows(values, threads)
     if values.size == 0:
         return -math.inf
     m = float(values.max())
@@ -103,6 +117,23 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
     for p in parts:  # sequential, in chunk order: deterministic
         acc.add(p)
     return m + math.log(acc.value)
+
+
+def _log_sum_exp_rows(values: np.ndarray, threads: int | None) -> np.ndarray:
+    """`log_sum_exp` of each row: the 1-d steps on all rows at once, with
+    math.log per row (np.log may differ from it in the last bit)."""
+    if values.shape[1] > _CHUNK or values.shape[1] == 0:
+        return np.array([log_sum_exp(row, threads) for row in values], dtype=float)
+    m = values.max(axis=1)
+    if np.isfinite(m).all():
+        sums = np.exp(values - m[:, None]).sum(axis=1)
+    else:
+        empty = m == -math.inf
+        if not np.all(np.isfinite(m) | empty):
+            raise ValueError("log_sum_exp received a non-finite (nan or +inf) entry")
+        sums = np.exp(values - np.where(empty, 0.0, m)[:, None]).sum(axis=1)
+        sums[empty] = 1.0  # all -inf rows: -inf + log 1
+    return m + np.fromiter(map(math.log, sums.tolist()), float, sums.size)
 
 
 class AitkenAccelerator:
@@ -135,6 +166,117 @@ class AitkenAccelerator:
         return self._next.push(est) if self._next is not None else est
 
 
+# ---------------------------------------------------------------------------
+# lanes
+#
+# Each solver below is written once, as a generator that yields every x it
+# needs and is sent back f(x).  `_drive` runs one such lane against a
+# function; `_lockstep` runs many lanes side by side and answers each
+# round's requests in one call, so numpy's per-call cost is paid once per
+# round instead of once per lane.  A lane's arithmetic does not depend on
+# which driver runs it.
+
+
+def _drive(steps, fn: Callable):
+    """Run one lane: answer each x the generator yields with fn(x), and
+    return what the generator returns."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(fn(x))
+    except StopIteration as done:
+        return done.value
+
+
+def _lockstep(lanes: list, answer: Callable, *, keep=()) -> list:
+    """Run lanes side by side.  Each round gathers the request that every
+    unfinished lane yields and answers them all with one call,
+    answer(requests) -> values in the same order.  Returns each lane's
+    result; a lane that raises an exception of a type in `keep` gets the
+    exception as its result, any other exception propagates."""
+    out: list = [None] * len(lanes)
+    asked: dict[int, object] = {}
+
+    def advance(i: int, value) -> None:
+        try:
+            asked[i] = lanes[i].send(value)
+        except StopIteration as done:
+            out[i] = done.value
+            asked.pop(i, None)
+        except keep as exc:
+            out[i] = exc
+            asked.pop(i, None)
+
+    for i in range(len(lanes)):
+        advance(i, None)
+    while asked:
+        live = list(asked)
+        for i, value in zip(live, answer([asked[i] for i in live])):
+            advance(i, value)
+    return out
+
+
+def _asking(ask: Callable, steps):
+    """Relay the generator `steps`, yielding ask(x) for each x it yields."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send((yield ask(x)))
+    except StopIteration as done:
+        return done.value
+
+
+def _call(request: tuple):
+    """Answer one request (fn, *args) with fn(*args): the one-lane case."""
+    return request[0](*request[1:])
+
+
+def _call_stacked(requests: list) -> list:
+    """Answer requests (fn, *args) with one call per distinct fn, each
+    argument stacked into an array over that fn's requests; fn must give
+    one value per entry, as the scalar calls would."""
+    groups: dict[Callable, list[int]] = {}
+    for k, request in enumerate(requests):
+        groups.setdefault(request[0], []).append(k)
+    values: list = [None] * len(requests)
+    for fn, ks in groups.items():
+        args = [np.array(col) for col in zip(*(requests[k][1:] for k in ks))]
+        for k, value in zip(ks, fn(*args).tolist()):
+            values[k] = value
+    return values
+
+
+# ---------------------------------------------------------------------------
+# solvers
+
+
+def _bisect(lo: float, hi: float, flo=None, fhi=None, *, xtol: float, max_iter: int):
+    """Bisection lane (see `bisect_root`); ends whose values are passed in
+    are not asked for again."""
+    if flo is None:
+        flo = yield lo
+    if fhi is None:
+        fhi = yield hi
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol or mid == lo or mid == hi:
+            break
+        fm = yield mid
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    return 0.5 * (lo + hi)
+
+
 def bisect_root(
     fn: Callable[[float], float],
     lo: float,
@@ -157,26 +299,25 @@ def bisect_root(
     Raises:
         ValueError: if the initial values do not bracket a sign change.
     """
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid == lo or mid == hi:
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+    return _drive(_bisect(lo, hi, xtol=xtol, max_iter=max_iter), fn)
+
+
+def _expand(start: float, step: float, f0=None, *, max_expand: int):
+    """Expansion lane (see `expand_to_sign_change`), given f(start) if
+    known; returns (lo, hi, f(lo), f(hi))."""
+    if f0 is None:
+        f0 = yield start
+    if f0 == 0.0:
+        return start, start, f0, f0
+    x, fx = start, f0
+    for _ in range(max_expand):
+        x_next = x + step
+        f_next = yield x_next
+        if f_next == 0.0 or (f_next > 0.0) != (f0 > 0.0):
+            return (x, x_next, fx, f_next) if x < x_next else (x_next, x, f_next, fx)
+        x, fx = x_next, f_next
+        step *= 2.0
+    raise ValueError("no sign change found while expanding bracket")
 
 
 def expand_to_sign_change(
@@ -191,18 +332,18 @@ def expand_to_sign_change(
     Returns (lo, hi) with fn(lo) and fn(hi) of opposite sign.  The step
     doubles each miss; direction is the sign of `step`.
     """
-    f0 = fn(start)
+    return _drive(_expand(start, step, max_expand=max_expand), fn)[:2]
+
+
+def _descend(start: float, *, xtol: float, step: float = 1.0):
+    """Descending-root lane (see `descending_root`): each x is asked once."""
+    f0 = yield start
     if f0 == 0.0:
-        return start, start
-    x = start
-    for _ in range(max_expand):
-        x_next = x + step
-        f_next = fn(x_next)
-        if f_next == 0.0 or (f_next > 0.0) != (f0 > 0.0):
-            return (x, x_next) if x < x_next else (x_next, x)
-        x = x_next
-        step *= 2.0
-    raise ValueError("no sign change found while expanding bracket")
+        return start
+    lo, hi, flo, fhi = yield from _expand(
+        start, step if f0 > 0.0 else -step, f0, max_expand=60
+    )
+    return (yield from _bisect(lo, hi, flo, fhi, xtol=xtol, max_iter=200))
 
 
 def descending_root(
@@ -219,16 +360,33 @@ def descending_root(
     Raises:
         ValueError: no sign change within 60 doublings of the step.
     """
-    f0 = fn(start)
-    if f0 == 0.0:
-        return start
-    lo, hi = expand_to_sign_change(
-        fn, start, step if f0 > 0.0 else -step, max_expand=60
-    )
-    return bisect_root(fn, lo, hi, xtol=xtol)
+    return _drive(_descend(start, xtol=xtol, step=step), fn)
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden(lo: float, hi: float, *, xtol: float, max_iter: int):
+    """Golden-section lane (see `golden_section_min`)."""
+    a, b = lo, hi
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc = yield c
+    fd = yield d
+    for _ in range(max_iter):
+        if b - a <= xtol:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = yield c
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = yield d
+    if fc <= fd:
+        return c, fc
+    return d, fd
 
 
 def golden_section_min(
@@ -243,24 +401,7 @@ def golden_section_min(
 
     Returns (argmin, min value).  Deterministic; no randomization.
     """
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-    if fc <= fd:
-        return c, fc
-    return d, fd
+    return _drive(_golden(lo, hi, xtol=xtol, max_iter=max_iter), fn)
 
 
 def format_float(x: float) -> str:

@@ -25,19 +25,35 @@ maps have no spectral gap and no finite-level upper certificate for Bowen
 roots (the neutral word pins sup-sums at a nonnegative pressure), which is
 reported honestly as an infinite upper endpoint; their Bowen estimate is
 the Moran root instead.
+
+The ladder and its root solves are lanes (see numerics): generators that
+yield requests (curve, a, b) for curve values.  pressure() and
+bowen_root() run one lane with `_drive`; spectrum.b_curve() runs one lane
+per a in lockstep, answering each round's requests on a level in one
+call over all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import NotConverged, NotStrictlyNegative
 from .maps import MarkovMap
-from .numerics import AitkenAccelerator, descending_root, log_sum_exp
+from .numerics import (
+    _CHUNK,
+    AitkenAccelerator,
+    _asking,
+    _call,
+    _descend,
+    _drive,
+    descending_root,
+    log_sum_exp,
+)
 from .symbolic import CylinderTable, Potential, shared_table
 
 
@@ -97,92 +113,115 @@ def gluing_length(m: MarkovMap) -> int:
 
 def potential_floor(
     table: CylinderTable, coeff_psi: float, coeff_phi: float = 0.0
-) -> float:
-    """Certified lower bound for inf of the combined potential on the core."""
-    f_lo, _ = table.level(1).combined(coeff_psi, coeff_phi)
-    return float(np.min(f_lo))
+):
+    """Certified lower bound for inf of the combined potential on the core
+    (one per lane for arrays of coefficients, see `_Curves`)."""
+    floor = _per_lane(table.level(1), 0, lambda f: np.min(f, axis=-1), coeff_psi, coeff_phi)
+    return floor if np.ndim(floor) else float(floor)
+
+
+def _per_lane(arr, side: int, reduce: Callable, a, b):
+    """reduce(arr.combined_side(a, b, side)).  For arrays a, b of one entry
+    per lane it runs on slices of lanes holding at most one log-sum-exp
+    chunk of entries, and the results are joined."""
+    if np.ndim(a) == 0:
+        return reduce(arr.combined_side(a, b, side))
+    rows = max(1, _CHUNK // arr.count)
+    if a.size <= rows:
+        return reduce(arr.combined_side(a, b, side))
+    return np.concatenate([
+        reduce(arr.combined_side(a[i : i + rows], b[i : i + rows], side))
+        for i in range(0, a.size, rows)
+    ])
+
+
+def _log_z(arr, side: int, a, b):
+    """log Z_n over the inf (side 0) or sup (side 1) brackets of a*psi + b*phi."""
+    return _per_lane(arr, side, log_sum_exp, a, b)
 
 
 class _Curves:
-    """Level-n certified pressure curves of a*log|T'| + b*phi, as functions
-    of one unknown x through (a, b) = coeffs(x)."""
+    """Level-n certified pressure curves of a*log|T'| + b*phi.
 
-    def __init__(
-        self,
-        m: MarkovMap,
-        table: CylinderTable,
-        n: int,
-        coeffs: Callable[[float], tuple[float, float]],
-    ):
-        self.table, self.n, self.coeffs = table, n, coeffs
+    Each curve takes (a, b) as floats, or as arrays of one entry per lane;
+    then it gives one value per lane, bit for bit the scalar call's, so
+    lanes that share a level can be answered in one call (`_call_stacked`).
+    """
+
+    def __init__(self, m: MarkovMap, table: CylinderTable, n: int):
+        self.table, self.n = table, n
         self.arr = table.level(n)
         self.k = gluing_length(m)
-        self._floors: dict[float, float] = {}
         self._prev = None
 
-    def lower(self, x: float) -> float:
+    def lower(self, a, b):
         """(log Z_n^inf + k * inf f) / (n + k)."""
-        a, b = self.coeffs(x)
-        z_inf = log_sum_exp(self.arr.combined(a, b)[0])
+        z_inf = _log_z(self.arr, 0, a, b)
         if self.k == 0:  # the floor would only be multiplied by k
             return z_inf / self.n
-        if x not in self._floors:
-            self._floors[x] = potential_floor(self.table, a, b)
-        return (z_inf + self.k * self._floors[x]) / (self.n + self.k)
+        return (z_inf + self.k * potential_floor(self.table, a, b)) / (self.n + self.k)
 
-    def z_sup(self, x: float) -> float:
+    def z_sup(self, a, b):
         """log Z_n^sup."""
-        return log_sum_exp(self.arr.combined(*self.coeffs(x))[1])
+        return _log_z(self.arr, 1, a, b)
 
-    def upper(self, x: float) -> float:
-        return self.z_sup(x) / self.n
+    def upper(self, a, b):
+        return self.z_sup(a, b) / self.n
 
-    def ratio(self, x: float) -> float:
+    def ratio(self, a, b):
         """log(Z_n^sup / Z_{n-1}^sup), fetching level n-1 on first use."""
         if self._prev is None:
             self._prev = self.table.level(self.n - 1)
-        z_prev = log_sum_exp(self._prev.combined(*self.coeffs(x))[1])
-        return self.z_sup(x) - z_prev
+        return self.z_sup(a, b) - _log_z(self._prev, 1, a, b)
 
-    def roots(
-        self, start: float, *, step: float, xtol: float
-    ) -> tuple[float, float, Callable[[], float]]:
-        """Rung of a root ladder: the roots of the lower and upper curves,
-        which enclose the true root since pressure decreases in x, and the
-        ratio-curve root to xtol / 10 as the lazy estimate."""
-        lower = descending_root(self.lower, start, step=step, xtol=xtol)
+    @cached_property
+    def one_curve(self) -> bool:
+        """No gluing symbols and exact Birkhoff sums: lower is upper."""
         arr = self.arr
-        if (  # no gluing symbols and exact Birkhoff sums: one curve, one root
+        return (
             self.k == 0
             and np.array_equal(arr.psi_lo, arr.psi_hi)
             and np.array_equal(arr.phi_lo, arr.phi_hi)
-        ):
+        )
+
+    @staticmethod
+    def root(curve: Callable, coeffs: Callable, start: float, *, step: float, xtol: float):
+        """Lane of the descending root of curve(*coeffs(x)); its requests are
+        (curve, a, b)."""
+        return _asking(lambda x: (curve, *coeffs(x)), _descend(start, step=step, xtol=xtol))
+
+    def roots(self, coeffs: Callable, start: float, *, step: float, xtol: float):
+        """Rung of a root ladder, as a lane: the roots of the lower and upper
+        curves, which enclose the true root since pressure decreases in x,
+        and as the estimate the lane of the ratio-curve root to xtol / 10.
+        coeffs(x) gives the (a, b) of x."""
+        lower = yield from self.root(self.lower, coeffs, start, step=step, xtol=xtol)
+        if self.one_curve:
             upper = lower
         else:
-            upper = descending_root(self.upper, start, step=step, xtol=xtol)
-        return lower, upper, (
-            lambda: descending_root(self.ratio, start, step=step, xtol=xtol / 10)
-        )
+            upper = yield from self.root(self.upper, coeffs, start, step=step, xtol=xtol)
+        return lower, upper, self.root(self.ratio, coeffs, start, step=step, xtol=xtol / 10)
 
 
 def _ladder(
-    rung: Callable[[int, float | None], tuple],
+    rung: Callable,
     first: int,
     max_level: int,
     *,
     tol: float,
     what: str,
-) -> tuple[float, float, float, int, str]:
-    """The level ladder behind pressure(), bowen_root() and b_of_a().
+):
+    """The level ladder behind pressure(), bowen_root() and b_of_a(), as a
+    lane whose requests are those of its rungs.
 
-    rung(n, last) gives level n's certified (lower, upper) bounds and a
-    callable for its ratio estimate, run only while the best bracket is
-    open (None: no estimate yet); `last` is the previous level's raw
-    estimate.  Stops on a closed bracket (value: its upper end), a width
-    <= tol ("bracket"), or a raw or Aitken-accelerated estimate that moved
-    by <= tol ("ratio", heuristic); the value is then the accelerated
-    estimate clamped into the bracket.  Returns (value, lower, upper,
-    level, mode).
+    rung(n, last) is a lane giving level n's certified (lower, upper)
+    bounds and its ratio estimate: None (no estimate yet), a float, or a
+    lane computing it, run only while the best bracket is open; `last` is
+    the previous level's raw estimate.  Stops on a closed bracket (value:
+    its upper end), a width <= tol ("bracket"), or a raw or
+    Aitken-accelerated estimate that moved by <= tol ("ratio", heuristic);
+    the value is then the accelerated estimate clamped into the bracket.
+    Returns (value, lower, upper, level, mode).
 
     Raises:
         NotConverged: no stop by `max_level`; the best enclosure rides along.
@@ -193,14 +232,14 @@ def _ladder(
     est_prev: float | None = None
     est = math.nan
     for n in range(first, max_level + 1):
-        lower, upper, estimate = rung(n, value_prev)
+        lower, upper, estimate = yield from rung(n, value_prev)
         best_lo, best_hi = max(best_lo, lower), min(best_hi, upper)
         if best_hi <= best_lo:
             # A closed bracket clamps every estimate to best_hi.
             return best_hi, best_lo, best_hi, n, "bracket"
         if estimate is None:
             continue
-        value = estimate()
+        value = estimate if isinstance(estimate, float) else (yield from estimate)
         est = accel.push(value)
         clamped = min(max(est, best_lo), best_hi)
         if best_hi - best_lo <= tol:
@@ -220,8 +259,8 @@ def _ladder(
 
 def pressure_bracket(m: MarkovMap, phi: Potential, n: int) -> Pressure:
     """Single-level pressure enclosure for a potential; value is the midpoint."""
-    level = _Curves(m, shared_table(m, phi), n, lambda _: (0.0, 1.0))
-    lower, upper = level.lower(0.0), level.upper(0.0)
+    level = _Curves(m, shared_table(m, phi), n)
+    lower, upper = level.lower(0.0, 1.0), level.upper(0.0, 1.0)
     return Pressure(0.5 * (lower + upper), lower, upper, n, "bracket")
 
 
@@ -243,12 +282,12 @@ def pressure(
     z_sup: dict[int, float] = {}
 
     def rung(n: int, _last: float | None):
-        level = _Curves(m, table, n, lambda _: (0.0, 1.0))
-        z_sup[n] = level.z_sup(0.0)
-        estimate = None if n == 1 else (lambda: z_sup[n] - z_sup[n - 1])
-        return level.lower(0.0), z_sup[n] / n, estimate
+        level = _Curves(m, table, n)
+        z_sup[n] = yield level.z_sup, 0.0, 1.0
+        lower = yield level.lower, 0.0, 1.0
+        return lower, z_sup[n] / n, None if n == 1 else z_sup[n] - z_sup[n - 1]
 
-    return Pressure(*_ladder(rung, 1, max_level, tol=tol, what="pressure"))
+    return Pressure(*_drive(_ladder(rung, 1, max_level, tol=tol, what="pressure"), _call))
 
 
 def normalize_potential(
@@ -314,14 +353,19 @@ def bowen_root(
     table = shared_table(m, None)
     parabolic = m.has_parabolic
 
-    def rung(n: int, _last: float | None):
-        level = _Curves(m, table, n, lambda s: (-s, 0.0))
-        if not parabolic:
-            return level.roots(0.0, step=8.0, xtol=1e-12)
-        # The Moran root is exact for full-interval parabolic maps; the
-        # ratio root would inherit the neutral word's slow drift.
-        lower = descending_root(level.lower, 0.0, step=8.0, xtol=1e-12)
-        return lower, math.inf, lambda: _moran_root(table, n)
+    def coeffs(s: float) -> tuple[float, float]:
+        return -s, 0.0
 
-    value, lower, upper, n, _ = _ladder(rung, 2, max_level, tol=tol, what="bowen root")
+    def rung(n: int, _last: float | None):
+        level = _Curves(m, table, n)
+        if not parabolic:
+            return (yield from level.roots(coeffs, 0.0, step=8.0, xtol=1e-12))
+        # The Moran root is exact for full-interval parabolic maps; the
+        # ratio root would inherit the neutral word's slow drift.  Its
+        # bracket never closes (upper is +inf), so it is always needed.
+        lower = yield from level.root(level.lower, coeffs, 0.0, step=8.0, xtol=1e-12)
+        return lower, math.inf, _moran_root(table, n)
+
+    ladder = _ladder(rung, 2, max_level, tol=tol, what="bowen root")
+    value, lower, upper, n, _ = _drive(ladder, _call)
     return BowenRoot(value, lower, upper, n, parabolic)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import (
     NotStrictlyNegative,
 )
 from .maps import MarkovMap
-from .numerics import golden_section_min, log_sum_exp
+from .numerics import _asking, _call, _call_stacked, _drive, _golden, _lockstep, log_sum_exp
 from .pressure import _Curves, _ladder, bowen_root
 from .symbolic import Potential, shared_table
 
@@ -103,6 +104,58 @@ def _require_negative(m: MarkovMap, phi: Potential) -> float:
     return sup
 
 
+def _ray_start(m: MarkovMap, tol: float, max_level: int) -> float:
+    """a = -dim(Lambda), where the ray b(a) = 0 starts on a parabolic map:
+    one Bowen solve per (map, tol, max_level), kept beside the map's
+    tables.  It runs outside the lock, which bowen_root takes too."""
+    key = (tol, max_level)
+    with m._cache_lock:
+        ray_at = m._ray_cache.get(key)
+    if ray_at is None:
+        ray_at = -bowen_root(m, tol=tol, max_level=max_level).value
+        with m._cache_lock:
+            m._ray_cache[key] = ray_at
+    return ray_at
+
+
+def _b_lanes(
+    m: MarkovMap, phi: Potential, a_values, tol: float, max_level: int
+) -> list:
+    """One lane per a solving b(a) (see b_of_a); lanes on a level share its
+    curves, so their requests can be answered together.  A level's curves
+    live only while a lane uses them, so the table can still drop levels
+    past its cache."""
+    sup_phi = _require_negative(m, phi)
+    table = shared_table(m, phi)
+    ray_at = _ray_start(m, tol, max_level) if m.has_parabolic else None
+    levels: WeakValueDictionary[int, _Curves] = WeakValueDictionary()
+
+    def curves(n: int) -> _Curves:
+        level = levels.get(n)
+        if level is None:
+            level = levels[n] = _Curves(m, table, n)
+        return level
+
+    def lane(a: float):
+        if ray_at is not None and a <= ray_at + 1e-12:
+            n = min(10, max_level)
+            f_hi = table.level(n).combined_side(a, 0.0, 1)
+            upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
+            return BPoint(a, 0.0, 0.0, upper_pressure / -sup_phi, n, True)
+
+        def rung(n: int, last: float | None):
+            # Each level's roots start from the previous level's estimate.
+            return curves(n).roots(
+                lambda b: (a, b), 0.0 if last is None else last, step=1.0, xtol=1e-13
+            )
+
+        ladder = _ladder(rung, 2, max_level, tol=tol, what=f"b({a:g})")
+        b, lower, upper, n, _ = yield from ladder
+        return BPoint(a, b, lower, upper, n, False)
+
+    return [lane(float(a)) for a in a_values]
+
+
 def b_of_a(
     m: MarkovMap,
     phi: Potential,
@@ -111,7 +164,8 @@ def b_of_a(
     tol: float = 1e-8,
     max_level: int = 24,
 ) -> BPoint:
-    """Root in b of P(a log|T'| + b phi) = 0 with certified enclosure.
+    """Root in b of P(a log|T'| + b phi) = 0 with certified enclosure: the
+    one-lane case of `b_curve`.
 
     Args:
         m: the Markov map.
@@ -124,39 +178,8 @@ def b_of_a(
         NotStrictlyNegative: sup phi >= 0.
         NotConverged: neither criterion met by max_level (enclosure rides).
     """
-    sup_phi = _require_negative(m, phi)
-    table = shared_table(m, phi)
-    if m.has_parabolic:
-        # The ray starts at a = -dim(Lambda): one Bowen solve per (map, tol,
-        # max_level), kept beside the map's tables.  It runs outside the
-        # lock, which bowen_root takes too.
-        key = (tol, max_level)
-        with m._cache_lock:
-            ray_at = m._ray_cache.get(key)
-        if ray_at is None:
-            ray_at = -bowen_root(m, tol=tol, max_level=max_level).value
-            with m._cache_lock:
-                m._ray_cache[key] = ray_at
-        if a <= ray_at + 1e-12:
-            n = min(10, max_level)
-            _, f_hi = table.level(n).combined(a, 0.0)
-            upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
-            return BPoint(
-                a=a,
-                b=0.0,
-                lower=0.0,
-                upper=upper_pressure / -sup_phi,
-                level=n,
-                on_ray=True,
-            )
-
-    def rung(n: int, last: float | None):
-        # Each level's roots start from the previous level's estimate.
-        level = _Curves(m, table, n, lambda b: (a, b))
-        return level.roots(0.0 if last is None else last, step=1.0, xtol=1e-13)
-
-    b, lower, upper, n, _ = _ladder(rung, 2, max_level, tol=tol, what=f"b({a:g})")
-    return BPoint(a, b, lower, upper, n, False)
+    (lane,) = _b_lanes(m, phi, [a], tol, max_level)
+    return _drive(lane, _call)
 
 
 def b_curve(
@@ -166,9 +189,20 @@ def b_curve(
     *,
     tol: float = 1e-8,
     max_level: int = 24,
-) -> list[BPoint]:
-    """b(a) sampled over a list of a-values (shared tables, shared ray test)."""
-    return [b_of_a(m, phi, float(a), tol=tol, max_level=max_level) for a in a_values]
+) -> list[BPoint | NotConverged]:
+    """b(a) over a list of a-values, each solved as b_of_a solves it, with
+    every a's solve run in lockstep: each round evaluates all pending
+    lanes on a level in one call.  An a whose ladder does not converge
+    gets its NotConverged (enclosure included) in place of a BPoint.
+
+    Raises:
+        NotStrictlyNegative: sup phi >= 0.
+    """
+    try:
+        lanes = _b_lanes(m, phi, a_values, tol, max_level)
+    except NotConverged as exc:  # the ray start, which every lane needs
+        return [exc] * len(a_values)
+    return _lockstep(lanes, _call_stacked, keep=NotConverged)
 
 
 def alpha_of_a(
@@ -189,10 +223,12 @@ def alpha_of_a(
     Raises:
         DerivativeUnstable: inconsistent or nonpositive slope estimates.
     """
-    points = {
-        x: b_of_a(m, phi, x, tol=tol, max_level=max_level)
-        for x in (a - step, a + step, a - step / 2, a + step / 2)
-    }
+    xs = (a - step, a + step, a - step / 2, a + step / 2)
+    found = b_curve(m, phi, xs, tol=tol, max_level=max_level)
+    for point in found:
+        if isinstance(point, NotConverged):
+            raise point
+    points = dict(zip(xs, found))
     if all(pt.on_ray for pt in points.values()):
         return AlphaPoint(a=a, alpha=math.inf, b_prime=0.0, spread=0.0)
     d1 = (points[a + step].b - points[a - step].b) / (2 * step)
@@ -379,35 +415,23 @@ def legendre_spectrum(
     The objective is convex in a (b is convex; the ray keeps it so), so each
     alpha is minimized by golden-section search, with the initial [a_lo, a_hi]
     bracket widened automatically while the minimizer sits on its edge.
+    The searches run in lockstep: each round, the a values that no alpha
+    has asked for before (by round(a, 12)) are solved in one `b_curve`.
+    A NotConverged from b(a) ends the whole transform.
 
     Values outside the admissible alpha range come out negative; they are
     reported as computed (no clamping), matching the convention f < 0 means
     "no points with that local dimension".
     """
     _require_negative(m, phi)
-    cache: dict[float, BPoint] = {}
+    cache: dict[float, BPoint] = {}  # b(a) by round(a, 12)
 
-    def bp(a: float) -> BPoint:
-        key = round(a, 12)
-        if key not in cache:
-            cache[key] = b_of_a(m, phi, key, tol=tol, max_level=max_level)
-        return cache[key]
-
-    f_vals: list[float] = []
-    f_los: list[float] = []
-    f_ups: list[float] = []
-    a_mins: list[float] = []
-    b_mins: list[float] = []
-    b_los: list[float] = []
-    b_his: list[float] = []
-    for alpha in np.asarray(alphas, dtype=float):
+    def lane(alpha: float):
+        """The golden-section search for one alpha; requests (alpha, a)."""
         lo, hi = a_lo, a_hi
-
-        def objective(a: float) -> float:
-            return alpha * bp(a).b - a
-
         for _ in range(8):  # widen while the minimizer presses the bracket
-            a_star, _ = golden_section_min(objective, lo, hi, xtol=refine_tol)
+            golden = _golden(lo, hi, xtol=refine_tol, max_iter=120)
+            a_star, _ = yield from _asking(lambda a: (alpha, a), golden)
             span = hi - lo
             if a_star - lo < 0.02 * span:
                 lo -= span
@@ -415,25 +439,31 @@ def legendre_spectrum(
                 hi += span
             else:
                 break
-        a_star = round(a_star, 12)  # the a whose b(a) the cache holds
-        point = bp(a_star)
-        f_vals.append(alpha * point.b - a_star)
-        f_los.append(alpha * point.lower - a_star)
-        f_ups.append(alpha * point.upper - a_star)
-        a_mins.append(a_star)
-        b_mins.append(point.b)
-        b_los.append(point.lower)
-        b_his.append(point.upper)
+        return round(a_star, 12)  # the a whose b(a) the cache holds
+
+    def objectives(requests: list) -> list[float]:
+        """alpha*b(a) - a per request, solving every new a in one b_curve."""
+        keys = [round(a, 12) for _, a in requests]
+        new = [key for key in dict.fromkeys(keys) if key not in cache]
+        for key, point in zip(new, b_curve(m, phi, new, tol=tol, max_level=max_level)):
+            if isinstance(point, NotConverged):
+                raise point
+            cache[key] = point
+        return [alpha * cache[key].b - a for (alpha, a), key in zip(requests, keys)]
+
+    grid = np.asarray(alphas, dtype=float)
+    a_stars = _lockstep([lane(alpha) for alpha in grid], objectives)
+    rows = [(alpha, a, cache[a]) for alpha, a in zip(grid, a_stars)]
     amin, amax, _, _ = spectrum_endpoints(m, phi)
     return SpectrumCurve(
         alphas=tuple(float(x) for x in alphas),
-        f_values=tuple(f_vals),
-        f_lowers=tuple(f_los),
-        f_uppers=tuple(f_ups),
-        a_minimizers=tuple(a_mins),
-        b_at_minimizers=tuple(b_mins),
-        b_lowers=tuple(b_los),
-        b_uppers=tuple(b_his),
+        f_values=tuple(alpha * pt.b - a for alpha, a, pt in rows),
+        f_lowers=tuple(alpha * pt.lower - a for alpha, a, pt in rows),
+        f_uppers=tuple(alpha * pt.upper - a for alpha, a, pt in rows),
+        a_minimizers=tuple(a_stars),
+        b_at_minimizers=tuple(pt.b for _, _, pt in rows),
+        b_lowers=tuple(pt.lower for _, _, pt in rows),
+        b_uppers=tuple(pt.upper for _, _, pt in rows),
         alpha_min=amin,
         alpha_max=amax,
     )

@@ -307,24 +307,44 @@ class LevelArrays:
     def diameters(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def combined(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Brackets of S_n(a*psi + b*phi) per word."""
-        if a >= 0.0:
-            f_lo = a * self.psi_lo
-            f_hi = a * self.psi_hi
-        else:
-            f_lo = a * self.psi_hi
-            f_hi = a * self.psi_lo
+    def combined(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Brackets of S_n(a*psi + b*phi) per word: both `combined_side`s."""
+        return self.combined_side(a, b, 0), self.combined_side(a, b, 1)
+
+    def combined_side(self, a, b, side: int) -> np.ndarray:
+        """The lower (side 0) or upper (side 1) ends of the brackets of
+        S_n(a*psi + b*phi) per word, one product per entry: each coefficient
+        picks the psi or phi side its sign calls for, and phi is skipped
+        where b == 0.  For arrays a and b of one entry per lane, row i holds
+        the ends at (a[i], b[i]), bit for bit what the scalar call gives."""
+        if np.ndim(a):
+            a, b = np.asarray(a), np.asarray(b)
+            f = _scaled(a, self.psi_lo, self.psi_hi, side)
+            if b.any():
+                if self.phi_lo is None:
+                    raise ValueError("table was built without a phi potential")
+                on = slice(None) if b.all() else b != 0.0
+                f[on] += _scaled(b[on], self.phi_lo, self.phi_hi, side)
+            return f
+        low = (a >= 0.0) == (side == 0)
+        f = a * (self.psi_lo if low else self.psi_hi)
         if b != 0.0:
             if self.phi_lo is None:
                 raise ValueError("table was built without a phi potential")
-            if b >= 0.0:
-                f_lo = f_lo + b * self.phi_lo
-                f_hi = f_hi + b * self.phi_hi
-            else:
-                f_lo = f_lo + b * self.phi_hi
-                f_hi = f_hi + b * self.phi_lo
-        return f_lo, f_hi
+            low = (b >= 0.0) == (side == 0)
+            f = f + b * (self.phi_lo if low else self.phi_hi)
+        return f
+
+
+def _scaled(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, side: int) -> np.ndarray:
+    """Rows c[i]*lo where c[i] >= 0 and c[i]*hi elsewhere (side 0), or the
+    other way round (side 1)."""
+    if side:
+        lo, hi = hi, lo
+    keep = c >= 0.0
+    if keep.all():
+        return np.multiply.outer(c, lo)
+    return c[:, None] * np.where(keep[:, None], lo, hi)
 
 
 class CylinderTable:
@@ -335,7 +355,8 @@ class CylinderTable:
     applied to masked arrays.  Levels whose word count stays under
     `cache_words` are cached; above that only the most recently built level
     is kept, so deep parabolic ladders do not hold every large level at
-    once.
+    once.  The large level before it keeps the four columns the next build
+    reads from its grandparent (see `_new_images`): lo, hi, first, last.
     """
 
     def __init__(
@@ -351,6 +372,7 @@ class CylinderTable:
         self.budget = budget
         self.cache_words = cache_words
         self._levels: dict[int, LevelArrays] = {}
+        self._ends: LevelArrays | None = None  # lo, hi, first, last of a dropped level
         self._step = _Prepend(m, phi)
 
     def level(self, n: int) -> LevelArrays:
@@ -379,8 +401,11 @@ class CylinderTable:
 
     def _store(self, n: int, arrays: LevelArrays) -> None:
         if arrays.count > self.cache_words:
+            self._ends = None
             for k in [k for k, v in self._levels.items() if v.count > self.cache_words]:
-                del self._levels[k]
+                v = self._levels.pop(k)
+                if k == n - 1:
+                    self._ends = LevelArrays(k, v.lo, v.hi, *[None] * 5, v.first, v.last)
         self._levels[n] = arrays
 
     def _base_level(self) -> LevelArrays:
@@ -428,6 +453,8 @@ class CylinderTable:
         Reuse needs equal bits, so each image is what `Branch.inverse` gives.
         """
         m, br, before = self.map, self.map.branches[i], self._levels.get(prev.n - 1)
+        if before is None and self._ends is not None and self._ends.n == prev.n - 1:
+            before = self._ends
         y = take(prev.lo), take(prev.hi)
         x = np.empty_like(y[0]), np.empty_like(y[1])
         new = np.ones(y[0].size, dtype=bool), np.ones(y[1].size, dtype=bool)

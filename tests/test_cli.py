@@ -174,6 +174,30 @@ def test_starved_run_exits_two_with_enclosure(tmp_path, capsys):
     assert float(lower) <= truth <= float(upper)
 
 
+def test_starved_spectrum_exits_two_naming_the_first_a(tmp_path, capsys):
+    # No b(a) on the golden mean with a Bernoulli weight converges by level
+    # 8.  Every search asks first for the same a, the first golden point of
+    # [-4, 4], so that is the solve whose NotConverged ends the command.
+    data = {
+        "map": {"family": "golden_mean"},
+        "potential": {
+            "kind": "locally_constant",
+            "table": {"0": math.log(0.25), "1": math.log(0.75)},
+        },
+        "command": {
+            "name": "spectrum",
+            "alpha_grid": {"start": 0.5, "stop": 1.5, "count": 3},
+            "tol": 1e-8,
+            "max_level": 8,
+        },
+        "output": {"csv": str(tmp_path / "s.csv")},
+    }
+    assert main([str(write_config(tmp_path, data))]) == 2
+    first = 4.0 - (math.sqrt(5.0) - 1.0) / 2.0 * 8.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"dimspectra: error: NotConverged: b({round(first, 12):g}) not within")
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main([str(tmp_path / "nope.yaml")]) == 1
     assert "cannot read config" in capsys.readouterr().err

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimspectra.numerics import (
     _CHUNK,
     AitkenAccelerator,
     NeumaierSum,
     bisect_root,
+    descending_root,
     expand_to_sign_change,
     format_float,
     golden_section_min,
@@ -71,6 +73,77 @@ def test_log_sum_exp_empty_and_pair():
 def test_log_sum_exp_no_overflow():
     vals = np.array([1000.0, 1000.0])
     assert log_sum_exp(vals) == pytest.approx(1000.0 + math.log(2.0))
+
+
+def _one_by_one(rows: np.ndarray) -> list:
+    """The 1-d call on each row: its bits, or the ValueError it raises."""
+    out = []
+    for row in rows:
+        try:
+            out.append(log_sum_exp(row).hex())
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.one_of(
+        st.integers(1, 40), st.integers(1, 2 * _CHUNK + 3), st.sampled_from([_CHUNK, _CHUNK + 1])
+    ),
+    rows=st.integers(1, 6),
+    scale=st.floats(1e-3, 300.0),
+    offset=st.floats(-700.0, 700.0),
+    seed=st.integers(0, 2**32 - 1),
+    holes=st.floats(0.0, 1.0),
+    special=st.sampled_from([None, -math.inf, math.nan, math.inf]),
+    threads=st.sampled_from(["1", "2"]),
+)
+def test_log_sum_exp_rows_equal_one_dimensional_calls(
+    width, rows, scale, offset, seed, holes, special, threads
+):
+    # Each row of the 2-d call has the bits of the 1-d call on it, or the
+    # 2-d call raises the ValueError one of the 1-d calls raises.
+    rng = np.random.default_rng(seed)
+    rows = max(1, min(rows, 3 * _CHUNK // width))
+    values = rng.normal(offset, scale, size=(rows, width))
+    values[rng.random(values.shape) < holes * 0.5] = -math.inf
+    if special is not None:  # one whole row, or one entry of a row
+        r = int(rng.integers(rows))
+        if special == -math.inf:
+            values[r] = -math.inf
+        else:
+            values[r, int(rng.integers(width))] = special
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("DIMSPECTRA_THREADS", threads)
+        expected = _one_by_one(values)
+        errors = [e for e in expected if not e.startswith(("0x", "-0x", "-inf", "inf"))]
+        if errors:
+            with pytest.raises(ValueError) as info:
+                log_sum_exp(values)
+            assert str(info.value) == errors[0]
+        else:
+            assert [float(x).hex() for x in log_sum_exp(values)] == expected
+
+
+def test_log_sum_exp_rows_shapes():
+    assert log_sum_exp(np.zeros((0, 4))).shape == (0,)
+    assert log_sum_exp(np.zeros((3, 0))).tolist() == [-math.inf] * 3
+
+
+def test_descending_root_asks_each_x_once():
+    # The expansion hands its bracket values to the bisection, and the start
+    # value to the expansion, so no x is evaluated twice.
+    for start, step in ((0.0, 1.0), (10.0, 1.0), (0.3, 0.25)):
+        asked = []
+
+        def fn(x):
+            asked.append(x)
+            return 2.7 - x
+
+        root = descending_root(fn, start, xtol=1e-13, step=step)
+        assert root == pytest.approx(2.7, abs=1e-12)
+        assert len(asked) == len(set(asked)), (start, step)
 
 
 def test_aitken_kills_geometric_error():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +20,19 @@ from dimspectra import (
     locally_constant,
     spectrum_endpoints,
 )
-from dimspectra.numerics import bisect_root, expand_to_sign_change, log_sum_exp
-from dimspectra import spectrum
+from dimspectra.cli import main
+from dimspectra.numerics import (
+    _CHUNK,
+    bisect_root,
+    expand_to_sign_change,
+    golden_section_min,
+    log_sum_exp,
+)
+from dimspectra import normalize_potential, spectrum
 from dimspectra.spectrum import _min_cycle_ratio
-from dimspectra.symbolic import CylinderTable, shared_table
+from dimspectra.symbolic import CylinderTable, LevelArrays, shared_table
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 LOG2 = math.log(2.0)
 ALPHA_MIN_BE = math.log(4.0 / 3.0) / LOG2  # 0.4150374992788438
@@ -282,3 +293,185 @@ def test_curve_rows_align(doubling, bernoulli_phi):
         assert blo <= b <= bhi
         # row is self-consistent: f = alpha * b - a at the minimizer
         assert f == pytest.approx(alpha * b - a, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lockstep solves against the scalar loops they replaced
+
+
+def _legendre_oracle(m, phi, alphas, *, tol, max_level, refine_tol=1e-7, a_lo=-4.0, a_hi=4.0):
+    """The scalar Legendre transform: one golden-section search per alpha,
+    each b(a) solved alone by b_of_a and cached by round(a, 12).  Returns
+    rows in the order of SpectrumCurve.as_rows."""
+    cache = {}
+
+    def bp(a):
+        key = round(a, 12)
+        if key not in cache:
+            cache[key] = b_of_a(m, phi, key, tol=tol, max_level=max_level)
+        return cache[key]
+
+    rows = []
+    for alpha in np.asarray(alphas, dtype=float):
+        lo, hi = a_lo, a_hi
+        for _ in range(8):
+            a_star, _ = golden_section_min(
+                lambda a: alpha * bp(a).b - a, lo, hi, xtol=refine_tol
+            )
+            span = hi - lo
+            if a_star - lo < 0.02 * span:
+                lo -= span
+            elif hi - a_star < 0.02 * span:
+                hi += span
+            else:
+                break
+        a_star = round(a_star, 12)
+        pt = bp(a_star)
+        rows.append((
+            float(alpha), alpha * pt.b - a_star, alpha * pt.lower - a_star,
+            alpha * pt.upper - a_star, a_star, pt.b, pt.lower, pt.upper,
+        ))
+    return rows
+
+
+def _depth2_phi(doubling):
+    table = {(0, 0): -1.0, (0, 1): -0.6, (1, 0): -0.8, (1, 1): -1.2}
+    return normalize_potential(doubling, locally_constant(table), tol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["bernoulli_shipped", "two_slopes", "depth2_doubling"])
+def test_legendre_lockstep_equals_scalar_loop(request, case, doubling, bernoulli_phi):
+    if case == "bernoulli_shipped":  # configs/doubling_bernoulli_spectrum.yaml
+        m, phi, alphas = doubling, bernoulli_phi, np.linspace(0.45, 1.95, 50)
+        kw = dict(tol=1e-10, max_level=16)
+    elif case == "two_slopes":
+        m, phi = request.getfixturevalue("two_slopes"), bernoulli_phi
+        alphas, kw = np.linspace(0.3, 1.8, 7), dict(tol=1e-10, max_level=16)
+    else:  # brackets that differ: full ladders with ratio stops
+        m, phi, alphas = doubling, _depth2_phi(doubling), [0.9, 1.2]
+        kw = dict(tol=1e-5, max_level=12, refine_tol=1e-4)
+    curve = legendre_spectrum(m, phi, alphas, **kw)
+    assert curve.as_rows() == _legendre_oracle(m, phi, alphas, **kw)
+
+
+def _same_outcome(got, m, phi, a, **kw):
+    try:
+        want = b_of_a(m, phi, a, **kw)
+    except NotConverged as exc:
+        assert isinstance(got, NotConverged), a
+        assert str(got) == str(exc) and got.enclosure == exc.enclosure, a
+        return "raised"
+    assert got == want, a
+    return "ray" if want.on_ray else "solved"
+
+
+def test_b_curve_equals_b_of_a_per_lane(golden, mp, uniform_phi, bernoulli_phi):
+    # Golden mean: lanes that stop at different levels and lanes that raise
+    # NotConverged; Manneville-Pomeau: ray lanes beside ladder lanes.
+    cases = (
+        (golden, bernoulli_phi, [-1.0, -0.3, 0.0, 0.5, 1.0, 2.0], dict(tol=1e-8, max_level=12)),
+        (mp, uniform_phi, [-1.5, -0.9, -0.5, 0.0, 0.5], dict(tol=1e-4, max_level=12)),
+    )
+    seen = set()
+    for m, phi, a_values, kw in cases:
+        points = b_curve(m, phi, a_values, **kw)
+        assert len(points) == len(a_values)
+        for a, got in zip(a_values, points):
+            seen.add(_same_outcome(got, m, phi, a, **kw))
+    assert seen == {"raised", "ray", "solved"}
+
+
+def test_b_curve_splits_wide_levels_into_chunks(doubling, monkeypatch):
+    # Depth-2 lanes climb to level 13 (8,192 words), where five or more
+    # lanes would make more than one chunk of entries; each evaluation is
+    # split into slices of lanes holding at most one chunk, and every lane
+    # still equals its scalar solve.
+    phi = _depth2_phi(doubling)
+    a_values, kw = [0.5, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0], dict(tol=1e-10, max_level=13)
+    module = sys.modules["dimspectra.pressure"]
+    asked, widths = [], []
+    per_lane, log_sum_exp = module._per_lane, module.log_sum_exp
+
+    def recorded(arr, side, reduce, a, b):
+        asked.append(arr.count * np.size(a))
+        return per_lane(arr, side, reduce, a, b)
+
+    def counted(values, threads=None):
+        widths.append(np.size(values))
+        return log_sum_exp(values, threads)
+
+    monkeypatch.setattr(module, "_per_lane", recorded)
+    monkeypatch.setattr(module, "log_sum_exp", counted)
+    points = b_curve(doubling, phi, a_values, **kw)
+    monkeypatch.undo()
+    assert max(asked) > _CHUNK >= max(widths)
+    for a, got in zip(a_values, points):
+        _same_outcome(got, doubling, phi, a, **kw)
+
+
+def test_b_lanes_hold_no_level_the_table_dropped(uniform_phi, monkeypatch):
+    # Past cache_words the table keeps only its newest level (and the end
+    # columns of the one before); the lanes' shared curves must not keep the
+    # older ones alive.  A rung holds its level and, for the ratio curve,
+    # the level below, which the table may have rebuilt meanwhile: three
+    # whole large levels at most, however deep the ladder goes.
+    import gc
+    import weakref
+
+    from dimspectra import manneville_pomeau_map
+
+    m = manneville_pomeau_map(0.5)
+    table = m._table_cache[uniform_phi] = CylinderTable(m, uniform_phi, cache_words=64)
+    built, alive = [], []  # weak references to this table's levels
+    extend = CylinderTable._extend
+
+    def counted(self, prev):
+        if self is table:
+            gc.collect()
+            levels = [ref() for ref in built]
+            alive.append(len({id(o.lo) for o in levels if o is not None and o.count > 64}))
+        out = extend(self, prev)
+        if self is table:
+            built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(CylinderTable, "_extend", counted)
+    with pytest.raises(NotConverged):
+        b_of_a(m, uniform_phi, -0.7, tol=1e-12, max_level=12)
+    assert max(alive) <= 3
+
+
+def test_one_b_solve_asks_each_b_once(doubling, bernoulli_phi, monkeypatch):
+    # A doubling/Bernoulli solve stops at level 2 on one curve; its root
+    # solve evaluates the curve at each b once.
+    asked = []
+    combined_side = LevelArrays.combined_side
+
+    def counted(self, a, b, side):
+        if self.n == 2:
+            asked.append(b)
+        return combined_side(self, a, b, side)
+
+    monkeypatch.setattr(LevelArrays, "combined_side", counted)
+    pt = b_of_a(doubling, bernoulli_phi, 1.0, tol=1e-10)
+    assert pt.level == 2
+    assert len(asked) > 40
+    assert len(asked) == len(set(asked))
+
+
+def test_shipped_spectrum_batches_log_sum_exp(tmp_path, monkeypatch):
+    # The shipped spectrum config solves 1,680 b(a) lanes; evaluated one lane
+    # per call that took 84,176 log_sum_exp calls, in lockstep about 4,000.
+    calls = []
+    for name in ("pressure", "spectrum"):
+        module = sys.modules[f"dimspectra.{name}"]
+        original = module.log_sum_exp
+
+        def counted(values, threads=None, _original=original):
+            calls.append(np.size(values))
+            return _original(values, threads)
+
+        monkeypatch.setattr(module, "log_sum_exp", counted)
+    config = CONFIG_DIR / "doubling_bernoulli_spectrum.yaml"
+    assert main([str(config), "--set", f"output.csv={tmp_path / 's.csv'}"]) == 0
+    assert 0 < len(calls) <= 6000

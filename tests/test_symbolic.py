@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimspectra import (
     Branch,
@@ -266,7 +267,7 @@ def _reference_level(table, prev):
 def test_table_levels_equal_full_inversion_bit_for_bit(request, name, cache_words):
     # The table inverts each endpoint once, reusing the images of shared and
     # previous-level inputs; the reference inverts every endpoint.  Above
-    # cache_words the previous level is gone and only shared ends are reused.
+    # cache_words the previous level keeps only the columns that reuse reads.
     m = ORACLE_MAPS[name](request)
     for phi in (geometric(-0.7), _random_table(m, 2, seed=3)):
         table = CylinderTable(m, phi, cache_words=cache_words)
@@ -306,6 +307,78 @@ def test_parabolic_table_inverts_each_endpoint_once(mp, monkeypatch):
     monkeypatch.setattr(Branch, "inverse", counted)
     CylinderTable(mp, geometric(-0.7)).level(19)
     assert sum(points) <= 600_000
+
+
+def test_levels_over_cache_words_keep_previous_level_reuse(mp, monkeypatch):
+    # With cache_words = 4096 = 2^12, levels 13 on are dropped as the next
+    # large one is stored.  Levels 15 and 16 are built while their
+    # grandparent is such a dropped level; its kept ends still let each
+    # level invert a quarter of its endpoints (half without them: 32,776 and
+    # 65,544), and every column equals that of a table that caches them all.
+    points = []
+    inverse = Branch.inverse
+
+    def counted(self, y, **kw):
+        points.append(np.size(y))
+        return inverse(self, y, **kw)
+
+    table = CylinderTable(mp, geometric(-0.7), cache_words=4096)
+    table.level(14)
+    monkeypatch.setattr(Branch, "inverse", counted)
+    built = {}
+    for n, expected in ((15, 16_384), (16, 32_768)):
+        points.clear()
+        built[n] = table.level(n)
+        assert sum(points) == expected, n
+    monkeypatch.undo()
+    full = CylinderTable(mp, geometric(-0.7), cache_words=1 << 18)
+    for n, arr in built.items():
+        ref = full.level(n)
+        for f in fields(LevelArrays)[1:]:
+            got, want = getattr(arr, f.name), getattr(ref, f.name)
+            assert (got is None) == (want is None), (n, f.name)
+            if got is not None:
+                assert got.tobytes() == want.tobytes(), (n, f.name)
+
+
+_COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-6.0, 6.0))
+_ROW_TABLES = {}
+
+
+def _row_table(kind):
+    """Session-lived tables for the row test: (table, has phi)."""
+    if kind not in _ROW_TABLES:
+        mp = manneville_pomeau_map(0.5)
+        negative = linear_full_branch_map([2.0, -2.5])
+        _ROW_TABLES[kind] = {
+            "mp_geometric": (CylinderTable(mp, geometric(-0.7)), True),
+            "negative_slope_depth2": (CylinderTable(negative, _random_table(negative, 2, 5)), True),
+            "mp_no_phi": (CylinderTable(mp), False),
+        }[kind]
+    return _ROW_TABLES[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["mp_geometric", "negative_slope_depth2", "mp_no_phi"]),
+    n=st.integers(1, 9),
+    coeffs=st.lists(st.tuples(_COEFF, _COEFF), min_size=1, max_size=12),
+)
+def test_combined_rows_equal_scalar_calls(kind, n, coeffs):
+    # Row i of the lane form is the scalar call at (a[i], b[i]) bit for bit,
+    # with phi skipped where b == 0 (a table without phi then still works).
+    table, has_phi = _row_table(kind)
+    arr = table.level(n)
+    if not has_phi:
+        coeffs = [(a, 0.0) for a, _ in coeffs]
+    a, b = (np.array(col) for col in zip(*coeffs))
+    f_lo, f_hi = arr.combined(a, b)
+    for i, (ai, bi) in enumerate(coeffs):
+        lo, hi = arr.combined(ai, bi)
+        assert f_lo[i].tobytes() == lo.tobytes() and f_hi[i].tobytes() == hi.tobytes()
+    if not has_phi:
+        with pytest.raises(ValueError, match="without a phi"):
+            arr.combined(a, b + 1.0)
 
 
 LINK_MAPS = {
