@@ -40,19 +40,15 @@ from .maps import (
     golden_mean_map,
     linear_full_branch_map,
     manneville_pomeau_map,
-    parabolic_exponent,
 )
 from .symbolic import (
     Cylinder,
     CylinderTable,
     Potential,
-    boundary_ratio,
     cylinder,
     cylinders,
-    distortion_report,
     geometric,
     locally_constant,
-    pointwise,
     shared_table,
     validate_potential,
     words_at_level,
@@ -63,7 +59,6 @@ from .pressure import (
     bowen_root,
     normalize_potential,
     pressure,
-    pressure_bracket,
 )
 from .spectrum import (
     AlphaPoint,
@@ -83,17 +78,13 @@ from .finite_measures import (
     block_objective,
     bowen_sn,
     connector_length,
-    moran_weights,
     optimize_block_weights,
     window_mask,
-    window_weights,
 )
 from .weak_gibbs import (
-    CoarseSpectrum,
     LocalDimension,
     WeakGibbsModel,
     cylinder_mass_bracket,
-    coarse_spectrum,
     declared_model,
     exact_model,
     local_dimension,
@@ -104,7 +95,6 @@ from .induced import (
     InducedBranch,
     InducedSystem,
     build_induced,
-    induced_b_curve,
     induced_b_point,
 )
 

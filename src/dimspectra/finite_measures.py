@@ -31,8 +31,7 @@ from .errors import (
 )
 from .maps import MarkovMap
 from .numerics import descending_root, log_sum_exp
-from .pressure import _moran_root
-from .symbolic import CylinderTable, Potential, cylinders, shared_table, words_at_level
+from .symbolic import CylinderTable, Potential, cylinders, shared_table
 
 CONNECTOR_CAP_SLACK = 8
 
@@ -53,10 +52,6 @@ class ConnectorTable:
     words: dict[tuple[int, int], tuple[int, ...]]
     eligible: np.ndarray
     excluded: int
-
-    def join(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        u, v = tuple(u), tuple(v)
-        return u + self.words[(u[-1], v[0])] + v
 
 
 def _exact_length_word(
@@ -179,7 +174,7 @@ def block_measure(
     m: MarkovMap,
     phi: Potential | None,
     n: int,
-    weights: Sequence[float] | np.ndarray | dict[tuple[int, ...], float],
+    weights: Sequence[float] | np.ndarray,
 ) -> BlockMeasure:
     """Wrap a weight vector over level-n words with its certified statistics.
 
@@ -188,32 +183,21 @@ def block_measure(
         phi: potential entering the ratio statistics; None for pure
             dimension bookkeeping.
         n: word length.
-        weights: array in lexicographic word order, or a dict keyed by
-            words (missing words get weight zero).
+        weights: one per level-n word, in lexicographic word order (the
+            level table's row order).
 
     Raises:
-        InadmissibleSupport: weight on an inadmissible word, or on a word
-            with nonpositive expansion bracket (gluing such words does not
-            stay expanding).
-        ConstraintInfeasible: negative weights or sum differing from 1 by
-            more than 1e-9.
+        InadmissibleSupport: weight on a word with nonpositive expansion
+            bracket (gluing such words does not stay expanding).
+        ConstraintInfeasible: not one weight per word, negative weights, or
+            a sum differing from 1 by more than 1e-9.
         EmptyWindow: no positive weight anywhere.
     """
     table = shared_table(m, phi)
     arr = table.level(n)
-    if isinstance(weights, dict):
-        index = {w: i for i, w in enumerate(words_at_level(m, n))}
-        q = np.zeros(arr.count)
-        for word, val in weights.items():
-            if tuple(word) not in index:
-                raise InadmissibleSupport(f"weight on inadmissible word {tuple(word)}")
-            q[index[tuple(word)]] = float(val)
-    else:
-        q = np.asarray(weights, dtype=float)
-        if q.shape != (arr.count,):
-            raise ConstraintInfeasible(
-                f"need {arr.count} weights for level {n}, got shape {q.shape}"
-            )
+    q = np.asarray(weights, dtype=float)
+    if q.shape != (arr.count,):
+        raise ConstraintInfeasible(f"need {arr.count} weights for level {n}, got shape {q.shape}")
     if np.any(q < 0.0):
         raise ConstraintInfeasible("block weights must be nonnegative")
     total = float(np.sum(q))
@@ -408,45 +392,3 @@ def bowen_sn(m: MarkovMap, phi: Potential, n: int, alpha: float, eps: float) -> 
         return 0.0
     log_d = np.log(shared_table(m, phi).level(n).diameters()[mask])
     return descending_root(lambda s: log_sum_exp(s * log_d), 0.0, xtol=1e-10)
-
-
-def window_weights(
-    m: MarkovMap,
-    phi: Potential,
-    n: int,
-    alpha: float,
-    eps: float,
-) -> tuple[BlockMeasure, float]:
-    """Preset block weights q_w = diam(w)^(s_n) on the alpha window.
-
-    s_n is the bowen_sn root, so the weights sum to 1 over the window
-    before eligibility masking.  A regression partner for
-    optimize_block_weights: both objectives agree within the connector and
-    distortion slack.
-    """
-    s_n = bowen_sn(m, phi, n, alpha, eps)
-    mask = window_mask(m, phi, n, alpha, eps)
-    table = shared_table(m, phi)
-    mask &= connector_length(table, n).eligible
-    if not np.any(mask):
-        raise EmptyWindow(f"alpha window at level {n} has no eligible words")
-    q = np.zeros(table.level(n).count)
-    d = table.level(n).diameters()[mask]
-    w = np.exp(s_n * np.log(d))
-    q[mask] = w / w.sum()
-    return block_measure(m, phi, n, q), s_n
-
-
-def moran_weights(m: MarkovMap, phi: Potential | None, n: int) -> tuple[BlockMeasure, float]:
-    """Block measure with q_w = diam(w)^(s_n) over all eligible words.
-
-    s_n here is the full-level root (window covering every word), the
-    dimension ladder value.
-    """
-    table = shared_table(m, phi)
-    s_n = _moran_root(table, n)
-    con = connector_length(table, n)
-    d = table.level(n).diameters()
-    q = np.where(con.eligible, np.exp(s_n * np.log(d)), 0.0)
-    q /= q.sum()
-    return block_measure(m, phi, n, q), s_n

@@ -2,10 +2,12 @@
 
 For a parabolic map, iterating until first return to a base away from the
 neutral cylinder produces a countable family of uniformly expanding full
-branches, one per return word.  Pressure equations for the induced system
-converge geometrically where the direct ladder crawls polynomially, at the
-price of a truncation: only branches with return time <= N are kept, and
-every output carries a bound for the dropped tail.
+branches, one per return word.  Only branches with return time <= N are
+kept, and every output carries a bound for the dropped tail.  The brackets
+are wide: on Farey with Bernoulli(1/2) at N = 40, b(1) = 2.277 in
+[1.967, 2.601], and for a > 0 the brackets are 0.3-1.4 wide.  The printed
+`b` is the root for the midpoint of each branch's Birkhoff brackets, not a
+limit of converging bounds.
 
 The base defaults to the union of non-parabolic first-level cylinders.  On
 a map with no parabolic orbit the construction degenerates to the map
@@ -53,9 +55,6 @@ class InducedSystem:
     branches: tuple[InducedBranch, ...]
     coverage: float
     tail_weight: float
-
-    def by_return_time(self, r: int) -> tuple[InducedBranch, ...]:
-        return tuple(b for b in self.branches if b.return_time == r)
 
 
 def _excursion_words(
@@ -324,17 +323,3 @@ def _tail_log_bound(
         return -math.inf
     last = log_sum_exp(f_hi[mask] + b * phi_hi[mask])
     return last + math.log(ratio) - math.log1p(-ratio)
-
-
-def induced_b_curve(
-    isys: InducedSystem,
-    a_values: Sequence[float] | np.ndarray,
-    *,
-    tol: float = 1e-8,
-    tail_tol: float = 0.05,
-) -> list[InducedBPoint]:
-    """induced_b_point across a grid of a values."""
-    return [
-        induced_b_point(isys, float(a), tol=tol, tail_tol=tail_tol)
-        for a in np.asarray(a_values, dtype=float)
-    ]

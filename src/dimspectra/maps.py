@@ -150,10 +150,17 @@ class Branch:
         return out if out.ndim else float(out)
 
     def log_deriv_range(self, lo, hi):
-        """Exact range of log|T'| on [lo, hi] (derivative is monotone per family)."""
+        """Exact range of log|T'| on [lo, hi] (derivative is monotone per
+        family); one float for linear branches, where it is constant."""
+        if self.family == "linear":
+            c = math.log(abs(self.slope))
+            return c, c
         a = self.log_abs_derivative(lo)
         b = self.log_abs_derivative(hi)
-        return np.minimum(a, b), np.maximum(a, b)
+        low = np.minimum(a, b)
+        # Array ends are fresh here, so the maximum can take a's storage.
+        same = np.ndim(a) and np.shape(a) == np.shape(b)
+        return low, np.maximum(a, b, out=a if same else None)
 
     # -- inverse ----------------------------------------------------------
 
@@ -276,10 +283,6 @@ class ParabolicOrbit:
     L: float
     analytic: bool
 
-    @property
-    def period(self) -> int:
-        return len(self.word)
-
 
 @dataclass(frozen=True)
 class ExponentFit:
@@ -288,10 +291,6 @@ class ExponentFit:
     beta: float
     L: float
     residual: float
-    offsets_used: int
-    side: int
-    analytic_beta: float | None = None
-    analytic_L: float | None = None
 
 
 class MarkovMap:
@@ -347,13 +346,6 @@ class MarkovMap:
         for _ in range(n - 1):
             vec = [sum(rows[i][j] * vec[j] for j in range(p)) for i in range(p)]
         return sum(vec)
-
-    def parabolic_symbols(self) -> frozenset[int]:
-        """Symbols visited by some parabolic orbit."""
-        out: set[int] = set()
-        for orbit in self.parabolic_orbits:
-            out.update(orbit.word)
-        return frozenset(out)
 
     def log_deriv_bounds(self) -> tuple[float, float]:
         """(inf, sup) of log|T'| over the core spans, exact per family."""
@@ -661,32 +653,6 @@ def _closed_form_exponent(
     return fit.beta, fit.L, False
 
 
-def parabolic_exponent(m: MarkovMap, orbit: ParabolicOrbit) -> ExponentFit:
-    """Fit ||(T^m)'(x)| - 1| ~ L * |x - w|**beta near the orbit point.
-
-    Offsets run over the geometric sequence 2^-5 .. 2^-30 on the one side of
-    the orbit point that stays inside the branch domain; the regression uses
-    the small-offset half of the usable points, where the power law is the
-    dominant term.  Closed-form families also report the analytic values.
-
-    Raises:
-        FitUnstable: fewer than 6 usable offsets, nonpositive fitted beta,
-            or regression residual above 1e-3.
-    """
-    fit = _fit_exponent(m.branches, orbit.word, orbit.points)
-    if orbit.analytic:
-        return ExponentFit(
-            beta=fit.beta,
-            L=fit.L,
-            residual=fit.residual,
-            offsets_used=fit.offsets_used,
-            side=fit.side,
-            analytic_beta=orbit.beta,
-            analytic_L=orbit.L,
-        )
-    return fit
-
-
 def _fit_exponent(
     branches: tuple[Branch, ...],
     word: tuple[int, ...],
@@ -694,6 +660,16 @@ def _fit_exponent(
     *,
     residual_tol: float = 1e-3,
 ) -> ExponentFit:
+    """Fit ||(T^m)'(x)| - 1| ~ L * |x - w|**beta near the orbit point.
+
+    Offsets run over 2^-5 .. 2^-30 on the side of the orbit point that stays
+    inside the branch domain; the regression uses the small-offset half of
+    the usable points, where the power law dominates.
+
+    Raises:
+        FitUnstable: fewer than 6 usable offsets, nonpositive fitted beta,
+            or regression residual above residual_tol.
+    """
     offsets = 2.0 ** -np.arange(5, 31)
     x0 = points[0]
     dom = branches[word[0]].domain
@@ -739,13 +715,7 @@ def _fit_exponent(
         raise FitUnstable(f"log-log regression residual {residual:.3e} > {residual_tol}")
     if beta <= 0.0:
         raise FitUnstable(f"fitted exponent beta = {beta:.3e} is not positive")
-    return ExponentFit(
-        beta=float(beta),
-        L=float(math.exp(intercept)),
-        residual=residual,
-        offsets_used=len(log_t),
-        side=side,
-    )
+    return ExponentFit(beta=float(beta), L=float(math.exp(intercept)), residual=residual)
 
 
 def _check_unit_derivative_locus(

@@ -251,8 +251,8 @@ def _call_stacked(requests: list) -> list:
 
 
 def _bisect(lo: float, hi: float, flo=None, fhi=None, *, xtol: float, max_iter: int):
-    """Bisection lane (see `bisect_root`); ends whose values are passed in
-    are not asked for again."""
+    """Bisection lane on [lo, hi] to xtol; f(lo) and f(hi), asked for only
+    if not passed in, must differ in (weak) sign, else ValueError."""
     if flo is None:
         flo = yield lo
     if fhi is None:
@@ -277,34 +277,10 @@ def _bisect(lo: float, hi: float, flo=None, fhi=None, *, xtol: float, max_iter: 
     return 0.5 * (lo + hi)
 
 
-def bisect_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Root of a continuous function by plain bisection.
-
-    Args:
-        fn: function with fn(lo) and fn(hi) of opposite (weak) sign.
-        lo, hi: bracket endpoints, lo < hi.
-        xtol: terminate when the bracket is narrower than this.
-        max_iter: hard iteration cap.
-
-    Returns:
-        Bracket midpoint after refinement.
-
-    Raises:
-        ValueError: if the initial values do not bracket a sign change.
-    """
-    return _drive(_bisect(lo, hi, xtol=xtol, max_iter=max_iter), fn)
-
-
 def _expand(start: float, step: float, f0=None, *, max_expand: int):
-    """Expansion lane (see `expand_to_sign_change`), given f(start) if
-    known; returns (lo, hi, f(lo), f(hi))."""
+    """Expansion lane: step from `start`, doubling `step` each miss, until
+    f changes sign (ValueError after max_expand); given f(start) if known.
+    Returns (lo, hi, f(lo), f(hi))."""
     if f0 is None:
         f0 = yield start
     if f0 == 0.0:
@@ -318,21 +294,6 @@ def _expand(start: float, step: float, f0=None, *, max_expand: int):
         x, fx = x_next, f_next
         step *= 2.0
     raise ValueError("no sign change found while expanding bracket")
-
-
-def expand_to_sign_change(
-    fn: Callable[[float], float],
-    start: float,
-    step: float,
-    *,
-    max_expand: int = 64,
-) -> tuple[float, float]:
-    """Walk geometrically from `start` until fn changes sign.
-
-    Returns (lo, hi) with fn(lo) and fn(hi) of opposite sign.  The step
-    doubles each miss; direction is the sign of `step`.
-    """
-    return _drive(_expand(start, step, max_expand=max_expand), fn)[:2]
 
 
 def _descend(start: float, *, xtol: float, step: float = 1.0):
@@ -367,7 +328,8 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden(lo: float, hi: float, *, xtol: float, max_iter: int):
-    """Golden-section lane (see `golden_section_min`)."""
+    """Golden-section lane: the minimum of a unimodal function on [lo, hi],
+    as (argmin, min value)."""
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
@@ -387,21 +349,6 @@ def _golden(lo: float, hi: float, *, xtol: float, max_iter: int):
     if fc <= fd:
         return c, fc
     return d, fd
-
-
-def golden_section_min(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-6,
-    max_iter: int = 120,
-) -> tuple[float, float]:
-    """Minimum of a unimodal function on [lo, hi] by golden-section search.
-
-    Returns (argmin, min value).  Deterministic; no randomization.
-    """
-    return _drive(_golden(lo, hi, xtol=xtol, max_iter=max_iter), fn)
 
 
 def format_float(x: float) -> str:

@@ -148,11 +148,11 @@ class _Curves:
     lanes that share a level can be answered in one call (`_call_stacked`).
     """
 
-    def __init__(self, m: MarkovMap, table: CylinderTable, n: int):
+    def __init__(self, m: MarkovMap, table: CylinderTable, n: int, prev=None):
         self.table, self.n = table, n
         self.arr = table.level(n)
         self.k = gluing_length(m)
-        self._prev = None
+        self._prev = prev  # level n-1's arrays, if the caller holds them
 
     def lower(self, a, b):
         """(log Z_n^inf + k * inf f) / (n + k)."""
@@ -169,7 +169,8 @@ class _Curves:
         return self.z_sup(a, b) / self.n
 
     def ratio(self, a, b):
-        """log(Z_n^sup / Z_{n-1}^sup), fetching level n-1 on first use."""
+        """log(Z_n^sup / Z_{n-1}^sup), fetching level n-1 on first use
+        unless it was handed in."""
         if self._prev is None:
             self._prev = self.table.level(self.n - 1)
         return self.z_sup(a, b) - _log_z(self._prev, 1, a, b)
@@ -255,13 +256,6 @@ def _ladder(
         f"last accelerated value {est:.12g}",
         enclosure=(best_lo, best_hi),
     )
-
-
-def pressure_bracket(m: MarkovMap, phi: Potential, n: int) -> Pressure:
-    """Single-level pressure enclosure for a potential; value is the midpoint."""
-    level = _Curves(m, shared_table(m, phi), n)
-    lower, upper = level.lower(0.0, 1.0), level.upper(0.0, 1.0)
-    return Pressure(0.5 * (lower + upper), lower, upper, n, "bracket")
 
 
 def pressure(

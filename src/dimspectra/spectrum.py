@@ -124,16 +124,17 @@ def _b_lanes(
     """One lane per a solving b(a) (see b_of_a); lanes on a level share its
     curves, so their requests can be answered together.  A level's curves
     live only while a lane uses them, so the table can still drop levels
-    past its cache."""
+    past its cache; the lane hands each level to its next rung, whose ratio
+    curve reads it there instead of rebuilding a dropped level."""
     sup_phi = _require_negative(m, phi)
     table = shared_table(m, phi)
     ray_at = _ray_start(m, tol, max_level) if m.has_parabolic else None
     levels: WeakValueDictionary[int, _Curves] = WeakValueDictionary()
 
-    def curves(n: int) -> _Curves:
+    def curves(n: int, prev) -> _Curves:
         level = levels.get(n)
         if level is None:
-            level = levels[n] = _Curves(m, table, n)
+            level = levels[n] = _Curves(m, table, n, prev)
         return level
 
     def lane(a: float):
@@ -143,9 +144,14 @@ def _b_lanes(
             upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
             return BPoint(a, 0.0, 0.0, upper_pressure / -sup_phi, n, True)
 
+        below = None  # the previous rung's level arrays
+
         def rung(n: int, last: float | None):
+            nonlocal below
             # Each level's roots start from the previous level's estimate.
-            return curves(n).roots(
+            level = curves(n, below)
+            below = level.arr
+            return level.roots(
                 lambda b: (a, b), 0.0 if last is None else last, step=1.0, xtol=1e-13
             )
 

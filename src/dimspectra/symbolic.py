@@ -124,11 +124,6 @@ def geometric(coefficient: float) -> Potential:
     return Potential(kind="geometric", coefficient=float(coefficient))
 
 
-def pointwise(funcs: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Potential:
-    """Per-branch callables; each must be monotone on its branch domain."""
-    return Potential(kind="pointwise", funcs=tuple(funcs))
-
-
 def validate_potential(m: MarkovMap, phi: Potential) -> None:
     """Raise if the potential cannot be evaluated against this map."""
     if phi.kind == "locally_constant":
@@ -266,14 +261,21 @@ class _Prepend:
             inc_lo, inc_hi, shift = r_lo[idx], r_hi[idx], 0.0
             code = None if d == 1 else idx if n + 1 < d else idx // m.p
         elif phi.kind == "geometric":
+            # In place for arrays: the psi sums above were dlo's and dhi's
+            # last readers.
             c = phi.coefficient
-            inc_lo, inc_hi = (c * dlo, c * dhi) if c >= 0 else (c * dhi, c * dlo)
+            dlo *= c
+            dhi *= c
+            inc_lo, inc_hi = (dlo, dhi) if c >= 0 else (dhi, dlo)
         else:  # pointwise, monotone on the branch
             fa = np.asarray(phi.funcs[i](np.asarray(lo)), dtype=float)
             fb = np.asarray(phi.funcs[i](np.asarray(hi)), dtype=float)
             inc_lo, inc_hi = np.minimum(fa, fb), np.maximum(fa, fb)
-        phi_lo = take(prev[4]) + inc_lo - shift
-        phi_hi = take(prev[5]) + inc_hi - shift
+        phi_lo = take(prev[4]) + inc_lo
+        phi_hi = take(prev[5]) + inc_hi
+        if shift:  # x - 0.0 is x
+            phi_lo -= shift
+            phi_hi -= shift
         return lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, code
 
 
@@ -307,16 +309,14 @@ class LevelArrays:
     def diameters(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def combined(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """Brackets of S_n(a*psi + b*phi) per word: both `combined_side`s."""
-        return self.combined_side(a, b, 0), self.combined_side(a, b, 1)
-
     def combined_side(self, a, b, side: int) -> np.ndarray:
         """The lower (side 0) or upper (side 1) ends of the brackets of
         S_n(a*psi + b*phi) per word, one product per entry: each coefficient
         picks the psi or phi side its sign calls for, and phi is skipped
         where b == 0.  For arrays a and b of one entry per lane, row i holds
-        the ends at (a[i], b[i]), bit for bit what the scalar call gives."""
+        the ends at (a[i], b[i]), bit for bit what the scalar call gives,
+        except that the scalar call also skips psi where a == 0 != b, so a
+        zero entry may differ in sign there."""
         if np.ndim(a):
             a, b = np.asarray(a), np.asarray(b)
             f = _scaled(a, self.psi_lo, self.psi_hi, side)
@@ -326,13 +326,18 @@ class LevelArrays:
                 on = slice(None) if b.all() else b != 0.0
                 f[on] += _scaled(b[on], self.phi_lo, self.phi_hi, side)
             return f
-        low = (a >= 0.0) == (side == 0)
-        f = a * (self.psi_lo if low else self.psi_hi)
+        f = None
+        if a != 0.0 or b == 0.0:
+            low = (a >= 0.0) == (side == 0)
+            f = a * (self.psi_lo if low else self.psi_hi)
         if b != 0.0:
             if self.phi_lo is None:
                 raise ValueError("table was built without a phi potential")
             low = (b >= 0.0) == (side == 0)
-            f = f + b * (self.phi_lo if low else self.phi_hi)
+            g = b * (self.phi_lo if low else self.phi_hi)
+            if f is None:
+                return g
+            f += g
         return f
 
 
@@ -604,52 +609,3 @@ def cylinders(
             )
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# distortion and boundary diagnostics
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Tempered-distortion summary at one level."""
-
-    level: int
-    k_n: float
-    K_psi: float
-    K_phi: float
-    rho: float
-
-
-def distortion_report(
-    m: MarkovMap,
-    phi: Potential,
-    n: int,
-    *,
-    k_n: float = 0.0,
-    table: CylinderTable | None = None,
-) -> DistortionReport:
-    """Max per-symbol Birkhoff bracket widths at level n, and their max with k_n.
-
-    K_n(f) here is the computable surrogate max_w (sup-inf of S_n f on w)/n;
-    rho is max(k_n, K_n(psi), K_n(phi)) and is the quantity every enclosure
-    downstream is widened by.
-    """
-    if table is None:
-        table = CylinderTable(m, phi)
-    arrays = table.level(n)
-    K_psi = float(np.max(arrays.psi_hi - arrays.psi_lo)) / n
-    K_phi = float(np.max(arrays.phi_hi - arrays.phi_lo)) / n
-    return DistortionReport(
-        level=n,
-        k_n=k_n,
-        K_psi=K_psi,
-        K_phi=K_phi,
-        rho=max(k_n, K_psi, K_phi),
-    )
-
-
-def boundary_ratio(m: MarkovMap, word: Sequence[int], x: float) -> float:
-    """Distance of x to the boundary of the cylinder of `word`, relative to
-    its diameter (see :meth:`Cylinder.boundary_ratio`)."""
-    return cylinder(m, word).boundary_ratio(x)

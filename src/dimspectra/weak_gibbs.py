@@ -27,8 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWindow
-from .finite_measures import bowen_sn, window_mask
+from .errors import ConfigError
 from .maps import MarkovMap
 from .numerics import log_sum_exp
 from .symbolic import Cylinder, Potential, cylinder, cylinders, shared_table
@@ -243,40 +242,3 @@ def sample_points(
         rows = base + choice
         words[:, t] = arrs[t + 1].last[rows]
     return words
-
-
-@dataclass(frozen=True)
-class CoarseSpectrum:
-    """Windowed box-counting shadow of the spectrum at one level.
-
-    `s_values` holds the windowed root per grid alpha, NaN where the window
-    caught no cylinder; `counts` the window sizes.
-    """
-
-    level: int
-    eps: float
-    alphas: np.ndarray
-    s_values: np.ndarray
-    counts: np.ndarray
-
-
-def coarse_spectrum(
-    model: WeakGibbsModel,
-    m: MarkovMap,
-    n: int,
-    alphas: Sequence[float] | np.ndarray,
-    eps: float,
-) -> CoarseSpectrum:
-    """Windowed roots over an alpha grid; empty windows are marked absent."""
-    alphas = np.asarray(alphas, dtype=float)
-    s_values = np.full(alphas.shape, math.nan)
-    counts = np.zeros(alphas.shape, dtype=np.int64)
-    for i, alpha in enumerate(alphas):
-        try:
-            s_values[i] = bowen_sn(m, model.phi, n, float(alpha), eps)
-        except EmptyWindow:
-            continue
-        counts[i] = int(np.sum(window_mask(m, model.phi, n, float(alpha), eps)))
-    return CoarseSpectrum(
-        level=n, eps=eps, alphas=alphas, s_values=s_values, counts=counts
-    )

@@ -11,12 +11,11 @@ from dimspectra import (
     b_of_a,
     build_induced,
     cylinder,
+    Potential,
     geometric,
-    induced_b_curve,
     induced_b_point,
     linear_full_branch_map,
     locally_constant,
-    pointwise,
 )
 
 LOG2 = math.log(2.0)
@@ -56,7 +55,7 @@ def test_farey_unary_branches(farey_sys):
     times = sorted(br.return_time for br in farey_sys.branches)
     assert times == list(range(1, 41))
     for r in (1, 2, 7, 25):
-        (br,) = farey_sys.by_return_time(r)
+        (br,) = [b for b in farey_sys.branches if b.return_time == r]
         assert br.word == (1,) + (0,) * (r - 1)
         # closed-form fundamental domains of the left parabolic branch
         assert br.domain[0] == pytest.approx(r / (r + 1.0), abs=1e-12)
@@ -74,7 +73,7 @@ def test_induced_expansion_uniform(farey_sys):
 
 def test_induced_brackets_telescope(farey, uniform_phi, farey_sys):
     for r in (3, 10):
-        (br,) = farey_sys.by_return_time(r)
+        (br,) = [b for b in farey_sys.branches if b.return_time == r]
         plain = cylinder(farey, br.word, uniform_phi)
         assert plain.birkhoff_psi[0] - 1e-12 <= br.psi_bracket[0]
         assert br.psi_bracket[1] <= plain.birkhoff_psi[1] + 1e-12
@@ -99,7 +98,7 @@ def test_induced_branches_equal_per_word_cylinders(farey, mp, case, truncation):
         "farey_depth2": (farey, _DEPTH2),
         "mp_none": (mp, None),
         "farey_pointwise": (
-            farey, pointwise([lambda x: -LOG2 - 0.1 * x, lambda x: -LOG2 + 0.1 * x])
+            farey, Potential(kind="pointwise", funcs=(lambda x: -LOG2 - 0.1 * x, lambda x: -LOG2 + 0.1 * x))
         ),
     }[case]
     isys = build_induced(m, phi, truncation=truncation)
@@ -124,7 +123,7 @@ def test_mp_domain_width_scaling(mp_sys):
     # fundamental-domain widths scale like r^-(1+1/s) = r^-3 for s = 1/2
     rs = np.array([10.0, 20.0, 30.0, 40.0])
     widths = [
-        sum(br.domain[1] - br.domain[0] for br in mp_sys.by_return_time(int(r)))
+        sum(br.domain[1] - br.domain[0] for br in mp_sys.branches if br.return_time == r)
         for r in rs
     ]
     slope = np.polyfit(np.log(rs), np.log(widths), 1)[0]
@@ -176,7 +175,7 @@ def test_tail_dominates_near_transition(farey, uniform_phi):
 
 
 def test_induced_b_curve_grid(farey_sys):
-    pts = induced_b_curve(farey_sys, [0.0, 1.0], tol=1e-9)
+    pts = [induced_b_point(farey_sys, a, tol=1e-9) for a in (0.0, 1.0)]
     assert [pt.a for pt in pts] == [0.0, 1.0]
     assert pts[0].b < pts[1].b
 

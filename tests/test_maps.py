@@ -14,10 +14,9 @@ from dimspectra import (
     build_map,
     linear_full_branch_map,
     manneville_pomeau_map,
-    parabolic_exponent,
 )
 from dimspectra import maps
-from dimspectra.maps import _power_inverse
+from dimspectra.maps import _fit_exponent, _power_inverse
 from dimspectra.symbolic import CylinderTable
 
 LOG2 = math.log(2.0)
@@ -250,7 +249,6 @@ def test_mp_parabolic_orbit(mp):
     # T(x) = x + x^(1+s): |T'| - 1 = (1+s) x^s, so beta = s exactly
     assert orbit.analytic
     assert orbit.beta == pytest.approx(0.5, abs=1e-12)
-    assert mp.parabolic_symbols() == frozenset({0})
 
 
 def test_mp_split_point(mp):
@@ -260,13 +258,14 @@ def test_mp_split_point(mp):
 
 
 def test_parabolic_exponent_fit(mp, farey):
-    fit = parabolic_exponent(mp, mp.parabolic_orbits[0])
+    orbit = mp.parabolic_orbits[0]
+    fit = _fit_exponent(mp.branches, orbit.word, orbit.points)
     assert fit.beta == pytest.approx(0.5, abs=1e-6)
     assert fit.L == pytest.approx(1.5, abs=1e-6)
     assert fit.residual < 1e-3
-    assert fit.analytic_beta == 0.5
     # Farey: T'(x) = 1/(1-x)^2 near 0, so |T'| - 1 ~ 2x
-    ffit = parabolic_exponent(farey, farey.parabolic_orbits[0])
+    orbit = farey.parabolic_orbits[0]
+    ffit = _fit_exponent(farey.branches, orbit.word, orbit.points)
     assert ffit.beta == pytest.approx(1.0, abs=1e-3)
     assert ffit.L == pytest.approx(2.0, abs=1e-3)
 

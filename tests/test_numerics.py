@@ -10,11 +10,12 @@ from dimspectra.numerics import (
     _CHUNK,
     AitkenAccelerator,
     NeumaierSum,
-    bisect_root,
+    _bisect,
+    _drive,
+    _expand,
+    _golden,
     descending_root,
-    expand_to_sign_change,
     format_float,
-    golden_section_min,
     log_sum_exp,
 )
 
@@ -155,18 +156,17 @@ def test_aitken_kills_geometric_error():
 
 
 def test_bisect_root_linear_exact():
-    assert bisect_root(lambda s: 1.0 - s, 0.0, 8.0, xtol=1e-12) == pytest.approx(
-        1.0, abs=1e-11
-    )
+    root = _drive(_bisect(0.0, 8.0, xtol=1e-12, max_iter=200), lambda s: 1.0 - s)
+    assert root == pytest.approx(1.0, abs=1e-11)
 
 
 def test_expand_to_sign_change_failure():
     with pytest.raises(ValueError):
-        expand_to_sign_change(lambda s: 1.0, 0.0, 1.0, max_expand=3)
+        _drive(_expand(0.0, 1.0, max_expand=3), lambda s: 1.0)
 
 
 def test_golden_section_min_parabola():
-    x, fx = golden_section_min(lambda x: (x - 1.3) ** 2, -4.0, 4.0, xtol=1e-9)
+    x, fx = _drive(_golden(-4.0, 4.0, xtol=1e-9, max_iter=120), lambda x: (x - 1.3) ** 2)
     assert x == pytest.approx(1.3, abs=1e-6)
     assert fx == pytest.approx(0.0, abs=1e-12)
 

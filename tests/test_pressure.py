@@ -16,11 +16,11 @@ from dimspectra import (
     locally_constant,
     normalize_potential,
     pressure,
-    pressure_bracket,
+    shared_table,
     words_at_level,
 )
 from dimspectra import numerics
-from dimspectra.pressure import gluing_length
+from dimspectra.pressure import _Curves, gluing_length
 
 from conftest import linear_markov_map
 
@@ -53,12 +53,18 @@ def test_golden_mean_entropy(golden, zero_phi):
     assert p.level <= 24
 
 
+def _bracket(m, phi, n):
+    """The certified level-n pressure bracket of phi."""
+    level = _Curves(m, shared_table(m, phi), n)
+    return level.lower(0.0, 1.0), level.upper(0.0, 1.0)
+
+
 def test_pressure_bracket_contains_truth(golden, zero_phi):
     widths = []
     for n in (2, 4, 6, 8):
-        br = pressure_bracket(golden, zero_phi, n)
-        assert br.lower <= GOLDEN_ENTROPY <= br.upper
-        widths.append(br.upper - br.lower)
+        lower, upper = _bracket(golden, zero_phi, n)
+        assert lower <= GOLDEN_ENTROPY <= upper
+        widths.append(upper - lower)
     assert widths == sorted(widths, reverse=True)
 
 
@@ -132,8 +138,7 @@ def test_pressure_thread_invariance(doubling, bernoulli_phi, monkeypatch):
     brackets = []
     for threads in ("1", "4"):
         monkeypatch.setenv("DIMSPECTRA_THREADS", threads)
-        got = pressure_bracket(doubling, bernoulli_phi, 17)
-        brackets.append((got.value, got.lower, got.upper))
+        brackets.append(_bracket(doubling, bernoulli_phi, 17))
     assert pools and set(pools) == {4}
     assert brackets[0] == brackets[1]
 

@@ -1,0 +1,41 @@
+"""The public surface holds only what the program or an acceptance
+criterion uses, so a helper that only its own unit tests call cannot stay
+public unnoticed."""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from pathlib import Path
+
+import dimspectra
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _names_read(path: Path) -> set[str]:
+    """Bare names read in a module, each outside the body of the function
+    it names (a recursive call does not count)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    own = [
+        node.id
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == fn.name
+    ]
+    for name in own:
+        reads.remove(name)
+    return set(reads)
+
+
+def test_every_public_function_is_used_by_the_package_or_a_criterion():
+    # Classes (result types and errors) are exempt.
+    functions = [
+        name for name in dimspectra.__all__ if inspect.isfunction(getattr(dimspectra, name))
+    ]
+    sources = [p for p in (ROOT / "src" / "dimspectra").glob("*.py") if p.name != "__init__.py"]
+    sources.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*map(_names_read, sources))
+    assert [name for name in functions if name not in used] == []

@@ -23,9 +23,10 @@ from dimspectra import (
 from dimspectra.cli import main
 from dimspectra.numerics import (
     _CHUNK,
-    bisect_root,
-    expand_to_sign_change,
-    golden_section_min,
+    _bisect,
+    _drive,
+    _expand,
+    _golden,
     log_sum_exp,
 )
 from dimspectra import normalize_potential, spectrum
@@ -66,11 +67,11 @@ def test_b_of_a_one_root_when_curves_coincide(doubling, bernoulli_phi, a):
     arr = CylinderTable(doubling, bernoulli_phi).level(2)
 
     def curve(b: float) -> float:
-        return log_sum_exp(arr.combined(a, b)[0]) / 2
+        return log_sum_exp(arr.combined_side(a, b, 0)) / 2
 
     step = 1.0 if curve(0.0) > 0.0 else -1.0
-    lo, hi = expand_to_sign_change(curve, 0.0, step, max_expand=60)
-    root = bisect_root(curve, lo, hi, xtol=1e-13)
+    lo, hi, _, _ = _drive(_expand(0.0, step, max_expand=60), curve)
+    root = _drive(_bisect(lo, hi, xtol=1e-13, max_iter=200), curve)
     assert pt.level == 2
     assert pt.lower == pt.b == pt.upper == root
 
@@ -315,8 +316,8 @@ def _legendre_oracle(m, phi, alphas, *, tol, max_level, refine_tol=1e-7, a_lo=-4
     for alpha in np.asarray(alphas, dtype=float):
         lo, hi = a_lo, a_hi
         for _ in range(8):
-            a_star, _ = golden_section_min(
-                lambda a: alpha * bp(a).b - a, lo, hi, xtol=refine_tol
+            a_star, _ = _drive(
+                _golden(lo, hi, xtol=refine_tol, max_iter=120), lambda a: alpha * bp(a).b - a
             )
             span = hi - lo
             if a_star - lo < 0.02 * span:
@@ -413,8 +414,8 @@ def test_b_lanes_hold_no_level_the_table_dropped(uniform_phi, monkeypatch):
     # Past cache_words the table keeps only its newest level (and the end
     # columns of the one before); the lanes' shared curves must not keep the
     # older ones alive.  A rung holds its level and, for the ratio curve,
-    # the level below, which the table may have rebuilt meanwhile: three
-    # whole large levels at most, however deep the ladder goes.
+    # the level below, handed on by the rung before: two whole large levels
+    # at most, however deep the ladder goes.
     import gc
     import weakref
 
@@ -438,7 +439,36 @@ def test_b_lanes_hold_no_level_the_table_dropped(uniform_phi, monkeypatch):
     monkeypatch.setattr(CylinderTable, "_extend", counted)
     with pytest.raises(NotConverged):
         b_of_a(m, uniform_phi, -0.7, tol=1e-12, max_level=12)
-    assert max(alive) <= 3
+    assert max(alive) <= 2
+
+
+def test_b_ladder_past_cache_words_builds_each_level_once(monkeypatch):
+    # The table drops level n-1 when it stores level n past cache_words;
+    # the ratio curve of rung n reads level n-1 from the rung before, so no
+    # level is rebuilt, and the result is the one a table that keeps every
+    # level gives.
+    from collections import Counter
+
+    from dimspectra import manneville_pomeau_map
+
+    half = locally_constant({(0,): math.log(0.5), (1,): math.log(0.5)})
+    builds, outcomes = Counter(), []
+    extend = CylinderTable._extend
+
+    def counted(self, prev):
+        out = extend(self, prev)
+        builds[id(self), out.n] += 1
+        return out
+
+    monkeypatch.setattr(CylinderTable, "_extend", counted)
+    for cache_words in (64, 1 << 18):
+        m = manneville_pomeau_map(0.5)
+        m._table_cache[half] = CylinderTable(m, half, cache_words=cache_words)
+        with pytest.raises(NotConverged) as err:
+            b_of_a(m, half, -0.7, tol=1e-9, max_level=12)
+        outcomes.append((err.value.enclosure, str(err.value)))
+    assert max(builds.values()) == 1
+    assert outcomes[0] == outcomes[1]
 
 
 def test_one_b_solve_asks_each_b_once(doubling, bernoulli_phi, monkeypatch):

@@ -12,16 +12,14 @@ from dimspectra import (
     CylinderTable,
     InadmissibleSupport,
     PointOutsideCylinder,
-    boundary_ratio,
+    Potential,
     build_map,
     cylinder,
     cylinders,
-    distortion_report,
     geometric,
     linear_full_branch_map,
     locally_constant,
     manneville_pomeau_map,
-    pointwise,
     shared_table,
     validate_potential,
     words_at_level,
@@ -56,7 +54,7 @@ def test_validate_potential_missing_word(golden):
 
 def test_validate_pointwise_count(doubling):
     with pytest.raises(ValueError):
-        validate_potential(doubling, pointwise((np.negative,)))
+        validate_potential(doubling, Potential(kind="pointwise", funcs=(np.negative,)))
 
 
 def test_words_at_level_order_and_admissibility(golden):
@@ -125,7 +123,7 @@ def test_level_arrays_contents(doubling, bernoulli_phi):
 
 def test_combined_sign_handling(doubling, bernoulli_phi):
     arr = shared_table(doubling, bernoulli_phi).level(3)
-    f_lo, f_hi = arr.combined(-1.2, 0.7)
+    f_lo, f_hi = arr.combined_side(-1.2, 0.7, 0), arr.combined_side(-1.2, 0.7, 1)
     assert np.allclose(f_lo, -1.2 * arr.psi_hi + 0.7 * arr.phi_lo)
     assert np.allclose(f_hi, -1.2 * arr.psi_lo + 0.7 * arr.phi_hi)
     assert np.all(f_lo <= f_hi + 1e-15)
@@ -134,7 +132,7 @@ def test_combined_sign_handling(doubling, bernoulli_phi):
 def test_combined_needs_phi(doubling):
     arr = shared_table(doubling, None).level(2)
     with pytest.raises(ValueError):
-        arr.combined(1.0, 0.5)
+        arr.combined_side(1.0, 0.5, 0)
 
 
 def test_shared_table_is_cached(doubling, bernoulli_phi, uniform_phi):
@@ -148,25 +146,23 @@ def test_shared_table_is_cached(doubling, bernoulli_phi, uniform_phi):
 
 def test_boundary_ratio(doubling):
     # cylinder (0, 1) is [1/4, 1/2]; x = 0.3 sits 0.05 above the lower edge
-    assert boundary_ratio(doubling, (0, 1), 0.3) == pytest.approx(0.2)
+    cyl = cylinder(doubling, (0, 1))
+    assert cyl.boundary_ratio(0.3) == pytest.approx(0.2)
     with pytest.raises(PointOutsideCylinder):
-        boundary_ratio(doubling, (0, 1), 0.6)
+        cyl.boundary_ratio(0.6)
 
 
-def test_distortion_report_parabolic(mp, uniform_phi):
-    rep = distortion_report(mp, uniform_phi, 6)
-    assert rep.level == 6
-    assert rep.K_psi > 0.0  # nonlinear branches distort
-    assert rep.K_phi == 0.0  # depth-1 locally constant is exact
-    assert rep.rho == rep.K_psi
-    rep2 = distortion_report(mp, uniform_phi, 6, k_n=rep.K_psi + 1.0)
-    assert rep2.rho == rep.K_psi + 1.0
+def test_distortion_parabolic(mp, uniform_phi):
+    # Bracket widths of the level-6 Birkhoff sums.
+    arr = shared_table(mp, uniform_phi).level(6)
+    assert np.max(arr.psi_hi - arr.psi_lo) > 0.0  # nonlinear branches distort
+    assert np.array_equal(arr.phi_lo, arr.phi_hi)  # depth-1 locally constant is exact
 
 
 def test_distortion_zero_for_linear(doubling, bernoulli_phi):
-    rep = distortion_report(doubling, bernoulli_phi, 5)
-    assert rep.K_psi == pytest.approx(0.0, abs=1e-13)
-    assert rep.K_phi == pytest.approx(0.0, abs=1e-13)
+    arr = shared_table(doubling, bernoulli_phi).level(5)
+    assert np.max(arr.psi_hi - arr.psi_lo) == pytest.approx(0.0, abs=1e-13)
+    assert np.max(arr.phi_hi - arr.phi_lo) == pytest.approx(0.0, abs=1e-13)
 
 
 def _random_table(m, depth, seed):
@@ -191,7 +187,7 @@ def _potentials(m):
     yield None
     yield geometric(-0.7)
     # increasing on one branch, decreasing on the other
-    yield pointwise((np.square, np.negative))
+    yield Potential(kind="pointwise", funcs=(np.square, np.negative))
     for depth in (1, 2, 3, 4):
         yield _random_table(m, depth, seed=10 + depth)
 
@@ -367,18 +363,24 @@ def _row_table(kind):
 def test_combined_rows_equal_scalar_calls(kind, n, coeffs):
     # Row i of the lane form is the scalar call at (a[i], b[i]) bit for bit,
     # with phi skipped where b == 0 (a table without phi then still works).
+    # Where a == 0 != b the scalar call skips psi too, so zeros may differ
+    # in sign there.
     table, has_phi = _row_table(kind)
     arr = table.level(n)
     if not has_phi:
         coeffs = [(a, 0.0) for a, _ in coeffs]
     a, b = (np.array(col) for col in zip(*coeffs))
-    f_lo, f_hi = arr.combined(a, b)
-    for i, (ai, bi) in enumerate(coeffs):
-        lo, hi = arr.combined(ai, bi)
-        assert f_lo[i].tobytes() == lo.tobytes() and f_hi[i].tobytes() == hi.tobytes()
+    for side in (0, 1):
+        rows = arr.combined_side(a, b, side)
+        for i, (ai, bi) in enumerate(coeffs):
+            scalar = arr.combined_side(ai, bi, side)
+            if ai == 0.0 != bi:
+                assert np.array_equal(rows[i], scalar)
+            else:
+                assert rows[i].tobytes() == scalar.tobytes()
     if not has_phi:
         with pytest.raises(ValueError, match="without a phi"):
-            arr.combined(a, b + 1.0)
+            arr.combined_side(a, b + 1.0, 0)
 
 
 LINK_MAPS = {

@@ -8,7 +8,8 @@ import pytest
 
 from dimspectra import (
     ConfigError,
-    coarse_spectrum,
+    EmptyWindow,
+    bowen_sn,
     cylinder_mass_bracket,
     declared_model,
     exact_model,
@@ -16,6 +17,7 @@ from dimspectra import (
     locally_constant,
     sample_points,
     shared_table,
+    window_mask,
 )
 from dimspectra.maps import Branch
 
@@ -161,20 +163,29 @@ def test_sample_points_respect_subshift(golden, uniform_phi):
         assert golden.admissible(tuple(int(x) for x in row))
 
 
+def _windowed_root(model, m, n, alpha, eps):
+    """(bowen_sn root, window size), or (nan, 0) for an empty window."""
+    try:
+        s = bowen_sn(m, model.phi, n, alpha, eps)
+    except EmptyWindow:
+        return math.nan, 0
+    return s, int(np.sum(window_mask(m, model.phi, n, alpha, eps)))
+
+
 def test_coarse_spectrum_window_shadow(bernoulli_model, doubling):
     alphas = [0.3, 0.8113, 1.0, 1.5, 2.5]
-    cs = coarse_spectrum(bernoulli_model, doubling, 10, alphas, 0.08)
-    assert math.isnan(cs.s_values[0]) and cs.counts[0] == 0
-    assert math.isnan(cs.s_values[4]) and cs.counts[4] == 0
-    for alpha, s, count in zip(alphas[1:4], cs.s_values[1:4], cs.counts[1:4]):
+    shadow = [_windowed_root(bernoulli_model, doubling, 10, alpha, 0.08) for alpha in alphas]
+    assert math.isnan(shadow[0][0]) and shadow[0][1] == 0
+    assert math.isnan(shadow[4][0]) and shadow[4][1] == 0
+    for alpha, (s, count) in zip(alphas[1:4], shadow[1:4]):
         assert count > 0
         # finite-level roots approach f from below; never overshoot by 0.1
         assert s <= closed_form_f(alpha) + 0.1
 
 
 def test_coarse_spectrum_uniform_degenerate(uniform_model, doubling):
-    cs = coarse_spectrum(uniform_model, doubling, 10, [0.8, 1.0, 1.2], 0.01)
-    assert math.isnan(cs.s_values[0])
-    assert math.isnan(cs.s_values[2])
-    assert cs.s_values[1] == pytest.approx(1.0, abs=1e-10)
-    assert cs.counts[1] == 1024
+    shadow = [_windowed_root(uniform_model, doubling, 10, alpha, 0.01) for alpha in (0.8, 1.0, 1.2)]
+    assert math.isnan(shadow[0][0])
+    assert math.isnan(shadow[2][0])
+    assert shadow[1][0] == pytest.approx(1.0, abs=1e-10)
+    assert shadow[1][1] == 1024
