@@ -95,6 +95,7 @@ from .induced import (
     InducedBranch,
     InducedSystem,
     build_induced,
+    induced_b_curve,
     induced_b_point,
 )
 

@@ -35,7 +35,7 @@ from .errors import (
     NotConverged,
 )
 from .finite_measures import block_objective, optimize_block_weights
-from .induced import build_induced, induced_b_point
+from .induced import build_induced, induced_b_curve
 from .maps import (
     Branch,
     MarkovMap,
@@ -733,20 +733,18 @@ def _cmd_induce(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
         m, phi, base_symbols=base, truncation=cmd["truncation"]
     )
     res = _Result(["a", "b", "b_low", "b_high", "tail_ratio", "on_ray"], [])
-    for a in _grid_values(cmd["a_grid"]):
-        try:
-            point = induced_b_point(
-                isys, float(a), tol=cmd["tol"], tail_tol=cmd["tail_tol"]
-            )
+    grid = _grid_values(cmd["a_grid"])
+    points = induced_b_curve(isys, grid, tol=cmd["tol"], tail_tol=cmd["tail_tol"])
+    for a, point in zip(grid, points):
+        if isinstance(point, NotConverged):
+            row = [float(a), math.nan, math.nan, math.nan, math.nan, False]
+            res.status = "enclosure"
+        else:
             row = [
                 point.a, point.b, point.lower, point.upper,
                 point.tail_ratio, point.on_ray,
             ]
             res.widths.append(point.upper - point.lower)
-        except NotConverged as exc:
-            enclosure = exc.enclosure or (math.nan, math.nan)
-            row = [float(a), math.nan, enclosure[0], enclosure[1], math.nan, False]
-            res.status = "enclosure"
         res.rows.append(row)
     res.checks["coverage"] = float(isys.coverage)
     res.checks["branches"] = len(isys.branches)

@@ -12,6 +12,10 @@ limit of converging bounds.
 The base defaults to the union of non-parabolic first-level cylinders.  On
 a map with no parabolic orbit the construction degenerates to the map
 itself (every return time is 1), which is the cross-check used by tests.
+
+`induced_b_curve` solves a grid of a-values in lockstep: each a is one
+lane of root solves, and every round evaluates all lanes asking the same
+curve in one numpy call, bit for bit what solving each a alone gives.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .maps import MarkovMap
-from .numerics import descending_root, log_sum_exp
+from .numerics import _CHUNK, _asking, _call_stacked, _descend, _lockstep, log_sum_exp
 from .symbolic import Potential, cylinders
 
 WORD_CAP = 1 << 20
@@ -176,125 +180,138 @@ class InducedBPoint:
     on_ray: bool
 
 
-def _branch_arrays(
-    isys: InducedSystem, a: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    psi_lo = np.array([b.psi_bracket[0] for b in isys.branches])
-    psi_hi = np.array([b.psi_bracket[1] for b in isys.branches])
-    phi_lo = np.array([b.phi_bracket[0] for b in isys.branches])
-    phi_hi = np.array([b.phi_bracket[1] for b in isys.branches])
-    times = np.array([b.return_time for b in isys.branches], dtype=np.int64)
-    if a >= 0.0:
-        f_lo, f_hi = a * psi_lo, a * psi_hi
-    else:
-        f_lo, f_hi = a * psi_hi, a * psi_lo
-    return f_lo, f_hi, phi_lo, phi_hi, times
+class _Curves:
+    """The induced pressure curves of a block of a-values, one row per a.
+
+    Each curve takes arrays of lane rows and b-values and gives one value
+    per entry, bit for bit the scalar expression on that a's branches (a
+    row of `log_sum_exp` is the 1-d call on it), so every lane asking a
+    curve in a round is answered by one call (`_call_stacked`).
+    """
+
+    def __init__(self, isys: InducedSystem, a_values: Sequence[float]):
+        psi_lo, psi_hi, phi_lo, phi_hi = np.array(
+            [br.psi_bracket + br.phi_bracket for br in isys.branches]
+        ).T
+        a = np.array(a_values, dtype=float)[:, None]
+        # a*psi at the bracket end that bounds it from below / above
+        self.f_lo = np.where(a >= 0.0, a * psi_lo, a * psi_hi)
+        self.f_hi = np.where(a >= 0.0, a * psi_hi, a * psi_lo)
+        self.f_mid = 0.5 * (self.f_lo + self.f_hi)
+        self.phi_lo, self.phi_hi = phi_lo, phi_hi
+        self.phi_sum = phi_lo + phi_hi
+        times = np.array([br.return_time for br in isys.branches])
+        n = isys.truncation
+        # (f_hi, phi_hi) of the last four return times that hold branches.
+        masks = [times == r for r in range(max(1, n - 3), n + 1)]
+        self.levels = [(self.f_hi[:, k], phi_hi[k]) for k in masks if k.any()]
+        self.has_last = bool(masks[-1].any())
+
+    def lower(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Pressure of the sums over the lower brackets, dropped tail ignored."""
+        return log_sum_exp(self.f_lo[rows] + _times(b, self.phi_lo, self.phi_hi))
+
+    def upper(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Pressure of the sums over the upper brackets, dropped tail ignored."""
+        return log_sum_exp(self.f_hi[rows] + _times(b, self.phi_hi, self.phi_lo))
+
+    def mid(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Pressure at the midpoint of every branch's brackets."""
+        return log_sum_exp(self.f_mid[rows] + (b[:, None] * 0.5) * self.phi_sum)
+
+    def tail_ratio(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-return-time growth ratio of the upper level sums near N."""
+        return _growth(self._level_sums(rows, b), b.size)
+
+    def padded(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The upper pressure with the geometric bound of the dropped tail
+        added; +inf where the level sums do not shrink."""
+        sums = self._level_sums(rows, b)
+        ratio = _growth(sums, b.size)
+        out = np.full(b.size, math.inf)
+        ok = ratio < 1.0
+        if ok.any():
+            last = sums[-1] if self.has_last else np.full(b.size, -math.inf)
+            tail = [
+                _tail_log_bound(s, r) for s, r in zip(last[ok].tolist(), ratio[ok].tolist())
+            ]
+            out[ok] = np.logaddexp(self.upper(rows[ok], b[ok]), tail)
+        return out
+
+    def _level_sums(self, rows: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+        """Upper log-sums of each kept return-time level near N."""
+        return [log_sum_exp(f[rows] + b[:, None] * phi) for f, phi in self.levels]
 
 
-def _tail_ratio(
-    f_hi: np.ndarray, phi_hi: np.ndarray, times: np.ndarray, b: float, n_tr: int
-) -> float:
-    """Per-return-time growth ratio of the upper partition sums near N."""
-    def level_sum(r: int) -> float:
-        mask = times == r
-        if not np.any(mask):
-            return -math.inf
-        contrib = f_hi[mask] + b * phi_hi[mask]
-        return log_sum_exp(contrib)
-
-    top = [level_sum(r) for r in range(max(1, n_tr - 3), n_tr + 1)]
-    top = [t for t in top if t > -math.inf]
-    if len(top) < 2:
-        return 0.0
-    gaps = np.diff(top)
-    return float(np.exp(np.max(gaps)))
+def _times(b: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """b*phi, with phi at `pos` for b >= 0 and at `neg` below."""
+    b = b[:, None]
+    return np.where(b >= 0.0, b * pos, b * neg)
 
 
-def induced_b_point(
-    isys: InducedSystem,
+def _growth(sums: list[np.ndarray], lanes: int) -> np.ndarray:
+    """exp of the largest step between consecutive level sums (0 with
+    fewer than two levels)."""
+    if len(sums) < 2:
+        return np.zeros(lanes)
+    gaps = np.diff(np.stack(sums, axis=1), axis=1).max(axis=1)
+    return np.array([float(np.exp(g)) for g in gaps])
+
+
+def _tail_log_bound(last: float, ratio: float) -> float:
+    """log of sum_{r > N} (level sum at N) * ratio^(r - N), geometric bound."""
+    if ratio <= 0.0:
+        return -math.inf
+    return last + math.log(ratio) - math.log1p(-ratio)
+
+
+def _lane(
+    curves: _Curves,
+    row: int,
     a: float,
     *,
-    tol: float = 1e-8,
-    tail_tol: float = 0.05,
-) -> InducedBPoint:
-    """Solve the truncated induced pressure equation for b at one a.
+    countable: bool,
+    sup_bar: float,
+    tol: float,
+    tail_tol: float,
+):
+    """One a's solve (see `induced_b_curve`), yielding requests
+    (curve, row, b)."""
 
-    The induced pressure of the countable full shift is the log of the sum
-    over branches of exp(a*psi + b*phi) evaluated on the return blocks;
-    the root in b is bracketed by solving with and without the dropped-tail
-    bound.  The tail is bounded by a geometric extrapolation of the last
-    return-time level sums.
-
-    Raises:
-        TailDominates: the level sums still grow at the kept horizon (no
-            geometric tail bound exists), or the tail bound moves the upper
-            root by more than tail_tol; raise the truncation.
-        NotConverged: root expansion failed (carries the partial bracket).
-    """
-    if isys.branches[0].phi_bracket is None:
-        raise ValueError("induced system was built without a potential")
-    f_lo, f_hi, phi_lo, phi_hi, times = _branch_arrays(isys, a)
-    sup_bar = float(np.max(phi_hi))
-    if sup_bar >= 0.0:
-        raise ValueError("induced potential must be strictly negative")
-    # A genuinely induced system has countably many branches; for b < 0 the
-    # dropped tail diverges (block sums of phi grow linearly in the return
-    # time), so roots are clamped to b >= 0.  Trivial inducing (all return
-    # times 1) is the direct system, where negative roots are meaningful.
-    countable = int(times.max()) > 1
-
-    def upper_pressure(b: float) -> float:
-        contrib = f_hi + (b * phi_hi if b >= 0.0 else b * phi_lo)
-        return log_sum_exp(contrib)
-
-    def lower_pressure(b: float) -> float:
-        contrib = f_lo + (b * phi_lo if b >= 0.0 else b * phi_hi)
-        return log_sum_exp(contrib)
-
-    def padded_pressure(b: float) -> float:
-        r = _tail_ratio(f_hi, phi_hi, times, b, isys.truncation)
-        if r >= 1.0:
-            return math.inf
-        t = _tail_log_bound(f_hi, phi_hi, times, b, isys.truncation, r)
-        return float(np.logaddexp(upper_pressure(b), t))
+    def root(curve):
+        try:
+            return (yield from _asking(lambda b: (curve, row, b), _descend(1.0, xtol=tol)))
+        except ValueError as exc:
+            raise NotConverged("induced pressure root expansion failed") from exc
 
     if countable:
         # Ray check: if even the tail-padded upper sum stays below 1 at
         # b = 0, the equation has no nonnegative root and b(a) = 0.
-        padded0 = padded_pressure(0.0)
-        if padded0 <= 0.0:
+        if (yield (curves.padded, row, 0.0)) <= 0.0:
+            upper0 = yield (curves.upper, row, 0.0)
             return InducedBPoint(
                 a=a,
                 b=0.0,
                 lower=0.0,
-                upper=max(upper_pressure(0.0), 0.0) / (-sup_bar),
-                tail_ratio=_tail_ratio(f_hi, phi_hi, times, 0.0, isys.truncation),
+                upper=max(upper0, 0.0) / (-sup_bar),
+                tail_ratio=(yield (curves.tail_ratio, row, 0.0)),
                 on_ray=True,
             )
-
-    def solve(fn) -> float:
-        try:
-            return descending_root(fn, 1.0, xtol=tol)
-        except ValueError as exc:
-            raise NotConverged("induced pressure root expansion failed") from exc
-
-    b_lower = solve(lower_pressure)
-    ratio = _tail_ratio(f_hi, phi_hi, times, max(b_lower, 0.0), isys.truncation)
+    b_lower = yield from root(curves.lower)
+    ratio = yield (curves.tail_ratio, row, max(b_lower, 0.0))
     if ratio >= 1.0:
         raise TailDominates(
             f"level sums grow by {ratio:.3f} per return time at b = {b_lower:.4g}; "
             "raise the truncation"
         )
-    b_plain = solve(upper_pressure)
-    b_upper = solve(padded_pressure)
+    b_plain = yield from root(curves.upper)
+    b_upper = yield from root(curves.padded)
     if b_upper - b_plain > tail_tol:
         raise TailDominates(
             f"dropped-tail bound moves the root from {b_plain:.4f} to "
             f"{b_upper:.4f} (> {tail_tol:.3g}); raise the truncation"
         )
-    mid = solve(
-        lambda b: log_sum_exp(0.5 * (f_lo + f_hi) + b * 0.5 * (phi_lo + phi_hi))
-    )
+    mid = yield from root(curves.mid)
     lo_b, hi_b = min(b_lower, b_upper), max(b_lower, b_upper)
     if countable:
         lo_b, hi_b = max(lo_b, 0.0), max(hi_b, 0.0)
@@ -309,17 +326,78 @@ def induced_b_point(
     )
 
 
-def _tail_log_bound(
-    f_hi: np.ndarray,
-    phi_hi: np.ndarray,
-    times: np.ndarray,
-    b: float,
-    n_tr: int,
-    ratio: float,
-) -> float:
-    """log of sum_{r > N} (level sum at N) * ratio^(r - N), geometric bound."""
-    mask = times == n_tr
-    if not np.any(mask) or ratio <= 0.0:
-        return -math.inf
-    last = log_sum_exp(f_hi[mask] + b * phi_hi[mask])
-    return last + math.log(ratio) - math.log1p(-ratio)
+def induced_b_curve(
+    isys: InducedSystem,
+    a_values: Sequence[float],
+    *,
+    tol: float = 1e-8,
+    tail_tol: float = 0.05,
+) -> list[InducedBPoint | NotConverged]:
+    """Solve the truncated induced pressure equation for b at each a.
+
+    The induced pressure of the countable full shift is the log of the sum
+    over branches of exp(a*psi + b*phi) evaluated on the return blocks;
+    the root in b is bracketed by solving with and without the dropped-tail
+    bound.  The tail is bounded by a geometric extrapolation of the last
+    return-time level sums.  Every a's solve runs in lockstep: each round
+    evaluates all pending lanes of a curve in one call, with the bits a
+    solve of that a alone would give.
+
+    Returns:
+        One InducedBPoint per a; where a root's bracket expansion fails,
+        a NotConverged in its place (it carries no enclosure).
+
+    Raises:
+        ValueError: the system was built without a potential, or its
+            potential is not strictly negative.
+        TailDominates: at some a the level sums still grow at the kept
+            horizon (no geometric tail bound exists), or the tail bound
+            moves the upper root by more than tail_tol; raise the
+            truncation.  The first such a in grid order is reported.
+    """
+    if isys.branches[0].phi_bracket is None:
+        raise ValueError("induced system was built without a potential")
+    sup_bar = max(br.phi_bracket[1] for br in isys.branches)
+    if sup_bar >= 0.0:
+        raise ValueError("induced potential must be strictly negative")
+    # A genuinely induced system has countably many branches; for b < 0 the
+    # dropped tail diverges (block sums of phi grow linearly in the return
+    # time), so roots are clamped to b >= 0.  Trivial inducing (all return
+    # times 1) is the direct system, where negative roots are meaningful.
+    countable = max(br.return_time for br in isys.branches) > 1
+    a_values = [float(a) for a in a_values]
+    # Lanes per block: no curve array holds more than one log-sum-exp chunk.
+    per_block = max(1, _CHUNK // len(isys.branches))
+    found: list = []
+    for i in range(0, len(a_values), per_block):
+        block = a_values[i : i + per_block]
+        curves = _Curves(isys, block)
+        lanes = [
+            _lane(curves, row, a, countable=countable, sup_bar=sup_bar,
+                  tol=tol, tail_tol=tail_tol)
+            for row, a in enumerate(block)
+        ]
+        found += _lockstep(lanes, _call_stacked, keep=(NotConverged, TailDominates))
+    for point in found:
+        if isinstance(point, TailDominates):
+            raise point
+    return found
+
+
+def induced_b_point(
+    isys: InducedSystem,
+    a: float,
+    *,
+    tol: float = 1e-8,
+    tail_tol: float = 0.05,
+) -> InducedBPoint:
+    """`induced_b_curve` at one a.
+
+    Raises:
+        ValueError, TailDominates: as `induced_b_curve`.
+        NotConverged: a root's bracket expansion failed (no enclosure).
+    """
+    (point,) = induced_b_curve(isys, [a], tol=tol, tail_tol=tail_tol)
+    if isinstance(point, NotConverged):
+        raise point
+    return point

@@ -40,6 +40,7 @@ from .errors import (
 ENDPOINT_TOL = 1e-12
 PARABOLIC_TOL = 1e-10
 NEWTON_SWEEPS = 120
+_INVERSE_BLOCK = 4096
 
 _FAMILIES = ("linear", "manneville_pomeau", "power", "farey_left", "farey_right")
 
@@ -221,8 +222,19 @@ def _power_inverse(c: float, s: float, z, lo: float, hi: float):
     remaining sweeps picks the member.
     """
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
+    if z.ndim == 0:
+        return _power_inverse_block(c, s, z[None], lo, hi)[0]
+    # Every point iterates alone, so solving in blocks changes no bit; it
+    # keeps the sweep's temporaries small on million-point levels.
+    x = np.empty_like(z)
+    for i in range(0, z.size, _INVERSE_BLOCK):
+        block = slice(i, i + _INVERSE_BLOCK)
+        x[block] = _power_inverse_block(c, s, z[block], lo, hi)
+    return x
+
+
+def _power_inverse_block(c: float, s: float, z: np.ndarray, lo: float, hi: float):
+    """`_power_inverse` on a 1-d array."""
     x = np.empty_like(z)
     live = np.arange(z.size)
     xs, zs = np.full_like(z, hi), z
@@ -260,7 +272,7 @@ def _power_inverse(c: float, s: float, z, lo: float, hi: float):
             fb = xb + c * xb ** (1.0 + s) - zb
             xb = np.clip(xb - fb / (1.0 + c * (1.0 + s) * xb**s), lo, hi)
         x[bad] = xb
-    return x[0] if scalar else x
+    return x
 
 
 @dataclass(frozen=True)
@@ -308,6 +320,7 @@ class MarkovMap:
         transition = np.array(transition, dtype=np.int8)
         transition.setflags(write=False)
         self.transition = transition
+        self._pairs = frozenset(zip(*(ix.tolist() for ix in np.nonzero(transition))))
         self.aperiodicity_power = aperiodicity_power
         self.parabolic_orbits = parabolic_orbits
         self.core_spans = core_spans
@@ -330,11 +343,13 @@ class MarkovMap:
         return bool(np.all(self.transition == 1))
 
     def admissible(self, word: Sequence[int]) -> bool:
-        """True when every consecutive pair of symbols is allowed."""
-        for a, b in zip(word, word[1:]):
-            if not self.transition[a, b]:
-                return False
-        return all(0 <= i < self.p for i in word)
+        """True when every symbol is in range and every consecutive pair of
+        symbols is allowed."""
+        if len(word) == 0:
+            return True
+        if min(word) < 0 or max(word) >= self.p:
+            return False
+        return set(zip(word, word[1:])) <= self._pairs
 
     def word_count(self, n: int) -> int:
         """Number of admissible words of length n (exact integer arithmetic)."""
@@ -724,19 +739,41 @@ def _check_unit_derivative_locus(
     grid: int,
     period_bound: int,
 ) -> None:
-    """Require every |T'| = 1 point to feed into a detected parabolic orbit."""
+    """Require every |T'| = 1 point to lie in the neutral zone of a detected
+    fixed point on its own branch, or to feed into a detected parabolic
+    orbit."""
     orbit_points = [x for o in orbits for x in o.points]
     for i, br in enumerate(branches):
         lo, hi = br.domain
         xs = np.linspace(lo, hi, grid + 1)
         d = np.abs(br.derivative(xs))
-        suspects = xs[np.abs(d - 1.0) <= 1e-9]
-        for x in suspects:
+        near = np.abs(d - 1.0) <= 1e-9
+        for x in xs[near & ~_neutral_zone(i, xs, near, orbits)]:
             if not _reaches_parabolic(branches, float(x), orbit_points, 3 * period_bound + 8):
                 raise ContractionViolation(
                     f"|T'| = 1 at x = {float(x):.17g} (branch {i}) but the forward "
                     "orbit never reaches a detected parabolic orbit"
                 )
+
+
+def _neutral_zone(
+    i: int, xs: np.ndarray, near: np.ndarray, orbits: tuple[ParabolicOrbit, ...]
+) -> np.ndarray:
+    """Grid points joined to a detected neutral fixed point of branch i by
+    an unbroken run of |T'| = 1 grid points: the fixed point's neutral
+    zone.  Its points need not come near the orbit going forward: for
+    T(x) = x + x**(1+s) with s above about 3.05 the zone holds grid points
+    off 0, and their orbits drift away from it."""
+    zone = np.zeros_like(near)
+    breaks = np.flatnonzero(~near)
+    for orbit in orbits:
+        if orbit.word != (i,):
+            continue
+        j = int(np.argmin(np.abs(xs - orbit.points[0])))
+        if near[j]:
+            start = breaks[breaks < j].max(initial=-1) + 1
+            zone[start : breaks[breaks > j].min(initial=near.size)] = True
+    return zone
 
 
 def _reaches_parabolic(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dimspectra import (
+    NotConverged,
     TailDominates,
     TruncationTooSmall,
     b_of_a,
@@ -13,10 +14,14 @@ from dimspectra import (
     cylinder,
     Potential,
     geometric,
+    induced_b_curve,
     induced_b_point,
     linear_full_branch_map,
     locally_constant,
+    manneville_pomeau_map,
 )
+from dimspectra import induced
+from dimspectra.numerics import descending_root, log_sum_exp
 
 LOG2 = math.log(2.0)
 
@@ -199,3 +204,229 @@ def test_dimension_only_system_rejects_b_solve(doubling):
     assert isys.branches[0].phi_bracket is None
     with pytest.raises(ValueError):
         induced_b_point(isys, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The per-point scalar solve the lockstep lanes replaced, kept as their
+# oracle: one a at a time, each curve a 1-d log_sum_exp, each root a
+# descending_root call.
+
+
+def _scalar_tail_ratio(f_hi, phi_hi, times, b, n_tr):
+    def level_sum(r):
+        mask = times == r
+        if not np.any(mask):
+            return -math.inf
+        return log_sum_exp(f_hi[mask] + b * phi_hi[mask])
+
+    top = [level_sum(r) for r in range(max(1, n_tr - 3), n_tr + 1)]
+    top = [t for t in top if t > -math.inf]
+    if len(top) < 2:
+        return 0.0
+    return float(np.exp(np.max(np.diff(top))))
+
+
+def _scalar_tail_log_bound(f_hi, phi_hi, times, b, n_tr, ratio):
+    mask = times == n_tr
+    if not np.any(mask) or ratio <= 0.0:
+        return -math.inf
+    last = log_sum_exp(f_hi[mask] + b * phi_hi[mask])
+    return last + math.log(ratio) - math.log1p(-ratio)
+
+
+def _scalar_curves(isys, a):
+    """The curves of one a: name -> function of a float b."""
+    psi_lo = np.array([b.psi_bracket[0] for b in isys.branches])
+    psi_hi = np.array([b.psi_bracket[1] for b in isys.branches])
+    phi_lo = np.array([b.phi_bracket[0] for b in isys.branches])
+    phi_hi = np.array([b.phi_bracket[1] for b in isys.branches])
+    times = np.array([b.return_time for b in isys.branches], dtype=np.int64)
+    if a >= 0.0:
+        f_lo, f_hi = a * psi_lo, a * psi_hi
+    else:
+        f_lo, f_hi = a * psi_hi, a * psi_lo
+    n_tr = isys.truncation
+
+    def upper_pressure(b):
+        return log_sum_exp(f_hi + (b * phi_hi if b >= 0.0 else b * phi_lo))
+
+    def lower_pressure(b):
+        return log_sum_exp(f_lo + (b * phi_lo if b >= 0.0 else b * phi_hi))
+
+    def padded_pressure(b):
+        r = _scalar_tail_ratio(f_hi, phi_hi, times, b, n_tr)
+        if r >= 1.0:
+            return math.inf
+        t = _scalar_tail_log_bound(f_hi, phi_hi, times, b, n_tr, r)
+        return float(np.logaddexp(upper_pressure(b), t))
+
+    return {
+        "lower": lower_pressure,
+        "upper": upper_pressure,
+        "padded": padded_pressure,
+        "mid": lambda b: log_sum_exp(0.5 * (f_lo + f_hi) + b * 0.5 * (phi_lo + phi_hi)),
+        "tail_ratio": lambda b: _scalar_tail_ratio(f_hi, phi_hi, times, b, n_tr),
+    }
+
+
+def _scalar_b_point(isys, a, *, tol=1e-8, tail_tol=0.05):
+    curves = _scalar_curves(isys, a)
+    upper_pressure, lower_pressure, padded_pressure, tail_ratio = (
+        curves["upper"], curves["lower"], curves["padded"], curves["tail_ratio"]
+    )
+    sup_bar = max(b.phi_bracket[1] for b in isys.branches)
+    countable = max(b.return_time for b in isys.branches) > 1
+
+    if countable and padded_pressure(0.0) <= 0.0:
+        return induced.InducedBPoint(
+            a=a,
+            b=0.0,
+            lower=0.0,
+            upper=max(upper_pressure(0.0), 0.0) / (-sup_bar),
+            tail_ratio=tail_ratio(0.0),
+            on_ray=True,
+        )
+
+    def solve(fn):
+        try:
+            return descending_root(fn, 1.0, xtol=tol)
+        except ValueError as exc:
+            raise NotConverged("induced pressure root expansion failed") from exc
+
+    b_lower = solve(lower_pressure)
+    ratio = tail_ratio(max(b_lower, 0.0))
+    if ratio >= 1.0:
+        raise TailDominates(
+            f"level sums grow by {ratio:.3f} per return time at b = {b_lower:.4g}; "
+            "raise the truncation"
+        )
+    b_plain = solve(upper_pressure)
+    b_upper = solve(padded_pressure)
+    if b_upper - b_plain > tail_tol:
+        raise TailDominates(
+            f"dropped-tail bound moves the root from {b_plain:.4f} to "
+            f"{b_upper:.4f} (> {tail_tol:.3g}); raise the truncation"
+        )
+    mid = solve(curves["mid"])
+    lo_b, hi_b = min(b_lower, b_upper), max(b_lower, b_upper)
+    if countable:
+        lo_b, hi_b = max(lo_b, 0.0), max(hi_b, 0.0)
+        mid = max(mid, 0.0)
+    return induced.InducedBPoint(
+        a=a, b=min(max(mid, lo_b), hi_b), lower=lo_b, upper=hi_b,
+        tail_ratio=ratio, on_ray=False,
+    )
+
+
+def _oracle(isys, grid, **kw):
+    """The scalar solve at each a, with NotConverged kept in place."""
+    out = []
+    for a in grid:
+        try:
+            out.append(_scalar_b_point(isys, float(a), **kw))
+        except NotConverged as exc:
+            out.append(exc)
+    return out
+
+
+def _bits(points):
+    """Each result as text: repr of a float names its bits (and -0.0)."""
+    return [repr(p) if isinstance(p, induced.InducedBPoint) else type(p).__name__
+            for p in points]
+
+
+def _gapped_sys(truncation=12):
+    """Several branches per return time: returns to {0, 2} through 1."""
+    m = linear_full_branch_map([3.0, 3.0, 3.0])
+    phi3 = locally_constant({(i,): -math.log(3.0) for i in range(3)})
+    return build_induced(m, phi3, base_symbols=[0, 2], truncation=truncation)
+
+
+@pytest.mark.parametrize("case", ["farey4", "farey40", "gapped"])
+def test_curves_match_scalar_expressions(farey, uniform_phi, case):
+    isys = {
+        "farey4": lambda: build_induced(farey, uniform_phi, truncation=4),
+        "farey40": lambda: build_induced(farey, uniform_phi, truncation=40),
+        "gapped": _gapped_sys,
+    }[case]()
+    grid = [-1.3, -0.2, 0.0, 0.7, 1.9]
+    curves = induced._Curves(isys, grid)
+    bs = [-0.8, 0.0, 0.55, 3.1]
+    rows = np.repeat(np.arange(len(grid)), len(bs))
+    b = np.tile(bs, len(grid))
+    for name in ("lower", "upper", "padded", "mid", "tail_ratio"):
+        want = [_scalar_curves(isys, grid[r])[name](x) for r, x in zip(rows, b.tolist())]
+        assert list(map(repr, getattr(curves, name)(rows, b).tolist())) == list(map(repr, want))
+
+
+@pytest.fixture(scope="module")
+def farey_sys300(farey, uniform_phi):
+    return build_induced(farey, uniform_phi, truncation=300)
+
+
+# `induce_stop` of benchmark seeds 0, 7 and 13: the parabolic workload's grid.
+@pytest.mark.parametrize("stop", [2.0, 2.0072, 1.9371])
+def test_lanes_match_scalar_on_workload_grid(farey_sys300, stop):
+    grid = np.linspace(0.0, stop, 21)
+    found = induced_b_curve(farey_sys300, grid, tol=1e-10)
+    assert _bits(found) == _bits(_oracle(farey_sys300, grid, tol=1e-10))
+    assert not any(p.on_ray for p in found)
+
+
+def test_lanes_match_scalar_on_mp(uniform_phi):
+    isys = build_induced(manneville_pomeau_map(0.5), uniform_phi, truncation=40)
+    grid = np.linspace(-1.5, 2.0, 15)
+    found = induced_b_curve(isys, grid, tol=1e-10)
+    assert _bits(found) == _bits(_oracle(isys, grid, tol=1e-10))
+    assert any(p.on_ray for p in found) and not all(p.on_ray for p in found)
+
+
+def test_lanes_match_scalar_on_trivial_inducing(doubling, uniform_phi):
+    # all return times 1: roots below 0 are kept, not clamped
+    isys = build_induced(doubling, uniform_phi, truncation=5)
+    grid = np.linspace(-1.5, 2.0, 8)
+    found = induced_b_curve(isys, grid, tol=1e-12)
+    assert _bits(found) == _bits(_oracle(isys, grid, tol=1e-12))
+    assert min(p.b for p in found) < 0.0
+
+
+def test_lanes_match_scalar_on_the_ray(farey_sys):
+    grid = [-3.0, -2.0, -1.5, -1.0]
+    found = induced_b_curve(farey_sys, grid)
+    assert _bits(found) == _bits(_oracle(farey_sys, grid))
+    # a = -1 is the transition: its roots are solved and clamped to 0
+    assert [p.on_ray for p in found] == [True, True, True, False]
+    assert all(p.b == 0.0 for p in found)
+
+
+def test_not_converged_lane_kept_in_place(farey_sys):
+    # at a = 1e20 the b-expansion (60 doublings) cannot reach the root
+    grid = [0.0, 1e20, 1.0]
+    with np.errstate(over="ignore"):
+        found = induced_b_curve(farey_sys, grid, tol=1e-10)
+        expected = _oracle(farey_sys, grid, tol=1e-10)
+    assert _bits(found) == _bits(expected) == [
+        _bits(found[:1])[0], "NotConverged", _bits(found[2:])[0]
+    ]
+    assert found[1].enclosure is None
+
+
+def test_tail_dominates_reports_first_a_in_grid_order(farey, uniform_phi):
+    isys = build_induced(farey, uniform_phi, truncation=4)
+    # 0.1 solves; 1e20 does not converge; 0.0 and -0.3 both fail the tail test
+    grid = [0.1, 1e20, 0.0, -0.3]
+    with pytest.raises(TailDominates) as first:
+        _scalar_b_point(isys, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(TailDominates) as caught:
+        induced_b_curve(isys, grid)
+    assert str(caught.value) == str(first.value)
+
+
+def test_workload_induce_log_sum_exp_calls(farey_sys300, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        induced, "log_sum_exp", lambda v: calls.append(1) or log_sum_exp(v)
+    )
+    induced_b_curve(farey_sys300, np.linspace(0.0, 2.0, 21), tol=1e-10)
+    # one call per curve per round; the scalar loop made 7,151
+    assert 0 < len(calls) <= 1000

@@ -17,7 +17,7 @@ from dimspectra import (
 )
 from dimspectra import maps
 from dimspectra.maps import _fit_exponent, _power_inverse
-from dimspectra.symbolic import CylinderTable
+from dimspectra.symbolic import CylinderTable, cylinders
 
 LOG2 = math.log(2.0)
 
@@ -283,10 +283,12 @@ def test_hyperbolic_maps_have_no_orbit(doubling, golden, two_slopes):
         assert m.parabolic_orbits == ()
 
 
-@pytest.mark.parametrize("s", [0.001, 0.01, 0.5, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("s", [0.001, 0.01, 0.5, 1.0, 1.5, 2.0, 3.0, 3.1, 4.0, 5.0, 10.0])
 def test_mp_builds_with_analytic_exponent(s):
     # The neutral point is the domain end 0, which branch 0 fixes exactly;
-    # a bisected point (2e-11 at s = 1.5) missed the closed form.
+    # a bisected point (2e-11 at s = 1.5) missed the closed form.  From
+    # s ~ 3.05 on, |T'| - 1 = (1+s) x^s falls below 1e-9 at grid points
+    # off 0 whose orbits never near 0; they lie in its neutral zone.
     orbit, = manneville_pomeau_map(s).parabolic_orbits
     assert orbit.points == (0.0,)
     assert orbit.multiplier == 1.0
@@ -294,8 +296,57 @@ def test_mp_builds_with_analytic_exponent(s):
     assert (orbit.beta, orbit.L) == (s, 1.0 + s)
 
 
-def test_mp_limit_is_the_unit_derivative_grid_check():
-    # From s ~ 3.05 on, |T'| - 1 = (1+s) x^s falls below 1e-9 at the first
-    # grid point off 0, whose orbit creeps and never nears the neutral point.
-    with pytest.raises(ContractionViolation, match="never reaches"):
-        manneville_pomeau_map(5.0)
+class _Dipped:
+    """|T'| = 1 around x = 0, a neutral fixed point, and, with `dip`, around
+    x = 1/2 too; every point is fixed, so no orbit travels anywhere."""
+
+    domain = (0.0, 1.0)
+
+    def __init__(self, dip: bool):
+        self.dip = dip
+
+    def derivative(self, x):
+        return 1.0 + (np.minimum(x, np.abs(x - 0.5)) if self.dip else x) ** 8
+
+    def value(self, x):
+        return x
+
+
+def test_unit_derivative_run_must_reach_a_neutral_fixed_point():
+    orbit = maps.ParabolicOrbit((0,), (0.0,), 1.0, 8.0, 1.0, True)
+    # the run from 0 (out to x ~ 0.075) is the fixed point's neutral zone
+    maps._check_unit_derivative_locus((_Dipped(False),), (orbit,), 1024, 1)
+    # a run that no neutral fixed point starts is refused
+    with pytest.raises(ContractionViolation, match=r"x = 0\.42"):
+        maps._check_unit_derivative_locus((_Dipped(True),), (orbit,), 1024, 1)
+    # and so is the run at 0 once the fixed point is not detected
+    with pytest.raises(ContractionViolation, match="x = 0 "):
+        maps._check_unit_derivative_locus((_Dipped(False),), (), 1024, 1)
+
+
+def _admissible_by_pairs(m, word):
+    """The pairwise loop `admissible` replaced, with an index error (a
+    symbol past the last one) read as inadmissible."""
+    try:
+        for a, b in zip(word, word[1:]):
+            if not m.transition[a, b]:
+                return False
+    except IndexError:
+        return False
+    return all(0 <= i < m.p for i in word)
+
+
+def test_admissible_matches_pairwise_loop(golden, farey, markov):
+    rng = np.random.default_rng(5)
+    for m in (golden, farey, markov):
+        words = [()] + [
+            tuple(int(x) for x in rng.integers(-2, m.p + 2, size=n))
+            for n in rng.integers(1, 7, size=400)
+        ]
+        words += [tuple(int(x) for x in rng.integers(0, m.p, size=n)) for n in range(1, 9)]
+        assert [m.admissible(w) for w in words] == [_admissible_by_pairs(m, w) for w in words]
+    assert not farey.admissible((0, 5))
+    assert not farey.admissible((1, -1))
+    with pytest.raises(ValueError, match="not admissible"):
+        cylinders(farey, [(0, 5)])
+
