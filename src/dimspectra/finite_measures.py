@@ -100,7 +100,7 @@ def connector_length(
     eligible = arr.psi_lo > 0.0
     if not np.any(eligible):
         raise NoConnector(f"no level-{n} word has positive expansion bracket")
-    min_psi = float(np.min(arr.psi_lo[eligible]))
+    min_psi = float(np.min(arr.psi_lo if eligible.all() else arr.psi_lo[eligible]))
     cap = k_max if k_max is not None else 3 * m.aperiodicity_power + CONNECTOR_CAP_SLACK
 
     for k in range(cap + 1):
@@ -170,6 +170,15 @@ def _ratio_bracket(
     return (num_lo / den_hi, num_hi / den_lo)
 
 
+def _entropy(q: np.ndarray) -> float:
+    """-sum q log q over the support of q, copying no rows when it is all."""
+    positive = q > 0.0
+    support = q if positive.all() else q[positive]
+    h = np.log(support)
+    h *= support
+    return float(-np.sum(h)) + 0.0
+
+
 def block_measure(
     m: MarkovMap,
     phi: Potential | None,
@@ -212,11 +221,9 @@ def block_measure(
             "weight on a word with nonpositive expansion bracket"
         )
 
-    positive = q > 0.0
-    entropy = float(-np.sum(q[positive] * np.log(q[positive]))) + 0.0
-    zero = np.zeros(arr.count)
-    phl = arr.phi_lo if arr.phi_lo is not None else zero
-    phh = arr.phi_hi if arr.phi_hi is not None else zero
+    entropy = _entropy(q)
+    phl = arr.phi_lo if arr.phi_lo is not None else np.zeros(arr.count)
+    phh = arr.phi_hi if arr.phi_hi is not None else phl
     psi_lo = float(q @ arr.psi_lo)
     psi_hi = float(q @ arr.psi_hi)
     phi_lo = float(q @ phl)
@@ -294,24 +301,42 @@ def optimize_block_weights(
     """
     if phi is None:
         raise ConstraintInfeasible("ratio optimization needs a potential")
-    table = shared_table(m, phi)
+    # The solve's arrays die with it, before block_measure allocates its own.
+    return block_measure(m, phi, n, _block_weights(shared_table(m, phi), n, alpha))
+
+
+def _midpoints(lo: np.ndarray, hi: np.ndarray, rows) -> np.ndarray:
+    """0.5 * (lo + hi) over `rows` (None: every row), in one buffer."""
+    mid = lo + hi
+    mid *= 0.5
+    return mid if rows is None else mid[rows]
+
+
+def _block_weights(table: CylinderTable, n: int, alpha: float) -> np.ndarray:
+    """The weights of `optimize_block_weights`, one per level-n word.  Each
+    state is built in one buffer, and no full-size array outlives the solve."""
     arr = table.level(n)
-    con = connector_length(table, n)
-    mask = con.eligible
-    psi = (0.5 * (arr.psi_lo + arr.psi_hi))[mask]
-    phv = (0.5 * (arr.phi_lo + arr.phi_hi))[mask]
-    ratios = -phv / psi
-    if alpha <= float(np.min(ratios)) or alpha >= float(np.max(ratios)):
+    mask = connector_length(table, n).eligible
+    rows = None if mask.all() else mask
+    psi = _midpoints(arr.psi_lo, arr.psi_hi, rows)
+    phv = _midpoints(arr.phi_lo, arr.phi_hi, rows)
+    ratios = np.negative(phv)
+    ratios /= psi
+    r_lo, r_hi = float(np.min(ratios)), float(np.max(ratios))
+    del ratios
+    if alpha <= r_lo or alpha >= r_hi:
         raise ConstraintInfeasible(
-            f"alpha = {alpha:g} outside the level-{n} ratio range "
-            f"[{float(np.min(ratios)):.6g}, {float(np.max(ratios)):.6g}]"
+            f"alpha = {alpha:g} outside the level-{n} ratio range [{r_lo:.6g}, {r_hi:.6g}]"
         )
-    g = phv + alpha * psi
+    g = alpha * psi
+    g += phv
 
     def state(a: float, b: float) -> tuple[float, np.ndarray, float]:
-        logq = a * psi + b * phv
-        log_z = log_sum_exp(logq)
-        q = np.exp(logq - log_z)
+        q = a * psi
+        q += b * phv
+        log_z = log_sum_exp(q)
+        q -= log_z
+        np.exp(q, out=q)
         return log_z, q, float(q @ g)
 
     a = b = 0.0
@@ -327,25 +352,30 @@ def optimize_block_weights(
             db = (cov_psi * log_z - mean_psi * mean_g) / det
             if max(abs(da), abs(db)) <= 1e-13 * (1.0 + abs(a) + abs(b)):
                 break
+        q = None  # the line search holds one state at a time
         while t >= 2.0**-20:
-            trial = state(a + t * da, b + t * db)
-            if math.hypot(trial[0], trial[2]) < residual:
+            trial_z, q, trial_g = state(a + t * da, b + t * db)
+            if math.hypot(trial_z, trial_g) < residual:
                 break
+            q = None
             t *= 0.5
         else:  # stalled: accept only the logits' rounding floor
             if residual <= 1e-12 * (1.0 + abs(a) * psi.max() + abs(b) * np.abs(phv).max()):
+                q = state(a, b)[1]  # rebuilt: the line search dropped it
                 break
             raise NotConverged(
                 f"block weights at alpha = {alpha:g}, level {n}: Newton stalled "
                 f"at residual {residual:.3g}"
             )
-        a, b = a + t * da, b + t * db
-        log_z, q, mean_g = trial
+        a, b, log_z, mean_g = a + t * da, b + t * db, trial_z, trial_g
     else:
         raise NotConverged(f"block weights at alpha = {alpha:g}, level {n}: {NEWTON_CAP} steps")
+    q /= q.sum()
+    if rows is None:
+        return q
     full = np.zeros(arr.count)
-    full[mask] = q / q.sum()
-    return block_measure(m, phi, n, full)
+    full[rows] = q
+    return full
 
 
 def block_objective(bm: BlockMeasure) -> float:

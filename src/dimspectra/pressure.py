@@ -177,12 +177,12 @@ class _Curves:
 
     @cached_property
     def one_curve(self) -> bool:
-        """No gluing symbols and exact Birkhoff sums: lower is upper."""
+        """No gluing symbols and exact Birkhoff sums: lower is upper.  A
+        bracket stored once (hi is lo) is exact without a comparison."""
         arr = self.arr
-        return (
-            self.k == 0
-            and np.array_equal(arr.psi_lo, arr.psi_hi)
-            and np.array_equal(arr.phi_lo, arr.phi_hi)
+        return self.k == 0 and all(
+            hi is lo or np.array_equal(lo, hi)
+            for lo, hi in ((arr.psi_lo, arr.psi_hi), (arr.phi_lo, arr.phi_hi))
         )
 
     @staticmethod

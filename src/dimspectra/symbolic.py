@@ -28,6 +28,8 @@ per potential.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from itertools import compress, count
+from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -210,6 +212,14 @@ def _range_tables(m: MarkovMap, phi: Potential) -> list:
     return [None] + tables
 
 
+def _summed(col, inc, shift: float):
+    """col + inc - shift, the shift subtracted in place (x - 0.0 is x)."""
+    out = col + inc
+    if shift:
+        out -= shift
+    return out
+
+
 class _Prepend:
     """The one cylinder step: from the data of n-words w, that of i·w.
 
@@ -218,7 +228,9 @@ class _Prepend:
     without phi), and for a locally constant phi of depth d >= 2 the base-p
     code of its first min(n, d-1) symbols (None otherwise).  Columns are
     arrays with one row per word (the level table) or scalars (one node of
-    the suffix trie in `cylinders`).
+    the suffix trie in `cylinders`).  Where both ends of a bracket are equal
+    by construction (prev's ends are one column and the summand is one
+    value), the high column is the low one.
     """
 
     def __init__(self, m: MarkovMap, phi: Potential | None):
@@ -247,7 +259,8 @@ class _Prepend:
             lo, hi = take(prev[0]), take(prev[1])
         dlo, dhi = br.log_deriv_range(lo, hi)
         psi_lo = take(prev[2]) + dlo
-        psi_hi = take(prev[3]) + dhi
+        # One float (a linear branch) keeps an exact bracket exact.
+        psi_hi = psi_lo if dhi is dlo and prev[3] is prev[2] else take(prev[3]) + dhi
         if phi is None:
             return lo, hi, psi_lo, psi_hi, None, None, None
         shift, code = phi.pressure_shift, None
@@ -258,24 +271,26 @@ class _Prepend:
             d = phi.depth
             idx = i if d == 1 else i * m.p ** min(n, d - 1) + take(prev[6])
             r_lo, r_hi = self.ranges[min(n + 1, d)]
-            inc_lo, inc_hi, shift = r_lo[idx], r_hi[idx], 0.0
+            inc_lo, shift = r_lo[idx], 0.0
+            inc_hi = inc_lo if r_hi is r_lo else r_hi[idx]
             code = None if d == 1 else idx if n + 1 < d else idx // m.p
         elif phi.kind == "geometric":
-            # In place for arrays: the psi sums above were dlo's and dhi's
-            # last readers.
             c = phi.coefficient
-            dlo *= c
-            dhi *= c
-            inc_lo, inc_hi = (dlo, dhi) if c >= 0 else (dhi, dlo)
+            if dhi is dlo:
+                inc_lo = inc_hi = dlo * c
+            else:  # in place: the psi sums above were dlo's and dhi's last readers
+                dlo *= c
+                dhi *= c
+                inc_lo, inc_hi = (dlo, dhi) if c >= 0 else (dhi, dlo)
         else:  # pointwise, monotone on the branch
             fa = np.asarray(phi.funcs[i](np.asarray(lo)), dtype=float)
             fb = np.asarray(phi.funcs[i](np.asarray(hi)), dtype=float)
             inc_lo, inc_hi = np.minimum(fa, fb), np.maximum(fa, fb)
-        phi_lo = take(prev[4]) + inc_lo
-        phi_hi = take(prev[5]) + inc_hi
-        if shift:  # x - 0.0 is x
-            phi_lo -= shift
-            phi_hi -= shift
+        phi_lo = _summed(take(prev[4]), inc_lo, shift)
+        if inc_hi is inc_lo and prev[5] is prev[4]:
+            phi_hi = phi_lo
+        else:
+            phi_hi = _summed(take(prev[5]), inc_hi, shift)
         return lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, code
 
 
@@ -288,7 +303,12 @@ class LevelArrays:
     """Flat per-word data for one level, rows in lexicographic word order.
 
     The columns lo .. prefix_code are the cylinder step's data (see
-    `_Prepend`); `first` and `last` hold each word's end symbols.
+    `_Prepend`); `first` and `last` hold each word's end symbols.  An exact
+    bracket is stored once: psi_hi is psi_lo on linear branches, and
+    phi_hi is phi_lo where every summand of phi is exact as well (a depth-1
+    locally constant phi, or a geometric one on linear branches).  Columns
+    are read-only: a level is shared by every reader of the table, and one
+    write to an exact bracket would move both of its ends.
     """
 
     n: int
@@ -343,11 +363,11 @@ class LevelArrays:
 
 def _scaled(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, side: int) -> np.ndarray:
     """Rows c[i]*lo where c[i] >= 0 and c[i]*hi elsewhere (side 0), or the
-    other way round (side 1)."""
+    other way round (side 1).  An exact bracket (hi is lo) has no side."""
     if side:
         lo, hi = hi, lo
-    keep = c >= 0.0
-    if keep.all():
+    keep = None if hi is lo else c >= 0.0
+    if keep is None or keep.all():
         return np.multiply.outer(c, lo)
     return c[:, None] * np.where(keep[:, None], lo, hi)
 
@@ -489,10 +509,16 @@ def _concat_levels(parts: list[LevelArrays]) -> LevelArrays:
         raise ValueError("no admissible continuations; transition matrix broken")
     if len(parts) == 1:
         return parts[0]
+    # An exact bracket, one array in every part, is joined once.
+    exact = {hi for hi in ("psi_hi", "phi_hi")
+             if all(getattr(q, hi) is getattr(q, hi[:-2] + "lo") for q in parts)}
     columns = {}
     for f in fields(LevelArrays)[1:]:  # empties the parts as it goes: peak one column
         cols = [getattr(q, f.name) for q in parts]
-        columns[f.name] = None if cols[0] is None else np.concatenate(cols)
+        if f.name in exact:
+            columns[f.name] = columns[f.name[:-2] + "lo"]
+        else:
+            columns[f.name] = None if cols[0] is None else np.concatenate(cols)
         for q in parts:
             setattr(q, f.name, None)
     return LevelArrays(parts[0].n, **columns)
@@ -567,7 +593,9 @@ def cylinders(
     row in the level table bit for bit.  The data after the symbols
     word[k:] depends on that suffix alone, so words sharing a suffix share
     its steps: the data are kept in a suffix trie for the length of the
-    call.
+    call, and each word's walk down the trie resumes from the longest suffix
+    it shares with the previous word, so a list of words that grow by one
+    symbol costs one step per new suffix, not one lookup per symbol.
 
     Args:
         terminal: replaces the terminal span, restricting to the points whose
@@ -584,18 +612,29 @@ def cylinders(
             raise ValueError(f"word {word} is not admissible for this map")
     step = _Prepend(m, phi)
     trie: dict[int, tuple] = {}  # symbol -> (data, trie of longer suffixes)
+    path: list[tuple] = []  # the trie entries of the previous word's suffixes
+    last: tuple[int, ...] = ()
     out: list[Cylinder] = []
     for word in words:
         n = len(word)
-        node = trie
-        lo, hi = m.core_spans[word[-1]] if terminal is None else terminal
-        data = (lo, hi, 0.0, 0.0, 0.0, 0.0, 0)
-        for k in range(n - 1, -1, -1):
+        # Resume at the longest suffix this word shares with the previous one:
+        # the first mismatch from the right, found without a Python loop.
+        differ = map(ne, reversed(word), reversed(last))
+        shared = next(compress(count(), differ), min(n, len(last)))
+        del path[shared:]
+        last = word
+        if path:
+            data, node = path[-1]
+        else:
+            lo, hi = m.core_spans[word[-1]] if terminal is None else terminal
+            data, node = (lo, hi, 0.0, 0.0, 0.0, 0.0, 0), trie
+        for k in range(n - 1 - shared, -1, -1):
             entry = node.get(word[k])
             if entry is None:
                 pull = k < n - 1 or terminal is not None
                 entry = node[word[k]] = (step(word[k], data, n - 1 - k, pull=pull), {})
             data, node = entry
+            path.append(entry)
         lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, _ = data
         if hi - lo <= 0.0:
             raise DegenerateCylinder(f"cylinder of {word} collapsed to a point")

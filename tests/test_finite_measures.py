@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dimspectra import (
     bowen_sn,
     connector_length,
     doubling_map,
+    locally_constant,
     optimize_block_weights,
     window_mask,
 )
@@ -281,3 +283,85 @@ def test_block_newton_pass_count(two_slopes, bernoulli_phi, monkeypatch):
     monkeypatch.setattr(finite_measures, "NEWTON_CAP", 2)
     with pytest.raises(NotConverged, match="2 steps"):
         optimize_block_weights(two_slopes, bernoulli_phi, 12, 1.0)
+
+
+def _held_newton_weights(m, phi, n, alpha):
+    """Block weights by the 2x2 Newton as it ran before it was moved into a
+    helper that builds each state in place (the test oracle for the bits of
+    `optimize_block_weights`): every array of the solve held to the end."""
+    psi, phv, mask = _midpoint_sums(m, phi, n)
+    g = phv + alpha * psi
+
+    def state(a, b):
+        logq = a * psi + b * phv
+        log_z = log_sum_exp(logq)
+        q = np.exp(logq - log_z)
+        return log_z, q, float(q @ g)
+
+    a = b = 0.0
+    log_z, q, mean_g = state(a, b)
+    for _ in range(finite_measures.NEWTON_CAP):
+        mean_psi, mean_phi = float(q @ psi), float(q @ phv)
+        cov_psi = float(q @ (g * psi)) - mean_g * mean_psi
+        cov_phi = float(q @ (g * phv)) - mean_g * mean_phi
+        det = mean_psi * cov_phi - mean_phi * cov_psi
+        residual, t = math.hypot(log_z, mean_g), 1.0 if det else 0.0
+        if det:
+            da = (mean_phi * mean_g - cov_phi * log_z) / det
+            db = (cov_psi * log_z - mean_psi * mean_g) / det
+            if max(abs(da), abs(db)) <= 1e-13 * (1.0 + abs(a) + abs(b)):
+                break
+        while t >= 2.0**-20:
+            trial = state(a + t * da, b + t * db)
+            if math.hypot(trial[0], trial[2]) < residual:
+                break
+            t *= 0.5
+        else:
+            assert residual <= 1e-12 * (1.0 + abs(a) * psi.max() + abs(b) * np.abs(phv).max())
+            break
+        a, b = a + t * da, b + t * db
+        log_z, q, mean_g = trial
+    full = np.zeros(mask.size)
+    full[mask] = q / q.sum()
+    return full
+
+
+@pytest.mark.parametrize(
+    "family, n, where",
+    [(f, n, w) for f, n in (("doubling", 10), ("two_slopes", 12), ("markov", 9), ("mp", 8))
+     for w in (1e-4, 0.5, 1.0 - 1e-4)] + [("doubling", 10, 1.0 - 1e-9)],
+)
+def test_block_weights_keep_their_bits(request, bernoulli_phi, family, n, where):
+    # The in-place solve returns the weights of the held-array solve bit for
+    # bit.  On MP the neutral word is not eligible, so the solve runs on the
+    # masked rows; elsewhere every word is eligible and nothing is copied.
+    # At 1e-9 of the range from the top, doubling level 10 stalls at the
+    # rounding floor, and the solve rebuilds the state it stalled at.
+    m = request.getfixturevalue(family)
+    phi = bernoulli_phi if family != "markov" else locally_constant(
+        {(0,): math.log(0.2), (1,): math.log(0.3), (2,): math.log(0.5)}
+    )
+    psi, phv, mask = _midpoint_sums(m, phi, n)
+    assert mask.all() == (family != "mp")
+    lo, hi = float(np.min(-phv / psi)), float(np.max(-phv / psi))
+    alpha = lo + where * (hi - lo)
+    bm = optimize_block_weights(m, phi, n, alpha)
+    assert bm.weights.tobytes() == _held_newton_weights(m, phi, n, alpha).tobytes()
+
+
+def test_block_weights_live_peak(two_slopes, bernoulli_phi):
+    # With the level table built, the level-14 solve and its block measure
+    # hold at most 7 level-14 columns at once: psi, phv, g and one state,
+    # plus log_sum_exp's two one-chunk temporaries.  Holding every array of
+    # the solve through block_measure took 9.4.
+    n = 14
+    table = shared_table(two_slopes, bernoulli_phi)
+    column = table.level(n).psi_lo.nbytes
+    optimize_block_weights(two_slopes, bernoulli_phi, n, 1.0)  # builds level 1 and the connectors
+    tracemalloc.start()
+    try:
+        optimize_block_weights(two_slopes, bernoulli_phi, n, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * column, peak / column

@@ -20,6 +20,7 @@ from dimspectra import (
     linear_full_branch_map,
     locally_constant,
     manneville_pomeau_map,
+    normalize_potential,
     shared_table,
     validate_potential,
     words_at_level,
@@ -105,6 +106,24 @@ def test_cylinders_share_suffixes_without_changing_bits(golden, bernoulli_phi):
     assert many == [cylinder(golden, w, bernoulli_phi) for w in words]
     with pytest.raises(ValueError):
         cylinders(golden, [(0, 1), (1, 1)], bernoulli_phi)
+
+
+def _bits(cyl):
+    return [float(x).hex() for x in (*cyl.interval, *cyl.birkhoff_psi, *cyl.birkhoff_phi)]
+
+
+def test_cylinders_resume_keeps_bits(farey, bernoulli_phi):
+    # Farey's return words (1, 0^j) share the suffix 0^(j-1) with the word
+    # before them; a shuffled list with repeats shares less.  Either way a
+    # word's data are those of a one-word call, bit for bit.
+    base = farey.core_spans[1]
+    words = [(1,) + (0,) * j for j in range(60)]
+    order = [words[k] for k in np.random.default_rng(0).permutation(60)] + words[::7]
+    for batch in (words, order):
+        many = cylinders(farey, batch, bernoulli_phi, terminal=base)
+        assert [c.word for c in many] == batch
+        for c in many:
+            assert _bits(c) == _bits(cylinder(farey, c.word, bernoulli_phi, terminal=base))
 
 
 def test_level_arrays_contents(doubling, bernoulli_phi):
@@ -406,3 +425,62 @@ def test_links_match_word_lookup(request, name):
         assert suffix.tolist() == [index[w[1:]] for w in words], n
     with pytest.raises(ValueError):
         table.links(1)
+
+
+ALIAS_MAPS = {
+    "doubling": lambda request: request.getfixturevalue("doubling"),
+    "golden": lambda request: request.getfixturevalue("golden"),
+    "two_slopes": lambda request: request.getfixturevalue("two_slopes"),
+    "markov": lambda request: request.getfixturevalue("markov"),
+    "mp": lambda request: request.getfixturevalue("mp"),
+    "farey": lambda request: request.getfixturevalue("farey"),
+}
+
+
+def _unaliased_level_one(table):
+    """Level 1 by the cylinder step, fed a separate zero array per column, so
+    that no bracket of it or of `_reference_level`'s levels is stored once."""
+    parts = []
+    for j, (lo, hi) in enumerate(table.map.core_spans):
+        empty = (np.array([lo]), np.array([hi]), *(np.zeros(1) for _ in range(4)),
+                 np.zeros(1, np.int64))
+        sym = np.full(1, j, dtype=np.int8)
+        parts.append((*table._step(j, empty, 0, pull=False), sym, sym))
+    return LevelArrays(1, *(None if col[0] is None else np.concatenate(col) for col in zip(*parts)))
+
+
+def _alias_potentials(m, linear):
+    yield _random_table(m, 1, seed=21)
+    yield _random_table(m, 3, seed=23)
+    yield geometric(-0.7)
+    # A nonzero pressure shift: subtracted once from a bracket stored once.
+    shifted = (normalize_potential(m, geometric(-0.7), require_negative=False)
+               if linear else geometric(-0.7).shifted_by(0.3))
+    assert shifted.pressure_shift != 0.0
+    yield shifted
+
+
+@pytest.mark.parametrize("name", sorted(ALIAS_MAPS))
+def test_exact_brackets_stored_once_with_unchanged_bits(request, name):
+    # Reference: levels 1-12 with every column its own array.  The table
+    # holds psi_hi as psi_lo on linear maps, and phi_hi as phi_lo for a
+    # depth-1 locally constant phi, or a geometric phi on a linear map;
+    # every column keeps the reference's bits.
+    m = ALIAS_MAPS[name](request)
+    linear = all(br.family == "linear" for br in m.branches)
+    for phi in _alias_potentials(m, linear):
+        exact_phi = phi.depth == 1 if phi.kind == "locally_constant" else linear
+        table = CylinderTable(m, phi)
+        ref = _unaliased_level_one(table)
+        for n in range(1, 13):
+            arr = table.level(n)
+            if n > 1:
+                ref = _reference_level(table, ref)
+            assert ref.psi_hi is not ref.psi_lo and ref.phi_hi is not ref.phi_lo
+            for f in fields(LevelArrays)[1:]:
+                got, want = getattr(arr, f.name), getattr(ref, f.name)
+                assert (got is None) == (want is None), (phi, n, f.name)
+                if got is not None:
+                    assert got.tobytes() == want.tobytes(), (phi, n, f.name)
+            assert (arr.psi_hi is arr.psi_lo) == linear, (phi, n)
+            assert (arr.phi_hi is arr.phi_lo) == exact_phi, (phi, n)
