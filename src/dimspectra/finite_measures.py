@@ -224,10 +224,11 @@ def block_measure(
     entropy = _entropy(q)
     phl = arr.phi_lo if arr.phi_lo is not None else np.zeros(arr.count)
     phh = arr.phi_hi if arr.phi_hi is not None else phl
+    # A bracket stored once (hi is lo) has one weighted sum and width 0.0.
     psi_lo = float(q @ arr.psi_lo)
-    psi_hi = float(q @ arr.psi_hi)
+    psi_hi = psi_lo if arr.psi_hi is arr.psi_lo else float(q @ arr.psi_hi)
     phi_lo = float(q @ phl)
-    phi_hi = float(q @ phh)
+    phi_hi = phi_lo if phh is phl else float(q @ phh)
 
     k = con.k
     lvl1 = table.level(1)
@@ -246,8 +247,8 @@ def block_measure(
     spread_dim = _ratio_bracket(spread_h, spread_h, spread_psi[0], spread_psi[1])
 
     rho = max(
-        float(np.max(arr.psi_hi - arr.psi_lo)) / n,
-        float(np.max(phh - phl)) / n,
+        0.0 if arr.psi_hi is arr.psi_lo else float(np.max(arr.psi_hi - arr.psi_lo)) / n,
+        0.0 if phh is phl else float(np.max(phh - phl)) / n,
     )
     sup_l = max(
         float(np.max(np.abs(lvl1.psi_hi))),

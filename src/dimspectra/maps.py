@@ -142,8 +142,10 @@ class Branch:
         x = np.asarray(x, dtype=float)
         if self.family == "linear":
             out = np.full_like(x, math.log(abs(self.slope)))
-        elif self.family in ("manneville_pomeau", "power"):
-            out = np.log1p(self.c * (1.0 + self.s) * x**self.s)
+        elif self.family in ("manneville_pomeau", "power"):  # in one array
+            out = np.power(x, self.s, out=np.empty_like(x))
+            out *= self.c * (1.0 + self.s)
+            out = np.log1p(out, out=out)
         elif self.family == "farey_left":
             out = -2.0 * np.log1p(-x)
         else:
@@ -168,9 +170,10 @@ class Branch:
     def inverse(self, y, *, clamp_tol: float = 1e-9):
         """Preimage under T_i.
 
-        Linear and Farey branches invert in closed form.  The power-law
-        families run a vector Newton iteration until each point settles,
-        then solve again by bisection every point whose residual
+        Linear and Farey branches invert in closed form; one float does so
+        without numpy, by the same IEEE operations and clamps.  The
+        power-law families run a vector Newton iteration until each point
+        settles, then solve again by bisection every point whose residual
         |x + c*x**(1+s) - z| exceeds 1e-12 * max(|z|, x), where z = y + lift.
 
         Args:
@@ -182,15 +185,20 @@ class Branch:
             OutOfImage: if some y is not finite, or lies outside the image
                 beyond clamp_tol.
         """
-        y = np.asarray(y, dtype=float)
+        one = isinstance(y, float) and self.family not in ("manneville_pomeau", "power")
+        if one:
+            y_min = y_max = y
+        else:
+            y = np.asarray(y, dtype=float)
+            y_min, y_max = float(np.min(y)), float(np.max(y))
         ilo, ihi = self.image
-        y_min, y_max = float(np.min(y)), float(np.max(y))
         # Stated so that NaN, which fails every comparison, is rejected too.
         if not (ilo - clamp_tol <= y_min and y_max <= ihi + clamp_tol):
             raise OutOfImage(
                 f"point outside branch image [{ilo}, {ihi}]: range [{y_min}, {y_max}]"
             )
-        y = np.clip(y, ilo, ihi)
+        # min/max keep y where it equals a bound, as np.clip does (signed zeros).
+        y = min(max(y, ilo), ihi) if one else np.clip(y, ilo, ihi)
         lo, hi = self.domain
         if self.family == "linear":
             out = (y - self.offset) / self.slope
@@ -199,8 +207,11 @@ class Branch:
         elif self.family == "farey_right":
             out = 1.0 / (1.0 + y)
         else:
-            out = _power_inverse(self.c, self.s, self.lift + y, lo, hi)
-        out = np.clip(out, lo, hi)
+            y += self.lift  # in place: the clipped copy is this call's own
+            out = _power_inverse(self.c, self.s, y, lo, hi)
+        if one:
+            return float(min(max(out, lo), hi))
+        out = np.clip(out, lo, hi, out=out if out.ndim else None)
         return out if out.ndim else float(out)
 
     def preimage_interval(self, lo: float, hi: float) -> tuple[float, float]:

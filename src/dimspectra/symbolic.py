@@ -212,12 +212,21 @@ def _range_tables(m: MarkovMap, phi: Potential) -> list:
     return [None] + tables
 
 
-def _summed(col, inc, shift: float):
-    """col + inc - shift, the shift subtracted in place (x - 0.0 is x)."""
-    out = col + inc
+def _summed(col, inc, shift: float, out=None):
+    """col + inc - shift (into `out`), the shift in place (x - 0.0 is x)."""
+    out = col + inc if out is None else np.add(col, inc, out=out)
     if shift:
         out -= shift
     return out
+
+
+def _bracket(lo, hi, take, inc_lo, inc_hi, shift: float, out_lo, out_hi) -> tuple:
+    """A Birkhoff bracket one summand on (into out_lo, out_hi); the high end
+    is the low one where both terms' ends are one (an exact bracket)."""
+    new_lo = _summed(take(lo), inc_lo, shift, out_lo)
+    if hi is lo and inc_hi is inc_lo:
+        return new_lo, new_lo
+    return new_lo, _summed(take(hi), inc_hi, shift, out_hi)
 
 
 class _Prepend:
@@ -241,56 +250,60 @@ class _Prepend:
         lc = phi is not None and phi.kind == "locally_constant"
         self.ranges = _range_tables(m, phi) if lc else None
 
-    def __call__(self, i: int, prev: tuple, n: int, take=_same, pull=True, images=None) -> tuple:
+    def __call__(
+        self, i: int, prev: tuple, n: int, take=_same, pull=True, ends=None, out=(None,) * 7
+    ) -> tuple:
         """Data of i·w from the data `prev` of the n-words w.
 
         `take` picks the rows of `prev` that admit i; it is applied to each
-        column where that column is used, so no masked copy is held through
-        the inverse.  `images` may hold branch i's inverses of the taken
-        prev[0] and prev[1].  With pull=False, prev's interval is already
-        the cylinder of i·w (a symbol's core span, for n = 0).
+        column where that column is used, so no masked copy is held.  With
+        pull=False, prev's interval is already the cylinder of i·w (a
+        symbol's core span, for n = 0).  `ends` may hold (lo, hi, dlo, dhi):
+        the cylinders of i·w and the range of log|T_i'| on each.  `out` may
+        hold an array per column to write it into (dlo and dhi may be its
+        psi arrays: phi is summed first), one array for an exact bracket.
         """
         m, phi = self.map, self.phi
         br = m.branches[i]
-        if pull:
-            a, b = images or (br.inverse(take(prev[0])), br.inverse(take(prev[1])))
-            lo, hi = (a, b) if br.increasing else (b, a)
+        if ends is None:
+            if pull:
+                a, b = br.inverse(take(prev[0])), br.inverse(take(prev[1]))
+                lo, hi = (a, b) if br.increasing else (b, a)
+            else:
+                lo, hi = take(prev[0]), take(prev[1])
+            dlo, dhi = br.log_deriv_range(lo, hi)
         else:
-            lo, hi = take(prev[0]), take(prev[1])
-        dlo, dhi = br.log_deriv_range(lo, hi)
-        psi_lo = take(prev[2]) + dlo
-        # One float (a linear branch) keeps an exact bracket exact.
-        psi_hi = psi_lo if dhi is dlo and prev[3] is prev[2] else take(prev[3]) + dhi
-        if phi is None:
-            return lo, hi, psi_lo, psi_hi, None, None, None
-        shift, code = phi.pressure_shift, None
-        if self.ranges is not None:
-            # The summand at i·w reads its first min(n+1, d) symbols: exact
-            # once d are visible, else its range over admissible completions.
-            # The tables hold v - shift, which keeps the sum prev + (v - shift).
-            d = phi.depth
-            idx = i if d == 1 else i * m.p ** min(n, d - 1) + take(prev[6])
-            r_lo, r_hi = self.ranges[min(n + 1, d)]
-            inc_lo, shift = r_lo[idx], 0.0
-            inc_hi = inc_lo if r_hi is r_lo else r_hi[idx]
-            code = None if d == 1 else idx if n + 1 < d else idx // m.p
-        elif phi.kind == "geometric":
-            c = phi.coefficient
-            if dhi is dlo:
-                inc_lo = inc_hi = dlo * c
-            else:  # in place: the psi sums above were dlo's and dhi's last readers
-                dlo *= c
-                dhi *= c
-                inc_lo, inc_hi = (dlo, dhi) if c >= 0 else (dhi, dlo)
-        else:  # pointwise, monotone on the branch
-            fa = np.asarray(phi.funcs[i](np.asarray(lo)), dtype=float)
-            fb = np.asarray(phi.funcs[i](np.asarray(hi)), dtype=float)
-            inc_lo, inc_hi = np.minimum(fa, fb), np.maximum(fa, fb)
-        phi_lo = _summed(take(prev[4]), inc_lo, shift)
-        if inc_hi is inc_lo and prev[5] is prev[4]:
-            phi_hi = phi_lo
-        else:
-            phi_hi = _summed(take(prev[5]), inc_hi, shift)
+            lo, hi, dlo, dhi = ends
+        phi_lo = phi_hi = code = None
+        if phi is not None:
+            shift = phi.pressure_shift
+            if self.ranges is not None:
+                # The summand at i·w reads its first min(n+1, d) symbols:
+                # exact once d are visible, else its range over admissible
+                # completions.  The tables hold v - shift, which keeps the
+                # sum prev + (v - shift).
+                d = phi.depth
+                idx = i if d == 1 else i * m.p ** min(n, d - 1) + take(prev[6])
+                r_lo, r_hi = self.ranges[min(n + 1, d)]
+                inc_lo, shift = r_lo[idx], 0.0
+                inc_hi = inc_lo if r_hi is r_lo else r_hi[idx]
+                code = None if d == 1 else idx if n + 1 < d else idx // m.p
+            elif phi.kind == "geometric":
+                c = phi.coefficient
+                if dhi is dlo:
+                    inc_lo = inc_hi = dlo * c
+                else:
+                    pair = (dlo, dhi) if c >= 0 else (dhi, dlo)
+                    inc_lo, inc_hi = (np.multiply(e, c, out=o) for e, o in zip(pair, out[4:6]))
+            else:  # pointwise, monotone on the branch
+                fa = np.asarray(phi.funcs[i](np.asarray(lo)), dtype=float)
+                fb = np.asarray(phi.funcs[i](np.asarray(hi)), dtype=float)
+                inc_lo, inc_hi = np.minimum(fa, fb), np.maximum(fa, fb)
+            phi_lo, phi_hi = _bracket(prev[4], prev[5], take, inc_lo, inc_hi, shift, *out[4:6])
+        psi_lo, psi_hi = _bracket(prev[2], prev[3], take, dlo, dhi, 0.0, *out[2:4])
+        for k, col in ((0, lo), (1, hi), (6, code)):  # the columns not summed into out
+            if out[k] is not None and col is not out[k]:
+                out[k][...] = col
         return lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, code
 
 
@@ -307,8 +320,9 @@ class LevelArrays:
     bracket is stored once: psi_hi is psi_lo on linear branches, and
     phi_hi is phi_lo where every summand of phi is exact as well (a depth-1
     locally constant phi, or a geometric one on linear branches).  Columns
-    are read-only: a level is shared by every reader of the table, and one
-    write to an exact bracket would move both of its ends.
+    are read-only once the table stores the level (their write flag is
+    cleared): a level is shared by every reader of the table, and one write
+    to an exact bracket would move both of its ends.
     """
 
     n: int
@@ -333,7 +347,8 @@ class LevelArrays:
         """The lower (side 0) or upper (side 1) ends of the brackets of
         S_n(a*psi + b*phi) per word, one product per entry: each coefficient
         picks the psi or phi side its sign calls for, and phi is skipped
-        where b == 0.  For arrays a and b of one entry per lane, row i holds
+        where b == 0.  A lone term at coefficient 1.0 is the column itself,
+        not a copy.  For arrays a and b of one entry per lane, row i holds
         the ends at (a[i], b[i]), bit for bit what the scalar call gives,
         except that the scalar call also skips psi where a == 0 != b, so a
         zero entry may differ in sign there."""
@@ -349,15 +364,17 @@ class LevelArrays:
         f = None
         if a != 0.0 or b == 0.0:
             low = (a >= 0.0) == (side == 0)
-            f = a * (self.psi_lo if low else self.psi_hi)
-        if b != 0.0:
-            if self.phi_lo is None:
-                raise ValueError("table was built without a phi potential")
-            low = (b >= 0.0) == (side == 0)
-            g = b * (self.phi_lo if low else self.phi_hi)
-            if f is None:
-                return g
-            f += g
+            col = self.psi_lo if low else self.psi_hi
+            if b == 0.0:  # one term at coefficient 1.0 is the column itself
+                return col if a == 1.0 else a * col
+            f = a * col
+        if self.phi_lo is None:
+            raise ValueError("table was built without a phi potential")
+        low = (b >= 0.0) == (side == 0)
+        col = self.phi_lo if low else self.phi_hi
+        if f is None:
+            return col if b == 1.0 else b * col
+        f += b * col
         return f
 
 
@@ -381,7 +398,7 @@ class CylinderTable:
     `cache_words` are cached; above that only the most recently built level
     is kept, so deep parabolic ladders do not hold every large level at
     once.  The large level before it keeps the four columns the next build
-    reads from its grandparent (see `_new_images`): lo, hi, first, last.
+    reads from its grandparent (see `_repeats`): lo, hi, first, last.
     """
 
     def __init__(
@@ -425,6 +442,9 @@ class CylinderTable:
         return prefix, suffix
 
     def _store(self, n: int, arrays: LevelArrays) -> None:
+        for f in fields(LevelArrays)[1:]:
+            if getattr(arrays, f.name) is not None:
+                getattr(arrays, f.name).setflags(write=False)
         if arrays.count > self.cache_words:
             self._ends = None
             for k in [k for k, v in self._levels.items() if v.count > self.cache_words]:
@@ -434,94 +454,109 @@ class CylinderTable:
         self._levels[n] = arrays
 
     def _base_level(self) -> LevelArrays:
-        zero = np.zeros(1)
-        parts = []
-        for j, (lo, hi) in enumerate(self.map.core_spans):
-            empty = (np.array([lo]), np.array([hi]), zero, zero, zero, zero, np.zeros(1, np.int64))
-            sym = np.full(1, j, dtype=np.int8)
-            parts.append(LevelArrays(1, *self._step(j, empty, 0, pull=False), sym, sym.copy()))
-        arrays = _concat_levels(parts)
+        """Level 1: the step from each symbol's core span.  A bracket every
+        symbol leaves exact is stored once, here and at every later level:
+        only linear branches and a depth-1 or linear geometric phi make one."""
+        m = self.map
+        spans, zero = np.array(m.core_spans), np.zeros(m.p)
+        data = (spans[:, 0], spans[:, 1], zero, zero, zero, zero, np.zeros(m.p, dtype=np.int64))
+        parts = [self._step(j, data, 0, lambda col: col[j : j + 1], pull=False) for j in range(m.p)]
+        cols = [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
+        for k in (3, 5):
+            cols[k] = cols[k - 1] if all(q[k] is q[k - 1] for q in parts) else cols[k]
+        arrays = LevelArrays(1, *cols, np.arange(m.p, dtype=np.int8), np.arange(m.p, dtype=np.int8))
         self._store(1, arrays)
         return arrays
 
     def _extend(self, prev: LevelArrays) -> LevelArrays:
-        data = (
-            prev.lo, prev.hi, prev.psi_lo, prev.psi_hi,
-            prev.phi_lo, prev.phi_hi, prev.prefix_code,
-        )
-        parts: list[LevelArrays] = []
-        for i, br in enumerate(self.map.branches):
-            mask = self.map.transition[i, prev.first].astype(bool)
-            if not mask.any():
-                continue
-            take = _same if mask.all() else lambda col: col[mask]
-            # Linear and Farey branches invert in a few flops; Newton does not.
-            newton = br.family in ("manneville_pomeau", "power")
-            images = self._new_images(i, prev, take) if newton else None
-            new = self._step(i, data, prev.n, take, images=images)
-            first = np.full(new[0].size, i, dtype=np.int8)
-            parts.append(LevelArrays(prev.n + 1, *new, first, take(prev.last)))
-            del images, new, first  # the parts alone hold their columns
-        out = _concat_levels(parts)
-        if float(np.min(out.diameters())) <= 0.0:
-            raise DegenerateCylinder(
-                f"a level-{out.n} cylinder collapsed below float resolution"
-            )
-        return out
-
-    def _new_images(self, i: int, prev: LevelArrays, take) -> tuple:
-        """Branch i's inverses of the taken prev.lo and prev.hi, inverting
-        only inputs that no earlier call has.  The row order says where a
-        repeat may sit: the taken rows hold one run of children per cached
-        (n-1)-word u that admits i, whose first lo and last hi may equal u's
-        (their images are prev's row i·u), and a lo may equal the hi above.
-        Reuse needs equal bits, so each image is what `Branch.inverse` gives.
-        """
-        m, br, before = self.map, self.map.branches[i], self._levels.get(prev.n - 1)
-        if before is None and self._ends is not None and self._ends.n == prev.n - 1:
+        """Level n+1, each branch's rows written into its columns.  Newton
+        branches invert only the ends new since level n-1 (`_repeats`);
+        closed forms invert every end in a few flops."""
+        m, n, A = self.map, prev.n, self.map.transition
+        data = tuple(getattr(prev, f.name) for f in fields(LevelArrays)[1:8])
+        sizes = np.diff(np.searchsorted(prev.first, np.arange(m.p + 1, dtype=np.int8)))
+        # Columns as prev's: an exact bracket stays one array (`_base_level`).
+        fresh: dict[int, np.ndarray] = {}
+        for c in data + (prev.first, prev.last):
+            if c is not None and id(c) not in fresh:
+                fresh[id(c)] = np.empty(int((A @ sizes).sum()), c.dtype)
+        cols = [None if c is None else fresh[id(c)] for c in data + (prev.first, prev.last)]
+        before = self._levels.get(n - 1)
+        if before is None and self._ends is not None and self._ends.n == n - 1:
             before = self._ends
-        y = take(prev.lo), take(prev.hi)
-        x = np.empty_like(y[0]), np.empty_like(y[1])
-        new = np.ones(y[0].size, dtype=bool), np.ones(y[1].size, dtype=bool)
-        if before is not None:
-            adm = m.transition[i, before.first].astype(bool)
-            start = int(np.searchsorted(prev.first, i))  # prev's rows i·u, in u order
-            images = (prev.lo, prev.hi)[:: 1 if br.increasing else -1]
-            runs = m.transition.sum(axis=1)[before.last[adm]]
-            last = np.cumsum(runs) - 1
-            for k, (at, ends) in enumerate(((last - runs + 1, before.lo), (last, before.hi))):
-                hit = y[k][at].view(np.int64) == ends[adm].view(np.int64)
-                x[k][at[hit]] = images[k][start + np.flatnonzero(hit)]
-                new[k][at[hit]] = False
-        shared = np.zeros_like(new[0])
-        shared[1:] = new[0][1:] & (y[0][1:].view(np.int64) == y[1][:-1].view(np.int64))
-        new[0][shared] = False
-        fresh = np.concatenate((y[0][new[0]], y[1][new[1]]))
-        if fresh.size:
-            x[0][new[0]], x[1][new[1]] = np.split(br.inverse(fresh), [np.count_nonzero(new[0])])
-        rows = np.flatnonzero(shared)
-        x[0][rows] = x[1][rows - 1]
-        return x
+        kids = A.sum(axis=1)  # the children of a word, by its last symbol
+        even = before is not None and (kids == kids[0]).all()
+        repeats: dict = {}  # per take: the branches that take every row share one
+        at = 0
+        for i, br in enumerate(m.branches):
+            mask, size = np.repeat(A[i].astype(bool), sizes), int(A[i] @ sizes)
+            take = _same if size == prev.count else lambda col: col[mask]
+            rows = slice(at, at + size)
+            views, ends = tuple(None if c is None else c[rows] for c in cols[:7]), None
+            if br.family in ("manneville_pomeau", "power"):  # increasing
+                src, parent = (prev.lo, prev.hi), None
+                if even and take is _same:
+                    start, k = int(sizes[:i].sum()), before.count  # prev's rows i·u
+                    src = (prev.lo[start : start + k], prev.hi[start : start + k])
+                    parent = (before.lo, before.hi, int(kids[0]))
+                if take not in repeats:
+                    repeats[take] = _repeats(take(prev.lo), take(prev.hi), parent)
+                ends = _newton_ends(br, repeats[take], take(prev.lo), take(prev.hi), *src, views)
+            self._step(i, data, n, take, ends=ends, out=views)
+            cols[7][rows], cols[8][rows] = i, take(prev.last)
+            at += size
+        if np.less_equal(cols[1], cols[0]).any():
+            raise DegenerateCylinder(f"a level-{n + 1} cylinder collapsed below float resolution")
+        return LevelArrays(n + 1, *cols)
 
 
-def _concat_levels(parts: list[LevelArrays]) -> LevelArrays:
-    if not parts:
-        raise ValueError("no admissible continuations; transition matrix broken")
-    if len(parts) == 1:
-        return parts[0]
-    # An exact bracket, one array in every part, is joined once.
-    exact = {hi for hi in ("psi_hi", "phi_hi")
-             if all(getattr(q, hi) is getattr(q, hi[:-2] + "lo") for q in parts)}
-    columns = {}
-    for f in fields(LevelArrays)[1:]:  # empties the parts as it goes: peak one column
-        cols = [getattr(q, f.name) for q in parts]
-        if f.name in exact:
-            columns[f.name] = columns[f.name[:-2] + "lo"]
-        else:
-            columns[f.name] = None if cols[0] is None else np.concatenate(cols)
-        for q in parts:
-            setattr(q, f.name, None)
-    return LevelArrays(parts[0].n, **columns)
+def _repeats(lo: np.ndarray, hi: np.ndarray, parent) -> tuple:
+    """Which ends of the rows lo, hi (a level's rows that admit a branch)
+    repeat bits whose image is in hand: a row's lo may be the hi above it,
+    and given `parent` = (lo, hi, k) of the shorter words, each the parent
+    of a run of k rows, a run may start at its parent's lo and end at its
+    hi, whose images are rows of the level.  Returns the rows whose lo and
+    hi are new, (rows, parents) of the parents' ends, and the rows whose lo
+    is not the hi above, as index arrays or slices."""
+    bits_lo, bits_hi = lo.view(np.int64), hi.view(np.int64)
+    linked = np.zeros(lo.size, dtype=bool)
+    np.equal(bits_lo[1:], bits_hi[:-1], out=linked[1:])
+    unlinked = np.flatnonzero(~linked)
+    if parent is None:
+        return unlinked, slice(None), (unlinked[:0],) * 2, (unlinked[:0],) * 2, unlinked
+    p_lo, p_hi, k = parent
+    firsts, lasts = slice(0, None, k), slice(k - 1, None, k)
+    hit = bits_hi[lasts] == p_hi.view(np.int64)
+    every = hit.all()
+    hit = slice(None) if every else np.flatnonzero(hit)
+    hi_rows = lasts if every else k * hit + (k - 1)
+    new = np.ones(lo.size, dtype=bool)
+    new[hi_rows] = False
+    new_hi = firsts if every and k == 2 else np.flatnonzero(new)
+    lo_par = np.flatnonzero(~linked[firsts] & (bits_lo[firsts] == p_lo.view(np.int64)))
+    new[:] = True
+    new[k * lo_par] = False
+    return unlinked[new[unlinked]], new_hi, (k * lo_par, lo_par), (hi_rows, hit), unlinked
+
+
+def _newton_ends(br, repeats: tuple, lo, hi, src_lo, src_hi, out: tuple) -> tuple:
+    """An increasing branch's cylinders of the rows lo, hi into out[0:2] and
+    the range of log|T'| on each into out[2:4].  Only the ends `repeats` calls
+    new are inverted (src_lo, src_hi: images of the parents' ends), and
+    log|T'| is evaluated once per image, but at the unlinked rows' lo."""
+    new_lo, new_hi, (lo_rows, lo_par), (hi_rows, hi_par), unlinked = repeats
+    a, b, dlo, dhi = out[:4]
+    y = lo[new_lo]
+    x = br.inverse(np.concatenate((y, hi[new_hi])))
+    b[new_hi], b[hi_rows] = x[y.size :], src_hi[hi_par]
+    a[1:] = b[:-1]  # a row's lo is the hi above it, but at the unlinked rows
+    a[new_lo], a[lo_rows] = x[: y.size], src_lo[lo_par]
+    del x, y
+    lb, la = br.log_abs_derivative(b), br.log_abs_derivative(a[unlinked])
+    np.minimum(lb[:-1], lb[1:], out=dlo[1:])
+    np.maximum(lb[:-1], lb[1:], out=dhi[1:])
+    dlo[unlinked], dhi[unlinked] = np.minimum(la, lb[unlinked]), np.maximum(la, lb[unlinked])
+    return out[:4]
 
 
 def shared_table(m: MarkovMap, phi: Potential | None = None) -> CylinderTable:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -365,3 +366,22 @@ def test_block_weights_live_peak(two_slopes, bernoulli_phi):
     finally:
         tracemalloc.stop()
     assert peak <= 7 * column, peak / column
+
+
+def test_block_measure_of_brackets_stored_once_keeps_bits(two_slopes, bernoulli_phi, monkeypatch):
+    # Linear branches and a depth-1 phi store both brackets once (hi is lo);
+    # the measure equals that of the same level with each end its own array.
+    n = 8
+    table = shared_table(two_slopes, bernoulli_phi)
+    arr = table.level(n)
+    assert arr.psi_hi is arr.psi_lo and arr.phi_hi is arr.phi_lo
+    q = np.random.default_rng(3).uniform(0.5, 1.0, arr.count)
+    q /= q.sum()
+    got = block_measure(two_slopes, bernoulli_phi, n, q)
+    assert got.rho == 0.0
+    split = replace(arr, psi_hi=arr.psi_hi.copy(), phi_hi=arr.phi_hi.copy())
+    monkeypatch.setitem(table._levels, n, split)
+    want = block_measure(two_slopes, bernoulli_phi, n, q)
+    for f in fields(got):
+        if f.name != "weights":
+            assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name

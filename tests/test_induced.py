@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dimspectra import (
+    Branch,
     NotConverged,
     TailDominates,
     TruncationTooSmall,
@@ -430,3 +431,21 @@ def test_workload_induce_log_sum_exp_calls(farey_sys300, monkeypatch):
     induced_b_curve(farey_sys300, np.linspace(0.0, 2.0, 21), tol=1e-10)
     # one call per curve per round; the scalar loop made 7,151
     assert 0 < len(calls) <= 1000
+
+
+def test_farey_induced_domains_equal_numpy_inverse_path(farey, monkeypatch):
+    # The scalar cylinder path inverts Farey's branches on floats without
+    # numpy; routing every float through the numpy path changes no bit.
+    fast = build_induced(farey, None, truncation=300)
+    inverse = Branch.inverse
+
+    def numpy_path(self, y, **kw):
+        return inverse(self, np.asarray(y) if isinstance(y, float) else y, **kw)
+
+    monkeypatch.setattr(Branch, "inverse", numpy_path)
+    slow = build_induced(farey, None, truncation=300)
+    assert len(fast.branches) == len(slow.branches) == 300
+    for a, b in zip(fast.branches, slow.branches):
+        assert a.word == b.word
+        got = [x.hex() for x in a.domain + a.psi_bracket]
+        assert got == [float(x).hex() for x in b.domain + b.psi_bracket], a.word

@@ -56,6 +56,39 @@ def test_inverse_rejects_non_finite(doubling, mp, farey, family, y):
         br.inverse(y)
 
 
+
+CLOSED_FORMS = {
+    "farey_left": lambda request: request.getfixturevalue("farey").branches[0],
+    "farey_right": lambda request: request.getfixturevalue("farey").branches[1],
+    "linear": lambda request: request.getfixturevalue("doubling").branches[1],
+    "linear_decreasing": lambda request: linear_full_branch_map([2.0, -2.5]).branches[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_float_inverse_equals_array_inverse_bit_for_bit(request, name):
+    # One float takes the path without numpy; a one-element array the numpy
+    # path.  Same bits at the image ends, inside clamp_tol (clamped, signed
+    # zeros kept as np.clip keeps them), and on random points; the same
+    # refusal beyond clamp_tol and at non-finite points.
+    br = CLOSED_FORMS[name](request)
+    ilo, ihi = br.image
+    points = [ilo, ihi, -0.0, 0.0, np.nextafter(ilo, ihi), np.nextafter(ihi, ilo), 1.0 / 3.0,
+              ilo - 5e-10, ihi + 5e-10, ilo - 1e-9, ihi + 1e-9]
+    points += np.random.default_rng(5).uniform(ilo, ihi, 200).tolist()
+    for y in points:
+        got = br.inverse(float(y))
+        assert type(got) is float
+        assert got.hex() == float(br.inverse(np.array([y]))[0]).hex(), y
+    y = ilo - 1e-7
+    assert br.inverse(y, clamp_tol=1e-6) == br.inverse(np.array([y]), clamp_tol=1e-6)[0]
+    for y in (ilo - 2e-9, ihi + 2e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfImage):
+            br.inverse(y)
+        with pytest.raises(OutOfImage):
+            br.inverse(np.array([y]))
+
+
 def _fixed_sweep_power_inverse(c, s, z, lo, hi, sweeps=120):
     """Reference: the Newton loop that always runs every sweep (stopping
     early only when every point is a fixed point), with the same residual

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dimspectra import maps
 from dimspectra import (
     Branch,
     CylinderTable,
@@ -21,12 +22,13 @@ from dimspectra import (
     locally_constant,
     manneville_pomeau_map,
     normalize_potential,
+    pressure,
     shared_table,
     validate_potential,
     words_at_level,
 )
 from dimspectra.errors import LevelTooLarge
-from dimspectra.symbolic import LevelArrays, _same
+from dimspectra.symbolic import LevelArrays
 
 LOG2 = math.log(2.0)
 
@@ -213,10 +215,12 @@ def _potentials(m):
 
 @pytest.mark.parametrize("name", ["doubling", "golden", "farey", "mp"])
 def test_table_rows_equal_scalar_cylinders_bit_for_bit(request, name):
+    # Farey's closed forms invert floats without numpy on the scalar path
+    # and arrays with it in the table; its rows are compared to level 10.
     m = request.getfixturevalue(name)
     for phi in _potentials(m):
         table = CylinderTable(m, phi)
-        for n in range(1, 7):
+        for n in range(1, 11 if name == "farey" else 7):
             arr = table.level(n)
             cyls = cylinders(m, words_at_level(m, n), phi)
             assert [c.word[0] for c in cyls] == arr.first.tolist()
@@ -300,13 +304,13 @@ def test_table_levels_equal_full_inversion_bit_for_bit(request, name, cache_word
 def test_reuse_needs_identical_input_bits(mp):
     # Move every end of a level one ulp inward: no input then repeats an
     # earlier one, although the rows still nest, so none may be reused.
-    table = CylinderTable(mp)
+    table = CylinderTable(mp, geometric(-0.7))
     prev = table.level(6)  # level 5 stays cached beside it
     moved = replace(prev, lo=np.nextafter(prev.lo, 1.0), hi=np.nextafter(prev.hi, 0.0))
-    for i, br in enumerate(mp.branches):
-        lo, hi = table._new_images(i, moved, _same)
-        assert lo.tobytes() == br.inverse(moved.lo).tobytes()
-        assert hi.tobytes() == br.inverse(moved.hi).tobytes()
+    got, want = table._extend(moved), _reference_level(table, moved)
+    for f in fields(LevelArrays)[1:]:
+        if getattr(want, f.name) is not None:
+            assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
 
 
 def test_parabolic_table_inverts_each_endpoint_once(mp, monkeypatch):
@@ -484,3 +488,218 @@ def test_exact_brackets_stored_once_with_unchanged_bits(request, name):
                     assert got.tobytes() == want.tobytes(), (phi, n, f.name)
             assert (arr.psi_hi is arr.psi_lo) == linear, (phi, n)
             assert (arr.phi_hi is arr.phi_lo) == exact_phi, (phi, n)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the level build as it was before levels were written in place,
+# kept verbatim in substance: one cylinder step per symbol on masked arrays,
+# Newton branches inverting only inputs no earlier call has, and the parts
+# joined by concatenation.
+
+
+def _old_summed(col, inc, shift):
+    out = col + inc
+    if shift:
+        out -= shift
+    return out
+
+
+def _old_step(step, i, prev, n, take=lambda col: col, pull=True, images=None):
+    m, phi = step.map, step.phi
+    br = m.branches[i]
+    if pull:
+        a, b = images or (br.inverse(take(prev[0])), br.inverse(take(prev[1])))
+        lo, hi = (a, b) if br.increasing else (b, a)
+    else:
+        lo, hi = take(prev[0]), take(prev[1])
+    dlo, dhi = br.log_deriv_range(lo, hi)
+    psi_lo = take(prev[2]) + dlo
+    psi_hi = psi_lo if dhi is dlo and prev[3] is prev[2] else take(prev[3]) + dhi
+    if phi is None:
+        return lo, hi, psi_lo, psi_hi, None, None, None
+    shift, code = phi.pressure_shift, None
+    if step.ranges is not None:
+        d = phi.depth
+        idx = i if d == 1 else i * m.p ** min(n, d - 1) + take(prev[6])
+        r_lo, r_hi = step.ranges[min(n + 1, d)]
+        inc_lo, shift = r_lo[idx], 0.0
+        inc_hi = inc_lo if r_hi is r_lo else r_hi[idx]
+        code = None if d == 1 else idx if n + 1 < d else idx // m.p
+    elif phi.kind == "geometric":
+        c = phi.coefficient
+        if dhi is dlo:
+            inc_lo = inc_hi = dlo * c
+        else:
+            dlo, dhi = dlo * c, dhi * c
+            inc_lo, inc_hi = (dlo, dhi) if c >= 0 else (dhi, dlo)
+    else:
+        fa = np.asarray(phi.funcs[i](np.asarray(lo)), dtype=float)
+        fb = np.asarray(phi.funcs[i](np.asarray(hi)), dtype=float)
+        inc_lo, inc_hi = np.minimum(fa, fb), np.maximum(fa, fb)
+    phi_lo = _old_summed(take(prev[4]), inc_lo, shift)
+    phi_hi = phi_lo if inc_hi is inc_lo and prev[5] is prev[4] else _old_summed(
+        take(prev[5]), inc_hi, shift)
+    return lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, code
+
+
+def _old_concat(parts):
+    if len(parts) == 1:
+        return parts[0]
+    exact = {hi for hi in ("psi_hi", "phi_hi")
+             if all(getattr(q, hi) is getattr(q, hi[:-2] + "lo") for q in parts)}
+    columns = {}
+    for f in fields(LevelArrays)[1:]:
+        cols = [getattr(q, f.name) for q in parts]
+        if f.name in exact:
+            columns[f.name] = columns[f.name[:-2] + "lo"]
+        else:
+            columns[f.name] = None if cols[0] is None else np.concatenate(cols)
+    return LevelArrays(parts[0].n, **columns)
+
+
+class _OldTable:
+    """Levels 1.. of one (map, potential) pair by the old build, all kept."""
+
+    def __init__(self, m, phi):
+        self.map, self.levels = m, {}
+        self.step = CylinderTable(m, phi)._step
+        zero, parts = np.zeros(1), []
+        for j, (lo, hi) in enumerate(m.core_spans):
+            empty = (np.array([lo]), np.array([hi]), zero, zero, zero, zero, np.zeros(1, np.int64))
+            sym = np.full(1, j, dtype=np.int8)
+            new = _old_step(self.step, j, empty, 0, pull=False)
+            parts.append(LevelArrays(1, *new, sym, sym.copy()))
+        self.levels[1] = _old_concat(parts)
+
+    def level(self, n):
+        while n not in self.levels:
+            prev = self.levels[max(self.levels)]
+            self.levels[prev.n + 1] = self._extend(prev)
+        return self.levels[n]
+
+    def _extend(self, prev):
+        data = (prev.lo, prev.hi, prev.psi_lo, prev.psi_hi,
+                prev.phi_lo, prev.phi_hi, prev.prefix_code)
+        parts = []
+        for i, br in enumerate(self.map.branches):
+            mask = self.map.transition[i, prev.first].astype(bool)
+            if not mask.any():
+                continue
+            take = (lambda col: col) if mask.all() else (lambda col: col[mask])
+            newton = br.family in ("manneville_pomeau", "power")
+            images = self._new_images(i, prev, take) if newton else None
+            new = _old_step(self.step, i, data, prev.n, take, images=images)
+            first = np.full(new[0].size, i, dtype=np.int8)
+            parts.append(LevelArrays(prev.n + 1, *new, first, take(prev.last)))
+        return _old_concat(parts)
+
+    def _new_images(self, i, prev, take):
+        m, br, before = self.map, self.map.branches[i], self.levels.get(prev.n - 1)
+        y = take(prev.lo), take(prev.hi)
+        x = np.empty_like(y[0]), np.empty_like(y[1])
+        new = np.ones(y[0].size, dtype=bool), np.ones(y[1].size, dtype=bool)
+        if before is not None:
+            adm = m.transition[i, before.first].astype(bool)
+            start = int(np.searchsorted(prev.first, i))
+            images = (prev.lo, prev.hi)[:: 1 if br.increasing else -1]
+            runs = m.transition.sum(axis=1)[before.last[adm]]
+            last = np.cumsum(runs) - 1
+            for k, (at, ends) in enumerate(((last - runs + 1, before.lo), (last, before.hi))):
+                hit = y[k][at].view(np.int64) == ends[adm].view(np.int64)
+                x[k][at[hit]] = images[k][start + np.flatnonzero(hit)]
+                new[k][at[hit]] = False
+        shared = np.zeros_like(new[0])
+        shared[1:] = new[0][1:] & (y[0][1:].view(np.int64) == y[1][:-1].view(np.int64))
+        new[0][shared] = False
+        fresh = np.concatenate((y[0][new[0]], y[1][new[1]]))
+        if fresh.size:
+            x[0][new[0]], x[1][new[1]] = np.split(br.inverse(fresh), [np.count_nonzero(new[0])])
+        rows = np.flatnonzero(shared)
+        x[0][rows] = x[1][rows - 1]
+        return x
+
+
+OLD_BUILD_MAPS = {
+    "mp": lambda request: request.getfixturevalue("mp"),
+    "mp_1": lambda request: manneville_pomeau_map(1.0),
+    "farey": lambda request: request.getfixturevalue("farey"),
+    "golden": lambda request: request.getfixturevalue("golden"),
+    "markov": lambda request: request.getfixturevalue("markov"),
+    "two_slopes": lambda request: request.getfixturevalue("two_slopes"),
+}
+
+
+def _old_build_potentials(m):
+    yield geometric(-0.7)
+    yield _random_table(m, 1, seed=31)
+    yield _random_table(m, 3, seed=33)
+    # increasing on some branches, decreasing on others
+    yield Potential(kind="pointwise", funcs=(np.square, np.negative, np.exp)[: m.p])
+    normalized = normalize_potential(
+        m, _random_table(m, 1, seed=35), tol=1e-3, max_level=14, require_negative=False
+    )
+    assert normalized.pressure_shift != 0.0
+    yield normalized
+
+
+@pytest.mark.parametrize("name", sorted(OLD_BUILD_MAPS))
+def test_level_build_equals_old_build_bit_for_bit(request, name):
+    # Levels 1-14 column by column, and an exact bracket stored once exactly
+    # where the old build stored it once.
+    m = OLD_BUILD_MAPS[name](request)
+    for phi in _old_build_potentials(m):
+        table, old = CylinderTable(m, phi), _OldTable(m, phi)
+        for n in range(1, 15):
+            arr, ref = table.level(n), old.level(n)
+            for f in fields(LevelArrays)[1:]:
+                got, want = getattr(arr, f.name), getattr(ref, f.name)
+                assert (got is None) == (want is None), (phi, n, f.name)
+                if got is not None:
+                    assert got.tobytes() == want.tobytes(), (phi, n, f.name)
+            assert (arr.psi_hi is arr.psi_lo) == (ref.psi_hi is ref.psi_lo), (phi, n)
+            assert (arr.phi_hi is arr.phi_lo) == (ref.phi_hi is ref.phi_lo), (phi, n)
+
+
+def test_parabolic_pressure_inverse_point_count(monkeypatch):
+    # The MP(0.5) pressure ladder of the parabolic benchmark (seed 0) sends
+    # 524,753 points through the Newton inverse, 457 of them while the map
+    # is built: no level inverts more than one input per new endpoint.
+    points = []
+    power_inverse = maps._power_inverse
+
+    def counted(c, s, z, lo, hi):
+        points.append(np.size(z))
+        return power_inverse(c, s, z, lo, hi)
+
+    monkeypatch.setattr(maps, "_power_inverse", counted)
+    m = manneville_pomeau_map(0.5)
+    assert sum(points) <= 457
+    result = pressure(m, geometric(-0.7), tol=1e-6, max_level=22)
+    assert result.level == 19
+    assert sum(points) <= 524_753
+
+
+def test_level_columns_are_read_only(mp, markov):
+    for table in (CylinderTable(mp, geometric(-0.7), cache_words=64),
+                  CylinderTable(markov, _random_table(markov, 2, seed=7))):
+        for n in range(1, 9):
+            arr = table.level(n)
+            for f in fields(LevelArrays)[1:]:
+                col = getattr(arr, f.name)
+                if col is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        col[0] = col[0]
+        if table._ends is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                table._ends.lo[0] = 0.0
+
+
+def test_unit_coefficient_returns_the_column(mp):
+    arr = CylinderTable(mp, geometric(-0.7)).level(6)
+    for side, (psi, phi) in enumerate(((arr.psi_lo, arr.phi_lo), (arr.psi_hi, arr.phi_hi))):
+        assert arr.combined_side(0.0, 1.0, side) is phi
+        assert arr.combined_side(1.0, 0.0, side) is psi
+        assert arr.combined_side(2.0, 0.0, side).tobytes() == (2.0 * psi).tobytes()
+        both = arr.combined_side(1.0, 1.0, side)
+        assert both is not psi and both.tobytes() == (psi + phi).tobytes()
+
