@@ -332,6 +332,7 @@ class MarkovMap:
         transition.setflags(write=False)
         self.transition = transition
         self._pairs = frozenset(zip(*(ix.tolist() for ix in np.nonzero(transition))))
+        self.is_full_shift = len(self._pairs) == len(branches) ** 2
         self.aperiodicity_power = aperiodicity_power
         self.parabolic_orbits = parabolic_orbits
         self.core_spans = core_spans
@@ -349,10 +350,6 @@ class MarkovMap:
     def has_parabolic(self) -> bool:
         return bool(self.parabolic_orbits)
 
-    @property
-    def is_full_shift(self) -> bool:
-        return bool(np.all(self.transition == 1))
-
     def admissible(self, word: Sequence[int]) -> bool:
         """True when every symbol is in range and every consecutive pair of
         symbols is allowed."""
@@ -360,7 +357,7 @@ class MarkovMap:
             return True
         if min(word) < 0 or max(word) >= self.p:
             return False
-        return set(zip(word, word[1:])) <= self._pairs
+        return self.is_full_shift or set(zip(word, word[1:])) <= self._pairs
 
     def word_count(self, n: int) -> int:
         """Number of admissible words of length n (exact integer arithmetic)."""
@@ -581,6 +578,8 @@ def _detect_parabolic_orbits(
             if canon in seen:
                 continue
             seen.add(canon)
+            if _hyperbolic(branches, canon):
+                continue
             # An increasing branch that fixes a domain end fixes that very
             # point; bisection stops where F(x) - x rounds to 0, off the end.
             br = branches[canon[0]]
@@ -601,6 +600,16 @@ def _detect_parabolic_orbits(
                 )
     found.sort(key=lambda o: o.points[0])
     return tuple(found)
+
+
+def _hyperbolic(branches: tuple[Branch, ...], word: tuple[int, ...]) -> bool:
+    """|(T^m)'| > 1 + PARABOLIC_TOL on every orbit coded by `word`, so none
+    is parabolic: |T'| is monotone on each branch, so its minimum over the
+    domain sits at an end, and the product of the minima bounds |(T^m)'|
+    from below.  The factor 1 + 1e-6 covers rounding and orbit points up to
+    the 1e-9 off their domain that `_periodic_point` accepts."""
+    low = math.prod(min(abs(branches[i].derivative(x)) for x in branches[i].domain) for i in word)
+    return low > (1.0 + PARABOLIC_TOL) * (1.0 + 1e-6)
 
 
 def _admissible_cyclic_words(A: np.ndarray, m: int) -> list[tuple[int, ...]]:

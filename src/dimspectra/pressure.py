@@ -54,7 +54,7 @@ from .numerics import (
     descending_root,
     log_sum_exp,
 )
-from .symbolic import CylinderTable, Potential, shared_table
+from .symbolic import SMALL_WORDS, CylinderTable, Potential
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def pressure(
         NotConverged: neither the certified bracket nor the ratio Cauchy gap
             reached `tol` by `max_level`; the best enclosure rides along.
     """
-    table = shared_table(m, phi)
+    table = CylinderTable(m, phi, cache_words=SMALL_WORDS)  # one climb
     z_sup: dict[int, float] = {}
 
     def rung(n: int, _last: float | None):
@@ -344,15 +344,18 @@ def bowen_root(
     Raises:
         NotConverged: neither criterion met by `max_level`.
     """
-    table = shared_table(m, None)
+    table = CylinderTable(m, None, cache_words=SMALL_WORDS)  # one climb
     parabolic = m.has_parabolic
+    below = None  # level n-1 for the ratio curve, which the table drops
 
     def coeffs(s: float) -> tuple[float, float]:
         return -s, 0.0
 
     def rung(n: int, _last: float | None):
-        level = _Curves(m, table, n)
+        nonlocal below
+        level = _Curves(m, table, n, below)
         if not parabolic:
+            below = level.arr
             return (yield from level.roots(coeffs, 0.0, step=8.0, xtol=1e-12))
         # The Moran root is exact for full-interval parabolic maps; the
         # ratio root would inherit the neutral word's slow drift.  Its

@@ -43,6 +43,7 @@ from .errors import (
 from .maps import MarkovMap
 
 WORD_BUDGET = 1 << 26
+SMALL_WORDS = 1 << 10  # levels this small are cached by every table
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +395,16 @@ class CylinderTable:
 
     Level 1 is one cylinder step from each symbol's core span; level n+1
     prepends each symbol to the level-n rows that admit it, the same step
-    applied to masked arrays.  Levels whose word count stays under
-    `cache_words` are cached; above that only the most recently built level
-    is kept, so deep parabolic ladders do not hold every large level at
-    once.  The large level before it keeps the four columns the next build
-    reads from its grandparent (see `_repeats`): lo, hi, first, last.
+    applied to masked arrays.  A level asked for is cached while its word
+    count stays under `cache_words`, a level built only on the way to a
+    deeper one while it stays under SMALL_WORDS as well; above that only
+    the newest level asked for is kept, so deep ladders do not hold every
+    large level at once.  The ends of a level not kept stay for the next
+    build, which reads them from its grandparent (see `_repeats`): lo, hi,
+    first, last.  A reader that climbs the levels once (`pressure`,
+    `bowen_root`) builds on a table of its own with cache_words =
+    SMALL_WORDS, dropped when it returns; readers that come back to a
+    level share the map's table (`shared_table`).
     """
 
     def __init__(
@@ -427,8 +433,8 @@ class CylinderTable:
         base_n = max((k for k in self._levels if k < n), default=0)
         arrays = self._levels.get(base_n) or self._base_level()
         for step in range(arrays.n + 1, n + 1):
-            arrays = self._extend(arrays)
-            self._store(step, arrays)
+            prev, arrays = arrays, self._extend(arrays)
+            self._store(arrays, prev, asked=step == n)
         return arrays
 
     def links(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,17 +447,21 @@ class CylinderTable:
         suffix = np.concatenate([np.flatnonzero(A[i, prev.first]) for i in range(self.map.p)])
         return prefix, suffix
 
-    def _store(self, n: int, arrays: LevelArrays) -> None:
+    def _store(self, arrays: LevelArrays, prev: LevelArrays | None = None, asked=True) -> None:
+        """Store a level built from `prev` (None for level 1); `asked` is
+        False for a level built only on the way to a deeper one."""
         for f in fields(LevelArrays)[1:]:
             if getattr(arrays, f.name) is not None:
                 getattr(arrays, f.name).setflags(write=False)
-        if arrays.count > self.cache_words:
-            self._ends = None
-            for k in [k for k, v in self._levels.items() if v.count > self.cache_words]:
-                v = self._levels.pop(k)
-                if k == n - 1:
-                    self._ends = LevelArrays(k, v.lo, v.hi, *[None] * 5, v.first, v.last)
-        self._levels[n] = arrays
+        cap = self.cache_words
+        if arrays.count > cap:  # the level held past the cache goes
+            self._levels = {k: v for k, v in self._levels.items() if v.count <= cap}
+        keep = arrays.count <= (cap if asked else min(cap, SMALL_WORDS))
+        self._ends = None
+        if not (keep or prev is None or prev.n in self._levels):
+            self._ends = LevelArrays(prev.n, prev.lo, prev.hi, *[None] * 5, prev.first, prev.last)
+        if asked or keep:
+            self._levels[arrays.n] = arrays
 
     def _base_level(self) -> LevelArrays:
         """Level 1: the step from each symbol's core span.  A bracket every
@@ -465,7 +475,7 @@ class CylinderTable:
         for k in (3, 5):
             cols[k] = cols[k - 1] if all(q[k] is q[k - 1] for q in parts) else cols[k]
         arrays = LevelArrays(1, *cols, np.arange(m.p, dtype=np.int8), np.arange(m.p, dtype=np.int8))
-        self._store(1, arrays)
+        self._store(arrays)
         return arrays
 
     def _extend(self, prev: LevelArrays) -> LevelArrays:
@@ -560,8 +570,9 @@ def _newton_ends(br, repeats: tuple, lo, hi, src_lo, src_hi, out: tuple) -> tupl
 
 
 def shared_table(m: MarkovMap, phi: Potential | None = None) -> CylinderTable:
-    """CylinderTable memoized on the map, so repeated pressure evaluations
-    against the same potential reuse already-built levels."""
+    """CylinderTable memoized on the map, so readers that come back to a
+    level (b(a) lanes, the Legendre search, endpoints, block measures)
+    reuse the levels already built for the same potential."""
     key = phi
     with m._cache_lock:
         table = m._table_cache.get(key)

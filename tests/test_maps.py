@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dimspectra import (
     NotTransitive,
     OutOfImage,
     build_map,
+    farey_map,
     linear_full_branch_map,
     manneville_pomeau_map,
 )
@@ -383,3 +385,79 @@ def test_admissible_matches_pairwise_loop(golden, farey, markov):
     with pytest.raises(ValueError, match="not admissible"):
         cylinders(farey, [(0, 5)])
 
+
+@pytest.mark.parametrize("word", [(1, 1, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1, 1), (0, 2), (-1, 0)])
+def test_cylinders_refuse_inadmissible_words(golden, farey, word):
+    # The forbidden pair 11 of the golden mean map at the start, in the
+    # middle and at the end of a word, and symbols out of range.  A full
+    # shift allows every pair, so it checks only the range.
+    with pytest.raises(ValueError, match=rf"word {re.escape(str(word))} is not admissible"):
+        cylinders(golden, [(0,), word])
+    if 0 <= min(word) and max(word) < farey.p:
+        assert farey.admissible(word)
+    else:
+        with pytest.raises(ValueError, match="not admissible"):
+            cylinders(farey, [(0,), word])
+
+
+def _power_map():
+    """The power branch T(x) = x + 2 x**1.7 beside a linear one: a full
+    shift whose neutral fixed point 0 is a domain end."""
+    br = _power_branch()
+    d = br.domain[1]
+    slope = 1.0 / (1.0 - d)
+    return build_map([br, Branch("linear", (d, 1.0), (0.0, 1.0), slope=slope, offset=-d * slope)])
+
+
+def _masked_power_map():
+    """A power branch onto [0, 3/8], beside linear branches: not a full shift."""
+    return build_map([
+        Branch("power", (0.0, 0.25), (0.0, 0.375), s=0.5, c=1.0),
+        Branch("linear", (0.25, 0.375), (0.375, 1.0), slope=5.0, offset=-0.875),
+        Branch("linear", (0.375, 1.0), (0.0, 1.0), slope=1.6, offset=-0.6),
+    ])
+
+
+ORBIT_MAPS = {
+    "mp_0.5": lambda: manneville_pomeau_map(0.5),
+    "mp_1": lambda: manneville_pomeau_map(1.0),
+    "mp_3.05": lambda: manneville_pomeau_map(3.05),
+    "farey": farey_map,
+    "power": _power_map,
+    "masked_power": _masked_power_map,
+}
+
+
+def _orbit_records(m):
+    return [
+        (o.word, [x.hex() for x in o.points], o.multiplier.hex(),
+         float(o.beta).hex(), float(o.L).hex(), o.analytic)
+        for o in m.parabolic_orbits
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_MAPS))
+def test_hyperbolic_words_skip_the_orbit_search(name, monkeypatch):
+    # A cyclic word whose branches' smallest |T'| multiply past
+    # 1 + PARABOLIC_TOL codes no parabolic orbit, so its periodic point is
+    # not searched for.  The records equal, by float.hex, those of a search
+    # over every word.  Every MP word but (0,), whose fixed point is the
+    # domain end 0, holds symbol 1 (|T'| >= 2.13 there), so MP searches
+    # none; Farey's |T'| reaches 1 on both branches, so it searches all.
+    searched = []
+    periodic = maps._periodic_point
+
+    def counted(branches, A, core, word):
+        searched.append(word)
+        return periodic(branches, A, core, word)
+
+    monkeypatch.setattr(maps, "_periodic_point", counted)
+    got, skipping = _orbit_records(ORBIT_MAPS[name]()), list(searched)
+    searched.clear()
+    monkeypatch.setattr(maps, "_hyperbolic", lambda branches, word: False)
+    assert _orbit_records(ORBIT_MAPS[name]()) == got
+    assert set(skipping) <= set(searched)
+    if name.startswith("mp"):
+        assert skipping == [] and searched == [(0, 1), (0, 0, 1), (0, 1, 1)]
+    if name == "farey":
+        assert skipping == searched

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import gc
+import importlib
 import math
+import tracemalloc
+import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,9 +17,12 @@ from dimspectra import (
     NotConverged,
     bowen_root,
     doubling_map,
+    farey_map,
+    geometric,
     golden_mean_map,
     linear_full_branch_map,
     locally_constant,
+    manneville_pomeau_map,
     normalize_potential,
     pressure,
     shared_table,
@@ -21,6 +30,7 @@ from dimspectra import (
 )
 from dimspectra import numerics
 from dimspectra.pressure import _Curves, gluing_length
+from dimspectra.symbolic import SMALL_WORDS, CylinderTable
 
 from conftest import linear_markov_map
 
@@ -215,3 +225,102 @@ def test_pressure_encloses_transfer_matrix_value(case):
     truth = _transfer_matrix_pressure(m, phi)
     lo, hi = _enclosure(m, phi, tol=1e-6, max_level=8)
     assert _encloses(lo, hi, truth)
+
+
+PRESSURE = importlib.import_module("dimspectra.pressure")
+ZERO = locally_constant({(0,): 0.0, (1,): 0.0})
+BERNOULLI = locally_constant({(0,): math.log(0.25), (1,): math.log(0.75)})
+# (map, phi, pressure arguments).  The MP and Farey pressure ladders climb
+# past SMALL_WORDS words, where the one-climb table keeps only the level in
+# hand and the ends of the one before.
+ONE_CLIMB_CASES = {
+    # The parabolic workload's command at seed 0: a ratio stop at level 19.
+    "mp": (lambda: manneville_pomeau_map(0.5), geometric(-0.7), {"tol": 1e-6, "max_level": 22}),
+    # configs/golden_mean_pressure.yaml: k = 1, so the floor reads level 1
+    # on every rung.
+    "golden": (golden_mean_map, ZERO, {"tol": 1e-9, "max_level": 26}),
+    "farey": (farey_map, geometric(-0.5), {"tol": 1e-8, "max_level": 15}),
+    "doubling": (doubling_map, BERNOULLI, {}),
+}
+
+
+def _hexed(solve):
+    """A solve's fields with floats by float.hex, or its NotConverged
+    message and enclosure."""
+    try:
+        out = astuple(solve())
+    except NotConverged as exc:
+        return str(exc), tuple(x.hex() for x in exc.enclosure)
+    return tuple(x.hex() if isinstance(x, float) else x for x in out)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CLIMB_CASES))
+def test_one_climb_table_gives_shared_table_bits(name, monkeypatch):
+    # pressure() and bowen_root() build on a table of their own that drops
+    # each level past SMALL_WORDS once the next is built (bowen_root's
+    # ratio curve, which the golden mean map's Bowen ladder reads to level
+    # 17, takes level n-1 from the rung before); on the map's shared table
+    # every level up to cache_words stays.  Same bits, and no level is
+    # built twice.
+    build, phi, kw = ONE_CLIMB_CASES[name]
+    builds = Counter()
+    extend = CylinderTable._extend
+
+    def counted(self, prev):
+        out = extend(self, prev)
+        builds[self, out.n] += 1  # the table itself: a freed one's id recurs
+        return out
+
+    def solve():
+        m = build()
+        return (
+            _hexed(lambda: pressure(m, phi, **kw)),
+            _hexed(lambda: bowen_root(m, tol=1e-15, max_level=17)),
+        ), m
+
+    monkeypatch.setattr(CylinderTable, "_extend", counted)
+    got, m = solve()
+    assert not m._table_cache
+    assert max(builds.values()) == 1
+    monkeypatch.setattr(PRESSURE, "CylinderTable", lambda m, phi, **_: shared_table(m, phi))
+    want, m = solve()
+    assert set(m._table_cache) == {phi, None}
+    assert got == want
+
+
+def test_one_climb_leaves_no_large_level(monkeypatch):
+    # Once pressure() or normalize_potential() returns, no level past
+    # SMALL_WORDS is alive: the ladder's own table went with it, and the
+    # map's shared tables hold no level of phi.
+    built = []
+    extend = CylinderTable._extend
+
+    def tracked(self, prev):
+        out = extend(self, prev)
+        built.append((out.count, weakref.ref(out.lo)))
+        return out
+
+    monkeypatch.setattr(CylinderTable, "_extend", tracked)
+    m, phi = manneville_pomeau_map(0.5), geometric(-0.7)
+    assert pressure(m, phi, tol=1e-4, max_level=16).level == 11
+    normalize_potential(m, phi, tol=1e-4, max_level=16, require_negative=False)
+    gc.collect()
+    assert max(count for count, _ in built) > SMALL_WORDS
+    assert all(ref() is None for count, ref in built if count > SMALL_WORDS)
+    assert not m._table_cache
+
+
+def test_mp_pressure_live_peak():
+    # The parabolic workload's seed-0 command climbs to level 19 (2^19
+    # words).  Holding level 18 and the one in hand, it peaks at about
+    # 42 MiB traced; on the shared table, which kept levels 1-18 (about
+    # 24 MiB), it peaked at 52.6 MiB.
+    m = manneville_pomeau_map(0.5)
+    tracemalloc.start()
+    try:
+        p = pressure(m, geometric(-0.7), tol=1e-6, max_level=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.level == 19
+    assert peak <= 45 * 2**20

@@ -471,6 +471,36 @@ def test_b_ladder_past_cache_words_builds_each_level_once(monkeypatch):
     assert outcomes[0] == outcomes[1]
 
 
+def test_readers_that_revisit_levels_build_each_once(monkeypatch):
+    # b(a) lanes and the Legendre search (whose golden-section rounds start
+    # new lanes at level 2) come back to levels, so they keep the map's
+    # shared table; the ray start's Bowen solve climbs on a table of its
+    # own.  Each (table, level) is built once, as many builds in all as
+    # when the Bowen solve shared the map's table: 11 for
+    # configs/mp_ray_bcurve.yaml and 11 for the Legendre search below.
+    from collections import Counter
+
+    from dimspectra import manneville_pomeau_map
+
+    builds = Counter()
+    extend = CylinderTable._extend
+
+    def counted(self, prev):
+        out = extend(self, prev)
+        builds[self, out.n] += 1  # the table itself: a freed one's id recurs
+        return out
+
+    monkeypatch.setattr(CylinderTable, "_extend", counted)
+    half = locally_constant({(0,): -0.6931471805599453, (1,): -0.6931471805599453})
+    b_curve(manneville_pomeau_map(0.5), half, np.linspace(-2.0, 1.0, 7), tol=1e-4, max_level=14)
+    assert max(builds.values()) == 1 and sum(builds.values()) == 11
+    builds.clear()
+    bernoulli = locally_constant({(0,): math.log(0.25), (1,): math.log(0.75)})
+    m = manneville_pomeau_map(0.5)
+    legendre_spectrum(m, bernoulli, [0.9, 1.3, 1.8], tol=1e-2, max_level=12)
+    assert max(builds.values()) == 1 and sum(builds.values()) == 11
+
+
 def test_one_b_solve_asks_each_b_once(doubling, bernoulli_phi, monkeypatch):
     # A doubling/Bernoulli solve stops at level 2 on one curve; its root
     # solve evaluates the curve at each b once.

@@ -360,6 +360,35 @@ def test_levels_over_cache_words_keep_previous_level_reuse(mp, monkeypatch):
                 assert got.tobytes() == want.tobytes(), (n, f.name)
 
 
+def test_levels_on_the_way_past_small_words_are_not_kept(mp, monkeypatch):
+    # A level built only as the input of a deeper one is kept while it has
+    # at most SMALL_WORDS = 2^10 words (levels 1-10 here).  The ends of the
+    # ones dropped still serve the next build, so level 14 inverts as many
+    # points as when every level is asked for, and has the same bits.
+    points = []
+    inverse = Branch.inverse
+
+    def counted(self, y, **kw):
+        points.append(np.size(y))
+        return inverse(self, y, **kw)
+
+    monkeypatch.setattr(Branch, "inverse", counted)
+    table = CylinderTable(mp, geometric(-0.7))
+    arr = table.level(14)
+    assert sorted(table._levels) == list(range(1, 11)) + [14]
+    jumped = sum(points)
+    points.clear()
+    full = CylinderTable(mp, geometric(-0.7))
+    ref = [full.level(n) for n in range(1, 15)][-1]
+    assert sorted(full._levels) == list(range(1, 15))
+    assert sum(points) == jumped
+    for f in fields(LevelArrays)[1:]:
+        got, want = getattr(arr, f.name), getattr(ref, f.name)
+        assert (got is None) == (want is None), f.name
+        if got is not None:
+            assert got.tobytes() == want.tobytes(), f.name
+
+
 _COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-6.0, 6.0))
 _ROW_TABLES = {}
 
