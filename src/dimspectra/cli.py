@@ -631,9 +631,11 @@ def _cmd_bcurve(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
     points = b_curve(m, phi, a_values, tol=cmd["tol"], max_level=cmd["max_level"])
     for a, point in zip(a_values, points):
         if isinstance(point, NotConverged):
-            lo, hi = point.enclosure
+            # no enclosure rides along when a root's bracket expansion failed
+            lo, hi = point.enclosure or (math.nan, math.nan)
             row = [a, 0.5 * (lo + hi), lo, hi, False]
-            res.widths.append(hi - lo)
+            if point.enclosure is not None:
+                res.widths.append(hi - lo)
             res.status = "enclosure"
         else:
             row = [point.a, point.b, point.lower, point.upper, point.on_ray]

@@ -13,9 +13,11 @@ The base defaults to the union of non-parabolic first-level cylinders.  On
 a map with no parabolic orbit the construction degenerates to the map
 itself (every return time is 1), which is the cross-check used by tests.
 
-`induced_b_curve` solves a grid of a-values in lockstep: each a is one
-lane of root solves, and every round evaluates all lanes asking the same
-curve in one numpy call, bit for bit what solving each a alone gives.
+The kept branches are one level of rows (n = 1, no gluing) for
+`pressure._Curves`, which gives the lower and upper curves and the root
+lanes; this module adds the midpoint estimate and the dropped-tail bound.
+`induced_b_curve` runs one lane per a in lockstep, asking (curve, a, b)
+like every b(a) lane, bit for bit what solving each a alone gives.
 """
 
 from __future__ import annotations
@@ -28,12 +30,14 @@ import numpy as np
 
 from .errors import (
     NotConverged,
+    NotStrictlyNegative,
     TailDominates,
     TruncationTooSmall,
 )
 from .maps import MarkovMap
-from .numerics import _CHUNK, _asking, _call_stacked, _descend, _lockstep, log_sum_exp
-from .symbolic import Potential, cylinders
+from .numerics import _call_stacked, _lockstep, log_sum_exp
+from .pressure import _Curves, _log_z, _per_lane
+from .symbolic import LevelArrays, Potential, cylinders
 
 WORD_CAP = 1 << 20
 
@@ -180,53 +184,51 @@ class InducedBPoint:
     on_ray: bool
 
 
-class _Curves:
-    """The induced pressure curves of a block of a-values, one row per a.
+def _rows(branches) -> LevelArrays:
+    """Branches as one level of rows (n = 1, one induced step per branch):
+    their domains and Birkhoff brackets, without the word columns."""
+    cols = np.array([br.domain + br.psi_bracket + br.phi_bracket for br in branches]).T
+    return LevelArrays(1, *cols, *[None] * 3)
 
-    Each curve takes arrays of lane rows and b-values and gives one value
-    per entry, bit for bit the scalar expression on that a's branches (a
-    row of `log_sum_exp` is the 1-d call on it), so every lane asking a
-    curve in a round is answered by one call (`_call_stacked`).
+
+class _Returns:
+    """The induced pressure curves of a truncated system.
+
+    `level` holds every kept branch as one level of rows with no gluing
+    symbols, so its lower and upper curves are the ladder's; the midpoint
+    estimate and the dropped-tail bound are the induced system's own.  Each
+    curve takes arrays (a, b) of one entry per lane, bit for bit the
+    scalar expression on that a's branches.
     """
 
-    def __init__(self, isys: InducedSystem, a_values: Sequence[float]):
-        psi_lo, psi_hi, phi_lo, phi_hi = np.array(
-            [br.psi_bracket + br.phi_bracket for br in isys.branches]
-        ).T
-        a = np.array(a_values, dtype=float)[:, None]
-        # a*psi at the bracket end that bounds it from below / above
-        self.f_lo = np.where(a >= 0.0, a * psi_lo, a * psi_hi)
-        self.f_hi = np.where(a >= 0.0, a * psi_hi, a * psi_lo)
-        self.f_mid = 0.5 * (self.f_lo + self.f_hi)
-        self.phi_lo, self.phi_hi = phi_lo, phi_hi
-        self.phi_sum = phi_lo + phi_hi
-        times = np.array([br.return_time for br in isys.branches])
+    def __init__(self, isys: InducedSystem):
+        self.level = _Curves(_rows(isys.branches))
         n = isys.truncation
-        # (f_hi, phi_hi) of the last four return times that hold branches.
-        masks = [times == r for r in range(max(1, n - 3), n + 1)]
-        self.levels = [(self.f_hi[:, k], phi_hi[k]) for k in masks if k.any()]
-        self.has_last = bool(masks[-1].any())
+        # The last four return times that hold branches.
+        near = [[br for br in isys.branches if br.return_time == r]
+                for r in range(max(1, n - 3), n + 1)]
+        self.near = [_rows(brs) for brs in near if brs]
+        self.has_last = bool(near[-1])
 
-    def lower(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pressure of the sums over the lower brackets, dropped tail ignored."""
-        return log_sum_exp(self.f_lo[rows] + _times(b, self.phi_lo, self.phi_hi))
-
-    def upper(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pressure of the sums over the upper brackets, dropped tail ignored."""
-        return log_sum_exp(self.f_hi[rows] + _times(b, self.phi_hi, self.phi_lo))
-
-    def mid(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pressure at the midpoint of every branch's brackets."""
-        return log_sum_exp(self.f_mid[rows] + (b[:, None] * 0.5) * self.phi_sum)
+        arr = self.level.arr
 
-    def tail_ratio(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        def at(a, b):
+            a, b = a[:, None], b[:, None]
+            f_mid = 0.5 * (a * arr.psi_lo + a * arr.psi_hi)
+            return log_sum_exp(f_mid + (b * 0.5) * (arr.phi_lo + arr.phi_hi))
+
+        return _per_lane(at, arr.count, a, b)
+
+    def tail_ratio(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-return-time growth ratio of the upper level sums near N."""
-        return _growth(self._level_sums(rows, b), b.size)
+        return _growth(self._level_sums(a, b), b.size)
 
-    def padded(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def padded(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The upper pressure with the geometric bound of the dropped tail
         added; +inf where the level sums do not shrink."""
-        sums = self._level_sums(rows, b)
+        sums = self._level_sums(a, b)
         ratio = _growth(sums, b.size)
         out = np.full(b.size, math.inf)
         ok = ratio < 1.0
@@ -235,18 +237,12 @@ class _Curves:
             tail = [
                 _tail_log_bound(s, r) for s, r in zip(last[ok].tolist(), ratio[ok].tolist())
             ]
-            out[ok] = np.logaddexp(self.upper(rows[ok], b[ok]), tail)
+            out[ok] = np.logaddexp(self.level.upper(a[ok], b[ok]), tail)
         return out
 
-    def _level_sums(self, rows: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    def _level_sums(self, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
         """Upper log-sums of each kept return-time level near N."""
-        return [log_sum_exp(f[rows] + b[:, None] * phi) for f, phi in self.levels]
-
-
-def _times(b: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """b*phi, with phi at `pos` for b >= 0 and at `neg` below."""
-    b = b[:, None]
-    return np.where(b >= 0.0, b * pos, b * neg)
+        return [_log_z(rows, 1, a, b) for rows in self.near]
 
 
 def _growth(sums: list[np.ndarray], lanes: int) -> np.ndarray:
@@ -266,45 +262,35 @@ def _tail_log_bound(last: float, ratio: float) -> float:
 
 
 def _lane(
-    curves: _Curves,
-    row: int,
-    a: float,
-    *,
-    countable: bool,
-    sup_bar: float,
-    tol: float,
-    tail_tol: float,
+    curves: _Returns, a: float, *, countable: bool, sup_bar: float, tol: float, tail_tol: float
 ):
     """One a's solve (see `induced_b_curve`), yielding requests
-    (curve, row, b)."""
+    (curve, a, b)."""
 
     def root(curve):
-        try:
-            return (yield from _asking(lambda b: (curve, row, b), _descend(1.0, xtol=tol)))
-        except ValueError as exc:
-            raise NotConverged("induced pressure root expansion failed") from exc
+        return _Curves.root(curve, lambda b: (a, b), 1.0, step=1.0, xtol=tol)
 
     if countable:
         # Ray check: if even the tail-padded upper sum stays below 1 at
         # b = 0, the equation has no nonnegative root and b(a) = 0.
-        if (yield (curves.padded, row, 0.0)) <= 0.0:
-            upper0 = yield (curves.upper, row, 0.0)
+        if (yield (curves.padded, a, 0.0)) <= 0.0:
+            upper0 = yield (curves.level.upper, a, 0.0)
             return InducedBPoint(
                 a=a,
                 b=0.0,
                 lower=0.0,
                 upper=max(upper0, 0.0) / (-sup_bar),
-                tail_ratio=(yield (curves.tail_ratio, row, 0.0)),
+                tail_ratio=(yield (curves.tail_ratio, a, 0.0)),
                 on_ray=True,
             )
-    b_lower = yield from root(curves.lower)
-    ratio = yield (curves.tail_ratio, row, max(b_lower, 0.0))
+    b_lower = yield from root(curves.level.lower)
+    ratio = yield (curves.tail_ratio, a, max(b_lower, 0.0))
     if ratio >= 1.0:
         raise TailDominates(
             f"level sums grow by {ratio:.3f} per return time at b = {b_lower:.4g}; "
             "raise the truncation"
         )
-    b_plain = yield from root(curves.upper)
+    b_plain = yield from root(curves.level.upper)
     b_upper = yield from root(curves.padded)
     if b_upper - b_plain > tail_tol:
         raise TailDominates(
@@ -348,8 +334,9 @@ def induced_b_curve(
         a NotConverged in its place (it carries no enclosure).
 
     Raises:
-        ValueError: the system was built without a potential, or its
-            potential is not strictly negative.
+        ValueError: the system was built without a potential.
+        NotStrictlyNegative: the upper Birkhoff bracket of some branch's
+            potential block is >= 0.
         TailDominates: at some a the level sums still grow at the kept
             horizon (no geometric tail bound exists), or the tail bound
             moves the upper root by more than tail_tol; raise the
@@ -359,25 +346,20 @@ def induced_b_curve(
         raise ValueError("induced system was built without a potential")
     sup_bar = max(br.phi_bracket[1] for br in isys.branches)
     if sup_bar >= 0.0:
-        raise ValueError("induced potential must be strictly negative")
+        raise NotStrictlyNegative(
+            f"induced potential must be strictly negative; sup is {sup_bar:.6g}"
+        )
     # A genuinely induced system has countably many branches; for b < 0 the
     # dropped tail diverges (block sums of phi grow linearly in the return
     # time), so roots are clamped to b >= 0.  Trivial inducing (all return
     # times 1) is the direct system, where negative roots are meaningful.
     countable = max(br.return_time for br in isys.branches) > 1
-    a_values = [float(a) for a in a_values]
-    # Lanes per block: no curve array holds more than one log-sum-exp chunk.
-    per_block = max(1, _CHUNK // len(isys.branches))
-    found: list = []
-    for i in range(0, len(a_values), per_block):
-        block = a_values[i : i + per_block]
-        curves = _Curves(isys, block)
-        lanes = [
-            _lane(curves, row, a, countable=countable, sup_bar=sup_bar,
-                  tol=tol, tail_tol=tail_tol)
-            for row, a in enumerate(block)
-        ]
-        found += _lockstep(lanes, _call_stacked, keep=(NotConverged, TailDominates))
+    curves = _Returns(isys)
+    lanes = [
+        _lane(curves, float(a), countable=countable, sup_bar=sup_bar, tol=tol, tail_tol=tail_tol)
+        for a in a_values
+    ]
+    found = _lockstep(lanes, _call_stacked, keep=(NotConverged, TailDominates))
     for point in found:
         if isinstance(point, TailDominates):
             raise point
@@ -394,7 +376,7 @@ def induced_b_point(
     """`induced_b_curve` at one a.
 
     Raises:
-        ValueError, TailDominates: as `induced_b_curve`.
+        ValueError, NotStrictlyNegative, TailDominates: as `induced_b_curve`.
         NotConverged: a root's bracket expansion failed (no enclosure).
     """
     (point,) = induced_b_curve(isys, [a], tol=tol, tail_tol=tail_tol)

@@ -20,7 +20,10 @@ One ladder, `_ladder`, runs these stops for pressure(), bowen_root() and
 spectrum.b_of_a().  Each caller supplies per-level certified bounds and a
 lazily computed ratio value, built by `_Curves`, where the gluing floor
 above is written once; for the roots, the bounds are the roots of the lower
-and upper curves and the value is the root of the ratio curve.  Parabolic
+and upper curves and the value is the root of the ratio curve.  Built
+from a level's arrays, `_Curves` also serves the first-return system of
+induced.py, held as one level of rows, and `_Curves.root`, every caller's
+root lane, turns a failed bracket expansion into NotConverged.  Parabolic
 maps have no spectral gap and no finite-level upper certificate for Bowen
 roots (the neutral word pins sup-sums at a nonnegative pressure), which is
 reported honestly as an infinite upper endpoint; their Bowen estimate is
@@ -54,7 +57,7 @@ from .numerics import (
     descending_root,
     log_sum_exp,
 )
-from .symbolic import SMALL_WORDS, CylinderTable, Potential
+from .symbolic import SMALL_WORDS, CylinderTable, LevelArrays, Potential
 
 
 @dataclass(frozen=True)
@@ -116,42 +119,43 @@ def potential_floor(
 ):
     """Certified lower bound for inf of the combined potential on the core
     (one per lane for arrays of coefficients, see `_Curves`)."""
-    floor = _per_lane(table.level(1), 0, lambda f: np.min(f, axis=-1), coeff_psi, coeff_phi)
+    arr = table.level(1)
+    floor = _per_lane(
+        lambda a, b: arr.combined_side(a, b, 0).min(axis=-1), arr.count, coeff_psi, coeff_phi
+    )
     return floor if np.ndim(floor) else float(floor)
 
 
-def _per_lane(arr, side: int, reduce: Callable, a, b):
-    """reduce(arr.combined_side(a, b, side)).  For arrays a, b of one entry
-    per lane it runs on slices of lanes holding at most one log-sum-exp
-    chunk of entries, and the results are joined."""
+def _per_lane(fn: Callable, count: int, a, b):
+    """fn(a, b) on rows of `count` entries per lane.  For arrays a, b of
+    one entry per lane it runs on slices of lanes holding at most one
+    log-sum-exp chunk of entries, and the results are joined."""
     if np.ndim(a) == 0:
-        return reduce(arr.combined_side(a, b, side))
-    rows = max(1, _CHUNK // arr.count)
+        return fn(a, b)
+    rows = max(1, _CHUNK // count)
     if a.size <= rows:
-        return reduce(arr.combined_side(a, b, side))
-    return np.concatenate([
-        reduce(arr.combined_side(a[i : i + rows], b[i : i + rows], side))
-        for i in range(0, a.size, rows)
-    ])
+        return fn(a, b)
+    return np.concatenate([fn(a[i : i + rows], b[i : i + rows]) for i in range(0, a.size, rows)])
 
 
 def _log_z(arr, side: int, a, b):
     """log Z_n over the inf (side 0) or sup (side 1) brackets of a*psi + b*phi."""
-    return _per_lane(arr, side, log_sum_exp, a, b)
+    return _per_lane(lambda a, b: log_sum_exp(arr.combined_side(a, b, side)), arr.count, a, b)
 
 
 class _Curves:
-    """Level-n certified pressure curves of a*log|T'| + b*phi.
+    """Certified pressure curves of a*psi + b*phi over one level's arrays:
+    a cylinder level, with its map's gluing length k and its table (for the
+    floor and level n-1), or rows shaped like one, such as the branches of
+    an induced system (n = 1, k = 0, no table).
 
     Each curve takes (a, b) as floats, or as arrays of one entry per lane;
     then it gives one value per lane, bit for bit the scalar call's, so
     lanes that share a level can be answered in one call (`_call_stacked`).
     """
 
-    def __init__(self, m: MarkovMap, table: CylinderTable, n: int, prev=None):
-        self.table, self.n = table, n
-        self.arr = table.level(n)
-        self.k = gluing_length(m)
+    def __init__(self, arr: LevelArrays, k: int = 0, table: CylinderTable | None = None, prev=None):
+        self.arr, self.n, self.k, self.table = arr, arr.n, k, table
         self._prev = prev  # level n-1's arrays, if the caller holds them
 
     def lower(self, a, b):
@@ -188,8 +192,13 @@ class _Curves:
     @staticmethod
     def root(curve: Callable, coeffs: Callable, start: float, *, step: float, xtol: float):
         """Lane of the descending root of curve(*coeffs(x)); its requests are
-        (curve, a, b)."""
-        return _asking(lambda x: (curve, *coeffs(x)), _descend(start, step=step, xtol=xtol))
+        (curve, a, b).  A bracket expansion that finds no sign change raises
+        NotConverged, with no enclosure."""
+        steps = _descend(start, step=step, xtol=xtol)
+        try:
+            return (yield from _asking(lambda x: (curve, *coeffs(x)), steps))
+        except ValueError as exc:
+            raise NotConverged(f"root bracket expansion failed: {exc}") from exc
 
     def roots(self, coeffs: Callable, start: float, *, step: float, xtol: float):
         """Rung of a root ladder, as a lane: the roots of the lower and upper
@@ -276,7 +285,7 @@ def pressure(
     z_sup: dict[int, float] = {}
 
     def rung(n: int, _last: float | None):
-        level = _Curves(m, table, n)
+        level = _Curves(table.level(n), gluing_length(m), table)
         z_sup[n] = yield level.z_sup, 0.0, 1.0
         lower = yield level.lower, 0.0, 1.0
         return lower, z_sup[n] / n, None if n == 1 else z_sup[n] - z_sup[n - 1]
@@ -353,7 +362,7 @@ def bowen_root(
 
     def rung(n: int, _last: float | None):
         nonlocal below
-        level = _Curves(m, table, n, below)
+        level = _Curves(table.level(n), gluing_length(m), table, below)
         if not parabolic:
             below = level.arr
             return (yield from level.roots(coeffs, 0.0, step=8.0, xtol=1e-12))

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .maps import MarkovMap
 from .numerics import _asking, _call, _call_stacked, _drive, _golden, _lockstep, log_sum_exp
-from .pressure import _Curves, _ladder, bowen_root
+from .pressure import _Curves, _ladder, bowen_root, gluing_length
 from .symbolic import Potential, shared_table
 
 
@@ -135,7 +135,7 @@ def _b_lanes(
     def curves(n: int, prev) -> _Curves:
         level = levels.get(n)
         if level is None:
-            level = levels[n] = _Curves(m, table, n, prev)
+            level = levels[n] = _Curves(table.level(n), gluing_length(m), table, prev)
         return level
 
     def lane(a: float):
@@ -183,7 +183,8 @@ def b_of_a(
 
     Raises:
         NotStrictlyNegative: sup phi >= 0.
-        NotConverged: neither criterion met by max_level (enclosure rides).
+        NotConverged: neither criterion met by max_level (enclosure rides),
+            or a root's bracket expansion failed (no enclosure).
     """
     (lane,) = _b_lanes(m, phi, [a], tol, max_level)
     return _drive(lane, _call)
@@ -200,7 +201,8 @@ def b_curve(
     """b(a) over a list of a-values, each solved as b_of_a solves it, with
     every a's solve run in lockstep: each round evaluates all pending
     lanes on a level in one call.  An a whose ladder does not converge
-    gets its NotConverged (enclosure included) in place of a BPoint.
+    gets its NotConverged (enclosure included, unless a root's bracket
+    expansion failed) in place of a BPoint.
 
     Raises:
         NotStrictlyNegative: sup phi >= 0.

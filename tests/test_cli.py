@@ -198,6 +198,40 @@ def test_starved_spectrum_exits_two_naming_the_first_a(tmp_path, capsys):
     assert err.startswith(f"dimspectra: error: NotConverged: b({round(first, 12):g}) not within")
 
 
+def test_bcurve_failed_bracket_expansion_writes_nan_row(tmp_path, capsys):
+    # b(1e20) = 1 + 1e20 lies past the bracket expansion's reach: its row is
+    # nan, the other row is solved, and the run exits 2.
+    data = base_config(tmp_path, a_grid={"start": 0.0, "stop": 1.0e20, "count": 2})
+    assert main([str(write_config(tmp_path, data))]) == 2
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert lines[1:] == ["0,1,1,1,0", "1e+20,nan,nan,nan,0"]
+    manifest = yaml.safe_load((tmp_path / "out.manifest.yaml").read_text())
+    assert manifest["status"] == "enclosure"
+    assert manifest["artifacts"][0]["max_bracket_width"] == 0.0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_induce_positive_potential_is_typed_error(tmp_path, capsys):
+    data = {
+        "map": {"family": "farey"},
+        "potential": {
+            "kind": "locally_constant",
+            "depth": 1,
+            "normalize": False,
+            "table": {"0": 0.1, "1": -0.5},
+        },
+        "command": {
+            "name": "induce",
+            "truncation": 40,
+            "a_grid": {"start": 0.0, "stop": 1.0, "count": 3},
+        },
+        "output": {"csv": str(tmp_path / "i.csv")},
+    }
+    assert main([str(write_config(tmp_path, data))]) == 1
+    err = capsys.readouterr().err
+    assert "NotStrictlyNegative" in err and "Traceback" not in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main([str(tmp_path / "nope.yaml")]) == 1
     assert "cannot read config" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -213,12 +214,12 @@ def test_dimension_only_system_rejects_b_solve(doubling):
 # descending_root call.
 
 
-def _scalar_tail_ratio(f_hi, phi_hi, times, b, n_tr):
+def _scalar_tail_ratio(f_hi, phi_up, times, b, n_tr):
     def level_sum(r):
         mask = times == r
         if not np.any(mask):
             return -math.inf
-        return log_sum_exp(f_hi[mask] + b * phi_hi[mask])
+        return log_sum_exp(f_hi[mask] + b * phi_up[mask])
 
     top = [level_sum(r) for r in range(max(1, n_tr - 3), n_tr + 1)]
     top = [t for t in top if t > -math.inf]
@@ -227,11 +228,11 @@ def _scalar_tail_ratio(f_hi, phi_hi, times, b, n_tr):
     return float(np.exp(np.max(np.diff(top))))
 
 
-def _scalar_tail_log_bound(f_hi, phi_hi, times, b, n_tr, ratio):
+def _scalar_tail_log_bound(f_hi, phi_up, times, b, n_tr, ratio):
     mask = times == n_tr
     if not np.any(mask) or ratio <= 0.0:
         return -math.inf
-    last = log_sum_exp(f_hi[mask] + b * phi_hi[mask])
+    last = log_sum_exp(f_hi[mask] + b * phi_up[mask])
     return last + math.log(ratio) - math.log1p(-ratio)
 
 
@@ -248,6 +249,10 @@ def _scalar_curves(isys, a):
         f_lo, f_hi = a * psi_hi, a * psi_lo
     n_tr = isys.truncation
 
+    def phi_up(b):
+        """The phi end that bounds b*phi from above."""
+        return phi_hi if b >= 0.0 else phi_lo
+
     def upper_pressure(b):
         return log_sum_exp(f_hi + (b * phi_hi if b >= 0.0 else b * phi_lo))
 
@@ -255,10 +260,10 @@ def _scalar_curves(isys, a):
         return log_sum_exp(f_lo + (b * phi_lo if b >= 0.0 else b * phi_hi))
 
     def padded_pressure(b):
-        r = _scalar_tail_ratio(f_hi, phi_hi, times, b, n_tr)
+        r = _scalar_tail_ratio(f_hi, phi_up(b), times, b, n_tr)
         if r >= 1.0:
             return math.inf
-        t = _scalar_tail_log_bound(f_hi, phi_hi, times, b, n_tr, r)
+        t = _scalar_tail_log_bound(f_hi, phi_up(b), times, b, n_tr, r)
         return float(np.logaddexp(upper_pressure(b), t))
 
     return {
@@ -266,7 +271,7 @@ def _scalar_curves(isys, a):
         "upper": upper_pressure,
         "padded": padded_pressure,
         "mid": lambda b: log_sum_exp(0.5 * (f_lo + f_hi) + b * 0.5 * (phi_lo + phi_hi)),
-        "tail_ratio": lambda b: _scalar_tail_ratio(f_hi, phi_hi, times, b, n_tr),
+        "tail_ratio": lambda b: _scalar_tail_ratio(f_hi, phi_up(b), times, b, n_tr),
     }
 
 
@@ -343,21 +348,29 @@ def _gapped_sys(truncation=12):
     return build_induced(m, phi3, base_symbols=[0, 2], truncation=truncation)
 
 
-@pytest.mark.parametrize("case", ["farey4", "farey40", "gapped"])
-def test_curves_match_scalar_expressions(farey, uniform_phi, case):
+@pytest.mark.parametrize(
+    "case", ["farey4", "farey40", "gapped", "farey40_geometric", "mp40_geometric"]
+)
+def test_curves_match_scalar_expressions(farey, mp, uniform_phi, case):
+    # The geometric cases have phi_lo < phi_hi, so they see which bracket
+    # end each curve takes at b < 0.
     isys = {
         "farey4": lambda: build_induced(farey, uniform_phi, truncation=4),
         "farey40": lambda: build_induced(farey, uniform_phi, truncation=40),
         "gapped": _gapped_sys,
+        "farey40_geometric": lambda: build_induced(farey, geometric(-0.5), truncation=40),
+        "mp40_geometric": lambda: build_induced(mp, geometric(-0.5), truncation=40),
     }[case]()
     grid = [-1.3, -0.2, 0.0, 0.7, 1.9]
-    curves = induced._Curves(isys, grid)
+    returns = induced._Returns(isys)
+    curves = {"lower": returns.level.lower, "upper": returns.level.upper,
+              "padded": returns.padded, "mid": returns.mid, "tail_ratio": returns.tail_ratio}
     bs = [-0.8, 0.0, 0.55, 3.1]
-    rows = np.repeat(np.arange(len(grid)), len(bs))
+    a = np.repeat(grid, len(bs))
     b = np.tile(bs, len(grid))
-    for name in ("lower", "upper", "padded", "mid", "tail_ratio"):
-        want = [_scalar_curves(isys, grid[r])[name](x) for r, x in zip(rows, b.tolist())]
-        assert list(map(repr, getattr(curves, name)(rows, b).tolist())) == list(map(repr, want))
+    for name, curve in curves.items():
+        want = [_scalar_curves(isys, x)[name](y) for x, y in zip(a.tolist(), b.tolist())]
+        assert list(map(repr, curve(a, b).tolist())) == list(map(repr, want))
 
 
 @pytest.fixture(scope="module")
@@ -424,13 +437,18 @@ def test_tail_dominates_reports_first_a_in_grid_order(farey, uniform_phi):
 
 
 def test_workload_induce_log_sum_exp_calls(farey_sys300, monkeypatch):
+    # The midpoint curve calls log_sum_exp in induced, the level and tail
+    # sums in pressure.  `dimspectra.pressure` names the function, so the
+    # module is looked up by name.
     calls = []
-    monkeypatch.setattr(
-        induced, "log_sum_exp", lambda v: calls.append(1) or log_sum_exp(v)
-    )
+    for module in (induced, importlib.import_module("dimspectra.pressure")):
+        monkeypatch.setattr(
+            module, "log_sum_exp", lambda v: calls.append(1) or log_sum_exp(v)
+        )
     induced_b_curve(farey_sys300, np.linspace(0.0, 2.0, 21), tol=1e-10)
-    # one call per curve per round; the scalar loop made 7,151
-    assert 0 < len(calls) <= 1000
+    # one call per curve per round (556 over both modules); the scalar loop
+    # made 7,151
+    assert 0 < len(calls) <= 556
 
 
 def test_farey_induced_domains_equal_numpy_inverse_path(farey, monkeypatch):

@@ -65,7 +65,8 @@ def test_golden_mean_entropy(golden, zero_phi):
 
 def _bracket(m, phi, n):
     """The certified level-n pressure bracket of phi."""
-    level = _Curves(m, shared_table(m, phi), n)
+    table = shared_table(m, phi)
+    level = _Curves(table.level(n), gluing_length(m), table)
     return level.lower(0.0, 1.0), level.upper(0.0, 1.0)
 
 

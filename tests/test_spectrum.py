@@ -382,6 +382,23 @@ def test_b_curve_equals_b_of_a_per_lane(golden, mp, uniform_phi, bernoulli_phi):
     assert seen == {"raised", "ray", "solved"}
 
 
+def test_b_curve_keeps_failed_bracket_expansion_in_place(doubling, uniform_phi):
+    # At a = 1e20 the root b = 1 + a lies past the 60 doublings of the
+    # bracket expansion: that lane ends NotConverged with no enclosure, and
+    # the lanes beside it keep their bits.
+    kw = dict(tol=1e-10, max_level=12)
+    found = b_curve(doubling, uniform_phi, [0.0, 1e20, 1.0], **kw)
+    assert isinstance(found[1], NotConverged) and found[1].enclosure is None
+    with pytest.raises(NotConverged, match="bracket expansion"):
+        b_of_a(doubling, uniform_phi, 1e20, **kw)
+
+    def hexed(point):
+        return [float(x).hex() for x in (point.a, point.b, point.lower, point.upper)]
+
+    alone = b_curve(doubling, uniform_phi, [0.0, 1.0], **kw)
+    assert [hexed(p) for p in found[::2]] == [hexed(p) for p in alone]
+
+
 def test_b_curve_splits_wide_levels_into_chunks(doubling, monkeypatch):
     # Depth-2 lanes climb to level 13 (8,192 words), where five or more
     # lanes would make more than one chunk of entries; each evaluation is
@@ -393,9 +410,9 @@ def test_b_curve_splits_wide_levels_into_chunks(doubling, monkeypatch):
     asked, widths = [], []
     per_lane, log_sum_exp = module._per_lane, module.log_sum_exp
 
-    def recorded(arr, side, reduce, a, b):
-        asked.append(arr.count * np.size(a))
-        return per_lane(arr, side, reduce, a, b)
+    def recorded(fn, count, a, b):
+        asked.append(count * np.size(a))
+        return per_lane(fn, count, a, b)
 
     def counted(values, threads=None):
         widths.append(np.size(values))
