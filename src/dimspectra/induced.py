@@ -16,8 +16,9 @@ itself (every return time is 1), which is the cross-check used by tests.
 The kept branches are one level of rows (n = 1, no gluing) for
 `pressure._Curves`, which gives the lower and upper curves and the root
 lanes; this module adds the midpoint estimate and the dropped-tail bound.
-`induced_b_curve` runs one lane per a in lockstep, asking (curve, a, b)
-like every b(a) lane, bit for bit what solving each a alone gives.
+`induced_b_curve` runs one lane per a in lockstep, asking for curve values
+and whole roots like every b(a) lane, bit for bit what solving each a
+alone gives.
 """
 
 from __future__ import annotations
@@ -210,25 +211,28 @@ class _Returns:
         self.near = [_rows(brs) for brs in near if brs]
         self.has_last = bool(near[-1])
 
-    def mid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mid(self, a: np.ndarray, b: np.ndarray, held=None) -> np.ndarray:
         """Pressure at the midpoint of every branch's brackets."""
         arr = self.level.arr
 
-        def at(a, b):
-            a, b = a[:, None], b[:, None]
-            f_mid = 0.5 * (a * arr.psi_lo + a * arr.psi_hi)
-            return log_sum_exp(f_mid + (b * 0.5) * (arr.phi_lo + arr.phi_hi))
+        def f_mid(a):
+            return 0.5 * (a[:, None] * arr.psi_lo + a[:, None] * arr.psi_hi)
 
-        return _per_lane(at, arr.count, a, b)
+        def at(a, b, f=None):
+            f = f_mid(a) if f is None else f
+            return log_sum_exp(f + (b[:, None] * 0.5) * (arr.phi_lo + arr.phi_hi))
+
+        rows = held and held((id(arr), "mid"), arr.count, f_mid)
+        return _per_lane(at, arr.count, a, b) if rows is None else at(a, b, rows)
 
     def tail_ratio(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-return-time growth ratio of the upper level sums near N."""
         return _growth(self._level_sums(a, b), b.size)
 
-    def padded(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def padded(self, a: np.ndarray, b: np.ndarray, held=None) -> np.ndarray:
         """The upper pressure with the geometric bound of the dropped tail
         added; +inf where the level sums do not shrink."""
-        sums = self._level_sums(a, b)
+        sums = self._level_sums(a, b, held)
         ratio = _growth(sums, b.size)
         out = np.full(b.size, math.inf)
         ok = ratio < 1.0
@@ -237,12 +241,14 @@ class _Returns:
             tail = [
                 _tail_log_bound(s, r) for s, r in zip(last[ok].tolist(), ratio[ok].tolist())
             ]
-            out[ok] = np.logaddexp(self.level.upper(a[ok], b[ok]), tail)
+            # held gives rows for every live lane: it serves when all are ok.
+            upper = self.level.upper(a[ok], b[ok], held if ok.all() else None)
+            out[ok] = np.logaddexp(upper, tail)
         return out
 
-    def _level_sums(self, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    def _level_sums(self, a: np.ndarray, b: np.ndarray, held=None) -> list[np.ndarray]:
         """Upper log-sums of each kept return-time level near N."""
-        return [_log_z(rows, 1, a, b) for rows in self.near]
+        return [_log_z(rows, 1, a, b, held) for rows in self.near]
 
 
 def _growth(sums: list[np.ndarray], lanes: int) -> np.ndarray:
@@ -264,11 +270,11 @@ def _tail_log_bound(last: float, ratio: float) -> float:
 def _lane(
     curves: _Returns, a: float, *, countable: bool, sup_bar: float, tol: float, tail_tol: float
 ):
-    """One a's solve (see `induced_b_curve`), yielding requests
-    (curve, a, b)."""
+    """One a's solve (see `induced_b_curve`), yielding curve requests
+    (curve, a, b) and root requests (see `pressure._Root`)."""
 
     def root(curve):
-        return _Curves.root(curve, lambda b: (a, b), 1.0, step=1.0, xtol=tol)
+        return _Curves.root(curve, a, 1.0, step=1.0, xtol=tol)
 
     if countable:
         # Ray check: if even the tail-padded upper sum stays below 1 at
@@ -326,8 +332,8 @@ def induced_b_curve(
     the root in b is bracketed by solving with and without the dropped-tail
     bound.  The tail is bounded by a geometric extrapolation of the last
     return-time level sums.  Every a's solve runs in lockstep: each round
-    evaluates all pending lanes of a curve in one call, with the bits a
-    solve of that a alone would give.
+    evaluates all pending lanes of a curve, or solves all lanes that ask a
+    root, together, with the bits a solve of that a alone would give.
 
     Returns:
         One InducedBPoint per a; where a root's bracket expansion fails,

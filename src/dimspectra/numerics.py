@@ -169,12 +169,14 @@ class AitkenAccelerator:
 # ---------------------------------------------------------------------------
 # lanes
 #
-# Each solver below is written once, as a generator that yields every x it
-# needs and is sent back f(x).  `_drive` runs one such lane against a
-# function; `_lockstep` runs many lanes side by side and answers each
-# round's requests in one call, so numpy's per-call cost is paid once per
-# round instead of once per lane.  A lane's arithmetic does not depend on
-# which driver runs it.
+# A solver is written once, as a generator that yields requests
+# (fn, *args) and is sent back fn(*args).  `_drive` runs one such lane;
+# `_lockstep` runs many side by side and answers each round's requests in
+# one call, so numpy's per-call cost is paid once per round, not per lane.
+# A root is one request, answered by `_solve_roots` for all lanes that ask
+# it, with one curve call per step.  Neither a lane's arithmetic nor these
+# counts of the root solver's work depend on which of the two runs it.
+root_counts = {"solves": 0, "lane_evals": 0, "curve_calls": 0}
 
 
 def _drive(steps, fn: Callable):
@@ -234,14 +236,15 @@ def _call(request: tuple):
 def _call_stacked(requests: list) -> list:
     """Answer requests (fn, *args) with one call per distinct fn, each
     argument stacked into an array over that fn's requests; fn must give
-    one value per entry, as the scalar calls would."""
+    one value per entry (in an array or a list), as the scalar calls would."""
     groups: dict[Callable, list[int]] = {}
     for k, request in enumerate(requests):
         groups.setdefault(request[0], []).append(k)
     values: list = [None] * len(requests)
     for fn, ks in groups.items():
         args = [np.array(col) for col in zip(*(requests[k][1:] for k in ks))]
-        for k, value in zip(ks, fn(*args).tolist()):
+        found = fn(*args)
+        for k, value in zip(ks, found if isinstance(found, list) else found.tolist()):
             values[k] = value
     return values
 
@@ -249,62 +252,65 @@ def _call_stacked(requests: list) -> list:
 # ---------------------------------------------------------------------------
 # solvers
 
+def _solve_roots(values: Callable, start: np.ndarray, *, step: float, xtol: float) -> list:
+    """Descending roots of many lanes (see `descending_root`); values(live,
+    x) gives f at x for the lanes at indices live, once per step on the
+    lanes still live.  Each lane takes the scalar steps: f at its start; a
+    doubling walk to a sign change (60 steps, else a ValueError in its
+    place); bisection at 0.5*(lo + hi) until hi - lo <= xtol, the midpoint
+    meets an end, or 200 steps.  An exact zero ends a lane at that x."""
+    root_counts["solves"] += start.size
 
-def _bisect(lo: float, hi: float, flo=None, fhi=None, *, xtol: float, max_iter: int):
-    """Bisection lane on [lo, hi] to xtol; f(lo) and f(hi), asked for only
-    if not passed in, must differ in (weak) sign, else ValueError."""
-    if flo is None:
-        flo = yield lo
-    if fhi is None:
-        fhi = yield hi
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid == lo or mid == hi:
+    def ask(live: np.ndarray, x: np.ndarray) -> np.ndarray:
+        root_counts["lane_evals"] += live.size
+        root_counts["curve_calls"] += 1
+        return values(live, x)
+
+    roots = start.copy()
+    f = ask(np.arange(start.size), start)
+    walk = np.flatnonzero(f != 0.0)
+    x, up = start[walk], f[walk] > 0.0  # walk forward while f > 0
+    dx = np.where(up, step, -step)
+    live, lo, hi, pos = [walk[:0]], [x[:0]], [x[:0]], [up[:0]]  # pos: f(lo) > 0
+    for _ in range(60):
+        if not walk.size:
             break
-        fm = yield mid
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _expand(start: float, step: float, f0=None, *, max_expand: int):
-    """Expansion lane: step from `start`, doubling `step` each miss, until
-    f changes sign (ValueError after max_expand); given f(start) if known.
-    Returns (lo, hi, f(lo), f(hi))."""
-    if f0 is None:
-        f0 = yield start
-    if f0 == 0.0:
-        return start, start, f0, f0
-    x, fx = start, f0
-    for _ in range(max_expand):
-        x_next = x + step
-        f_next = yield x_next
-        if f_next == 0.0 or (f_next > 0.0) != (f0 > 0.0):
-            return (x, x_next, fx, f_next) if x < x_next else (x_next, x, f_next, fx)
-        x, fx = x_next, f_next
-        step *= 2.0
-    raise ValueError("no sign change found while expanding bracket")
-
-
-def _descend(start: float, *, xtol: float, step: float = 1.0):
-    """Descending-root lane (see `descending_root`): each x is asked once."""
-    f0 = yield start
-    if f0 == 0.0:
-        return start
-    lo, hi, flo, fhi = yield from _expand(
-        start, step if f0 > 0.0 else -step, f0, max_expand=60
-    )
-    return (yield from _bisect(lo, hi, flo, fhi, xtol=xtol, max_iter=200))
+        x_next = x + dx
+        f = ask(walk, x_next)
+        zero = f == 0.0
+        turned = zero | ((f > 0.0) != up)
+        if np.count_nonzero(turned):
+            roots[walk[zero]] = x_next[zero]
+            new, ahead = turned & ~zero, x < x_next
+            live.append(walk[new])
+            lo.append(np.where(ahead, x, x_next)[new])
+            hi.append(np.where(ahead, x_next, x)[new])
+            pos.append((ahead == up)[new])
+            keep = ~turned
+            walk, x_next, up, dx = walk[keep], x_next[keep], up[keep], dx[keep]
+        x, dx = x_next, dx * 2.0
+    live, lo, hi, pos = (np.concatenate(v) for v in (live, lo, hi, pos))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        done = (hi - lo <= xtol) | (mid == lo) | (mid == hi)
+        if np.count_nonzero(done):
+            roots[live[done]] = mid[done]
+            keep = ~done
+            live, lo, hi, pos, mid = (v[keep] for v in (live, lo, hi, pos, mid))
+        if not live.size:
+            break
+        f = ask(live, mid)
+        if np.count_nonzero(f) < live.size:  # exact zeros end at the midpoint
+            keep = f != 0.0
+            roots[live[~keep]] = mid[~keep]
+            live, lo, hi, pos, mid, f = (v[keep] for v in (live, lo, hi, pos, mid, f))
+        take = (f > 0.0) == pos  # the midpoint replaces lo
+        lo, hi = np.where(take, mid, lo), np.where(take, hi, mid)
+    roots[live] = 0.5 * (lo + hi)
+    out = roots.tolist()
+    for i in walk.tolist():
+        out[i] = ValueError("no sign change found while expanding bracket")
+    return out
 
 
 def descending_root(
@@ -316,12 +322,17 @@ def descending_root(
 ) -> float:
     """Root of a strictly decreasing function, bracketed by walking from
     `start` (forward while fn > 0, backward while fn < 0) with a doubling
-    `step`, then bisected to `xtol`.
+    `step`, then bisected to `xtol`: one lane of `_solve_roots`.
 
     Raises:
         ValueError: no sign change within 60 doublings of the step.
     """
-    return _drive(_descend(start, xtol=xtol, step=step), fn)
+    (root,) = _solve_roots(
+        lambda _, x: np.array([fn(x.item())]), np.array([float(start)]), step=step, xtol=xtol
+    )
+    if isinstance(root, ValueError):
+        raise root
+    return root
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -29,11 +29,11 @@ roots (the neutral word pins sup-sums at a nonnegative pressure), which is
 reported honestly as an infinite upper endpoint; their Bowen estimate is
 the Moran root instead.
 
-The ladder and its root solves are lanes (see numerics): generators that
-yield requests (curve, a, b) for curve values.  pressure() and
+The ladder is a lane (see numerics) whose requests are curve values
+(curve, a, b) or whole roots in b at fixed a (`_Root`).  pressure() and
 bowen_root() run one lane with `_drive`; spectrum.b_curve() runs one lane
-per a in lockstep, answering each round's requests on a level in one
-call over all of them.
+per a in lockstep, and lanes asking the same root are solved together,
+each curve forming its a-term once per solve and adding b*phi per step.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,14 +50,13 @@ from .maps import MarkovMap
 from .numerics import (
     _CHUNK,
     AitkenAccelerator,
-    _asking,
     _call,
-    _descend,
     _drive,
+    _solve_roots,
     descending_root,
     log_sum_exp,
 )
-from .symbolic import SMALL_WORDS, CylinderTable, LevelArrays, Potential
+from .symbolic import SMALL_WORDS, CylinderTable, LevelArrays, Potential, _scaled
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,12 @@ def gluing_length(m: MarkovMap) -> int:
 
 
 def potential_floor(
-    table: CylinderTable, coeff_psi: float, coeff_phi: float = 0.0
+    table: CylinderTable, coeff_psi: float, coeff_phi: float = 0.0, held=None
 ):
     """Certified lower bound for inf of the combined potential on the core
     (one per lane for arrays of coefficients, see `_Curves`)."""
     arr = table.level(1)
-    floor = _per_lane(
-        lambda a, b: arr.combined_side(a, b, 0).min(axis=-1), arr.count, coeff_psi, coeff_phi
-    )
+    floor = _sum(arr, 0, coeff_psi, coeff_phi, held, lambda f: f.min(axis=-1))
     return floor if np.ndim(floor) else float(floor)
 
 
@@ -138,9 +135,57 @@ def _per_lane(fn: Callable, count: int, a, b):
     return np.concatenate([fn(a[i : i + rows], b[i : i + rows]) for i in range(0, a.size, rows)])
 
 
-def _log_z(arr, side: int, a, b):
+def _sum(arr, side: int, a, b, held, total: Callable):
+    """total of the side's brackets of a*psi + b*phi over arr per lane, on
+    the a-term `held` for a root solve (see `_Root`) or per chunk of lanes."""
+    rows = held and held(
+        (id(arr), side), arr.count, lambda a: _scaled(a, arr.psi_lo, arr.psi_hi, side)
+    )
+    if rows is not None:
+        return total(arr.combined_side(a, b, side, rows))
+    return _per_lane(lambda a, b: total(arr.combined_side(a, b, side)), arr.count, a, b)
+
+
+def _log_z(arr, side: int, a, b, held=None):
     """log Z_n over the inf (side 0) or sup (side 1) brackets of a*psi + b*phi."""
-    return _per_lane(lambda a, b: log_sum_exp(arr.combined_side(a, b, side)), arr.count, a, b)
+    return _sum(arr, side, a, b, held, log_sum_exp)
+
+
+class _Root(NamedTuple):
+    """A root lane's one request, (_Root(curve, step, xtol), a, start): the
+    descending root in b of curve(a, b, held), answered for arrays a and
+    start by one solve (a failed expansion is a ValueError in its lane's
+    place).  a is fixed per lane: held(key, count, make) forms make(a) once
+    per solve and gives its rows for the live lanes (a copy), or None where
+    lanes x count entries pass one log-sum-exp chunk."""
+
+    curve: Callable
+    step: float
+    xtol: float
+
+    def __call__(self, a, start):
+        lanes, start = np.atleast_1d(np.asarray(a, dtype=float)), np.asarray(start, dtype=float)
+        terms: dict = {}
+        live = [None]
+
+        def held(key, count: int, make: Callable):
+            if lanes.size * count > _CHUNK:
+                return None
+            if key not in terms:
+                terms[key] = make(lanes)
+            return terms[key][live[0]]
+
+        def values(at: np.ndarray, b: np.ndarray) -> np.ndarray:
+            live[0] = at
+            return self.curve(lanes[at], b, held)
+
+        found = _solve_roots(values, np.atleast_1d(start), step=self.step, xtol=self.xtol)
+        return found if start.ndim else found[0]
+
+
+def _in_s(curve: Callable) -> Callable:
+    """curve(-s, 0) with s in the b slot, a unused: a Bowen root's curve."""
+    return lambda _a, s, _held=None: curve(-s, np.zeros_like(s))
 
 
 class _Curves:
@@ -149,35 +194,36 @@ class _Curves:
     floor and level n-1), or rows shaped like one, such as the branches of
     an induced system (n = 1, k = 0, no table).
 
-    Each curve takes (a, b) as floats, or as arrays of one entry per lane;
-    then it gives one value per lane, bit for bit the scalar call's, so
-    lanes that share a level can be answered in one call (`_call_stacked`).
+    Each curve takes (a, b) as floats, or as arrays of one entry per lane
+    (and in a root solve the solve's `held` a-terms, see `_Root`); then it
+    gives one value per lane, bit for bit the scalar call's, so lanes that
+    share a level can be answered in one call (`_call_stacked`).
     """
 
     def __init__(self, arr: LevelArrays, k: int = 0, table: CylinderTable | None = None, prev=None):
         self.arr, self.n, self.k, self.table = arr, arr.n, k, table
         self._prev = prev  # level n-1's arrays, if the caller holds them
 
-    def lower(self, a, b):
+    def lower(self, a, b, held=None):
         """(log Z_n^inf + k * inf f) / (n + k)."""
-        z_inf = _log_z(self.arr, 0, a, b)
+        z_inf = _log_z(self.arr, 0, a, b, held)
         if self.k == 0:  # the floor would only be multiplied by k
             return z_inf / self.n
-        return (z_inf + self.k * potential_floor(self.table, a, b)) / (self.n + self.k)
+        return (z_inf + self.k * potential_floor(self.table, a, b, held)) / (self.n + self.k)
 
-    def z_sup(self, a, b):
+    def z_sup(self, a, b, held=None):
         """log Z_n^sup."""
-        return _log_z(self.arr, 1, a, b)
+        return _log_z(self.arr, 1, a, b, held)
 
-    def upper(self, a, b):
-        return self.z_sup(a, b) / self.n
+    def upper(self, a, b, held=None):
+        return self.z_sup(a, b, held) / self.n
 
-    def ratio(self, a, b):
+    def ratio(self, a, b, held=None):
         """log(Z_n^sup / Z_{n-1}^sup), fetching level n-1 on first use
         unless it was handed in."""
         if self._prev is None:
             self._prev = self.table.level(self.n - 1)
-        return self.z_sup(a, b) - _log_z(self._prev, 1, a, b)
+        return self.z_sup(a, b, held) - _log_z(self._prev, 1, a, b, held)
 
     @cached_property
     def one_curve(self) -> bool:
@@ -190,27 +236,27 @@ class _Curves:
         )
 
     @staticmethod
-    def root(curve: Callable, coeffs: Callable, start: float, *, step: float, xtol: float):
-        """Lane of the descending root of curve(*coeffs(x)); its requests are
-        (curve, a, b).  A bracket expansion that finds no sign change raises
-        NotConverged, with no enclosure."""
-        steps = _descend(start, step=step, xtol=xtol)
-        try:
-            return (yield from _asking(lambda x: (curve, *coeffs(x)), steps))
-        except ValueError as exc:
-            raise NotConverged(f"root bracket expansion failed: {exc}") from exc
+    def root(curve: Callable, a: float, start: float, *, step: float, xtol: float):
+        """Lane of the descending root in b of curve(a, b), asked as one
+        request (see `_Root`).  A bracket expansion that finds no sign
+        change raises NotConverged, with no enclosure."""
+        found = yield _Root(curve, step, xtol), a, start
+        if isinstance(found, ValueError):
+            raise NotConverged(f"root bracket expansion failed: {found}") from found
+        return found
 
-    def roots(self, coeffs: Callable, start: float, *, step: float, xtol: float):
-        """Rung of a root ladder, as a lane: the roots of the lower and upper
-        curves, which enclose the true root since pressure decreases in x,
-        and as the estimate the lane of the ratio-curve root to xtol / 10.
-        coeffs(x) gives the (a, b) of x."""
-        lower = yield from self.root(self.lower, coeffs, start, step=step, xtol=xtol)
+    def roots(self, a: float, start: float, *, step: float, xtol: float, view=None):
+        """Rung of a root ladder, as a lane: the roots in b of the lower and
+        upper curves at a, which enclose the true root since pressure
+        decreases in b, and as the estimate the lane of the ratio-curve
+        root to xtol / 10; each solves view(curve) if a view is given."""
+        view = view or (lambda curve: curve)
+        lower = yield from self.root(view(self.lower), a, start, step=step, xtol=xtol)
         if self.one_curve:
             upper = lower
         else:
-            upper = yield from self.root(self.upper, coeffs, start, step=step, xtol=xtol)
-        return lower, upper, self.root(self.ratio, coeffs, start, step=step, xtol=xtol / 10)
+            upper = yield from self.root(view(self.upper), a, start, step=step, xtol=xtol)
+        return lower, upper, self.root(view(self.ratio), a, start, step=step, xtol=xtol / 10)
 
 
 def _ladder(
@@ -357,19 +403,16 @@ def bowen_root(
     parabolic = m.has_parabolic
     below = None  # level n-1 for the ratio curve, which the table drops
 
-    def coeffs(s: float) -> tuple[float, float]:
-        return -s, 0.0
-
     def rung(n: int, _last: float | None):
         nonlocal below
         level = _Curves(table.level(n), gluing_length(m), table, below)
         if not parabolic:
             below = level.arr
-            return (yield from level.roots(coeffs, 0.0, step=8.0, xtol=1e-12))
+            return (yield from level.roots(0.0, 0.0, step=8.0, xtol=1e-12, view=_in_s))
         # The Moran root is exact for full-interval parabolic maps; the
         # ratio root would inherit the neutral word's slow drift.  Its
         # bracket never closes (upper is +inf), so it is always needed.
-        lower = yield from level.root(level.lower, coeffs, 0.0, step=8.0, xtol=1e-12)
+        lower = yield from level.root(_in_s(level.lower), 0.0, 0.0, step=8.0, xtol=1e-12)
         return lower, math.inf, _moran_root(table, n)
 
     ladder = _ladder(rung, 2, max_level, tol=tol, what="bowen root")

@@ -152,9 +152,7 @@ def _b_lanes(
             # Each level's roots start from the previous level's estimate.
             level = curves(n, below)
             below = level.arr
-            return level.roots(
-                lambda b: (a, b), 0.0 if last is None else last, step=1.0, xtol=1e-13
-            )
+            return level.roots(a, 0.0 if last is None else last, step=1.0, xtol=1e-13)
 
         ladder = _ladder(rung, 2, max_level, tol=tol, what=f"b({a:g})")
         b, lower, upper, n, _ = yield from ladder
@@ -199,8 +197,8 @@ def b_curve(
     max_level: int = 24,
 ) -> list[BPoint | NotConverged]:
     """b(a) over a list of a-values, each solved as b_of_a solves it, with
-    every a's solve run in lockstep: each round evaluates all pending
-    lanes on a level in one call.  An a whose ladder does not converge
+    every a's solve run in lockstep: the lanes that ask a root on a level
+    are solved together.  An a whose ladder does not converge
     gets its NotConverged (enclosure included, unless a root's bracket
     expansion failed) in place of a BPoint.
 

@@ -344,7 +344,7 @@ class LevelArrays:
     def diameters(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def combined_side(self, a, b, side: int) -> np.ndarray:
+    def combined_side(self, a, b, side: int, a_term=None) -> np.ndarray:
         """The lower (side 0) or upper (side 1) ends of the brackets of
         S_n(a*psi + b*phi) per word, one product per entry: each coefficient
         picks the psi or phi side its sign calls for, and phi is skipped
@@ -352,14 +352,16 @@ class LevelArrays:
         not a copy.  For arrays a and b of one entry per lane, row i holds
         the ends at (a[i], b[i]), bit for bit what the scalar call gives,
         except that the scalar call also skips psi where a == 0 != b, so a
-        zero entry may differ in sign there."""
+        zero entry may differ in sign there; `a_term`, if given, is their
+        a*psi rows formed beforehand, which b*phi is added to in place."""
         if np.ndim(a):
             a, b = np.asarray(a), np.asarray(b)
-            f = _scaled(a, self.psi_lo, self.psi_hi, side)
-            if b.any():
+            f = _scaled(a, self.psi_lo, self.psi_hi, side) if a_term is None else a_term
+            nonzero = np.count_nonzero(b)
+            if nonzero:
                 if self.phi_lo is None:
                     raise ValueError("table was built without a phi potential")
-                on = slice(None) if b.all() else b != 0.0
+                on = slice(None) if nonzero == b.size else b != 0.0
                 f[on] += _scaled(b[on], self.phi_lo, self.phi_hi, side)
             return f
         f = None

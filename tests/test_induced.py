@@ -23,7 +23,8 @@ from dimspectra import (
     manneville_pomeau_map,
 )
 from dimspectra import induced
-from dimspectra.numerics import descending_root, log_sum_exp
+from dimspectra.numerics import _drive, log_sum_exp
+from root_oracle import _descend
 
 LOG2 = math.log(2.0)
 
@@ -210,8 +211,8 @@ def test_dimension_only_system_rejects_b_solve(doubling):
 
 # ---------------------------------------------------------------------------
 # The per-point scalar solve the lockstep lanes replaced, kept as their
-# oracle: one a at a time, each curve a 1-d log_sum_exp, each root a
-# descending_root call.
+# oracle: one a at a time, each curve a 1-d log_sum_exp, each root the
+# scalar descending-root lane.
 
 
 def _scalar_tail_ratio(f_hi, phi_up, times, b, n_tr):
@@ -295,7 +296,7 @@ def _scalar_b_point(isys, a, *, tol=1e-8, tail_tol=0.05):
 
     def solve(fn):
         try:
-            return descending_root(fn, 1.0, xtol=tol)
+            return _drive(_descend(1.0, xtol=tol), fn)
         except ValueError as exc:
             raise NotConverged("induced pressure root expansion failed") from exc
 
@@ -446,9 +447,10 @@ def test_workload_induce_log_sum_exp_calls(farey_sys300, monkeypatch):
             module, "log_sum_exp", lambda v: calls.append(1) or log_sum_exp(v)
         )
     induced_b_curve(farey_sys300, np.linspace(0.0, 2.0, 21), tol=1e-10)
-    # one call per curve per round (556 over both modules); the scalar loop
-    # made 7,151
-    assert 0 < len(calls) <= 556
+    # one call per curve per solver step (324 over both modules; lanes
+    # asking curve values one round at a time made 556, the scalar loop
+    # 7,151)
+    assert 0 < len(calls) <= 324
 
 
 def test_farey_induced_domains_equal_numpy_inverse_path(farey, monkeypatch):

@@ -4,20 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dimspectra.numerics import (
     _CHUNK,
     AitkenAccelerator,
     NeumaierSum,
-    _bisect,
     _drive,
-    _expand,
     _golden,
+    _solve_roots,
     descending_root,
     format_float,
     log_sum_exp,
 )
+from root_oracle import _bisect, _descend, _expand
 
 
 def test_neumaier_compensates_cancellation():
@@ -145,6 +145,111 @@ def test_descending_root_asks_each_x_once():
         root = descending_root(fn, start, xtol=1e-13, step=step)
         assert root == pytest.approx(2.7, abs=1e-12)
         assert len(asked) == len(set(asked)), (start, step)
+
+
+# ---------------------------------------------------------------------------
+# the array root solver against the scalar lanes it replaced
+
+
+def _lane_function(kind: str, c: float):
+    """One lane's function of x, by kind; c places its root."""
+    if kind == "linear":  # a dyadic c is hit exactly by some midpoint
+        return lambda x: c - x
+    if kind == "wavy":  # not monotone: the walk may stop at any crossing
+        return lambda x: c - x + 1.5 * math.sin(3.0 * x)
+    if kind == "nan_above":  # nan past the root, compared as the scalar lane does
+        return lambda x: math.nan if x > c else c - x
+    if kind == "flat":  # no sign change unless c == 0
+        return lambda x: c
+    if kind == "far":  # the root lies past 60 doublings of any step drawn
+        return lambda x: 1e30 + c - x
+    if kind == "tiny":  # with xtol 0, bisection runs its 200 steps
+        return lambda x: 1e-250 - x
+    raise KeyError(kind)
+
+
+def _oracle_lane(fn, start, step, xtol):
+    """The scalar lane's root (or 'ValueError') and the x it asked, by hex."""
+    asked = []
+
+    def ask(x):
+        asked.append(float(x).hex())
+        return fn(x)
+
+    try:
+        root = float(_drive(_descend(start, xtol=xtol, step=step), ask)).hex()
+    except ValueError:
+        root = "ValueError"
+    return root, asked
+
+
+def _array_lanes(fns, starts, step, xtol):
+    """The array solver's roots (or 'ValueError') and the x each lane asked."""
+    asked = [[] for _ in fns]
+
+    def values(live, x):
+        out = []
+        for i, xi in zip(live.tolist(), x.tolist()):
+            asked[i].append(xi.hex())
+            out.append(fns[i](xi))
+        return np.array(out, dtype=float)
+
+    found = _solve_roots(values, np.array(starts, dtype=float), step=step, xtol=xtol)
+    roots = ["ValueError" if isinstance(r, ValueError) else r.hex() for r in found]
+    return list(zip(roots, asked))
+
+
+_LANE = st.tuples(
+    st.sampled_from(["linear", "wavy", "nan_above", "flat", "far", "tiny"]),
+    st.one_of(st.floats(-40.0, 40.0), st.integers(-64, 64).map(lambda k: k / 8)),
+    st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, 0.5, math.nan])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lanes=st.lists(_LANE, min_size=1, max_size=8),
+    step=st.sampled_from([1.0, 0.25, 8.0, 1e-3]),
+    xtol=st.sampled_from([0.0, 1e-13, 1e-6, 0.5]),
+)
+@example(  # every exit at once: an exact zero at a midpoint (0.75 from 0),
+    # a zero at the start, nan values, a failed walk beside lanes that
+    # succeed, the xtol and midpoint stops, and 200 bisection steps; on
+    # [-0.3, 0.7], 0.5*(lo + hi) and lo + 0.5*(hi - lo) differ in the last bit
+    lanes=[("linear", 0.75, 0.0), ("linear", 2.0, 2.0), ("nan_above", 1.3, 0.0),
+           ("far", 0.0, 0.0), ("flat", 1.0, 0.0), ("wavy", 3.0, 0.5), ("tiny", 0.0, 0.0),
+           ("linear", 0.2, -0.3)],
+    step=1.0,
+    xtol=0.0,
+)
+def test_root_solver_equals_scalar_lanes(lanes, step, xtol):
+    # Lane by lane, the array solver asks the x the scalar lane asks, in
+    # order, and returns its root bit for bit; a walk that finds no sign
+    # change is that lane's ValueError and no other lane's.  Each lane
+    # solved alone gives the same.
+    fns = [_lane_function(kind, c) for kind, c, _ in lanes]
+    starts = [start for _, _, start in lanes]
+    want = [_oracle_lane(fn, start, step, xtol) for fn, start in zip(fns, starts)]
+    assert _array_lanes(fns, starts, step, xtol) == want
+    for i in range(len(lanes)):
+        assert _array_lanes(fns[i : i + 1], starts[i : i + 1], step, xtol) == want[i : i + 1]
+
+
+def test_root_solver_example_reaches_every_exit():
+    # The example above covers what it claims: per lane, the root, how many
+    # x the lane asked, and its exit.
+    def lane(kind, c, start):
+        return _oracle_lane(_lane_function(kind, c), start, 1.0, 0.0)
+
+    root, asked = lane("linear", 0.75, 0.0)
+    assert root == (0.75).hex() and asked == [x.hex() for x in (0.0, 1.0, 0.5, 0.75)]
+    assert lane("linear", 2.0, 2.0) == ((2.0).hex(), [(2.0).hex()])
+    assert lane("far", 0.0, 0.0)[0] == lane("flat", 1.0, 0.0)[0] == "ValueError"
+    assert len(lane("far", 0.0, 0.0)[1]) == 61  # the start and 60 steps
+    assert len(lane("tiny", 0.0, 0.0)[1]) == 2 + 200  # start, one step, 200 midpoints
+    nan_root, nan_asked = lane("nan_above", 1.3, 0.0)
+    assert nan_root != "ValueError" and (math.nan).hex() != nan_root
+    assert any(float.fromhex(x) > 1.3 for x in nan_asked)  # a nan value was compared
 
 
 def test_aitken_kills_geometric_error():

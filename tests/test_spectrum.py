@@ -21,14 +21,8 @@ from dimspectra import (
     spectrum_endpoints,
 )
 from dimspectra.cli import main
-from dimspectra.numerics import (
-    _CHUNK,
-    _bisect,
-    _drive,
-    _expand,
-    _golden,
-    log_sum_exp,
-)
+from dimspectra.numerics import _CHUNK, _drive, _golden, log_sum_exp, root_counts
+from root_oracle import _bisect, _expand
 from dimspectra import normalize_potential, spectrum
 from dimspectra.spectrum import _min_cycle_ratio
 from dimspectra.symbolic import CylinderTable, LevelArrays, shared_table
@@ -520,20 +514,62 @@ def test_readers_that_revisit_levels_build_each_once(monkeypatch):
 
 def test_one_b_solve_asks_each_b_once(doubling, bernoulli_phi, monkeypatch):
     # A doubling/Bernoulli solve stops at level 2 on one curve; its root
-    # solve evaluates the curve at each b once.
+    # solve evaluates the curve at each b once, and the solver's counters
+    # see one solve, one lane evaluation per b and one call per step.
     asked = []
     combined_side = LevelArrays.combined_side
 
-    def counted(self, a, b, side):
+    def counted(self, a, b, side, *held):
         if self.n == 2:
-            asked.append(b)
-        return combined_side(self, a, b, side)
+            asked.extend(np.ravel(b).tolist())
+        return combined_side(self, a, b, side, *held)
 
     monkeypatch.setattr(LevelArrays, "combined_side", counted)
+    before = dict(root_counts)
     pt = b_of_a(doubling, bernoulli_phi, 1.0, tol=1e-10)
+    counts = {key: root_counts[key] - before[key] for key in before}
     assert pt.level == 2
     assert len(asked) > 40
     assert len(asked) == len(set(asked))
+    assert counts == {"solves": 1, "lane_evals": len(asked), "curve_calls": len(asked)}
+
+
+def test_shipped_spectrum_root_counts(tmp_path):
+    # configs/doubling_bernoulli_spectrum.yaml solves 1,680 b(a), each one
+    # root (the bracket closes at level 2 on one curve), at the 79,136
+    # points the scalar root lanes asked, in at most 4,036 curve calls.
+    before = dict(root_counts)
+    config = CONFIG_DIR / "doubling_bernoulli_spectrum.yaml"
+    assert main([str(config), "--set", f"output.csv={tmp_path / 's.csv'}"]) == 0
+    counts = {key: root_counts[key] - before[key] for key in before}
+    assert counts["solves"] == 1680
+    assert counts["lane_evals"] == 79136
+    assert 0 < counts["curve_calls"] <= 4036
+
+
+def test_root_counts_equal_in_lockstep_and_alone(golden, bernoulli_phi):
+    # b_curve runs its lanes in lockstep, b_of_a runs one with _drive; both
+    # solve each root with the same solver, so they count the same solves
+    # and lane evaluations, and lockstep needs no more curve calls.
+    a_values, kw = [-1.0, -0.3, 0.5, 2.0], dict(tol=1e-8, max_level=12)
+
+    def counted(solve) -> dict:
+        before = dict(root_counts)
+        solve()
+        return {key: root_counts[key] - before[key] for key in before}
+
+    def one_by_one():
+        for a in a_values:
+            try:
+                b_of_a(golden, bernoulli_phi, a, **kw)
+            except NotConverged:
+                pass
+
+    together = counted(lambda: b_curve(golden, bernoulli_phi, a_values, **kw))
+    alone = counted(one_by_one)
+    assert together["solves"] == alone["solves"] > len(a_values)
+    assert together["lane_evals"] == alone["lane_evals"]
+    assert together["curve_calls"] < alone["curve_calls"]
 
 
 def test_shipped_spectrum_batches_log_sum_exp(tmp_path, monkeypatch):
