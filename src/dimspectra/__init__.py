@@ -15,7 +15,6 @@ from .errors import (
     DerivativeUnstable,
     DimspectraError,
     EmptyWindow,
-    FitUnstable,
     InadmissibleSupport,
     IoError,
     LevelTooLarge,

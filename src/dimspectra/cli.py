@@ -259,9 +259,8 @@ def _parse_map_section(obj: Any) -> dict:
                 raise ConfigError(f"map.transition must be a {p}x{p} 0/1 matrix")
             out["transition"] = [[int(v) for v in r] for r in rows]
     elif family == "manneville_pomeau":
-        # Past s ~ 1e17 the branch split rounds to 1; from s ~ 3.05 on the
-        # unit-derivative grid check refuses the map, so the cap takes away
-        # no working map.
+        # Past s ~ 1e17 the branch split rounds to 1; up to the cap the map
+        # builds for every s.
         out["s"] = _get_number(
             d, "s", "map", default=0.5, minimum=0.0, strict_min=True, maximum=1000.0
         )

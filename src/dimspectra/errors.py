@@ -18,7 +18,9 @@ class MarkovViolation(DimspectraError):
 
 
 class ContractionViolation(DimspectraError):
-    """|T'| < 1 somewhere, or |T'| = 1 away from every detected parabolic orbit."""
+    """|T'| < 1 at a branch's domain end, a linear |slope| = 1, or |T'| = 1
+    at a point (0 or 1) that its own increasing branch does not fix and
+    whose orbit reaches no such fixed point."""
 
 
 class NotTransitive(DimspectraError):
@@ -27,10 +29,6 @@ class NotTransitive(DimspectraError):
 
 class OutOfImage(DimspectraError):
     """Requested preimage of a point outside the branch image."""
-
-
-class FitUnstable(DimspectraError):
-    """Log-log regression for a parabolic exponent has residual above tolerance."""
 
 
 class LevelTooLarge(DimspectraError):

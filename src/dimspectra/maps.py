@@ -2,7 +2,7 @@
 
 A map is a finite family of analytic branches on closed subintervals of
 [0, 1] together with a 0/1 transition matrix.  Branches may have parabolic
-(derivative-one) periodic points; everything downstream distinguishes maps
+(derivative-one) fixed points; everything downstream distinguishes maps
 with and without them.  Instances are immutable after construction and all
 operations on them are pure, so they are safe to share across threads.
 
@@ -31,14 +31,12 @@ import numpy as np
 
 from .errors import (
     ContractionViolation,
-    FitUnstable,
     MarkovViolation,
     NotTransitive,
     OutOfImage,
 )
 
 ENDPOINT_TOL = 1e-12
-PARABOLIC_TOL = 1e-10
 NEWTON_SWEEPS = 120
 _INVERSE_BLOCK = 4096
 
@@ -288,15 +286,16 @@ def _power_inverse_block(c: float, s: float, z: np.ndarray, lo: float, hi: float
 
 @dataclass(frozen=True)
 class ParabolicOrbit:
-    """A periodic orbit where |(T^m)'| = 1 to tolerance 1e-10.
+    """A parabolic orbit: a point where |T'| = 1 that its own increasing
+    branch fixes, read off the branch family in closed form.
 
     Attributes:
         word: branch indices (i_1, ..., i_m) coding the orbit.
         points: orbit points, points[k] in the domain of branch word[k].
-        multiplier: computed |(T^m)'| at the orbit (should be 1 to 1e-10).
+        multiplier: |(T^m)'| at the orbit, exactly 1 for every family.
         beta: one-sided degeneracy exponent of ||(T^m)'| - 1| ~ L*|x - w|**beta.
-        L: prefactor of the power law above.
-        analytic: True when beta and L come from a closed form, not a fit.
+        L: prefactor of the power law above.  (beta, L) is (s, c(1+s)) for
+            power-law branches and (1, 2) for farey_left.
     """
 
     word: tuple[int, ...]
@@ -304,16 +303,6 @@ class ParabolicOrbit:
     multiplier: float
     beta: float
     L: float
-    analytic: bool
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    """Result of the log-log regression behind a parabolic exponent."""
-
-    beta: float
-    L: float
-    residual: float
 
 
 class MarkovMap:
@@ -395,21 +384,13 @@ def _hull(intervals: Iterable[tuple[float, float]]) -> tuple[float, float]:
 # construction and validation
 
 
-def build_map(
-    branches: Sequence[Branch],
-    transition=None,
-    *,
-    period_bound: int = 3,
-    expansion_grid: int = 1024,
-) -> MarkovMap:
-    """Validate branches, derive/verify the transition matrix, detect parabolics.
+def build_map(branches: Sequence[Branch], transition=None) -> MarkovMap:
+    """Validate branches, derive/verify the transition matrix, find parabolics.
 
     Args:
         branches: branch specs ordered left to right by domain.
         transition: 0/1 matrix A with A[i,j] = 1 when T_i(J_i) covers J_j;
             pass None to derive it from the declared images.
-        period_bound: maximum period scanned for parabolic orbits.
-        expansion_grid: grid points per branch for the expansion check.
 
     Returns:
         An immutable MarkovMap.
@@ -417,8 +398,11 @@ def build_map(
     Raises:
         MarkovViolation: overlapping domains, endpoint mismatches, or a
             transition matrix inconsistent with the images.
-        ContractionViolation: |T'| < 1 somewhere, or |T'| = 1 away from
-            every detected parabolic orbit.
+        ContractionViolation: |T'| < 1 at a domain end, a linear
+            |slope| <= 1, or a point where |T'| = 1 (0 on power-law and
+            farey_left branches, 1 on farey_right) that its own increasing
+            branch does not fix and whose orbit reaches no such fixed point
+            within p steps.
         NotTransitive: no power A^(k+1) is strictly positive.
     """
     branches = tuple(branches)
@@ -429,11 +413,9 @@ def build_map(
         _check_endpoints(i, br)
     A = _derive_or_check_transition(branches, transition)
     k = _aperiodicity_power(A)
-    _check_expansion(branches, expansion_grid)
+    _check_expansion(branches)
     core = _core_spans(branches, A)
-    orbits = _detect_parabolic_orbits(branches, A, core, period_bound)
-    _check_unit_derivative_locus(branches, orbits, expansion_grid, period_bound)
-    return MarkovMap(branches, A, k, orbits, core)
+    return MarkovMap(branches, A, k, _parabolic_orbits(branches), core)
 
 
 def _check_domains_disjoint(branches: tuple[Branch, ...]) -> None:
@@ -506,7 +488,9 @@ def _aperiodicity_power(A: np.ndarray) -> int:
     )
 
 
-def _check_expansion(branches: tuple[Branch, ...], grid: int) -> None:
+def _check_expansion(branches: tuple[Branch, ...]) -> None:
+    """|T'| >= 1 on every branch.  |T'| is monotone on every family, so its
+    minimum over a domain sits at one of the two ends."""
     for i, br in enumerate(branches):
         if br.family == "linear" and abs(br.slope) <= 1.0 + 1e-9:
             if abs(br.slope) < 1.0 - ENDPOINT_TOL:
@@ -514,14 +498,9 @@ def _check_expansion(branches: tuple[Branch, ...], grid: int) -> None:
             raise ContractionViolation(
                 f"branch {i}: |slope| = 1 makes a whole interval non-expanding"
             )
-        lo, hi = br.domain
-        xs = np.linspace(lo, hi, grid + 1)
-        d = np.abs(br.derivative(xs))
-        if float(np.min(d)) < 1.0 - ENDPOINT_TOL:
-            x_bad = float(xs[int(np.argmin(d))])
-            raise ContractionViolation(
-                f"branch {i}: |T'({x_bad:.17g})| = {float(np.min(d)):.17g} < 1"
-            )
+        d, x_bad = min((abs(float(br.derivative(x))), x) for x in br.domain)
+        if d < 1.0 - ENDPOINT_TOL:
+            raise ContractionViolation(f"branch {i}: |T'({x_bad:.17g})| = {d:.17g} < 1")
 
 
 def _core_spans(branches: tuple[Branch, ...], A: np.ndarray) -> tuple[tuple[float, float], ...]:
@@ -549,85 +528,61 @@ def _core_spans(branches: tuple[Branch, ...], A: np.ndarray) -> tuple[tuple[floa
     return tuple(spans)
 
 
-def _rotations(word: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [word[i:] + word[:i] for i in range(len(word))]
+def _unit_point(br: Branch) -> float | None:
+    """The one point of br's domain where |T'| = 1, if it has one: 0 for
+    power-law and farey_left branches whose domain starts there, 1 for a
+    farey_right branch whose domain ends there.  |T'| is monotone on every
+    family and exceeds 1 elsewhere; a linear |slope| = 1 is refused."""
+    lo, hi = br.domain
+    if br.family == "farey_right":
+        return 1.0 if hi == 1.0 else None
+    return 0.0 if br.family != "linear" and lo == 0.0 else None
 
 
-def _is_primitive(word: tuple[int, ...]) -> bool:
-    m = len(word)
-    for d in range(1, m):
-        if m % d == 0 and word == word[: d] * (m // d):
+def _parabolic_orbits(branches: tuple[Branch, ...]) -> tuple[ParabolicOrbit, ...]:
+    """The |T'| = 1 points that their own increasing branch fixes.
+
+    |T'| >= 1 everywhere, so |(T^m)'| = 1 on a cycle only if |T'| = 1 at
+    each of its points.  Every other |T'| = 1 point must land on a neutral
+    fixed point within p steps; a longer cycle of them never does, so it is
+    refused by the same check.
+    """
+    orbits, strays = [], []
+    for i, br in enumerate(branches):
+        w = _unit_point(br)
+        if w is None:
+            continue
+        if br.increasing and br.value(w) == w:
+            beta, L = (1.0, 2.0) if br.family == "farey_left" else (br.s, br.c * (1.0 + br.s))
+            orbits.append(ParabolicOrbit((i,), (w,), abs(float(br.derivative(w))), beta, L))
+        else:
+            strays.append((i, w))
+    fixed = [o.points[0] for o in orbits]
+    for i, w in strays:
+        if not _lands_on(branches, w, fixed, len(branches)):
+            raise ContractionViolation(
+                f"|T'| = 1 at x = {w:.17g} (branch {i}) but the forward "
+                "orbit never reaches a detected parabolic orbit"
+            )
+    return tuple(orbits)
+
+
+def _lands_on(
+    branches: tuple[Branch, ...], x: float, targets: Sequence[float], steps: int
+) -> bool:
+    """True when x or one of its next `steps` images lies within 1e-6 of a
+    target."""
+    for _ in range(steps + 1):
+        if any(abs(x - w) <= 1e-6 for w in targets):
+            return True
+        for br in branches:
+            lo, hi = br.domain
+            if lo - ENDPOINT_TOL <= x <= hi + ENDPOINT_TOL:
+                x = float(br.value(min(max(x, lo), hi)))
+                break
+        else:  # x left every domain
             return False
-    return True
-
-
-def _detect_parabolic_orbits(
-    branches: tuple[Branch, ...],
-    A: np.ndarray,
-    core: tuple[tuple[float, float], ...],
-    period_bound: int,
-) -> tuple[ParabolicOrbit, ...]:
-    p = len(branches)
-    found: list[ParabolicOrbit] = []
-    seen: set[tuple[int, ...]] = set()
-    for m in range(1, period_bound + 1):
-        for word in _admissible_cyclic_words(A, m):
-            if not _is_primitive(word):
-                continue
-            canon = min(_rotations(word))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            if _hyperbolic(branches, canon):
-                continue
-            # An increasing branch that fixes a domain end fixes that very
-            # point; bisection stops where F(x) - x rounds to 0, off the end.
-            br = branches[canon[0]]
-            ends = [x for x in br.domain if br.increasing and br.value(x) == x]
-            point = ends[0] if m == 1 and ends else _periodic_point(branches, A, core, canon)
-            if point is None:
-                continue
-            points = [point]
-            for sym in canon[:-1]:
-                points.append(float(branches[sym].value(points[-1])))
-            mult = 1.0
-            for sym, x in zip(canon, points):
-                mult *= abs(float(branches[sym].derivative(x)))
-            if abs(mult - 1.0) <= PARABOLIC_TOL:
-                beta, L, analytic = _closed_form_exponent(branches, canon, points)
-                found.append(
-                    ParabolicOrbit(canon, tuple(points), mult, beta, L, analytic)
-                )
-    found.sort(key=lambda o: o.points[0])
-    return tuple(found)
-
-
-def _hyperbolic(branches: tuple[Branch, ...], word: tuple[int, ...]) -> bool:
-    """|(T^m)'| > 1 + PARABOLIC_TOL on every orbit coded by `word`, so none
-    is parabolic: |T'| is monotone on each branch, so its minimum over the
-    domain sits at an end, and the product of the minima bounds |(T^m)'|
-    from below.  The factor 1 + 1e-6 covers rounding and orbit points up to
-    the 1e-9 off their domain that `_periodic_point` accepts."""
-    low = math.prod(min(abs(branches[i].derivative(x)) for x in branches[i].domain) for i in word)
-    return low > (1.0 + PARABOLIC_TOL) * (1.0 + 1e-6)
-
-
-def _admissible_cyclic_words(A: np.ndarray, m: int) -> list[tuple[int, ...]]:
-    p = A.shape[0]
-    words: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == m:
-            if A[prefix[-1], prefix[0]]:
-                words.append(prefix)
-            return
-        for j in range(p):
-            if A[prefix[-1], j]:
-                extend(prefix + (j,))
-
-    for i in range(p):
-        extend((i,))
-    return words
+    return False
 
 
 def _periodic_point(
@@ -669,153 +624,6 @@ def _periodic_point(
     if abs(compose(x) - x) > 1e-9:
         return None
     return x
-
-
-def _closed_form_exponent(
-    branches: tuple[Branch, ...],
-    word: tuple[int, ...],
-    points: Sequence[float],
-) -> tuple[float, float, bool]:
-    """Analytic (beta, L) for period-1 parabolic points of closed-form families."""
-    if len(word) == 1:
-        br = branches[word[0]]
-        x = points[0]
-        if br.family in ("manneville_pomeau", "power") and abs(x) <= 1e-12:
-            return br.s, br.c * (1.0 + br.s), True
-        if br.family == "farey_left" and abs(x) <= 1e-12:
-            return 1.0, 2.0, True
-    fit = _fit_exponent(branches, word, points)
-    return fit.beta, fit.L, False
-
-
-def _fit_exponent(
-    branches: tuple[Branch, ...],
-    word: tuple[int, ...],
-    points: Sequence[float],
-    *,
-    residual_tol: float = 1e-3,
-) -> ExponentFit:
-    """Fit ||(T^m)'(x)| - 1| ~ L * |x - w|**beta near the orbit point.
-
-    Offsets run over 2^-5 .. 2^-30 on the side of the orbit point that stays
-    inside the branch domain; the regression uses the small-offset half of
-    the usable points, where the power law dominates.
-
-    Raises:
-        FitUnstable: fewer than 6 usable offsets, nonpositive fitted beta,
-            or regression residual above residual_tol.
-    """
-    offsets = 2.0 ** -np.arange(5, 31)
-    x0 = points[0]
-    dom = branches[word[0]].domain
-    if x0 + offsets[0] <= dom[1]:
-        side = 1
-    elif x0 - offsets[0] >= dom[0]:
-        side = -1
-    else:
-        raise FitUnstable("no one-sided neighbourhood fits inside the branch domain")
-
-    gaps = []
-    used_offsets = []
-    for t in offsets:
-        x = x0 + side * t
-        mult = 1.0
-        ok = True
-        for sym in word:
-            br = branches[sym]
-            blo, bhi = br.domain
-            if x < blo - 0.1 or x > bhi + 0.1:
-                ok = False
-                break
-            mult *= abs(float(br.derivative(x)))
-            x = float(br.value(x))
-        if not ok:
-            continue
-        g = abs(mult - 1.0)
-        if g < 1e-14:  # below rounding noise of the product
-            continue
-        gaps.append(g)
-        used_offsets.append(t)
-    if len(gaps) < 6:
-        raise FitUnstable(
-            f"only {len(gaps)} usable offsets; orbit too degenerate to fit"
-        )
-    # Small-offset half of the usable sequence: the asymptotic window.
-    half = len(gaps) // 2
-    log_t = np.log(np.array(used_offsets[half:]))
-    log_g = np.log(np.array(gaps[half:]))
-    beta, intercept = np.polyfit(log_t, log_g, 1)
-    residual = float(np.max(np.abs(log_g - (beta * log_t + intercept))))
-    if residual > residual_tol:
-        raise FitUnstable(f"log-log regression residual {residual:.3e} > {residual_tol}")
-    if beta <= 0.0:
-        raise FitUnstable(f"fitted exponent beta = {beta:.3e} is not positive")
-    return ExponentFit(beta=float(beta), L=float(math.exp(intercept)), residual=residual)
-
-
-def _check_unit_derivative_locus(
-    branches: tuple[Branch, ...],
-    orbits: tuple[ParabolicOrbit, ...],
-    grid: int,
-    period_bound: int,
-) -> None:
-    """Require every |T'| = 1 point to lie in the neutral zone of a detected
-    fixed point on its own branch, or to feed into a detected parabolic
-    orbit."""
-    orbit_points = [x for o in orbits for x in o.points]
-    for i, br in enumerate(branches):
-        lo, hi = br.domain
-        xs = np.linspace(lo, hi, grid + 1)
-        d = np.abs(br.derivative(xs))
-        near = np.abs(d - 1.0) <= 1e-9
-        for x in xs[near & ~_neutral_zone(i, xs, near, orbits)]:
-            if not _reaches_parabolic(branches, float(x), orbit_points, 3 * period_bound + 8):
-                raise ContractionViolation(
-                    f"|T'| = 1 at x = {float(x):.17g} (branch {i}) but the forward "
-                    "orbit never reaches a detected parabolic orbit"
-                )
-
-
-def _neutral_zone(
-    i: int, xs: np.ndarray, near: np.ndarray, orbits: tuple[ParabolicOrbit, ...]
-) -> np.ndarray:
-    """Grid points joined to a detected neutral fixed point of branch i by
-    an unbroken run of |T'| = 1 grid points: the fixed point's neutral
-    zone.  Its points need not come near the orbit going forward: for
-    T(x) = x + x**(1+s) with s above about 3.05 the zone holds grid points
-    off 0, and their orbits drift away from it."""
-    zone = np.zeros_like(near)
-    breaks = np.flatnonzero(~near)
-    for orbit in orbits:
-        if orbit.word != (i,):
-            continue
-        j = int(np.argmin(np.abs(xs - orbit.points[0])))
-        if near[j]:
-            start = breaks[breaks < j].max(initial=-1) + 1
-            zone[start : breaks[breaks > j].min(initial=near.size)] = True
-    return zone
-
-
-def _reaches_parabolic(
-    branches: tuple[Branch, ...],
-    x: float,
-    orbit_points: Sequence[float],
-    steps: int,
-) -> bool:
-    if not orbit_points:
-        return False
-    for _ in range(steps + 1):
-        if min(abs(x - w) for w in orbit_points) <= 1e-6:
-            return True
-        nxt = None
-        for br in branches:
-            if br.domain[0] - ENDPOINT_TOL <= x <= br.domain[1] + ENDPOINT_TOL:
-                nxt = float(br.value(min(max(x, br.domain[0]), br.domain[1])))
-                break
-        if nxt is None:
-            return False
-        x = nxt
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,19 @@ def test_validate_prints_summary(tmp_path, capsys):
     assert "full_shift: False" in out
 
 
+@pytest.mark.parametrize("s", [5.0, 1000.0])
+def test_validate_builds_mp_for_large_s(tmp_path, s):
+    # |T'| = 1 only at the neutral fixed point 0, however flat T is there.
+    data = {
+        "map": {"family": "manneville_pomeau", "s": s},
+        "potential": {"kind": "geometric", "coefficient": -1.0},
+        "command": {"name": "validate"},
+        "output": {"csv": str(tmp_path / "v.csv")},
+    }
+    assert main([str(write_config(tmp_path, data))]) == 0
+    assert "parabolic_orbits,1\n" in (tmp_path / "v.csv").read_text()
+
+
 def test_starved_run_exits_two_with_enclosure(tmp_path, capsys):
     data = {
         "map": {"family": "golden_mean"},

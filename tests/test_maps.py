@@ -18,7 +18,7 @@ from dimspectra import (
     manneville_pomeau_map,
 )
 from dimspectra import maps
-from dimspectra.maps import _fit_exponent, _power_inverse
+from dimspectra.maps import _periodic_point, _power_inverse, _unit_point
 from dimspectra.symbolic import CylinderTable, cylinders
 
 LOG2 = math.log(2.0)
@@ -282,7 +282,6 @@ def test_mp_parabolic_orbit(mp):
     assert orbit.points[0] == pytest.approx(0.0, abs=1e-12)
     assert orbit.multiplier == pytest.approx(1.0, abs=1e-12)
     # T(x) = x + x^(1+s): |T'| - 1 = (1+s) x^s, so beta = s exactly
-    assert orbit.analytic
     assert orbit.beta == pytest.approx(0.5, abs=1e-12)
 
 
@@ -292,24 +291,13 @@ def test_mp_split_point(mp):
     assert split + split**1.5 - 1.0 == pytest.approx(0.0, abs=1e-12)
 
 
-def test_parabolic_exponent_fit(mp, farey):
-    orbit = mp.parabolic_orbits[0]
-    fit = _fit_exponent(mp.branches, orbit.word, orbit.points)
-    assert fit.beta == pytest.approx(0.5, abs=1e-6)
-    assert fit.L == pytest.approx(1.5, abs=1e-6)
-    assert fit.residual < 1e-3
-    # Farey: T'(x) = 1/(1-x)^2 near 0, so |T'| - 1 ~ 2x
-    orbit = farey.parabolic_orbits[0]
-    ffit = _fit_exponent(farey.branches, orbit.word, orbit.points)
-    assert ffit.beta == pytest.approx(1.0, abs=1e-3)
-    assert ffit.L == pytest.approx(2.0, abs=1e-3)
-
-
 def test_farey_orbit_detected(farey):
     orbit = farey.parabolic_orbits[0]
     assert orbit.word == (0,)
     assert orbit.points == (0.0,)  # the fixed domain end, not a bisected 1e-16
     assert orbit.beta == pytest.approx(1.0, abs=1e-9)
+    # T'(x) = 1/(1-x)^2 near 0, so |T'| - 1 ~ 2x
+    assert orbit.L == 2.0
     assert farey.is_full_shift
 
 
@@ -320,43 +308,36 @@ def test_hyperbolic_maps_have_no_orbit(doubling, golden, two_slopes):
 
 @pytest.mark.parametrize("s", [0.001, 0.01, 0.5, 1.0, 1.5, 2.0, 3.0, 3.1, 4.0, 5.0, 10.0])
 def test_mp_builds_with_analytic_exponent(s):
-    # The neutral point is the domain end 0, which branch 0 fixes exactly;
-    # a bisected point (2e-11 at s = 1.5) missed the closed form.  From
-    # s ~ 3.05 on, |T'| - 1 = (1+s) x^s falls below 1e-9 at grid points
-    # off 0 whose orbits never near 0; they lie in its neutral zone.
+    # The neutral point is the domain end 0, which branch 0 fixes exactly,
+    # for every s: |T'| = 1 nowhere else, however flat T is near 0.
     orbit, = manneville_pomeau_map(s).parabolic_orbits
     assert orbit.points == (0.0,)
     assert orbit.multiplier == 1.0
-    assert orbit.analytic
     assert (orbit.beta, orbit.L) == (s, 1.0 + s)
 
 
-class _Dipped:
-    """|T'| = 1 around x = 0, a neutral fixed point, and, with `dip`, around
-    x = 1/2 too; every point is fixed, so no orbit travels anywhere."""
-
-    domain = (0.0, 1.0)
-
-    def __init__(self, dip: bool):
-        self.dip = dip
-
-    def derivative(self, x):
-        return 1.0 + (np.minimum(x, np.abs(x - 0.5)) if self.dip else x) ** 8
-
-    def value(self, x):
-        return x
-
-
 def test_unit_derivative_run_must_reach_a_neutral_fixed_point():
-    orbit = maps.ParabolicOrbit((0,), (0.0,), 1.0, 8.0, 1.0, True)
-    # the run from 0 (out to x ~ 0.075) is the fixed point's neutral zone
-    maps._check_unit_derivative_locus((_Dipped(False),), (orbit,), 1024, 1)
-    # a run that no neutral fixed point starts is refused
-    with pytest.raises(ContractionViolation, match=r"x = 0\.42"):
-        maps._check_unit_derivative_locus((_Dipped(True),), (orbit,), 1024, 1)
-    # and so is the run at 0 once the fixed point is not detected
-    with pytest.raises(ContractionViolation, match="x = 0 "):
-        maps._check_unit_derivative_locus((_Dipped(False),), (), 1024, 1)
+    # farey_right has |T'| = 1 at x = 1 and maps it to 0: beside farey_left
+    # that is the neutral fixed point, beside a linear branch it is the
+    # hyperbolic fixed point 0 of slope 2, and the map is refused.
+    assert farey_map().parabolic_orbits[0].points == (0.0,)
+    with pytest.raises(ContractionViolation, match=r"x = 1 \(branch 1\)"):
+        build_map([
+            Branch("linear", (0.0, 0.5), (0.0, 1.0), slope=2.0),
+            Branch("farey_right", (0.5, 1.0), (0.0, 1.0)),
+        ])
+
+
+@pytest.mark.parametrize(("m", "want"), [
+    (maps.doubling_map, 1.0 / 3.0),
+    (farey_map, math.sqrt(2.0) - 1.0),
+])
+def test_periodic_point_on_closed_form_cycles(m, want):
+    # The 2-cycles coded by (0, 1): {1/3, 2/3} for doubling and
+    # {sqrt(2) - 1, 1/sqrt(2)} for Farey.
+    m = m()
+    x = _periodic_point(m.branches, m.transition, m.core_spans, (0, 1))
+    assert x == pytest.approx(want, rel=0.0, abs=2e-16)
 
 
 def _admissible_by_pairs(m, word):
@@ -428,36 +409,35 @@ ORBIT_MAPS = {
 }
 
 
-def _orbit_records(m):
-    return [
+MP_MAPS = {f"mp_{s}": lambda s=s: manneville_pomeau_map(s) for s in (0.001, 3.1, 1000)}
+
+# Each map's (beta, L) by float.hex; its one orbit is the fixed point 0 of
+# branch 0, with multiplier 1.
+ORBIT_RECORDS = {
+    "farey": ("0x1.0000000000000p+0", "0x1.0000000000000p+1"),
+    "masked_power": ("0x1.0000000000000p-1", "0x1.8000000000000p+0"),
+    "mp_0.5": ("0x1.0000000000000p-1", "0x1.8000000000000p+0"),
+    "mp_1": ("0x1.0000000000000p+0", "0x1.0000000000000p+1"),
+    "mp_3.05": ("0x1.8666666666666p+1", "0x1.0333333333333p+2"),
+    "power": ("0x1.6666666666666p-1", "0x1.b333333333333p+1"),
+    "mp_0.001": ("0x1.0624dd2f1a9fcp-10", "0x1.004189374bc6ap+0"),
+    "mp_3.1": ("0x1.8cccccccccccdp+1", "0x1.0666666666666p+2"),
+    "mp_1000": ("0x1.f400000000000p+9", "0x1.f480000000000p+9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_MAPS) + sorted(MP_MAPS))
+def test_hyperbolic_words_skip_the_orbit_search(name):
+    # A branch whose |T'| exceeds 1 at both domain ends has no point with
+    # |T'| = 1, so no orbit passes through it.  Every map here has one
+    # neutral fixed point, 0 on branch 0, with multiplier exactly 1.
+    m = {**ORBIT_MAPS, **MP_MAPS}[name]()
+    for br in m.branches:
+        low = min(abs(br.derivative(x)) for x in br.domain)
+        assert (_unit_point(br) is None) == (low > 1.0)
+    beta, L = ORBIT_RECORDS[name]
+    assert [
         (o.word, [x.hex() for x in o.points], o.multiplier.hex(),
-         float(o.beta).hex(), float(o.L).hex(), o.analytic)
+         float(o.beta).hex(), float(o.L).hex())
         for o in m.parabolic_orbits
-    ]
-
-
-@pytest.mark.parametrize("name", sorted(ORBIT_MAPS))
-def test_hyperbolic_words_skip_the_orbit_search(name, monkeypatch):
-    # A cyclic word whose branches' smallest |T'| multiply past
-    # 1 + PARABOLIC_TOL codes no parabolic orbit, so its periodic point is
-    # not searched for.  The records equal, by float.hex, those of a search
-    # over every word.  Every MP word but (0,), whose fixed point is the
-    # domain end 0, holds symbol 1 (|T'| >= 2.13 there), so MP searches
-    # none; Farey's |T'| reaches 1 on both branches, so it searches all.
-    searched = []
-    periodic = maps._periodic_point
-
-    def counted(branches, A, core, word):
-        searched.append(word)
-        return periodic(branches, A, core, word)
-
-    monkeypatch.setattr(maps, "_periodic_point", counted)
-    got, skipping = _orbit_records(ORBIT_MAPS[name]()), list(searched)
-    searched.clear()
-    monkeypatch.setattr(maps, "_hyperbolic", lambda branches, word: False)
-    assert _orbit_records(ORBIT_MAPS[name]()) == got
-    assert set(skipping) <= set(searched)
-    if name.startswith("mp"):
-        assert skipping == [] and searched == [(0, 1), (0, 0, 1), (0, 1, 1)]
-    if name == "farey":
-        assert skipping == searched
+    ] == [((0,), ["0x0.0p+0"], "0x1.0000000000000p+0", beta, L)]

@@ -39,3 +39,25 @@ def test_every_public_function_is_used_by_the_package_or_a_criterion():
     sources.append(ROOT / "tests" / "test_acceptance.py")
     used = set().union(*map(_names_read, sources))
     assert [name for name in functions if name not in used] == []
+
+
+def _raised_names(path: Path) -> set[str]:
+    """Names of the exception classes a module raises, called or bare."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_type_is_raised_by_the_package():
+    # A typed error that nothing raises promises callers a failure mode
+    # that cannot happen.
+    src = ROOT / "src" / "dimspectra"
+    tree = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*map(_raised_names, src.glob("*.py")))
+    assert len(classes) > 1
+    assert sorted(classes - {"DimspectraError"} - raised) == []
