@@ -14,11 +14,11 @@ a map with no parabolic orbit the construction degenerates to the map
 itself (every return time is 1), which is the cross-check used by tests.
 
 The kept branches are one level of rows (n = 1, no gluing) for
-`pressure._Curves`, which gives the lower and upper curves and the root
-lanes; this module adds the midpoint estimate and the dropped-tail bound.
-`induced_b_curve` runs one lane per a in lockstep, asking for curve values
-and whole roots like every b(a) lane, bit for bit what solving each a
-alone gives.
+`pressure._Curves`, which gives the lower and upper curves; this module
+adds the midpoint estimate and the dropped-tail bound.  `induced_b_curve`
+solves its whole a-grid as arrays: each of its steps (ray check, four
+roots, two tail checks) is one call over the a-values still live, and an
+a that stops leaves, bit for bit what solving each a alone gives.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .errors import (
     TruncationTooSmall,
 )
 from .maps import MarkovMap
-from .numerics import _call_stacked, _lockstep, log_sum_exp
-from .pressure import _Curves, _log_z, _per_lane
+from .numerics import log_sum_exp
+from .pressure import _Curves, _Lanes, _log_z, _one_lane, _per_lane, _roots_in_b
 from .symbolic import LevelArrays, Potential, cylinders
 
 WORD_CAP = 1 << 20
@@ -267,57 +267,6 @@ def _tail_log_bound(last: float, ratio: float) -> float:
     return last + math.log(ratio) - math.log1p(-ratio)
 
 
-def _lane(
-    curves: _Returns, a: float, *, countable: bool, sup_bar: float, tol: float, tail_tol: float
-):
-    """One a's solve (see `induced_b_curve`), yielding curve requests
-    (curve, a, b) and root requests (see `pressure._Root`)."""
-
-    def root(curve):
-        return _Curves.root(curve, a, 1.0, step=1.0, xtol=tol)
-
-    if countable:
-        # Ray check: if even the tail-padded upper sum stays below 1 at
-        # b = 0, the equation has no nonnegative root and b(a) = 0.
-        if (yield (curves.padded, a, 0.0)) <= 0.0:
-            upper0 = yield (curves.level.upper, a, 0.0)
-            return InducedBPoint(
-                a=a,
-                b=0.0,
-                lower=0.0,
-                upper=max(upper0, 0.0) / (-sup_bar),
-                tail_ratio=(yield (curves.tail_ratio, a, 0.0)),
-                on_ray=True,
-            )
-    b_lower = yield from root(curves.level.lower)
-    ratio = yield (curves.tail_ratio, a, max(b_lower, 0.0))
-    if ratio >= 1.0:
-        raise TailDominates(
-            f"level sums grow by {ratio:.3f} per return time at b = {b_lower:.4g}; "
-            "raise the truncation"
-        )
-    b_plain = yield from root(curves.level.upper)
-    b_upper = yield from root(curves.padded)
-    if b_upper - b_plain > tail_tol:
-        raise TailDominates(
-            f"dropped-tail bound moves the root from {b_plain:.4f} to "
-            f"{b_upper:.4f} (> {tail_tol:.3g}); raise the truncation"
-        )
-    mid = yield from root(curves.mid)
-    lo_b, hi_b = min(b_lower, b_upper), max(b_lower, b_upper)
-    if countable:
-        lo_b, hi_b = max(lo_b, 0.0), max(hi_b, 0.0)
-        mid = max(mid, 0.0)
-    return InducedBPoint(
-        a=a,
-        b=min(max(mid, lo_b), hi_b),
-        lower=lo_b,
-        upper=hi_b,
-        tail_ratio=ratio,
-        on_ray=False,
-    )
-
-
 def induced_b_curve(
     isys: InducedSystem,
     a_values: Sequence[float],
@@ -331,9 +280,9 @@ def induced_b_curve(
     over branches of exp(a*psi + b*phi) evaluated on the return blocks;
     the root in b is bracketed by solving with and without the dropped-tail
     bound.  The tail is bounded by a geometric extrapolation of the last
-    return-time level sums.  Every a's solve runs in lockstep: each round
-    evaluates all pending lanes of a curve, or solves all lanes that ask a
-    root, together, with the bits a solve of that a alone would give.
+    return-time level sums.  Every a is one lane, and each step evaluates
+    a curve, or solves its roots, for all lanes still live in one call,
+    with the bits a solve of that a alone would give.
 
     Returns:
         One InducedBPoint per a; where a root's bracket expansion fails,
@@ -361,15 +310,66 @@ def induced_b_curve(
     # times 1) is the direct system, where negative roots are meaningful.
     countable = max(br.return_time for br in isys.branches) > 1
     curves = _Returns(isys)
-    lanes = [
-        _lane(curves, float(a), countable=countable, sup_bar=sup_bar, tol=tol, tail_tol=tail_tol)
-        for a in a_values
-    ]
-    found = _lockstep(lanes, _call_stacked, keep=(NotConverged, TailDominates))
-    for point in found:
-        if isinstance(point, TailDominates):
-            raise point
-    return found
+    a = np.array(a_values, dtype=float)
+    lanes = _Lanes(a.size)
+    if countable:
+        # Ray check: if even the tail-padded upper sum stays below 1 at
+        # b = 0, the equation has no nonnegative root and b(a) = 0.
+        zero = np.zeros(a.size)
+        ray = curves.padded(a, zero) <= 0.0
+        if ray.any():
+            upper0, ratio0 = np.zeros(a.size), np.zeros(a.size)
+            upper0[ray] = curves.level.upper(a[ray], zero[ray])
+            ratio0[ray] = curves.tail_ratio(a[ray], zero[ray])
+            lanes.leave(ray, lambda i: InducedBPoint(
+                a=a[i].item(), b=0.0, lower=0.0, upper=max(upper0[i].item(), 0.0) / (-sup_bar),
+                tail_ratio=ratio0[i].item(), on_ray=True,
+            ))
+
+    def root(curve) -> np.ndarray:
+        return lanes.ask(lambda live: _roots_in_b(
+            curve, a[live], np.ones(live.size), step=1.0, xtol=tol
+        ))
+
+    def tail(live: np.ndarray):
+        b = b_lower[live]  # at max(b_lower, 0.0)
+        return curves.tail_ratio(a[live], np.where(0.0 > b, 0.0, b)), None
+
+    b_lower = root(curves.level.lower)
+    ratio = lanes.ask(tail)
+    # A lane where the tail dominates leaves with the message it raises.
+    lanes.leave(ratio[lanes.live] >= 1.0, lambda i: (
+        f"level sums grow by {ratio[i]:.3f} per return time at b = {b_lower[i]:.4g}; "
+        "raise the truncation"
+    ))
+    b_plain = root(curves.level.upper)
+    b_upper = root(curves.padded)
+    lanes.leave(b_upper[lanes.live] - b_plain[lanes.live] > tail_tol, lambda i: (
+        f"dropped-tail bound moves the root from {b_plain[i]:.4f} to "
+        f"{b_upper[i]:.4f} (> {tail_tol:.3g}); raise the truncation"
+    ))
+    mid = root(curves.mid)
+
+    def point(i: int) -> InducedBPoint:
+        lower, upper, b = b_lower[i].item(), b_upper[i].item(), mid[i].item()
+        lo_b, hi_b = min(lower, upper), max(lower, upper)
+        if countable:
+            lo_b, hi_b = max(lo_b, 0.0), max(hi_b, 0.0)
+            b = max(b, 0.0)
+        return InducedBPoint(
+            a=a[i].item(),
+            b=min(max(b, lo_b), hi_b),
+            lower=lo_b,
+            upper=hi_b,
+            tail_ratio=ratio[i].item(),
+            on_ray=False,
+        )
+
+    lanes.leave(np.ones(lanes.live.size, dtype=bool), point)
+    for found in lanes.out:
+        if isinstance(found, str):
+            raise TailDominates(found)
+    return lanes.out
 
 
 def induced_b_point(
@@ -385,7 +385,4 @@ def induced_b_point(
         ValueError, NotStrictlyNegative, TailDominates: as `induced_b_curve`.
         NotConverged: a root's bracket expansion failed (no enclosure).
     """
-    (point,) = induced_b_curve(isys, [a], tol=tol, tail_tol=tail_tol)
-    if isinstance(point, NotConverged):
-        raise point
-    return point
+    return _one_lane(induced_b_curve(isys, [a], tol=tol, tail_tol=tail_tol))

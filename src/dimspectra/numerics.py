@@ -7,8 +7,8 @@ Repeated runs on the same machine therefore produce identical bits.
 
 A row reduction equals the 1-d one: `log_sum_exp` on a 2-d array gives,
 for each row, the bits the 1-d call on that row gives, so a solve that
-evaluates many lanes in one call (see `_lockstep`) computes what solving
-each lane alone would.
+evaluates many lanes in one call (see `_solve_roots`) computes what
+solving each lane alone would.
 """
 
 from __future__ import annotations
@@ -137,128 +137,61 @@ def _log_sum_exp_rows(values: np.ndarray, threads: int | None) -> np.ndarray:
 
 
 class AitkenAccelerator:
-    """Repeated Aitken delta-squared extrapolation of a scalar sequence.
+    """Repeated Aitken delta-squared extrapolation of one sequence per lane,
+    the live lanes pushing together.
 
     One round collapses a geometric error mode; parabolic ladders carry a
     slower secondary mode, so `depth` rounds are chained (each round feeds
     the next one's input).  Degenerate differences fall back to the raw
-    value, so exact sequences pass through unchanged.
+    value, so exact sequences pass through unchanged.  Each entry takes the
+    IEEE operations of the scalar update, with Python's max(1.0, |v2|).
     """
 
-    __slots__ = ("_values", "_next")
+    __slots__ = ("_rounds", "_lanes")
 
-    def __init__(self, depth: int = 2) -> None:
-        self._values: list[float] = []
-        self._next = type(self)(depth - 1) if depth > 1 else None
+    def __init__(self, lanes: int, depth: int = 2) -> None:
+        self._lanes = lanes
+        self._rounds: list[list[np.ndarray]] = [[] for _ in range(depth)]
 
-    def push(self, value: float) -> float:
-        """Record the next raw value; return the best current estimate."""
-        self._values.append(value)
-        if len(self._values) < 3:
-            return value
-        v0, v1, v2 = self._values[-3:]
-        d1, d2 = v1 - v0, v2 - v1
-        den = d2 - d1
-        if abs(den) <= 1e-14 * max(1.0, abs(v2)):
-            est = v2
-        else:
-            est = v2 - d2 * d2 / den
-        return self._next.push(est) if self._next is not None else est
+    def push(self, live: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """Record the next raw values of the lanes at indices live, which
+        must be every lane that pushed before and has not left; return
+        their best current estimates."""
+        for values in self._rounds:
+            row = np.full(self._lanes, math.nan)
+            row[live] = value
+            values.append(row)
+            if len(values) < 3:
+                return value
+            v0, v1, v2 = (v[live] for v in values[-3:])
+            with np.errstate(all="ignore"):  # Python floats do not warn
+                d1, d2 = v1 - v0, v2 - v1
+                den, scale = d2 - d1, np.abs(v2)
+                flat = np.abs(den) <= 1e-14 * np.where(scale > 1.0, scale, 1.0)
+                value = np.where(flat, v2, v2 - d2 * d2 / den)
+        return value
 
 
-# ---------------------------------------------------------------------------
-# lanes
-#
-# A solver is written once, as a generator that yields requests
-# (fn, *args) and is sent back fn(*args).  `_drive` runs one such lane;
-# `_lockstep` runs many side by side and answers each round's requests in
-# one call, so numpy's per-call cost is paid once per round, not per lane.
-# A root is one request, answered by `_solve_roots` for all lanes that ask
-# it, with one curve call per step.  Neither a lane's arithmetic nor these
-# counts of the root solver's work depend on which of the two runs it.
+# A solve's work, counted over every call of `_solve_roots`.
 root_counts = {"solves": 0, "lane_evals": 0, "curve_calls": 0}
-
-
-def _drive(steps, fn: Callable):
-    """Run one lane: answer each x the generator yields with fn(x), and
-    return what the generator returns."""
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(fn(x))
-    except StopIteration as done:
-        return done.value
-
-
-def _lockstep(lanes: list, answer: Callable, *, keep=()) -> list:
-    """Run lanes side by side.  Each round gathers the request that every
-    unfinished lane yields and answers them all with one call,
-    answer(requests) -> values in the same order.  Returns each lane's
-    result; a lane that raises an exception of a type in `keep` gets the
-    exception as its result, any other exception propagates."""
-    out: list = [None] * len(lanes)
-    asked: dict[int, object] = {}
-
-    def advance(i: int, value) -> None:
-        try:
-            asked[i] = lanes[i].send(value)
-        except StopIteration as done:
-            out[i] = done.value
-            asked.pop(i, None)
-        except keep as exc:
-            out[i] = exc
-            asked.pop(i, None)
-
-    for i in range(len(lanes)):
-        advance(i, None)
-    while asked:
-        live = list(asked)
-        for i, value in zip(live, answer([asked[i] for i in live])):
-            advance(i, value)
-    return out
-
-
-def _asking(ask: Callable, steps):
-    """Relay the generator `steps`, yielding ask(x) for each x it yields."""
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send((yield ask(x)))
-    except StopIteration as done:
-        return done.value
-
-
-def _call(request: tuple):
-    """Answer one request (fn, *args) with fn(*args): the one-lane case."""
-    return request[0](*request[1:])
-
-
-def _call_stacked(requests: list) -> list:
-    """Answer requests (fn, *args) with one call per distinct fn, each
-    argument stacked into an array over that fn's requests; fn must give
-    one value per entry (in an array or a list), as the scalar calls would."""
-    groups: dict[Callable, list[int]] = {}
-    for k, request in enumerate(requests):
-        groups.setdefault(request[0], []).append(k)
-    values: list = [None] * len(requests)
-    for fn, ks in groups.items():
-        args = [np.array(col) for col in zip(*(requests[k][1:] for k in ks))]
-        found = fn(*args)
-        for k, value in zip(ks, found if isinstance(found, list) else found.tolist()):
-            values[k] = value
-    return values
 
 
 # ---------------------------------------------------------------------------
 # solvers
 
-def _solve_roots(values: Callable, start: np.ndarray, *, step: float, xtol: float) -> list:
-    """Descending roots of many lanes (see `descending_root`); values(live,
-    x) gives f at x for the lanes at indices live, once per step on the
-    lanes still live.  Each lane takes the scalar steps: f at its start; a
-    doubling walk to a sign change (60 steps, else a ValueError in its
-    place); bisection at 0.5*(lo + hi) until hi - lo <= xtol, the midpoint
-    meets an end, or 200 steps.  An exact zero ends a lane at that x."""
+_NO_SIGN_CHANGE = "no sign change found while expanding bracket"
+
+
+def _solve_roots(
+    values: Callable, start: np.ndarray, *, step: float, xtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Descending roots of many lanes (see `descending_root`), as (roots,
+    failed); values(live, x) gives f at x for the lanes at indices live,
+    once per step on the lanes still live.  Each lane takes the scalar
+    steps: f at its start; a doubling walk to a sign change (60 steps, else
+    it has failed); bisection at 0.5*(lo + hi) until hi - lo <= xtol, the
+    midpoint meets an end, or 200 steps.  An exact zero ends a lane at
+    that x."""
     root_counts["solves"] += start.size
 
     def ask(live: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -307,10 +240,9 @@ def _solve_roots(values: Callable, start: np.ndarray, *, step: float, xtol: floa
         take = (f > 0.0) == pos  # the midpoint replaces lo
         lo, hi = np.where(take, mid, lo), np.where(take, hi, mid)
     roots[live] = 0.5 * (lo + hi)
-    out = roots.tolist()
-    for i in walk.tolist():
-        out[i] = ValueError("no sign change found while expanding bracket")
-    return out
+    failed = np.zeros(start.size, dtype=bool)
+    failed[walk] = True
+    return roots, failed
 
 
 def descending_root(
@@ -327,39 +259,12 @@ def descending_root(
     Raises:
         ValueError: no sign change within 60 doublings of the step.
     """
-    (root,) = _solve_roots(
+    (root,), (failed,) = _solve_roots(
         lambda _, x: np.array([fn(x.item())]), np.array([float(start)]), step=step, xtol=xtol
     )
-    if isinstance(root, ValueError):
-        raise root
-    return root
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden(lo: float, hi: float, *, xtol: float, max_iter: int):
-    """Golden-section lane: the minimum of a unimodal function on [lo, hi],
-    as (argmin, min value)."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc = yield c
-    fd = yield d
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = yield d
-    if fc <= fd:
-        return c, fc
-    return d, fd
+    if failed:
+        raise ValueError(_NO_SIGN_CHANGE)
+    return root.item()
 
 
 def format_float(x: float) -> str:

@@ -17,23 +17,26 @@ practical (heuristic) stopping rule, while the bracket stays the
 certificate.
 
 One ladder, `_ladder`, runs these stops for pressure(), bowen_root() and
-spectrum.b_of_a().  Each caller supplies per-level certified bounds and a
+spectrum.b_curve().  Each caller supplies per-level certified bounds and a
 lazily computed ratio value, built by `_Curves`, where the gluing floor
 above is written once; for the roots, the bounds are the roots of the lower
 and upper curves and the value is the root of the ratio curve.  Built
 from a level's arrays, `_Curves` also serves the first-return system of
-induced.py, held as one level of rows, and `_Curves.root`, every caller's
-root lane, turns a failed bracket expansion into NotConverged.  Parabolic
-maps have no spectral gap and no finite-level upper certificate for Bowen
-roots (the neutral word pins sup-sums at a nonnegative pressure), which is
-reported honestly as an infinite upper endpoint; their Bowen estimate is
-the Moran root instead.
+induced.py, held as one level of rows.  Parabolic maps have no spectral
+gap and no finite-level upper certificate for Bowen roots (the neutral
+word pins sup-sums at a nonnegative pressure), which is reported honestly
+as an infinite upper endpoint; their Bowen estimate is the Moran root
+instead.
 
-The ladder is a lane (see numerics) whose requests are curve values
-(curve, a, b) or whole roots in b at fixed a (`_Root`).  pressure() and
-bowen_root() run one lane with `_drive`; spectrum.b_curve() runs one lane
-per a in lockstep, and lanes asking the same root are solved together,
-each curve forming its a-term once per solve and adding b*phi per step.
+The ladder holds its lanes' state as arrays and advances every live lane
+one level at a time: it asks the level's lower bounds, upper bounds and
+estimates each as one array step over the lanes that need it, and applies
+the stop tests as masks.  pressure() and bowen_root() are its one-lane
+case; spectrum.b_curve() runs one lane per a.  A root step solves all its
+lanes together (`_roots_in_b`), each curve forming its a-term once per
+solve and adding b*phi per step.  A lane that cannot finish (no stop by
+the last level, or a root that found no sign change) ends with its own
+NotConverged while the others go on.
 """
 
 from __future__ import annotations
@@ -49,9 +52,8 @@ from .errors import NotConverged, NotStrictlyNegative
 from .maps import MarkovMap
 from .numerics import (
     _CHUNK,
+    _NO_SIGN_CHANGE,
     AitkenAccelerator,
-    _call,
-    _drive,
     _solve_roots,
     descending_root,
     log_sum_exp,
@@ -137,7 +139,8 @@ def _per_lane(fn: Callable, count: int, a, b):
 
 def _sum(arr, side: int, a, b, held, total: Callable):
     """total of the side's brackets of a*psi + b*phi over arr per lane, on
-    the a-term `held` for a root solve (see `_Root`) or per chunk of lanes."""
+    the a-term `held` for a root solve (see `_roots_in_b`) or per chunk of
+    lanes."""
     rows = held and held(
         (id(arr), side), arr.count, lambda a: _scaled(a, arr.psi_lo, arr.psi_hi, side)
     )
@@ -151,36 +154,27 @@ def _log_z(arr, side: int, a, b, held=None):
     return _sum(arr, side, a, b, held, log_sum_exp)
 
 
-class _Root(NamedTuple):
-    """A root lane's one request, (_Root(curve, step, xtol), a, start): the
-    descending root in b of curve(a, b, held), answered for arrays a and
-    start by one solve (a failed expansion is a ValueError in its lane's
-    place).  a is fixed per lane: held(key, count, make) forms make(a) once
-    per solve and gives its rows for the live lanes (a copy), or None where
-    lanes x count entries pass one log-sum-exp chunk."""
+def _roots_in_b(curve: Callable, a: np.ndarray, start: np.ndarray, *, step: float, xtol: float):
+    """The descending roots in b of curve(a, b, held), one lane per entry of
+    a, from `start`, as (roots, failed) (see `_solve_roots`).  a is fixed
+    per lane: held(key, count, make) forms make(a) once per solve and gives
+    its rows for the live lanes (a copy), or None where lanes x count
+    entries pass one log-sum-exp chunk."""
+    terms: dict = {}
+    live = [None]
 
-    curve: Callable
-    step: float
-    xtol: float
+    def held(key, count: int, make: Callable):
+        if a.size * count > _CHUNK:
+            return None
+        if key not in terms:
+            terms[key] = make(a)
+        return terms[key][live[0]]
 
-    def __call__(self, a, start):
-        lanes, start = np.atleast_1d(np.asarray(a, dtype=float)), np.asarray(start, dtype=float)
-        terms: dict = {}
-        live = [None]
+    def values(at: np.ndarray, b: np.ndarray) -> np.ndarray:
+        live[0] = at
+        return curve(a[at], b, held)
 
-        def held(key, count: int, make: Callable):
-            if lanes.size * count > _CHUNK:
-                return None
-            if key not in terms:
-                terms[key] = make(lanes)
-            return terms[key][live[0]]
-
-        def values(at: np.ndarray, b: np.ndarray) -> np.ndarray:
-            live[0] = at
-            return self.curve(lanes[at], b, held)
-
-        found = _solve_roots(values, np.atleast_1d(start), step=self.step, xtol=self.xtol)
-        return found if start.ndim else found[0]
+    return _solve_roots(values, start, step=step, xtol=xtol)
 
 
 def _in_s(curve: Callable) -> Callable:
@@ -195,9 +189,9 @@ class _Curves:
     an induced system (n = 1, k = 0, no table).
 
     Each curve takes (a, b) as floats, or as arrays of one entry per lane
-    (and in a root solve the solve's `held` a-terms, see `_Root`); then it
-    gives one value per lane, bit for bit the scalar call's, so lanes that
-    share a level can be answered in one call (`_call_stacked`).
+    (and in a root solve the solve's `held` a-terms, see `_roots_in_b`);
+    then it gives one value per lane, bit for bit the scalar call's, so
+    lanes that share a level are answered in one call.
     """
 
     def __init__(self, arr: LevelArrays, k: int = 0, table: CylinderTable | None = None, prev=None):
@@ -235,82 +229,121 @@ class _Curves:
             for lo, hi in ((arr.psi_lo, arr.psi_hi), (arr.phi_lo, arr.phi_hi))
         )
 
-    @staticmethod
-    def root(curve: Callable, a: float, start: float, *, step: float, xtol: float):
-        """Lane of the descending root in b of curve(a, b), asked as one
-        request (see `_Root`).  A bracket expansion that finds no sign
-        change raises NotConverged, with no enclosure."""
-        found = yield _Root(curve, step, xtol), a, start
-        if isinstance(found, ValueError):
-            raise NotConverged(f"root bracket expansion failed: {found}") from found
-        return found
-
-    def roots(self, a: float, start: float, *, step: float, xtol: float, view=None):
-        """Rung of a root ladder, as a lane: the roots in b of the lower and
-        upper curves at a, which enclose the true root since pressure
-        decreases in b, and as the estimate the lane of the ratio-curve
+    def roots(self, a: np.ndarray, start: np.ndarray, *, step: float, xtol: float, view=None):
+        """Rung of a root ladder, for lanes with a-values `a` starting from
+        `start`: its steps solve the roots in b of the lower and upper
+        curves (one root where `one_curve`), which enclose the true root
+        since pressure decreases in b, and as the estimate the ratio-curve
         root to xtol / 10; each solves view(curve) if a view is given."""
         view = view or (lambda curve: curve)
-        lower = yield from self.root(view(self.lower), a, start, step=step, xtol=xtol)
-        if self.one_curve:
-            upper = lower
-        else:
-            upper = yield from self.root(view(self.upper), a, start, step=step, xtol=xtol)
-        return lower, upper, self.root(view(self.ratio), a, start, step=step, xtol=xtol / 10)
+
+        def solve(curve: Callable, xtol: float) -> Callable:
+            return lambda live: _roots_in_b(view(curve), a[live], start[live], step=step, xtol=xtol)
+
+        upper = None if self.one_curve else solve(self.upper, xtol)
+        return _Rung(solve(self.lower, xtol), upper, solve(self.ratio, xtol / 10))
 
 
-def _ladder(
-    rung: Callable,
-    first: int,
-    max_level: int,
-    *,
-    tol: float,
-    what: str,
-):
-    """The level ladder behind pressure(), bowen_root() and b_of_a(), as a
-    lane whose requests are those of its rungs.
+class _Rung(NamedTuple):
+    """Level n of a ladder: steps step(live) -> (values, failed or None)
+    over the lanes at indices live, giving their certified lower and upper
+    bounds (upper None: the lower bounds are exact) and their estimates
+    (None: no estimate at this level)."""
 
-    rung(n, last) is a lane giving level n's certified (lower, upper)
-    bounds and its ratio estimate: None (no estimate yet), a float, or a
-    lane computing it, run only while the best bracket is open; `last` is
-    the previous level's raw estimate.  Stops on a closed bracket (value:
-    its upper end), a width <= tol ("bracket"), or a raw or
-    Aitken-accelerated estimate that moved by <= tol ("ratio", heuristic);
-    the value is then the accelerated estimate clamped into the bracket.
-    Returns (value, lower, upper, level, mode).
+    lower: Callable
+    upper: Callable | None
+    estimate: Callable | None
 
-    Raises:
-        NotConverged: no stop by `max_level`; the best enclosure rides along.
+
+class _Lanes:
+    """Lanes solved together: the indices of those still live, and each
+    finished lane's outcome (its result, or the error it ends with)."""
+
+    def __init__(self, count: int):
+        self.live, self.out = np.arange(count), [None] * count
+
+    def leave(self, done: np.ndarray, outcome: Callable) -> None:
+        """Retire the live lanes where `done` holds, lane i with outcome(i)."""
+        for i in self.live[done].tolist():
+            self.out[i] = outcome(i)
+        self.live = self.live[~done]
+
+    def ask(self, step: Callable) -> np.ndarray:
+        """step(live) -> (values, failed) for the live lanes, if any, spread
+        over all lanes (nan elsewhere).  A failed lane's root found no sign
+        change: it leaves with a NotConverged that has no enclosure."""
+        values = np.full(len(self.out), math.nan)
+        if self.live.size:
+            values[self.live], failed = step(self.live)
+            if failed is not None:
+                message = f"root bracket expansion failed: {_NO_SIGN_CHANGE}"
+                self.leave(failed, lambda _: NotConverged(message))
+        return values
+
+
+def _ladder(rung: Callable, what: list[str], first: int, max_level: int, *, tol: float) -> list:
+    """The level ladder behind pressure(), bowen_root() and b_curve(), with
+    one lane per name in `what`, every live lane advancing a level at a
+    time.
+
+    rung(n, last) gives level n's `_Rung`; `last` holds each lane's
+    previous raw estimate (None before the first).  The estimate is asked
+    only of lanes whose best bracket is still open.  A lane stops on a
+    closed bracket (value: its upper end), a width <= tol ("bracket"), or
+    a raw or Aitken-accelerated estimate that moved by <= tol ("ratio",
+    heuristic); the value is then the accelerated estimate clamped into
+    the bracket.  Returns per lane (value, lower, upper, level, mode), or
+    the NotConverged it ends with: no stop by `max_level` (the best
+    enclosure rides along), or a root that found no sign change.
     """
-    best_lo, best_hi = -math.inf, math.inf
-    accel = AitkenAccelerator()
-    value_prev: float | None = None
-    est_prev: float | None = None
-    est = math.nan
-    for n in range(first, max_level + 1):
-        lower, upper, estimate = yield from rung(n, value_prev)
-        best_lo, best_hi = max(best_lo, lower), min(best_hi, upper)
-        if best_hi <= best_lo:
+    lanes = _Lanes(len(what))
+    best_lo, best_hi, est = (np.full(len(what), x) for x in (-math.inf, math.inf, math.nan))
+    accel = AitkenAccelerator(len(what))
+    last = None
+
+    def stop(done: np.ndarray, mode: str) -> None:
+        def outcome(i: int) -> tuple:
+            lo, hi = best_lo[i].item(), best_hi[i].item()
             # A closed bracket clamps every estimate to best_hi.
-            return best_hi, best_lo, best_hi, n, "bracket"
-        if estimate is None:
+            value = hi if hi <= lo else min(max(est[i].item(), lo), hi)
+            return value, lo, hi, n, mode
+
+        lanes.leave(done, outcome)
+
+    for n in range(first, max_level + 1):
+        if not lanes.live.size:
+            break
+        steps = rung(n, last)
+        lower = lanes.ask(steps.lower)
+        upper = lower if steps.upper is None else lanes.ask(steps.upper)
+        live = lanes.live  # Python's max and min, as the bounds come
+        best_lo[live] = np.where(lower[live] > best_lo[live], lower[live], best_lo[live])
+        best_hi[live] = np.where(upper[live] < best_hi[live], upper[live], best_hi[live])
+        stop(best_hi[live] <= best_lo[live], "bracket")
+        if steps.estimate is None:
             continue
-        value = estimate if isinstance(estimate, float) else (yield from estimate)
-        est = accel.push(value)
-        clamped = min(max(est, best_lo), best_hi)
-        if best_hi - best_lo <= tol:
-            return clamped, best_lo, best_hi, n, "bracket"
-        raw_ok = value_prev is not None and abs(value - value_prev) <= tol
-        acc_ok = est_prev is not None and abs(est - est_prev) <= tol
-        if raw_ok or acc_ok:
-            return clamped, best_lo, best_hi, n, "ratio"
-        value_prev, est_prev = value, est
-    raise NotConverged(
-        f"{what} not within {tol:g} by level {max_level}; "
-        f"certified enclosure [{best_lo:.12g}, {best_hi:.12g}], "
-        f"last accelerated value {est:.12g}",
-        enclosure=(best_lo, best_hi),
-    )
+        value = lanes.ask(steps.estimate)
+        live, est_last, est = lanes.live, est, np.full(len(what), math.nan)
+        est[live] = accel.push(live, value[live])
+        stop(best_hi[live] - best_lo[live] <= tol, "bracket")
+        if last is not None:
+            live = lanes.live
+            moved = np.abs(value[live] - last[live]) <= tol
+            moved |= np.abs(est[live] - est_last[live]) <= tol
+            stop(moved, "ratio")
+        last = value
+
+    def unsettled(i: int) -> NotConverged:
+        lo, hi = best_lo[i].item(), best_hi[i].item()
+        return NotConverged(
+            f"{what[i]} not within {tol:g} by level {max_level}; "
+            f"certified enclosure [{lo:.12g}, {hi:.12g}], "
+            f"last accelerated value {est[i].item():.12g}",
+            enclosure=(lo, hi),
+        )
+
+    lanes.leave(np.ones(lanes.live.size, dtype=bool), unsettled)
+    return lanes.out
 
 
 def pressure(
@@ -330,13 +363,24 @@ def pressure(
     table = CylinderTable(m, phi, cache_words=SMALL_WORDS)  # one climb
     z_sup: dict[int, float] = {}
 
-    def rung(n: int, _last: float | None):
+    def rung(n: int, _last) -> _Rung:
         level = _Curves(table.level(n), gluing_length(m), table)
-        z_sup[n] = yield level.z_sup, 0.0, 1.0
-        lower = yield level.lower, 0.0, 1.0
-        return lower, z_sup[n] / n, None if n == 1 else z_sup[n] - z_sup[n - 1]
 
-    return Pressure(*_drive(_ladder(rung, 1, max_level, tol=tol, what="pressure"), _call))
+        def upper(_live):
+            z_sup[n] = level.z_sup(0.0, 1.0)
+            return np.array([z_sup[n] / n]), None
+
+        ratio = None if n == 1 else lambda _live: (np.array([z_sup[n] - z_sup[n - 1]]), None)
+        return _Rung(lambda _live: (np.array([level.lower(0.0, 1.0)]), None), upper, ratio)
+
+    return Pressure(*_one_lane(_ladder(rung, ["pressure"], 1, max_level, tol=tol)))
+
+
+def _one_lane(found: list) -> tuple:
+    """The one lane's result, or its NotConverged raised."""
+    if isinstance(found[0], NotConverged):
+        raise found[0]
+    return found[0]
 
 
 def normalize_potential(
@@ -402,19 +446,23 @@ def bowen_root(
     table = CylinderTable(m, None, cache_words=SMALL_WORDS)  # one climb
     parabolic = m.has_parabolic
     below = None  # level n-1 for the ratio curve, which the table drops
+    zero = np.zeros(1)
 
-    def rung(n: int, _last: float | None):
+    def rung(n: int, _last) -> _Rung:
         nonlocal below
         level = _Curves(table.level(n), gluing_length(m), table, below)
         if not parabolic:
             below = level.arr
-            return (yield from level.roots(0.0, 0.0, step=8.0, xtol=1e-12, view=_in_s))
+            return level.roots(zero, zero, step=8.0, xtol=1e-12, view=_in_s)
         # The Moran root is exact for full-interval parabolic maps; the
         # ratio root would inherit the neutral word's slow drift.  Its
         # bracket never closes (upper is +inf), so it is always needed.
-        lower = yield from level.root(_in_s(level.lower), 0.0, 0.0, step=8.0, xtol=1e-12)
-        return lower, math.inf, _moran_root(table, n)
+        return _Rung(
+            lambda _live: _roots_in_b(_in_s(level.lower), zero, zero, step=8.0, xtol=1e-12),
+            lambda _live: (np.array([math.inf]), None),
+            lambda _live: (np.array([_moran_root(table, n)]), None),
+        )
 
-    ladder = _ladder(rung, 2, max_level, tol=tol, what="bowen root")
-    value, lower, upper, n, _ = _drive(ladder, _call)
+    found = _ladder(rung, ["bowen root"], 2, max_level, tol=tol)
+    value, lower, upper, n, _ = _one_lane(found)
     return BowenRoot(value, lower, upper, n, parabolic)

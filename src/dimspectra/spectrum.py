@@ -5,7 +5,8 @@ negative normalized potential phi.  Strict negativity makes the pressure
 strictly decreasing in b, so roots of the certified lower/upper pressure
 curves enclose b(a), while the partition-ratio root supplies the fast value
 estimate.  The level ladder and its stopping rules are the ones pressure()
-and bowen_root() use (see pressure.py).
+and bowen_root() use (see pressure.py); b_curve() runs it with one lane
+per a, and b_of_a() is its one-lane case.
 
 On parabolic maps b(a) hits an affine ray: once a <= -dim(Lambda) the pure
 geometric pressure already vanishes and b(a) = 0 identically.  The ray's
@@ -17,17 +18,18 @@ The local dimension spectrum is the Legendre-type transform
 
     f(alpha) = inf_a (alpha * b(a) - a),
 
-with alpha range endpoints equal to the extreme cycle-mean ratios of
-(-phi-sums)/(log|T'|-sums) on the word digraph, found by Howard policy
-iteration: the value is the ratio of a cycle that attains it, checked
-against every edge's reduced cost.
+minimized per alpha by golden-section searches that advance together as
+arrays over the alpha grid.  The alpha range endpoints are the extreme
+cycle-mean ratios of (-phi-sums)/(log|T'|-sums) on the word digraph,
+found by Howard policy iteration: the value is the ratio of a cycle that
+attains it, checked against every edge's reduced cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from weakref import WeakValueDictionary
+from typing import Callable
 
 import numpy as np
 
@@ -38,8 +40,8 @@ from .errors import (
     NotStrictlyNegative,
 )
 from .maps import MarkovMap
-from .numerics import _asking, _call, _call_stacked, _drive, _golden, _lockstep, log_sum_exp
-from .pressure import _Curves, _ladder, bowen_root, gluing_length
+from .numerics import log_sum_exp
+from .pressure import _Curves, _ladder, _one_lane, bowen_root, gluing_length
 from .symbolic import Potential, shared_table
 
 
@@ -119,48 +121,6 @@ def _ray_start(m: MarkovMap, tol: float, max_level: int) -> float:
     return ray_at
 
 
-def _b_lanes(
-    m: MarkovMap, phi: Potential, a_values, tol: float, max_level: int
-) -> list:
-    """One lane per a solving b(a) (see b_of_a); lanes on a level share its
-    curves, so their requests can be answered together.  A level's curves
-    live only while a lane uses them, so the table can still drop levels
-    past its cache; the lane hands each level to its next rung, whose ratio
-    curve reads it there instead of rebuilding a dropped level."""
-    sup_phi = _require_negative(m, phi)
-    table = shared_table(m, phi)
-    ray_at = _ray_start(m, tol, max_level) if m.has_parabolic else None
-    levels: WeakValueDictionary[int, _Curves] = WeakValueDictionary()
-
-    def curves(n: int, prev) -> _Curves:
-        level = levels.get(n)
-        if level is None:
-            level = levels[n] = _Curves(table.level(n), gluing_length(m), table, prev)
-        return level
-
-    def lane(a: float):
-        if ray_at is not None and a <= ray_at + 1e-12:
-            n = min(10, max_level)
-            f_hi = table.level(n).combined_side(a, 0.0, 1)
-            upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
-            return BPoint(a, 0.0, 0.0, upper_pressure / -sup_phi, n, True)
-
-        below = None  # the previous rung's level arrays
-
-        def rung(n: int, last: float | None):
-            nonlocal below
-            # Each level's roots start from the previous level's estimate.
-            level = curves(n, below)
-            below = level.arr
-            return level.roots(a, 0.0 if last is None else last, step=1.0, xtol=1e-13)
-
-        ladder = _ladder(rung, 2, max_level, tol=tol, what=f"b({a:g})")
-        b, lower, upper, n, _ = yield from ladder
-        return BPoint(a, b, lower, upper, n, False)
-
-    return [lane(float(a)) for a in a_values]
-
-
 def b_of_a(
     m: MarkovMap,
     phi: Potential,
@@ -184,8 +144,7 @@ def b_of_a(
         NotConverged: neither criterion met by max_level (enclosure rides),
             or a root's bracket expansion failed (no enclosure).
     """
-    (lane,) = _b_lanes(m, phi, [a], tol, max_level)
-    return _drive(lane, _call)
+    return _one_lane(b_curve(m, phi, [a], tol=tol, max_level=max_level))
 
 
 def b_curve(
@@ -196,20 +155,52 @@ def b_curve(
     tol: float = 1e-8,
     max_level: int = 24,
 ) -> list[BPoint | NotConverged]:
-    """b(a) over a list of a-values, each solved as b_of_a solves it, with
-    every a's solve run in lockstep: the lanes that ask a root on a level
-    are solved together.  An a whose ladder does not converge
-    gets its NotConverged (enclosure included, unless a root's bracket
-    expansion failed) in place of a BPoint.
+    """b(a) over a list of a-values on one ladder, one lane per a off the
+    parabolic ray: each level's roots are solved for all its live lanes
+    together, with the bits a solve of that a alone gives.  An a whose
+    ladder does not converge gets its NotConverged (enclosure included,
+    unless a root's bracket expansion failed) in place of a BPoint.
+
+    Each level's roots start from the previous level's estimate.  A
+    level's curves live only while the ladder is on it, so the table can
+    still drop levels past its cache; the ladder hands each level to the
+    next rung, whose ratio curve reads it there instead of rebuilding a
+    dropped level.
 
     Raises:
         NotStrictlyNegative: sup phi >= 0.
     """
+    sup_phi = _require_negative(m, phi)
+    table = shared_table(m, phi)
+    a_all = [float(a) for a in a_values]
     try:
-        lanes = _b_lanes(m, phi, a_values, tol, max_level)
+        ray_at = _ray_start(m, tol, max_level) if m.has_parabolic else None
     except NotConverged as exc:  # the ray start, which every lane needs
-        return [exc] * len(a_values)
-    return _lockstep(lanes, _call_stacked, keep=NotConverged)
+        return [exc] * len(a_all)
+    out: list = [None] * len(a_all)
+    solve = []  # indices of the a-values off the ray
+    for i, a in enumerate(a_all):
+        if ray_at is not None and a <= ray_at + 1e-12:
+            n = min(10, max_level)
+            f_hi = table.level(n).combined_side(a, 0.0, 1)
+            upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
+            out[i] = BPoint(a, 0.0, 0.0, upper_pressure / -sup_phi, n, True)
+        else:
+            solve.append(i)
+    a = np.array([a_all[i] for i in solve], dtype=float)
+    below = None  # the previous rung's level arrays
+
+    def rung(n: int, last):
+        nonlocal below
+        level = _Curves(table.level(n), gluing_length(m), table, below)
+        below = level.arr
+        start = np.zeros(a.size) if last is None else last
+        return level.roots(a, start, step=1.0, xtol=1e-13)
+
+    found = _ladder(rung, [f"b({x:g})" for x in a.tolist()], 2, max_level, tol=tol)
+    for i, x, point in zip(solve, a.tolist(), found):
+        out[i] = point if isinstance(point, NotConverged) else BPoint(x, *point[:4], False)
+    return out
 
 
 def alpha_of_a(
@@ -405,6 +396,57 @@ def dimension_at_infinite_alpha(
 # ---------------------------------------------------------------------------
 # Legendre transform
 
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _convex_argmin(
+    f: Callable, lanes: int, lo: float, hi: float, *, xtol: float, max_iter: int
+) -> np.ndarray:
+    """Per lane, the minimizer of a unimodal f(lane, a) by golden-section
+    search on [lo, hi] to xtol (at most max_iter steps), searched again on
+    the bracket widened by its span toward an end, at most 8 searches in
+    all, while the minimizer lies within 2% of that end.  The
+    lanes advance together: each round asks f at every live lane's new
+    points, both interior points where a search starts, in one call
+    f(lanes, a) over arrays, and each lane takes the scalar search's steps."""
+    lo, hi = np.full(lanes, lo), np.full(lanes, hi)
+    a, b, c, d, fc, fd, found = (np.zeros(lanes) for _ in range(7))
+    steps, searches = np.zeros(lanes, dtype=int), np.zeros(lanes, dtype=int)
+
+    def begin(s: np.ndarray) -> None:
+        a[s], b[s], steps[s] = lo[s], hi[s], 0
+        c[s] = b[s] - _INV_GOLDEN * (b[s] - a[s])
+        d[s] = a[s] + _INV_GOLDEN * (b[s] - a[s])
+
+    live = ask_c = ask_d = np.arange(lanes)
+    begin(live)
+    while live.size:
+        values = f(np.concatenate([ask_c, ask_d]), np.concatenate([c[ask_c], d[ask_d]]))
+        fc[ask_c], fd[ask_d] = values[: ask_c.size], values[ask_c.size :]
+        end = (b[live] - a[live] <= xtol) | (steps[live] == max_iter)
+        go, over = live[~end], live[end]
+        left = fc[go] <= fd[go]
+        ask_c, ask_d = go[left], go[~left]
+        s = ask_c  # the minimum is left of d: [a, d] with c the new point
+        b[s], d[s], fd[s] = d[s], c[s], fc[s]
+        c[s] = b[s] - _INV_GOLDEN * (b[s] - a[s])
+        s = ask_d  # the minimum is right of c: [c, b] with d the new point
+        a[s], c[s], fc[s] = c[s], d[s], fd[s]
+        d[s] = a[s] + _INV_GOLDEN * (b[s] - a[s])
+        steps[go] += 1
+        found[over] = np.where(fc[over] <= fd[over], c[over], d[over])
+        searches[over] += 1
+        span = hi[over] - lo[over]
+        low = found[over] - lo[over] < 0.02 * span
+        high = ~low & (hi[over] - found[over] < 0.02 * span)
+        lo[over] = np.where(low, lo[over] - span, lo[over])
+        hi[over] = np.where(high, hi[over] + span, hi[over])
+        again = over[(low | high) & (searches[over] < 8)]
+        begin(again)
+        ask_c, ask_d = np.concatenate([ask_c, again]), np.concatenate([ask_d, again])
+        live = np.concatenate([go, again])
+    return found
+
 
 def legendre_spectrum(
     m: MarkovMap,
@@ -422,9 +464,10 @@ def legendre_spectrum(
     The objective is convex in a (b is convex; the ray keeps it so), so each
     alpha is minimized by golden-section search, with the initial [a_lo, a_hi]
     bracket widened automatically while the minimizer sits on its edge.
-    The searches run in lockstep: each round, the a values that no alpha
-    has asked for before (by round(a, 12)) are solved in one `b_curve`.
-    A NotConverged from b(a) ends the whole transform.
+    The searches advance together (see `_convex_argmin`): each round, the
+    a values that no alpha has asked for before (by round(a, 12)) are
+    solved in one `b_curve`.  A NotConverged from b(a) ends the whole
+    transform.
 
     Values outside the admissible alpha range come out negative; they are
     reported as computed (no clamping), matching the convention f < 0 means
@@ -432,34 +475,20 @@ def legendre_spectrum(
     """
     _require_negative(m, phi)
     cache: dict[float, BPoint] = {}  # b(a) by round(a, 12)
+    grid = np.asarray(alphas, dtype=float)
 
-    def lane(alpha: float):
-        """The golden-section search for one alpha; requests (alpha, a)."""
-        lo, hi = a_lo, a_hi
-        for _ in range(8):  # widen while the minimizer presses the bracket
-            golden = _golden(lo, hi, xtol=refine_tol, max_iter=120)
-            a_star, _ = yield from _asking(lambda a: (alpha, a), golden)
-            span = hi - lo
-            if a_star - lo < 0.02 * span:
-                lo -= span
-            elif hi - a_star < 0.02 * span:
-                hi += span
-            else:
-                break
-        return round(a_star, 12)  # the a whose b(a) the cache holds
-
-    def objectives(requests: list) -> list[float]:
-        """alpha*b(a) - a per request, solving every new a in one b_curve."""
-        keys = [round(a, 12) for _, a in requests]
+    def objective(lanes: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """alpha*b(a) - a per lane, solving every new a in one b_curve."""
+        keys = [round(x, 12) for x in a.tolist()]
         new = [key for key in dict.fromkeys(keys) if key not in cache]
         for key, point in zip(new, b_curve(m, phi, new, tol=tol, max_level=max_level)):
             if isinstance(point, NotConverged):
                 raise point
             cache[key] = point
-        return [alpha * cache[key].b - a for (alpha, a), key in zip(requests, keys)]
+        return grid[lanes] * np.array([cache[key].b for key in keys]) - a
 
-    grid = np.asarray(alphas, dtype=float)
-    a_stars = _lockstep([lane(alpha) for alpha in grid], objectives)
+    found = _convex_argmin(objective, grid.size, a_lo, a_hi, xtol=refine_tol, max_iter=120)
+    a_stars = [round(a, 12) for a in found.tolist()]  # the a whose b(a) the cache holds
     rows = [(alpha, a, cache[a]) for alpha, a in zip(grid, a_stars)]
     amin, amax, _, _ = spectrum_endpoints(m, phi)
     return SpectrumCurve(

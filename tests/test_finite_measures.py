@@ -22,8 +22,8 @@ from dimspectra import (
     optimize_block_weights,
     window_mask,
 )
-from dimspectra.numerics import _drive, log_sum_exp
-from root_oracle import _bisect, _expand
+from dimspectra.numerics import log_sum_exp
+from root_oracle import _bisect, _drive, _expand
 from dimspectra.pressure import _moran_root
 from dimspectra.symbolic import shared_table, words_at_level
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dimspectra import (
     Branch,
@@ -14,6 +16,7 @@ from dimspectra import (
     b_of_a,
     build_induced,
     cylinder,
+    farey_map,
     Potential,
     geometric,
     induced_b_curve,
@@ -23,8 +26,8 @@ from dimspectra import (
     manneville_pomeau_map,
 )
 from dimspectra import induced
-from dimspectra.numerics import _drive, log_sum_exp
-from root_oracle import _descend
+from dimspectra.numerics import log_sum_exp
+from root_oracle import _descend, _drive
 
 LOG2 = math.log(2.0)
 
@@ -210,7 +213,7 @@ def test_dimension_only_system_rejects_b_solve(doubling):
 
 
 # ---------------------------------------------------------------------------
-# The per-point scalar solve the lockstep lanes replaced, kept as their
+# The per-point scalar solve the array steps replaced, kept as their
 # oracle: one a at a time, each curve a 1-d log_sum_exp, each root the
 # scalar descending-root lane.
 
@@ -424,6 +427,53 @@ def test_not_converged_lane_kept_in_place(farey_sys):
         _bits(found[:1])[0], "NotConverged", _bits(found[2:])[0]
     ]
     assert found[1].enclosure is None
+
+
+_SYSTEMS = {
+    "farey40": lambda: build_induced(farey_map(), locally_constant({(0,): -LOG2, (1,): -LOG2})),
+    "farey4": lambda: build_induced(
+        farey_map(), locally_constant({(0,): -LOG2, (1,): -LOG2}), truncation=4
+    ),
+    "mp40_geometric": lambda: build_induced(manneville_pomeau_map(0.5), geometric(-0.5)),
+    "trivial": lambda: build_induced(
+        linear_full_branch_map([2.0, 2.0]), locally_constant({(0,): -LOG2, (1,): -LOG2}),
+        truncation=5,
+    ),
+    "gapped": _gapped_sys,
+}
+
+
+@functools.cache
+def _system(name):
+    return _SYSTEMS[name]()
+
+
+def _outcomes(solve, isys, grid, tol):
+    """_bits of the points, or the TailDominates message raised."""
+    try:
+        with np.errstate(over="ignore"):
+            return _bits(solve(isys, grid, tol=tol))
+    except TailDominates as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SYSTEMS)),
+    grid=st.lists(st.one_of(st.floats(-3.0, 3.0), st.just(1e20)), max_size=5),
+    tol=st.sampled_from([1e-6, 1e-10]),
+)
+@example(name="farey4", grid=[0.1, 1e20, 0.0, -0.3], tol=1e-8)  # TailDominates
+@example(name="mp40_geometric", grid=[-2.0, 0.0, 1e20], tol=1e-10)  # a ray lane
+def test_induced_b_curve_equals_scalar_per_lane(name, grid, tol):
+    isys = _system(name)
+    got = _outcomes(induced_b_curve, isys, grid, tol)
+    assert got == _outcomes(_oracle, isys, grid, tol)
+
+
+def test_induced_b_curve_on_empty_grid(farey_sys, doubling, uniform_phi):
+    assert induced_b_curve(farey_sys, []) == []
+    assert induced_b_curve(build_induced(doubling, uniform_phi, truncation=5), []) == []
 
 
 def test_tail_dominates_reports_first_a_in_grid_order(farey, uniform_phi):

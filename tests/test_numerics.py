@@ -10,14 +10,13 @@ from dimspectra.numerics import (
     _CHUNK,
     AitkenAccelerator,
     NeumaierSum,
-    _drive,
-    _golden,
     _solve_roots,
     descending_root,
     format_float,
     log_sum_exp,
 )
-from root_oracle import _bisect, _descend, _expand
+from dimspectra.spectrum import _convex_argmin
+from root_oracle import _bisect, _descend, _drive, _expand
 
 
 def test_neumaier_compensates_cancellation():
@@ -194,8 +193,8 @@ def _array_lanes(fns, starts, step, xtol):
             out.append(fns[i](xi))
         return np.array(out, dtype=float)
 
-    found = _solve_roots(values, np.array(starts, dtype=float), step=step, xtol=xtol)
-    roots = ["ValueError" if isinstance(r, ValueError) else r.hex() for r in found]
+    found, failed = _solve_roots(values, np.array(starts, dtype=float), step=step, xtol=xtol)
+    roots = ["ValueError" if no else r.hex() for r, no in zip(found.tolist(), failed)]
     return list(zip(roots, asked))
 
 
@@ -254,10 +253,10 @@ def test_root_solver_example_reaches_every_exit():
 
 def test_aitken_kills_geometric_error():
     # s_n = 1 + 2^-n: the accelerated value hits the limit on the third push.
-    acc = AitkenAccelerator()
-    acc.push(1.5)
-    acc.push(1.25)
-    assert acc.push(1.125) == pytest.approx(1.0, abs=1e-12)
+    acc, lane = AitkenAccelerator(1), np.array([0])
+    acc.push(lane, np.array([1.5]))
+    acc.push(lane, np.array([1.25]))
+    assert acc.push(lane, np.array([1.125]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bisect_root_linear_exact():
@@ -271,9 +270,9 @@ def test_expand_to_sign_change_failure():
 
 
 def test_golden_section_min_parabola():
-    x, fx = _drive(_golden(-4.0, 4.0, xtol=1e-9, max_iter=120), lambda x: (x - 1.3) ** 2)
+    (x,) = _convex_argmin(lambda _, a: (a - 1.3) ** 2, 1, -4.0, 4.0, xtol=1e-9, max_iter=120)
     assert x == pytest.approx(1.3, abs=1e-6)
-    assert fx == pytest.approx(0.0, abs=1e-12)
+    assert (x - 1.3) ** 2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_format_float_round_trips():

@@ -29,11 +29,11 @@ from dimspectra import (
     words_at_level,
 )
 from dimspectra import numerics
-from dimspectra.pressure import _Curves, _Root, gluing_length
+from dimspectra.pressure import _Curves, _roots_in_b, gluing_length
 from dimspectra.symbolic import SMALL_WORDS, CylinderTable
 
 from conftest import linear_markov_map
-from root_oracle import _descend
+from root_oracle import _descend, _drive
 
 LOG2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -328,6 +328,17 @@ def test_mp_pressure_live_peak():
     assert peak <= 45 * 2**20
 
 
+def test_ladders_without_a_rung_raise_open_enclosure(doubling, bernoulli_phi):
+    # pressure starts at level 1 and bowen_root at level 2: no rung runs.
+    for solve in (
+        lambda: pressure(doubling, bernoulli_phi, max_level=0),
+        lambda: bowen_root(doubling, max_level=1),
+    ):
+        with pytest.raises(NotConverged, match="last accelerated value nan") as err:
+            solve()
+        assert err.value.enclosure == (-math.inf, math.inf)
+
+
 @pytest.mark.parametrize("curve", ["lower", "upper", "ratio"])
 @pytest.mark.parametrize("name, phi_name, n", [
     ("golden", "bernoulli_phi", 6),  # one gluing symbol: the floor's a-term too
@@ -335,7 +346,7 @@ def test_mp_pressure_live_peak():
     ("doubling", "bernoulli_phi", 13),  # 8 lanes x 8,192 words: past one chunk
 ])
 def test_root_request_equals_scalar_lane(request, name, phi_name, n, curve):
-    # One root request solves every lane with its a-terms formed once per
+    # One root step solves every lane with its a-terms formed once per
     # solve (or per chunk of lanes where they do not fit one); each lane
     # equals the scalar descending-root lane on the scalar curve at its a,
     # bit for bit.
@@ -344,7 +355,8 @@ def test_root_request_equals_scalar_lane(request, name, phi_name, n, curve):
     fn = getattr(_Curves(table.level(n), gluing_length(m), table), curve)
     a_values = [-1.5, -1.0, -0.3, 0.0, 0.5, 1.0, 2.0, 3.5]
     starts = [0.0, 0.0, 1.0, -2.0, 0.25, 3.0, 0.0, 1.0]
-    found = _Root(fn, 1.0, 1e-13)(np.array(a_values), np.array(starts))
+    found, failed = _roots_in_b(fn, np.array(a_values), np.array(starts), step=1.0, xtol=1e-13)
+    assert not failed.any()
     for a, start, got in zip(a_values, starts, found):
-        want = numerics._drive(_descend(start, xtol=1e-13), lambda b: fn(a, b))
+        want = _drive(_descend(start, xtol=1e-13), lambda b: fn(a, b))
         assert got.hex() == float(want).hex(), a

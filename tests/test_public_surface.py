@@ -61,3 +61,17 @@ def test_every_error_type_is_raised_by_the_package():
     raised = set().union(*map(_raised_names, src.glob("*.py")))
     assert len(classes) > 1
     assert sorted(classes - {"DimspectraError"} - raised) == []
+
+
+def test_solver_modules_run_no_generator_lanes():
+    # The ladder, the b(a) and induce solves and the Legendre search hold
+    # their lanes as arrays: no generator (a `yield`), and none of the
+    # functions that ran generator lanes.
+    retired = {"_drive", "_lockstep", "_call_stacked"}
+    for name in ("numerics", "pressure", "spectrum", "induced"):
+        tree = ast.parse((ROOT / "src" / "dimspectra" / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            assert not isinstance(node, (ast.Yield, ast.YieldFrom)), (name, node.lineno)
+            # defined, imported, read or looked up as an attribute
+            names = {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}
+            assert not names & retired, (name, ast.dump(node))

@@ -21,8 +21,9 @@ from dimspectra import (
     spectrum_endpoints,
 )
 from dimspectra.cli import main
-from dimspectra.numerics import _CHUNK, _drive, _golden, log_sum_exp, root_counts
-from root_oracle import _bisect, _expand
+from dimspectra.numerics import _CHUNK, log_sum_exp, root_counts
+import root_oracle
+from root_oracle import _bisect, _drive, _expand, _golden
 from dimspectra import normalize_potential, spectrum
 from dimspectra.spectrum import _min_cycle_ratio
 from dimspectra.symbolic import CylinderTable, LevelArrays, shared_table
@@ -291,19 +292,20 @@ def test_curve_rows_align(doubling, bernoulli_phi):
 
 
 # ---------------------------------------------------------------------------
-# lockstep solves against the scalar loops they replaced
+# array solves against the scalar loops they replaced
 
 
 def _legendre_oracle(m, phi, alphas, *, tol, max_level, refine_tol=1e-7, a_lo=-4.0, a_hi=4.0):
     """The scalar Legendre transform: one golden-section search per alpha,
-    each b(a) solved alone by b_of_a and cached by round(a, 12).  Returns
-    rows in the order of SpectrumCurve.as_rows."""
+    each b(a) solved alone by the scalar ladder (`root_oracle.b_of_a`) and
+    cached by round(a, 12).  Returns rows in the order of
+    SpectrumCurve.as_rows."""
     cache = {}
 
     def bp(a):
         key = round(a, 12)
         if key not in cache:
-            cache[key] = b_of_a(m, phi, key, tol=tol, max_level=max_level)
+            cache[key] = root_oracle.b_of_a(m, phi, key, tol=tol, max_level=max_level)
         return cache[key]
 
     rows = []
@@ -374,6 +376,20 @@ def test_b_curve_equals_b_of_a_per_lane(golden, mp, uniform_phi, bernoulli_phi):
         for a, got in zip(a_values, points):
             seen.add(_same_outcome(got, m, phi, a, **kw))
     assert seen == {"raised", "ray", "solved"}
+
+
+def test_empty_grids_give_empty_results(doubling, mp, uniform_phi, bernoulli_phi):
+    assert b_curve(doubling, uniform_phi, []) == []
+    assert b_curve(mp, uniform_phi, [], tol=1e-4, max_level=12) == []
+    curve = legendre_spectrum(doubling, bernoulli_phi, [], tol=1e-9)
+    assert curve.as_rows() == [] and curve.a_minimizers == ()
+
+
+def test_b_of_a_without_a_rung_raises_open_enclosure(doubling, bernoulli_phi):
+    # The ladder starts at level 2, so max_level=1 runs no rung.
+    with pytest.raises(NotConverged, match="last accelerated value nan") as err:
+        b_of_a(doubling, bernoulli_phi, 0.5, max_level=1)
+    assert err.value.enclosure == (-math.inf, math.inf)
 
 
 def test_b_curve_keeps_failed_bracket_expansion_in_place(doubling, uniform_phi):
@@ -537,20 +553,22 @@ def test_one_b_solve_asks_each_b_once(doubling, bernoulli_phi, monkeypatch):
 def test_shipped_spectrum_root_counts(tmp_path):
     # configs/doubling_bernoulli_spectrum.yaml solves 1,680 b(a), each one
     # root (the bracket closes at level 2 on one curve), at the 79,136
-    # points the scalar root lanes asked, in at most 4,036 curve calls.
+    # points the scalar root lanes asked, in at most 3,990 curve calls
+    # (4,036 when each golden-section search asked its first two points in
+    # two rounds).
     before = dict(root_counts)
     config = CONFIG_DIR / "doubling_bernoulli_spectrum.yaml"
     assert main([str(config), "--set", f"output.csv={tmp_path / 's.csv'}"]) == 0
     counts = {key: root_counts[key] - before[key] for key in before}
     assert counts["solves"] == 1680
     assert counts["lane_evals"] == 79136
-    assert 0 < counts["curve_calls"] <= 4036
+    assert 0 < counts["curve_calls"] <= 3990
 
 
-def test_root_counts_equal_in_lockstep_and_alone(golden, bernoulli_phi):
-    # b_curve runs its lanes in lockstep, b_of_a runs one with _drive; both
+def test_root_counts_equal_on_one_ladder_and_alone(golden, bernoulli_phi):
+    # b_curve runs its lanes on one ladder, b_of_a runs one lane; both
     # solve each root with the same solver, so they count the same solves
-    # and lane evaluations, and lockstep needs no more curve calls.
+    # and lane evaluations, and the shared ladder needs fewer curve calls.
     a_values, kw = [-1.0, -0.3, 0.5, 2.0], dict(tol=1e-8, max_level=12)
 
     def counted(solve) -> dict:
@@ -574,7 +592,7 @@ def test_root_counts_equal_in_lockstep_and_alone(golden, bernoulli_phi):
 
 def test_shipped_spectrum_batches_log_sum_exp(tmp_path, monkeypatch):
     # The shipped spectrum config solves 1,680 b(a) lanes; evaluated one lane
-    # per call that took 84,176 log_sum_exp calls, in lockstep about 4,000.
+    # per call that took 84,176 log_sum_exp calls, as arrays about 4,000.
     calls = []
     for name in ("pressure", "spectrum"):
         module = sys.modules[f"dimspectra.{name}"]
