@@ -46,7 +46,7 @@ from .maps import (
     linear_full_branch_map,
     manneville_pomeau_map,
 )
-from .numerics import format_float, thread_count
+from .numerics import format_float
 from .pressure import normalize_potential, pressure
 from .spectrum import b_curve, legendre_spectrum, spectrum_endpoints
 from .symbolic import Potential, geometric, locally_constant, validate_potential
@@ -886,8 +886,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        # Small arrays never read DIMSPECTRA_THREADS, so check it up front.
-        thread_count()
         data = _read_config(args.config)
         for spec in args.overrides:
             _apply_override(data, spec)

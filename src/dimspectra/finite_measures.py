@@ -76,9 +76,7 @@ def _exact_length_word(
     return tuple(word)
 
 
-def connector_length(
-    table: CylinderTable, n: int, *, k_max: int | None = None
-) -> ConnectorTable:
+def connector_length(table: CylinderTable, n: int) -> ConnectorTable:
     """Smallest uniform connector length for gluing eligible level-n words.
 
     Searches k = 0, 1, 2, ... until every ordered symbol pair (last symbol,
@@ -92,8 +90,8 @@ def connector_length(
     scalar cylinder path, which equals the table rows bit for bit.
 
     Raises:
-        NoConnector: no uniform length up to k_max works (default cap
-            3 * aperiodicity_power + 8).
+        NoConnector: no uniform length up to 3 * aperiodicity_power +
+            CONNECTOR_CAP_SLACK works.
     """
     m = table.map
     arr = table.level(n)
@@ -101,7 +99,7 @@ def connector_length(
     if not np.any(eligible):
         raise NoConnector(f"no level-{n} word has positive expansion bracket")
     min_psi = float(np.min(arr.psi_lo if eligible.all() else arr.psi_lo[eligible]))
-    cap = k_max if k_max is not None else 3 * m.aperiodicity_power + CONNECTOR_CAP_SLACK
+    cap = 3 * m.aperiodicity_power + CONNECTOR_CAP_SLACK
 
     for k in range(cap + 1):
         words: dict[tuple[int, int], tuple[int, ...]] = {}

@@ -1,9 +1,9 @@
 """Low-level numeric helpers: compensated sums, log-sum-exp, root finding.
 
 All reductions here are deterministic: chunk boundaries are fixed by array
-length (never by thread count), within-chunk sums use numpy's pairwise
-reduction, and cross-chunk combination is sequential and compensated.
-Repeated runs on the same machine therefore produce identical bits.
+length, within-chunk sums use numpy's pairwise reduction, and cross-chunk
+combination is sequential and compensated.  Repeated runs on the same
+machine therefore produce identical bits.
 
 A row reduction equals the 1-d one: `log_sum_exp` on a 2-d array gives,
 for each row, the bits the 1-d call on that row gives, so a solve that
@@ -14,35 +14,12 @@ solving each lane alone would.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
-
-# Fixed chunk size for log-sum-exp reductions.  Determinism requires this to
-# be a constant of the build, never derived from the thread count.
+# Fixed chunk size for log-sum-exp reductions, a constant of the build.
 _CHUNK = 1 << 15
-
-_THREAD_ENV = "DIMSPECTRA_THREADS"
-
-
-def thread_count() -> int:
-    """Worker threads for chunked reductions, from DIMSPECTRA_THREADS (default 1).
-
-    Raises:
-        ConfigError: the variable is not an integer >= 1.
-    """
-    raw = os.environ.get(_THREAD_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{_THREAD_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"{_THREAD_ENV} must be >= 1, got {n}")
-    return n
 
 
 class NeumaierSum:
@@ -67,7 +44,7 @@ class NeumaierSum:
         return self._sum + self._comp
 
 
-def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
+def log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) with max shifting, safe against overflow.
 
     Args:
@@ -75,11 +52,6 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
             array is reduced along its last axis, one result per row, each
             bit for bit the 1-d call's on that row (rows longer than one
             chunk take that call).
-        threads: worker threads for per-chunk partial sums (default:
-            `thread_count()`, read only when there is more than one chunk);
-            the reduction result does not depend on this value.  The
-            library passes None everywhere, so DIMSPECTRA_THREADS is the
-            one setting.
 
     Returns:
         The log-sum, or -inf for an empty / all -inf input; an array of
@@ -90,7 +62,7 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 2:
-        return _log_sum_exp_rows(values, threads)
+        return _log_sum_exp_rows(values)
     if values.size == 0:
         return -math.inf
     m = float(values.max())
@@ -101,29 +73,17 @@ def log_sum_exp(values: np.ndarray, threads: int | None = None) -> float:
     if values.size <= _CHUNK:
         # One chunk: the compensated sum of a single partial is that partial.
         return m + math.log(float(np.exp(values - m).sum()))
-    chunks = [values[i : i + _CHUNK] for i in range(0, values.size, _CHUNK)]
-
-    def partial(chunk: np.ndarray) -> float:
-        return float(np.exp(chunk - m).sum())
-
-    if threads is None:
-        threads = thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(partial, chunks))
-    else:
-        parts = [partial(c) for c in chunks]
     acc = NeumaierSum()
-    for p in parts:  # sequential, in chunk order: deterministic
-        acc.add(p)
+    for i in range(0, values.size, _CHUNK):  # sequential, in chunk order
+        acc.add(float(np.exp(values[i : i + _CHUNK] - m).sum()))
     return m + math.log(acc.value)
 
 
-def _log_sum_exp_rows(values: np.ndarray, threads: int | None) -> np.ndarray:
+def _log_sum_exp_rows(values: np.ndarray) -> np.ndarray:
     """`log_sum_exp` of each row: the 1-d steps on all rows at once, with
     math.log per row (np.log may differ from it in the last bit)."""
     if values.shape[1] > _CHUNK or values.shape[1] == 0:
-        return np.array([log_sum_exp(row, threads) for row in values], dtype=float)
+        return np.array([log_sum_exp(row) for row in values], dtype=float)
     m = values.max(axis=1)
     if np.isfinite(m).all():
         sums = np.exp(values - m[:, None]).sum(axis=1)
@@ -141,17 +101,17 @@ class AitkenAccelerator:
     the live lanes pushing together.
 
     One round collapses a geometric error mode; parabolic ladders carry a
-    slower secondary mode, so `depth` rounds are chained (each round feeds
-    the next one's input).  Degenerate differences fall back to the raw
-    value, so exact sequences pass through unchanged.  Each entry takes the
-    IEEE operations of the scalar update, with Python's max(1.0, |v2|).
+    slower secondary mode, so two rounds are chained (the first feeds the
+    second's input).  Degenerate differences fall back to the raw value, so
+    exact sequences pass through unchanged.  Each entry takes the IEEE
+    operations of the scalar update, with Python's max(1.0, |v2|).
     """
 
     __slots__ = ("_rounds", "_lanes")
 
-    def __init__(self, lanes: int, depth: int = 2) -> None:
+    def __init__(self, lanes: int) -> None:
         self._lanes = lanes
-        self._rounds: list[list[np.ndarray]] = [[] for _ in range(depth)]
+        self._rounds: list[list[np.ndarray]] = [[], []]
 
     def push(self, live: np.ndarray, value: np.ndarray) -> np.ndarray:
         """Record the next raw values of the lanes at indices live, which
@@ -245,22 +205,16 @@ def _solve_roots(
     return roots, failed
 
 
-def descending_root(
-    fn: Callable[[float], float],
-    start: float,
-    *,
-    xtol: float,
-    step: float = 1.0,
-) -> float:
+def descending_root(fn: Callable[[float], float], start: float, *, xtol: float) -> float:
     """Root of a strictly decreasing function, bracketed by walking from
     `start` (forward while fn > 0, backward while fn < 0) with a doubling
-    `step`, then bisected to `xtol`: one lane of `_solve_roots`.
+    step from 1.0, then bisected to `xtol`: one lane of `_solve_roots`.
 
     Raises:
         ValueError: no sign change within 60 doublings of the step.
     """
     (root,), (failed,) = _solve_roots(
-        lambda _, x: np.array([fn(x.item())]), np.array([float(start)]), step=step, xtol=xtol
+        lambda _, x: np.array([fn(x.item())]), np.array([float(start)]), step=1.0, xtol=xtol
     )
     if failed:
         raise ValueError(_NO_SIGN_CHANGE)

@@ -147,19 +147,17 @@ def validate_potential(m: MarkovMap, phi: Potential) -> None:
 # word enumeration
 
 
-def words_at_level(
-    m: MarkovMap, n: int, *, budget: int = WORD_BUDGET
-) -> Iterator[tuple[int, ...]]:
+def words_at_level(m: MarkovMap, n: int) -> Iterator[tuple[int, ...]]:
     """Admissible n-words in lexicographic order (streaming generator).
 
     Raises:
-        LevelTooLarge: if the admissible word count exceeds `budget`.
+        LevelTooLarge: if the admissible word count exceeds WORD_BUDGET.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     count = m.word_count(n)
-    if count > budget:
-        raise LevelTooLarge(f"level {n} holds {count} words, budget is {budget}")
+    if count > WORD_BUDGET:
+        raise LevelTooLarge(f"level {n} holds {count} words, budget is {WORD_BUDGET}")
     A = m.transition
     p = m.p
     stack: list[int] = []
@@ -414,12 +412,10 @@ class CylinderTable:
         m: MarkovMap,
         phi: Potential | None = None,
         *,
-        budget: int = WORD_BUDGET,
         cache_words: int = 1 << 18,
     ):
         self.map = m
         self.phi = phi
-        self.budget = budget
         self.cache_words = cache_words
         self._levels: dict[int, LevelArrays] = {}
         self._ends: LevelArrays | None = None  # lo, hi, first, last of a dropped level
@@ -430,8 +426,8 @@ class CylinderTable:
         if cached is not None:  # no larger than a level that passed the budget
             return cached
         count = self.map.word_count(n)
-        if count > self.budget:
-            raise LevelTooLarge(f"level {n} holds {count} words, budget is {self.budget}")
+        if count > WORD_BUDGET:
+            raise LevelTooLarge(f"level {n} holds {count} words, budget is {WORD_BUDGET}")
         base_n = max((k for k in self._levels if k < n), default=0)
         arrays = self._levels.get(base_n) or self._base_level()
         for step in range(arrays.n + 1, n + 1):

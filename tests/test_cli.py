@@ -270,17 +270,6 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("dimspectra ")
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
-def test_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch, raw):
-    # Checked before dispatch: this run's arrays are too small to read it.
-    monkeypatch.setenv("DIMSPECTRA_THREADS", raw)
-    path = write_config(tmp_path, base_config(tmp_path))
-    assert main([str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dimspectra: error: ConfigError: DIMSPECTRA_THREADS")
-    assert not (tmp_path / "out.csv").exists()
-
-
 @pytest.mark.parametrize(
     "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem
 )

@@ -273,9 +273,9 @@ def test_block_newton_pass_count(two_slopes, bernoulli_phi, monkeypatch):
     # bisection took hundreds.
     calls = []
 
-    def counting(values, threads=None):
+    def counting(values):
         calls.append(values.size)
-        return log_sum_exp(values, threads)
+        return log_sum_exp(values)
 
     monkeypatch.setattr(finite_measures, "log_sum_exp", counting)
     bm = optimize_block_weights(two_slopes, bernoulli_phi, 12, 1.0)

@@ -6,7 +6,6 @@ import math
 import tracemalloc
 import weakref
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 
 import numpy as np
@@ -28,8 +27,7 @@ from dimspectra import (
     shared_table,
     words_at_level,
 )
-from dimspectra import numerics
-from dimspectra.pressure import _Curves, _roots_in_b, gluing_length
+from dimspectra.pressure import _Curves, _Rung, _ladder, _roots_in_b, gluing_length
 from dimspectra.symbolic import SMALL_WORDS, CylinderTable
 
 from conftest import linear_markov_map
@@ -134,25 +132,6 @@ def test_bowen_root_parabolic(farey, mp):
         assert root.parabolic
         assert root.upper == math.inf
         assert root.value == pytest.approx(1.0, abs=1e-6)
-
-
-def test_pressure_thread_invariance(doubling, bernoulli_phi, monkeypatch):
-    # Level 17 holds 131,072 words, four chunks of log_sum_exp, so four
-    # threads really split each reduction; the bits must not move.
-    pools = []
-
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(numerics, "ThreadPoolExecutor", Pool)
-    brackets = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("DIMSPECTRA_THREADS", threads)
-        brackets.append(_bracket(doubling, bernoulli_phi, 17))
-    assert pools and set(pools) == {4}
-    assert brackets[0] == brackets[1]
 
 
 def _transfer_matrix_pressure(m, phi):
@@ -337,6 +316,20 @@ def test_ladders_without_a_rung_raise_open_enclosure(doubling, bernoulli_phi):
         with pytest.raises(NotConverged, match="last accelerated value nan") as err:
             solve()
         assert err.value.enclosure == (-math.inf, math.inf)
+
+
+@pytest.mark.parametrize("estimate, value", [(5.0, 1.0), (-5.0, 0.0)])
+def test_ladder_clamps_the_estimate_into_the_bracket(estimate, value):
+    # The bracket [0, 1] never closes and the estimate outside it never
+    # moves, so the ratio stop fires at level 2 with the clamped estimate.
+    def rung(_n, _last):
+        def const(x):
+            return lambda live: (np.full(live.size, x), None)
+
+        return _Rung(const(0.0), const(1.0), const(estimate))
+
+    (out,) = _ladder(rung, ["clamped"], 1, 10, tol=1e-3)
+    assert out == (value, 0.0, 1.0, 2, "ratio")
 
 
 @pytest.mark.parametrize("curve", ["lower", "upper", "ratio"])

@@ -75,3 +75,20 @@ def test_solver_modules_run_no_generator_lanes():
             # defined, imported, read or looked up as an attribute
             names = {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}
             assert not names & retired, (name, ast.dump(node))
+
+
+def test_no_module_reads_the_environment_or_starts_threads():
+    # One reduction path: nothing in the package is chosen by an
+    # environment variable, and no module runs a worker pool.
+    banned = {"os.environ", "os.getenv", "concurrent.futures"}
+    for path in sorted((ROOT / "src" / "dimspectra").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {f"{node.value.id}.{node.attr}"}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not names & banned, (path.name, node.lineno)

@@ -424,9 +424,9 @@ def test_b_curve_splits_wide_levels_into_chunks(doubling, monkeypatch):
         asked.append(count * np.size(a))
         return per_lane(fn, count, a, b)
 
-    def counted(values, threads=None):
+    def counted(values):
         widths.append(np.size(values))
-        return log_sum_exp(values, threads)
+        return log_sum_exp(values)
 
     monkeypatch.setattr(module, "_per_lane", recorded)
     monkeypatch.setattr(module, "log_sum_exp", counted)
@@ -598,9 +598,9 @@ def test_shipped_spectrum_batches_log_sum_exp(tmp_path, monkeypatch):
         module = sys.modules[f"dimspectra.{name}"]
         original = module.log_sum_exp
 
-        def counted(values, threads=None, _original=original):
+        def counted(values, _original=original):
             calls.append(np.size(values))
-            return _original(values, threads)
+            return _original(values)
 
         monkeypatch.setattr(module, "log_sum_exp", counted)
     config = CONFIG_DIR / "doubling_bernoulli_spectrum.yaml"

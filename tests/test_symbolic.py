@@ -67,8 +67,21 @@ def test_words_at_level_order_and_admissibility(golden):
 
 
 def test_words_at_level_budget(doubling):
+    # 2^27 words pass WORD_BUDGET = 2^26; next() keeps a missing check cheap.
     with pytest.raises(LevelTooLarge):
-        list(words_at_level(doubling, 8, budget=100))
+        next(words_at_level(doubling, 27))
+
+
+def test_cylinder_table_budget_before_building(doubling, monkeypatch):
+    table = CylinderTable(doubling)
+
+    def build(*_):
+        raise AssertionError("a level over the budget started building")
+
+    monkeypatch.setattr(table, "_base_level", build)
+    monkeypatch.setattr(table, "_extend", build)
+    with pytest.raises(LevelTooLarge):
+        table.level(27)
 
 
 def test_cylinder_dyadic_exact(doubling, bernoulli_phi):
