@@ -46,7 +46,6 @@ from .maps import (
     linear_full_branch_map,
     manneville_pomeau_map,
 )
-from .numerics import format_float
 from .pressure import normalize_potential, pressure
 from .spectrum import b_curve, legendre_spectrum, spectrum_endpoints
 from .symbolic import Potential, geometric, locally_constant, validate_potential
@@ -524,7 +523,7 @@ def build_potential_from(cfg: RunConfig, m: MarkovMap) -> Potential:
         phi = geometric(section["coefficient"])
     validate_potential(m, phi)
     if section["normalize"]:
-        phi = normalize_potential(m, phi, require_negative=False)
+        phi = normalize_potential(m, phi)
     return phi
 
 
@@ -539,6 +538,16 @@ def _envelope_model(cfg: RunConfig, m: MarkovMap, phi: Potential):
 
 # ---------------------------------------------------------------------------
 # Artifact emission
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """The one artifact write (UTF-8, LF line ends, parents made); IoError on failure."""
+    target = Path(path)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {target}: {exc}") from exc
 
 
 def emit_csv(
@@ -559,14 +568,7 @@ def emit_csv(
         if isinstance(value, (int, np.integer)):
             return str(int(value))
         if isinstance(value, (float, np.floating)):
-            x = float(value)
-            if precision == 17:
-                return format_float(x)
-            if math.isnan(x):
-                return "nan"
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return format(x, f".{precision}g")
+            return format(float(value), f".{precision}g")  # also inf, -inf, nan
         return str(value)
 
     lines = [",".join(header)]
@@ -574,23 +576,11 @@ def emit_csv(
         if len(row) != len(header):
             raise ValueError("row width does not match header")
         lines.append(",".join(cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    target = Path(path)
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {target}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_manifest(path: str | Path, payload: dict) -> None:
-    text = yaml.safe_dump(payload, sort_keys=True, default_flow_style=False)
-    target = Path(path)
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {target}: {exc}") from exc
+    _write_text(path, yaml.safe_dump(payload, sort_keys=True, default_flow_style=False))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .maps import MarkovMap
 from .numerics import descending_root, log_sum_exp
-from .symbolic import CylinderTable, Potential, cylinders, shared_table
+from .symbolic import CylinderTable, Potential, cylinders, ratio_bracket, shared_table
 
 CONNECTOR_CAP_SLACK = 8
 
@@ -160,14 +160,6 @@ class BlockMeasure:
     connectors: dict[tuple[int, int], tuple[int, ...]]
 
 
-def _ratio_bracket(
-    num_lo: float, num_hi: float, den_lo: float, den_hi: float
-) -> tuple[float, float]:
-    if den_lo <= 0.0:
-        return (num_lo / den_hi if den_hi > 0 else math.inf, math.inf)
-    return (num_lo / den_hi, num_hi / den_lo)
-
-
 def _entropy(q: np.ndarray) -> float:
     """-sum q log q over the support of q, copying no rows when it is all."""
     positive = q > 0.0
@@ -238,11 +230,9 @@ def block_measure(
     period = n + k
     spread_psi = ((psi_lo + con_psi[0]) / period, (psi_hi + con_psi[1]) / period)
     spread_phi = ((phi_lo + con_phi[0]) / period, (phi_hi + con_phi[1]) / period)
-    spread_alpha = _ratio_bracket(
-        -spread_phi[1], -spread_phi[0], spread_psi[0], spread_psi[1]
-    )
+    spread_alpha = ratio_bracket(-spread_phi[1], -spread_phi[0], *spread_psi)
     spread_h = entropy / period
-    spread_dim = _ratio_bracket(spread_h, spread_h, spread_psi[0], spread_psi[1])
+    spread_dim = ratio_bracket(spread_h, spread_h, *spread_psi)
 
     rho = max(
         0.0 if arr.psi_hi is arr.psi_lo else float(np.max(arr.psi_hi - arr.psi_lo)) / n,
@@ -260,7 +250,7 @@ def block_measure(
         entropy=entropy,
         lyapunov_bracket=(psi_lo / n, psi_hi / n),
         phi_avg_bracket=(phi_lo / n, phi_hi / n),
-        alpha_bracket=_ratio_bracket(-phi_hi, -phi_lo, psi_lo, psi_hi),
+        alpha_bracket=ratio_bracket(-phi_hi, -phi_lo, psi_lo, psi_hi),
         spread_entropy=spread_h,
         spread_lyapunov_bracket=spread_psi,
         spread_phi_bracket=spread_phi,
@@ -388,25 +378,23 @@ def window_mask(
     m: MarkovMap, phi: Potential, n: int, alpha: float, eps: float
 ) -> np.ndarray:
     """Level-n words whose ratio bracket meets the open window
-    (alpha - eps, alpha + eps)."""
+    (alpha - eps, alpha + eps): the `ratio_bracket` of -S_n phi over
+    S_n psi, whose four ends enclose every ratio on the cylinder."""
     if phi is None:
         raise EmptyWindow("ratio window needs a potential")
     arr = shared_table(m, phi).level(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(arr.psi_hi > 0.0, -arr.phi_lo / arr.psi_hi, math.inf)
-        hi = np.where(arr.psi_lo > 0.0, -arr.phi_hi / arr.psi_lo, math.inf)
-        ratio_lo = np.minimum(lo, hi)
-        ratio_hi = np.maximum(lo, hi)
+    ratio_lo, ratio_hi = ratio_bracket(-arr.phi_hi, -arr.phi_lo, arr.psi_lo, arr.psi_hi)
     return (ratio_lo < alpha + eps) & (ratio_hi > alpha - eps)
 
 
 def bowen_sn(m: MarkovMap, phi: Potential, n: int, alpha: float, eps: float) -> float:
     """Root s of sum of diam^s over the level-n words in the alpha window.
 
-    The window keeps words whose ratio bracket intersects
-    (alpha - eps, alpha + eps); diameters enter at bracket midpoint.  The
-    sum is strictly decreasing in s, so the root is found by bisection to
-    1e-10.
+    The window (`window_mask`) keeps every word whose ratio bracket, an
+    enclosure of its ratios, meets (alpha - eps, alpha + eps), so no word
+    with a ratio in the window is left out; diameters enter at bracket
+    midpoint.  The sum is strictly decreasing in s, so the root is found by
+    bisection to 1e-10.
 
     Raises:
         EmptyWindow: no word's ratio bracket meets the window.

@@ -63,7 +63,6 @@ class InducedSystem:
     truncation: int
     branches: tuple[InducedBranch, ...]
     coverage: float
-    tail_weight: float
 
 
 def _excursion_words(
@@ -151,19 +150,12 @@ def build_induced(
             f"kept branches cover {coverage:.3f} of the base mass; "
             f"raise the truncation above {truncation}"
         )
-    last = [b for b in branches if b.return_time == truncation]
-    tail_weight = (
-        float(np.exp([0.5 * sum(b.phi_bracket) for b in last]).sum())
-        if (phi is not None and last)
-        else 0.0
-    )
     return InducedSystem(
         base_symbols=tuple(sorted(base)),
         base=base_iv,
         truncation=truncation,
         branches=tuple(branches),
         coverage=coverage,
-        tail_weight=tail_weight,
     )
 
 

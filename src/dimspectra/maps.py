@@ -8,15 +8,14 @@ operations on them are pure, so they are safe to share across threads.
 
 Supported branch families:
 
-* ``linear``:             T(x) = slope * x + offset
-* ``manneville_pomeau``:  T(x) = x + x**(1+s) - lift      (lift in Z)
-* ``power``:              T(x) = x + c * x**(1+s) - lift  (lift in Z)
-* ``farey_left``:         T(x) = x / (1 - x)
-* ``farey_right``:        T(x) = (1 - x) / x
+* ``linear``:       T(x) = slope * x + offset
+* ``power``:        T(x) = x + c * x**(1+s) - lift  (lift in Z; Manneville-Pomeau: c = 1)
+* ``farey_left``:   T(x) = x / (1 - x)
+* ``farey_right``:  T(x) = (1 - x) / x
 
-The integer lift of the power-law families is derived from the declared
-image, so "mod 1" branches are written naturally.  Every family has a
-monotone derivative on its domain; interval ranges of log|T'| are therefore
+The integer lift of the power family is derived from the declared image,
+so "mod 1" branches are written naturally.  Every family has a monotone
+derivative on its domain; interval ranges of log|T'| are therefore
 exact from endpoint evaluations, which the cylinder machinery relies on.
 """
 
@@ -40,7 +39,7 @@ ENDPOINT_TOL = 1e-12
 NEWTON_SWEEPS = 120
 _INVERSE_BLOCK = 4096
 
-_FAMILIES = ("linear", "manneville_pomeau", "power", "farey_left", "farey_right")
+_FAMILIES = ("linear", "power", "farey_left", "farey_right")
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,9 @@ class Branch:
         domain: closed interval [lo, hi] the branch is defined on.
         image: closed interval the branch maps its domain onto.
         slope, offset: linear family parameters.
-        s: power-law exponent for manneville_pomeau / power.
-        c: prefactor for the power family (manneville_pomeau fixes c = 1).
+        s, c: exponent and prefactor of the power family.
 
-    The integer lift for power-law families is computed in __post_init__
+    The integer lift of a power branch is computed in __post_init__
     from the declared image and stored on the instance.
     """
 
@@ -80,17 +78,15 @@ class Branch:
         if self.family == "linear":
             if self.slope is None or self.slope == 0.0:
                 raise ValueError("linear branch requires a nonzero slope")
-        elif self.family in ("manneville_pomeau", "power"):
+        elif self.family == "power":
             if self.s is None or self.s <= 0.0:
                 raise ValueError("power-law branch requires s > 0")
-            cc = 1.0 if self.family == "manneville_pomeau" else self.c
-            if cc is None or cc <= 0.0:
+            if self.c is None or self.c <= 0.0:
                 raise ValueError("power branch requires c > 0")
             if lo < 0.0:
                 raise ValueError("power-law branch domain must lie in [0, inf)")
-            object.__setattr__(self, "c", cc)
             # Integer lift so that the raw increasing formula lands on the image.
-            raw_lo = lo + cc * lo ** (1.0 + self.s)
+            raw_lo = lo + self.c * lo ** (1.0 + self.s)
             object.__setattr__(self, "lift", float(round(raw_lo - ilo)))
         elif self.family == "farey_left":
             if hi >= 1.0:
@@ -114,7 +110,7 @@ class Branch:
         x = np.asarray(x, dtype=float)
         if self.family == "linear":
             out = self.slope * x + self.offset
-        elif self.family in ("manneville_pomeau", "power"):
+        elif self.family == "power":
             out = x + self.c * x ** (1.0 + self.s) - self.lift
         elif self.family == "farey_left":
             out = x / (1.0 - x)
@@ -127,7 +123,7 @@ class Branch:
         x = np.asarray(x, dtype=float)
         if self.family == "linear":
             out = np.full_like(x, self.slope)
-        elif self.family in ("manneville_pomeau", "power"):
+        elif self.family == "power":
             out = 1.0 + self.c * (1.0 + self.s) * x**self.s
         elif self.family == "farey_left":
             out = (1.0 - x) ** -2.0
@@ -140,7 +136,7 @@ class Branch:
         x = np.asarray(x, dtype=float)
         if self.family == "linear":
             out = np.full_like(x, math.log(abs(self.slope)))
-        elif self.family in ("manneville_pomeau", "power"):  # in one array
+        elif self.family == "power":  # in one array
             out = np.power(x, self.s, out=np.empty_like(x))
             out *= self.c * (1.0 + self.s)
             out = np.log1p(out, out=out)
@@ -170,7 +166,7 @@ class Branch:
 
         Linear and Farey branches invert in closed form; one float does so
         without numpy, by the same IEEE operations and clamps.  The
-        power-law families run a vector Newton iteration until each point
+        power family runs a vector Newton iteration until each point
         settles, then solve again by bisection every point whose residual
         |x + c*x**(1+s) - z| exceeds 1e-12 * max(|z|, x), where z = y + lift.
 
@@ -183,7 +179,7 @@ class Branch:
             OutOfImage: if some y is not finite, or lies outside the image
                 beyond clamp_tol.
         """
-        one = isinstance(y, float) and self.family not in ("manneville_pomeau", "power")
+        one = isinstance(y, float) and self.family != "power"
         if one:
             y_min = y_max = y
         else:
@@ -675,7 +671,7 @@ def golden_mean_map() -> MarkovMap:
 
 
 def manneville_pomeau_map(s: float = 0.5) -> MarkovMap:
-    """T(x) = x + x**(1+s) mod 1, split at the preimage of 1."""
+    """T(x) = x + x**(1+s) mod 1 (power branches, c = 1), split at the preimage of 1."""
     if s <= 0.0:
         raise ValueError("s must be positive")
 
@@ -692,8 +688,8 @@ def manneville_pomeau_map(s: float = 0.5) -> MarkovMap:
     split = 0.5 * (lo + hi)
     return build_map(
         [
-            Branch("manneville_pomeau", (0.0, split), (0.0, 1.0), s=s),
-            Branch("manneville_pomeau", (split, 1.0), (0.0, 1.0), s=s),
+            Branch("power", (0.0, split), (0.0, 1.0), s=s, c=1.0),
+            Branch("power", (split, 1.0), (0.0, 1.0), s=s, c=1.0),
         ]
     )
 

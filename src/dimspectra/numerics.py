@@ -220,11 +220,3 @@ def descending_root(fn: Callable[[float], float], start: float, *, xtol: float) 
         raise ValueError(_NO_SIGN_CHANGE)
     return root.item()
 
-
-def format_float(x: float) -> str:
-    """Canonical decimal rendering: 17 significant digits, inf/nan literals."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")

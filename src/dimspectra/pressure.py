@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NotConverged, NotStrictlyNegative
+from .errors import NotConverged
 from .maps import MarkovMap
 from .numerics import (
     _CHUNK,
@@ -384,40 +384,20 @@ def _one_lane(found: list) -> tuple:
 
 
 def normalize_potential(
-    m: MarkovMap,
-    phi: Potential,
-    *,
-    tol: float = 1e-10,
-    max_level: int = 32,
-    require_negative: bool = True,
+    m: MarkovMap, phi: Potential, *, tol: float = 1e-10, max_level: int = 32
 ) -> Potential:
     """Shift a potential so its pressure vanishes.
 
-    Depth-1 locally constant potentials on full shifts normalize in closed
-    form (Z_n factorizes), which is what downstream exact-mode checks rely
-    on; anything else goes through the pressure ladder to `tol`.
-
-    Raises:
-        NotStrictlyNegative: when `require_negative` and the normalized
-            potential is not strictly negative on the symbol space.
+    Depth-1 locally constant potentials on full shifts normalize by their
+    closed-form pressure (`Potential.closed_form_pressure`), which is what
+    exact mode's check relies on; anything else goes through the pressure
+    ladder to `tol`.  The sign of the result is not checked: the solvers
+    that need phi < 0 check it themselves.
     """
-    if (
-        phi.kind == "locally_constant"
-        and phi.depth == 1
-        and m.is_full_shift
-    ):
-        values = np.array([v for _, v in phi.table]) - phi.pressure_shift
-        shift = log_sum_exp(values)
-    else:
+    shift = phi.closed_form_pressure(m)
+    if shift is None:
         shift = pressure(m, phi, tol=tol, max_level=max_level).value
-    out = phi.shifted_by(shift)
-    if require_negative:
-        sup = out.bounds(m)[1]
-        if sup >= 0.0:
-            raise NotStrictlyNegative(
-                f"normalized potential has sup {sup:.6g} >= 0 on the symbol space"
-            )
-    return out
+    return phi.shifted_by(shift)
 
 
 def _moran_root(table: CylinderTable, n: int) -> float:

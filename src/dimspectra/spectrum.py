@@ -397,13 +397,14 @@ def dimension_at_infinite_alpha(
 # Legendre transform
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_CAP = 120  # golden-section steps per search
 
 
 def _convex_argmin(
-    f: Callable, lanes: int, lo: float, hi: float, *, xtol: float, max_iter: int
+    f: Callable, lanes: int, lo: float, hi: float, *, xtol: float
 ) -> np.ndarray:
     """Per lane, the minimizer of a unimodal f(lane, a) by golden-section
-    search on [lo, hi] to xtol (at most max_iter steps), searched again on
+    search on [lo, hi] to xtol (at most GOLDEN_CAP steps), searched again on
     the bracket widened by its span toward an end, at most 8 searches in
     all, while the minimizer lies within 2% of that end.  The
     lanes advance together: each round asks f at every live lane's new
@@ -423,7 +424,7 @@ def _convex_argmin(
     while live.size:
         values = f(np.concatenate([ask_c, ask_d]), np.concatenate([c[ask_c], d[ask_d]]))
         fc[ask_c], fd[ask_d] = values[: ask_c.size], values[ask_c.size :]
-        end = (b[live] - a[live] <= xtol) | (steps[live] == max_iter)
+        end = (b[live] - a[live] <= xtol) | (steps[live] == GOLDEN_CAP)
         go, over = live[~end], live[end]
         left = fc[go] <= fd[go]
         ask_c, ask_d = go[left], go[~left]
@@ -487,7 +488,7 @@ def legendre_spectrum(
             cache[key] = point
         return grid[lanes] * np.array([cache[key].b for key in keys]) - a
 
-    found = _convex_argmin(objective, grid.size, a_lo, a_hi, xtol=refine_tol, max_iter=120)
+    found = _convex_argmin(objective, grid.size, a_lo, a_hi, xtol=refine_tol)
     a_stars = [round(a, 12) for a in found.tolist()]  # the a whose b(a) the cache holds
     rows = [(alpha, a, cache[a]) for alpha, a in zip(grid, a_stars)]
     amin, amax, _, _ = spectrum_endpoints(m, phi)

@@ -41,6 +41,7 @@ from .errors import (
     PointOutsideCylinder,
 )
 from .maps import MarkovMap
+from .numerics import log_sum_exp
 
 WORD_BUDGET = 1 << 26
 SMALL_WORDS = 1 << 10  # levels this small are cached by every table
@@ -93,6 +94,13 @@ class Potential:
         """Same potential with `delta` added to the pressure shift."""
         return replace(self, pressure_shift=self.pressure_shift + delta)
 
+    def closed_form_pressure(self, m: MarkovMap) -> float | None:
+        """log sum_i exp(phi_i) for a depth-1 table on a full shift, where
+        Z_n = Z_1**n makes it the pressure; None for any other potential."""
+        if self.kind != "locally_constant" or self.depth != 1 or not m.is_full_shift:
+            return None
+        return log_sum_exp(np.array([v for _, v in self.table]) - self.pressure_shift)
+
     def bounds(self, m: MarkovMap) -> tuple[float, float]:
         """(inf, sup) of the shifted potential over the symbol space."""
         if self.kind == "locally_constant":
@@ -141,6 +149,25 @@ def validate_potential(m: MarkovMap, phi: Potential) -> None:
             raise ValueError(
                 f"pointwise potential has {len(phi.funcs)} callables for {m.p} branches"
             )
+
+
+def ratio_bracket(num_lo, num_hi, den_lo, den_hi) -> tuple:
+    """(min, max) of num / den over the four ends of a num and a den
+    bracket, entry by entry for arrays; floats for scalar ends.
+
+    The den brackets a Birkhoff sum of log|T'| >= 0, so den >= 0; a zero
+    den (a neutral word) gives +inf for num > 0 and 0.0 otherwise.
+    """
+    with np.errstate(all="ignore"):  # x/0 is replaced; an overflow is +-inf
+        ends = [
+            np.where(den == 0.0, np.where(num > 0.0, np.inf, 0.0), np.divide(num, den))
+            for num in (num_lo, num_hi)
+            for den in (den_lo, den_hi)
+        ]
+    lo = hi = ends[0]
+    for end in ends[1:]:
+        lo, hi = np.minimum(lo, end), np.maximum(hi, end)
+    return (float(lo), float(hi)) if np.ndim(lo) == 0 else (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +528,7 @@ class CylinderTable:
             take = _same if size == prev.count else lambda col: col[mask]
             rows = slice(at, at + size)
             views, ends = tuple(None if c is None else c[rows] for c in cols[:7]), None
-            if br.family in ("manneville_pomeau", "power"):  # increasing
+            if br.family == "power":  # increasing
                 src, parent = (prev.lo, prev.hi), None
                 if even and take is _same:
                     start, k = int(sizes[:i].sum()), before.count  # prev's rows i·u

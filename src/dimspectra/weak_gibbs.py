@@ -29,16 +29,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .maps import MarkovMap
-from .numerics import log_sum_exp
-from .symbolic import Cylinder, Potential, cylinder, cylinders, shared_table
+from .symbolic import Cylinder, Potential, cylinder, cylinders, ratio_bracket, shared_table
 
 BOUNDARY_FLAG_THRESHOLD = 0.01
-
-
-def _safe_ratio(num: float, den: float) -> float:
-    if den == 0.0:
-        return math.inf if num > 0.0 else 0.0
-    return num / den
 
 
 @dataclass(frozen=True)
@@ -65,12 +58,9 @@ def exact_model(m: MarkovMap, phi: Potential) -> WeakGibbsModel:
             shift is not full, or the weights do not sum to 1 within 1e-12
             (the measure would not be an exact product measure).
     """
-    if phi.kind != "locally_constant" or phi.depth != 1:
-        raise ConfigError("exact mode needs a depth-1 locally constant potential")
-    if not m.is_full_shift:
-        raise ConfigError("exact mode needs a full shift")
-    values = np.array([v for _, v in phi.table], dtype=float) - phi.pressure_shift
-    total = log_sum_exp(values)
+    total = phi.closed_form_pressure(m)
+    if total is None:
+        raise ConfigError("exact mode needs a depth-1 locally constant potential on a full shift")
     if abs(total) > 1e-12:
         raise ConfigError(
             f"weights sum to exp({total:.3e}), not 1; normalize the potential first"
@@ -166,13 +156,7 @@ def local_dimension(
         s_lo, s_hi = cyl.birkhoff_psi
         # s_lo = 0 happens on all-neutral prefixes of parabolic maps; the
         # ratio is unbounded there and the bracket top is honestly infinite.
-        combos = [
-            _safe_ratio(-p_lo, s_lo),
-            _safe_ratio(-p_lo, s_hi),
-            _safe_ratio(-p_hi, s_lo),
-            _safe_ratio(-p_hi, s_hi),
-        ]
-        ratio_lo[i], ratio_hi[i] = min(combos), max(combos)
+        ratio_lo[i], ratio_hi[i] = ratio_bracket(-p_hi, -p_lo, s_lo, s_hi)
         boundary_min = min(boundary_min, cyl.boundary_ratio(x))
     mass_lo, mass_hi = _mass_bracket(model, deep)
     log_d = math.log(deep.diameter)

@@ -8,7 +8,8 @@ arrays of lanes; its rungs ask for curve values (fn, *args) and whole
 roots, each root answered by `_descend` on scalar curve values, so that
 `pressure`, `bowen_root`, `b_of_a` and `b_curve` here run none of the
 array machinery.  `_golden` is one golden-section search of
-`spectrum._convex_argmin`.
+`spectrum._convex_argmin`, and `_four_end_ratio` is one row of
+`symbolic.ratio_bracket`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,17 @@ from dimspectra.numerics import log_sum_exp
 from dimspectra.pressure import BowenRoot, Pressure, _Curves, _in_s, gluing_length
 from dimspectra.spectrum import BPoint, _require_negative
 from dimspectra.symbolic import SMALL_WORDS, CylinderTable, shared_table
+
+
+def _four_end_ratio(num_lo, num_hi, den_lo, den_hi):
+    """(min, max) of num / den over the four ends of one row, a zero den
+    giving +inf for num > 0 and 0.0 otherwise."""
+    ends = [
+        (math.inf if num > 0.0 else 0.0) if den == 0.0 else num / den
+        for num in (num_lo, num_hi)
+        for den in (den_lo, den_hi)
+    ]
+    return min(ends), max(ends)
 
 
 def _drive(steps, fn):

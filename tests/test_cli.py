@@ -343,6 +343,30 @@ def test_emit_csv_formatting(tmp_path):
     assert lines[2] == "-1.5,0,-2,nan"
 
 
+EDGE_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize(
+    "precision, want",
+    [
+        (17, "inf,-inf,nan,-0,4.9406564584124654e-324,0.33333333333333331"),
+        (5, "inf,-inf,nan,-0,4.9407e-324,0.33333"),
+    ],
+    ids=["17", "5"],
+)
+def test_emit_csv_float_cells(tmp_path, precision, want):
+    # Cells pinned as the renderer with its own inf/nan branch printed
+    # them; at 17 digits every finite cell reads back to its float.
+    out = tmp_path / "edge.csv"
+    emit_csv([f"c{i}" for i in range(len(EDGE_FLOATS))], [EDGE_FLOATS], out, precision=precision)
+    cells = out.read_text(encoding="utf-8").splitlines()[1]
+    assert cells == want
+    if precision == 17:
+        for x, cell in zip(EDGE_FLOATS, cells.split(",")):
+            if math.isfinite(x):
+                assert float(cell).hex() == x.hex()
+
+
 def test_emit_csv_row_width_check(tmp_path):
     with pytest.raises(ValueError):
         emit_csv(["a", "b"], [[1.0]], tmp_path / "bad.csv")

@@ -23,7 +23,7 @@ from dimspectra import (
     window_mask,
 )
 from dimspectra.numerics import log_sum_exp
-from root_oracle import _bisect, _drive, _expand
+from root_oracle import _bisect, _drive, _expand, _four_end_ratio
 from dimspectra.pressure import _moran_root
 from dimspectra.symbolic import shared_table, words_at_level
 
@@ -173,6 +173,29 @@ def test_window_mask_and_uniform_root(doubling, uniform_phi):
     assert bowen_sn(doubling, uniform_phi, 8, 1.0, 0.05) == pytest.approx(
         1.0, abs=1e-10
     )
+
+
+FAREY_DEPTH2 = {
+    (0, 0): math.log(0.3), (0, 1): math.log(0.7), (1, 0): math.log(0.6), (1, 1): math.log(0.4)
+}
+
+
+def test_window_mask_keeps_every_word_whose_bracket_meets_the_window(farey):
+    # Farey's depth-2 brackets are wide, and its neutral words have a zero
+    # psi end: each row's four-end ratio range meets (0.699, 0.701) for
+    # 108 level-8 words, word 00010101's ([0.65017, 1.01351]) among them.
+    phi = locally_constant(FAREY_DEPTH2)
+    arr = shared_table(farey, phi).level(8)
+    alpha, eps = 0.7, 0.001
+    want = []
+    for row in range(arr.count):
+        lo, hi = _four_end_ratio(
+            -float(arr.phi_hi[row]), -float(arr.phi_lo[row]),
+            float(arr.psi_lo[row]), float(arr.psi_hi[row]),
+        )
+        want.append(lo < alpha + eps and hi > alpha - eps)
+    assert sum(want) == 108
+    assert window_mask(farey, phi, 8, alpha, eps).tolist() == want
 
 
 def test_bowen_sn_single_word_window(doubling, bernoulli_phi):

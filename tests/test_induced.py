@@ -47,7 +47,6 @@ def test_trivial_inducing_doubling(doubling, uniform_phi):
     assert [br.word for br in isys.branches] == [(0,), (1,)]
     assert isys.base == (0.0, 1.0)
     assert isys.coverage == pytest.approx(1.0, abs=1e-12)
-    assert isys.tail_weight == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trivial_inducing_matches_direct(doubling, uniform_phi):

@@ -49,10 +49,10 @@ def test_inverse_outside_image(golden):
         golden.branches[1].inverse(0.8)
 
 
-@pytest.mark.parametrize("family", ["linear", "manneville_pomeau", "farey_right"])
+@pytest.mark.parametrize("family", ["linear", "power", "farey_right"])
 @pytest.mark.parametrize("y", [math.nan, [0.2, math.nan, 0.7], math.inf, [-math.inf]])
 def test_inverse_rejects_non_finite(doubling, mp, farey, family, y):
-    br = {"linear": doubling, "manneville_pomeau": mp, "farey_right": farey}[family].branches[1]
+    br = {"linear": doubling, "power": mp, "farey_right": farey}[family].branches[1]
     assert br.family == family
     with pytest.raises(OutOfImage):
         br.inverse(y)

@@ -12,7 +12,6 @@ from dimspectra.numerics import (
     NeumaierSum,
     _solve_roots,
     descending_root,
-    format_float,
     log_sum_exp,
 )
 from dimspectra.spectrum import _convex_argmin
@@ -264,12 +263,7 @@ def test_expand_to_sign_change_failure():
 
 
 def test_golden_section_min_parabola():
-    (x,) = _convex_argmin(lambda _, a: (a - 1.3) ** 2, 1, -4.0, 4.0, xtol=1e-9, max_iter=120)
+    (x,) = _convex_argmin(lambda _, a: (a - 1.3) ** 2, 1, -4.0, 4.0, xtol=1e-9)
     assert x == pytest.approx(1.3, abs=1e-6)
     assert (x - 1.3) ** 2 == pytest.approx(0.0, abs=1e-12)
 
-
-def test_format_float_round_trips():
-    for x in (0.1, math.pi, 1.0 / 3.0, 1e300, -7.25, 0.0):
-        assert float(format_float(x)) == x
-    assert format_float(math.inf) == "inf"

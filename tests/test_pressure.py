@@ -55,6 +55,19 @@ def test_full_shift_log_sum_closed_form(doubling, two_slopes, bernoulli_phi):
     assert p2.value == pytest.approx(math.log(0.9), abs=1e-12)
 
 
+def test_closed_form_pressure(doubling, two_slopes, golden, bernoulli_phi, uniform_phi):
+    # A depth-1 table on a full shift: Z_n = Z_1**n, so log Z_1 is the
+    # pressure the ladder finds.
+    for m, phi in ((doubling, bernoulli_phi), (two_slopes, bernoulli_phi),
+                   (two_slopes, locally_constant({(0,): math.log(0.7), (1,): math.log(0.2)}))):
+        closed = phi.closed_form_pressure(m)
+        assert abs(closed - pressure(m, phi, tol=1e-12).value) <= 1e-12
+    deep = locally_constant({(a, b): -2 * LOG2 for a in (0, 1) for b in (0, 1)}, depth=2)
+    assert uniform_phi.closed_form_pressure(golden) is None  # not a full shift
+    assert deep.closed_form_pressure(doubling) is None
+    assert geometric(-1.0).closed_form_pressure(doubling) is None
+
+
 def test_golden_mean_entropy(golden, zero_phi):
     p = pressure(golden, zero_phi, tol=1e-9)
     assert p.value == pytest.approx(GOLDEN_ENTROPY, abs=1e-9)
@@ -86,7 +99,7 @@ def test_not_converged_carries_enclosure(golden, zero_phi):
 
 
 def test_normalize_potential(golden, zero_phi):
-    norm = normalize_potential(golden, zero_phi, require_negative=False)
+    norm = normalize_potential(golden, zero_phi)
     assert norm.pressure_shift == pytest.approx(GOLDEN_ENTROPY, abs=1e-10)
     assert pressure(golden, norm).value == pytest.approx(0.0, abs=1e-9)
 
@@ -284,7 +297,7 @@ def test_one_climb_leaves_no_large_level(monkeypatch):
     monkeypatch.setattr(CylinderTable, "_extend", tracked)
     m, phi = manneville_pomeau_map(0.5), geometric(-0.7)
     assert pressure(m, phi, tol=1e-4, max_level=16).level == 11
-    normalize_potential(m, phi, tol=1e-4, max_level=16, require_negative=False)
+    normalize_potential(m, phi, tol=1e-4, max_level=16)
     gc.collect()
     assert max(count for count, _ in built) > SMALL_WORDS
     assert all(ref() is None for count, ref in built if count > SMALL_WORDS)

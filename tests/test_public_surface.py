@@ -92,3 +92,33 @@ def test_no_module_reads_the_environment_or_starts_threads():
             else:
                 continue
             assert not names & banned, (path.name, node.lineno)
+
+
+def _calls_by_function(path: Path, names: set[str]) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of each call to a function or
+    method named in `names`; "<module>" for a call outside any function."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.add((path.stem, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_one_function_writes_files():
+    # Every artifact goes through cli._write_text, so directory creation,
+    # encoding, line ends and the IoError are decided in one place.
+    writers = set().union(*(
+        _calls_by_function(path, {"write_text", "write_bytes", "open"})
+        for path in (ROOT / "src" / "dimspectra").glob("*.py")
+    ))
+    assert writers == {("cli", "_write_text")}

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dimspectra import maps
 from dimspectra import (
@@ -28,7 +28,8 @@ from dimspectra import (
     words_at_level,
 )
 from dimspectra.errors import LevelTooLarge
-from dimspectra.symbolic import LevelArrays
+from dimspectra.symbolic import LevelArrays, ratio_bracket
+from root_oracle import _four_end_ratio
 
 LOG2 = math.log(2.0)
 
@@ -48,6 +49,40 @@ def test_potential_bounds(doubling, bernoulli_phi):
     lo, hi = shifted.bounds(doubling)
     assert lo == pytest.approx(math.log(0.25) - 0.5)
     assert hi == pytest.approx(math.log(0.75) - 0.5)
+
+
+def _old_ratio_bracket(num_lo, num_hi, den_lo, den_hi):
+    """The two-end rule block measures used before the four-end one."""
+    if den_lo <= 0.0:
+        return (num_lo / den_hi if den_hi > 0 else math.inf, math.inf)
+    return (num_lo / den_hi, num_hi / den_lo)
+
+
+_ENDS = st.floats(-1e6, 1e6, allow_subnormal=False)
+_DENS = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_ENDS, _ENDS, _DENS, _DENS), min_size=1, max_size=8),
+    st.booleans(),
+)
+# A negative num: the old rule gave (-1, -1) here, not (-2, -0.5).
+@example(rows=[(-2.0, -1.0, 1.0, 2.0)], nonnegative=False)
+def test_ratio_bracket_is_the_four_end_range(rows, nonnegative):
+    rows = [
+        (*sorted(abs(x) if nonnegative else x for x in (a, b)), *sorted((c, d)))
+        for a, b, c, d in rows
+    ]
+    lo, hi = ratio_bracket(*(np.array(col) for col in zip(*rows)))
+    for i, row in enumerate(rows):
+        want = _four_end_ratio(*row)
+        assert ratio_bracket(*row) == want
+        assert (lo[i], hi[i]) == want
+        # Where num >= 0 the four ends reduce to the old two-end rule, bit
+        # for bit, except where an end is 0/0, which it could read as +inf.
+        if nonnegative and not (row[0] == 0.0 and row[2] == 0.0):
+            assert [x.hex() for x in want] == [x.hex() for x in _old_ratio_bracket(*row)]
 
 
 def test_validate_potential_missing_word(golden):
@@ -500,7 +535,7 @@ def _alias_potentials(m, linear):
     yield _random_table(m, 3, seed=23)
     yield geometric(-0.7)
     # A nonzero pressure shift: subtracted once from a bracket stored once.
-    shifted = (normalize_potential(m, geometric(-0.7), require_negative=False)
+    shifted = (normalize_potential(m, geometric(-0.7))
                if linear else geometric(-0.7).shifted_by(0.3))
     assert shifted.pressure_shift != 0.0
     yield shifted
@@ -628,7 +663,7 @@ class _OldTable:
             if not mask.any():
                 continue
             take = (lambda col: col) if mask.all() else (lambda col: col[mask])
-            newton = br.family in ("manneville_pomeau", "power")
+            newton = br.family == "power"
             images = self._new_images(i, prev, take) if newton else None
             new = _old_step(self.step, i, data, prev.n, take, images=images)
             first = np.full(new[0].size, i, dtype=np.int8)
@@ -677,9 +712,7 @@ def _old_build_potentials(m):
     yield _random_table(m, 3, seed=33)
     # increasing on some branches, decreasing on others
     yield Potential(kind="pointwise", funcs=(np.square, np.negative, np.exp)[: m.p])
-    normalized = normalize_potential(
-        m, _random_table(m, 1, seed=35), tol=1e-3, max_level=14, require_negative=False
-    )
+    normalized = normalize_potential(m, _random_table(m, 1, seed=35), tol=1e-3, max_level=14)
     assert normalized.pressure_shift != 0.0
     yield normalized
 
