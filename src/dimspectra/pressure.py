@@ -360,7 +360,7 @@ def pressure(
         NotConverged: neither the certified bracket nor the ratio Cauchy gap
             reached `tol` by `max_level`; the best enclosure rides along.
     """
-    table = CylinderTable(m, phi, cache_words=SMALL_WORDS)  # one climb
+    table = CylinderTable(m, phi, cache_words=SMALL_WORDS, psi=False)  # one climb, phi alone
     z_sup: dict[int, float] = {}
 
     def rung(n: int, _last) -> _Rung:

@@ -156,11 +156,13 @@ def ratio_bracket(num_lo, num_hi, den_lo, den_hi) -> tuple:
     bracket, entry by entry for arrays; floats for scalar ends.
 
     The den brackets a Birkhoff sum of log|T'| >= 0, so den >= 0; a zero
-    den (a neutral word) gives +inf for num > 0 and 0.0 otherwise.
+    den (a neutral word) gives +inf for num > 0, -inf for num < 0 and 0.0
+    for num = 0: the limits of num / den as den falls to 0 from above.
     """
     with np.errstate(all="ignore"):  # x/0 is replaced; an overflow is +-inf
         ends = [
-            np.where(den == 0.0, np.where(num > 0.0, np.inf, 0.0), np.divide(num, den))
+            np.where(den == 0.0, np.where(num > 0.0, np.inf, np.where(num < 0.0, -np.inf, 0.0)),
+                     np.divide(num, den))
             for num in (num_lo, num_hi)
             for den in (den_lo, den_hi)
         ]
@@ -259,20 +261,21 @@ class _Prepend:
     """The one cylinder step: from the data of n-words w, that of i·w.
 
     A word's data is the tuple (lo, hi, psi_lo, psi_hi, phi_lo, phi_hi,
-    code): its cylinder interval, the brackets of S_n psi and S_n phi (None
-    without phi), and for a locally constant phi of depth d >= 2 the base-p
-    code of its first min(n, d-1) symbols (None otherwise).  Columns are
-    arrays with one row per word (the level table) or scalars (one node of
-    the suffix trie in `cylinders`).  Where both ends of a bracket are equal
-    by construction (prev's ends are one column and the summand is one
-    value), the high column is the low one.
+    code): its cylinder interval, the brackets of S_n psi (None with
+    psi=False) and S_n phi (None without phi), and for a locally constant
+    phi of depth d >= 2 the base-p code of its first min(n, d-1) symbols
+    (None otherwise).  Columns are arrays with one row per word (the level
+    table) or scalars (one node of the suffix trie in `cylinders`).  Where
+    both ends of a bracket are equal by construction (prev's ends are one
+    column and the summand is one value), the high column is the low one.
     """
 
-    def __init__(self, m: MarkovMap, phi: Potential | None):
+    def __init__(self, m: MarkovMap, phi: Potential | None, psi: bool = True):
         if phi is not None:
             validate_potential(m, phi)
         self.map = m
         self.phi = phi
+        self.psi = psi
         lc = phi is not None and phi.kind == "locally_constant"
         self.ranges = _range_tables(m, phi) if lc else None
 
@@ -286,8 +289,9 @@ class _Prepend:
         pull=False, prev's interval is already the cylinder of i·w (a
         symbol's core span, for n = 0).  `ends` may hold (lo, hi, dlo, dhi):
         the cylinders of i·w and the range of log|T_i'| on each.  `out` may
-        hold an array per column to write it into (dlo and dhi may be its
-        psi arrays: phi is summed first), one array for an exact bracket.
+        hold an array per column to write it into, one array for an exact
+        bracket; dlo and dhi may be its psi arrays (phi is summed first), or
+        without psi a geometric phi's, dlo where coefficient * dlo goes.
         """
         m, phi = self.map, self.phi
         br = m.branches[i]
@@ -326,7 +330,9 @@ class _Prepend:
                 fb = np.asarray(phi.funcs[i](np.asarray(hi)), dtype=float)
                 inc_lo, inc_hi = np.minimum(fa, fb), np.maximum(fa, fb)
             phi_lo, phi_hi = _bracket(prev[4], prev[5], take, inc_lo, inc_hi, shift, *out[4:6])
-        psi_lo, psi_hi = _bracket(prev[2], prev[3], take, dlo, dhi, 0.0, *out[2:4])
+        psi_lo = psi_hi = None
+        if self.psi:  # pressure's table reads phi alone
+            psi_lo, psi_hi = _bracket(prev[2], prev[3], take, dlo, dhi, 0.0, *out[2:4])
         for k, col in ((0, lo), (1, hi), (6, code)):  # the columns not summed into out
             if out[k] is not None and col is not out[k]:
                 out[k][...] = col
@@ -345,8 +351,9 @@ class LevelArrays:
     `_Prepend`); `first` and `last` hold each word's end symbols.  An exact
     bracket is stored once: psi_hi is psi_lo on linear branches, and
     phi_hi is phi_lo where every summand of phi is exact as well (a depth-1
-    locally constant phi, or a geometric one on linear branches).  Columns
-    are read-only once the table stores the level (their write flag is
+    locally constant phi, or a geometric one on linear branches).  psi_lo
+    and psi_hi are None on `pressure`'s table (psi=False).  Columns are
+    read-only once the table stores the level (their write flag is
     cleared): a level is shared by every reader of the table, and one write
     to an exact bracket would move both of its ends.
     """
@@ -354,8 +361,8 @@ class LevelArrays:
     n: int
     lo: np.ndarray
     hi: np.ndarray
-    psi_lo: np.ndarray
-    psi_hi: np.ndarray
+    psi_lo: np.ndarray | None
+    psi_hi: np.ndarray | None
     phi_lo: np.ndarray | None
     phi_hi: np.ndarray | None
     prefix_code: np.ndarray | None
@@ -381,7 +388,7 @@ class LevelArrays:
         a*psi rows formed beforehand, which b*phi is added to in place."""
         if np.ndim(a):
             a, b = np.asarray(a), np.asarray(b)
-            f = _scaled(a, self.psi_lo, self.psi_hi, side) if a_term is None else a_term
+            f = _scaled(a, *self._psi(), side) if a_term is None else a_term
             nonzero = np.count_nonzero(b)
             if nonzero:
                 if self.phi_lo is None:
@@ -391,8 +398,8 @@ class LevelArrays:
             return f
         f = None
         if a != 0.0 or b == 0.0:
-            low = (a >= 0.0) == (side == 0)
-            col = self.psi_lo if low else self.psi_hi
+            psi_lo, psi_hi = self._psi()
+            col = psi_lo if (a >= 0.0) == (side == 0) else psi_hi
             if b == 0.0:  # one term at coefficient 1.0 is the column itself
                 return col if a == 1.0 else a * col
             f = a * col
@@ -404,6 +411,11 @@ class LevelArrays:
             return col if b == 1.0 else b * col
         f += b * col
         return f
+
+    def _psi(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.psi_lo is None:
+            raise ValueError("table was built without psi")
+        return self.psi_lo, self.psi_hi
 
 
 def _scaled(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, side: int) -> np.ndarray:
@@ -431,7 +443,8 @@ class CylinderTable:
     first, last.  A reader that climbs the levels once (`pressure`,
     `bowen_root`) builds on a table of its own with cache_words =
     SMALL_WORDS, dropped when it returns; readers that come back to a
-    level share the map's table (`shared_table`).
+    level share the map's table (`shared_table`).  `pressure` reads phi
+    alone, so its table has no psi columns (psi=False).
     """
 
     def __init__(
@@ -440,13 +453,14 @@ class CylinderTable:
         phi: Potential | None = None,
         *,
         cache_words: int = 1 << 18,
+        psi: bool = True,
     ):
         self.map = m
         self.phi = phi
         self.cache_words = cache_words
         self._levels: dict[int, LevelArrays] = {}
         self._ends: LevelArrays | None = None  # lo, hi, first, last of a dropped level
-        self._step = _Prepend(m, phi)
+        self._step = _Prepend(m, phi, psi)
 
     def level(self, n: int) -> LevelArrays:
         cached = self._levels.get(n)
@@ -536,13 +550,25 @@ class CylinderTable:
                     parent = (before.lo, before.hi, int(kids[0]))
                 if take not in repeats:
                     repeats[take] = _repeats(take(prev.lo), take(prev.hi), parent)
-                ends = _newton_ends(br, repeats[take], take(prev.lo), take(prev.hi), *src, views)
+                out = views[:2] + self._d_out(views)
+                ends = _newton_ends(br, repeats[take], take(prev.lo), take(prev.hi), *src, out)
             self._step(i, data, n, take, ends=ends, out=views)
             cols[7][rows], cols[8][rows] = i, take(prev.last)
             at += size
         if np.less_equal(cols[1], cols[0]).any():
             raise DegenerateCylinder(f"a level-{n + 1} cylinder collapsed below float resolution")
         return LevelArrays(n + 1, *cols)
+
+    def _d_out(self, views: tuple) -> tuple:
+        """Where a Newton branch's log|T'| ranges (dlo, dhi) go: the psi
+        views; without psi a geometric phi's views (two: a power branch
+        leaves no bracket exact), dlo where coefficient * dlo goes, so
+        `_Prepend` scales and sums in place; else a scratch pair."""
+        if views[2] is not None:
+            return views[2:4]
+        if self.phi is not None and self.phi.kind == "geometric":
+            return views[4:6] if self.phi.coefficient >= 0.0 else views[5:3:-1]
+        return np.empty(views[0].size), np.empty(views[0].size)
 
 
 def _repeats(lo: np.ndarray, hi: np.ndarray, parent) -> tuple:

@@ -27,12 +27,14 @@ from dimspectra.symbolic import SMALL_WORDS, CylinderTable, shared_table
 
 def _four_end_ratio(num_lo, num_hi, den_lo, den_hi):
     """(min, max) of num / den over the four ends of one row, a zero den
-    giving +inf for num > 0 and 0.0 otherwise."""
-    ends = [
-        (math.inf if num > 0.0 else 0.0) if den == 0.0 else num / den
-        for num in (num_lo, num_hi)
-        for den in (den_lo, den_hi)
-    ]
+    giving +inf for num > 0, -inf for num < 0 and 0.0 for num = 0."""
+
+    def end(num, den):
+        if den != 0.0:
+            return num / den
+        return math.inf if num > 0.0 else -math.inf if num < 0.0 else 0.0
+
+    ends = [end(num, den) for num in (num_lo, num_hi) for den in (den_lo, den_hi)]
     return min(ends), max(ends)
 
 

@@ -198,6 +198,23 @@ def test_window_mask_keeps_every_word_whose_bracket_meets_the_window(farey):
     assert window_mask(farey, phi, 8, alpha, eps).tolist() == want
 
 
+def test_window_mask_keeps_a_neutral_word_whose_ratios_fall_to_minus_inf(farey):
+    # phi > 0 on symbol 0: word 0000 has psi bracket [0, 3.22] and
+    # -S_4 phi = -4.39, so its ratios fall to -inf towards the neutral
+    # point.  The zero psi end once read 0.0, the bracket [-1.365, 0.0],
+    # and the window around -1e6 dropped the word.
+    phi = locally_constant({(0,): math.log(3.0), (1,): math.log(0.2)})
+    arr = shared_table(farey, phi).level(4)
+    assert arr.psi_lo[0] == 0.0 and arr.phi_lo[0] > 0.0
+    mask = window_mask(farey, phi, 4, -1e6, 1.0)
+    assert mask[0]
+    assert mask.tolist() == [
+        _four_end_ratio(-float(arr.phi_hi[r]), -float(arr.phi_lo[r]),
+                        float(arr.psi_lo[r]), float(arr.psi_hi[r]))[0] < -1e6 + 1.0
+        for r in range(arr.count)
+    ]
+
+
 def test_bowen_sn_single_word_window(doubling, bernoulli_phi):
     # only the all-zeros word attains ratio 2
     assert bowen_sn(doubling, bernoulli_phi, 6, 2.0, 1e-6) == 0.0

@@ -38,6 +38,7 @@ PHIS = {
     "bernoulli": locally_constant({(0,): math.log(0.25), (1,): math.log(0.75)}),
     "zero": locally_constant({(0,): 0.0, (1,): 0.0}),
     "geometric": geometric(-0.7),
+    "geometric_pos": geometric(0.7),
 }
 
 
@@ -61,13 +62,14 @@ def _outcome(solve):
 @given(
     case=st.sampled_from([
         "doubling:bernoulli", "golden:zero", "golden:bernoulli", "two_slopes:bernoulli",
-        "mp:geometric", "farey:geometric",
+        "mp:geometric", "farey:geometric", "mp:geometric_pos", "farey:geometric_pos",
     ]),
     tol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-13]),
     max_level=st.integers(0, 12),
 )
 @example(case="golden:zero", tol=1e-9, max_level=12)  # ratio stop
 @example(case="doubling:bernoulli", tol=1e-9, max_level=0)  # no rung
+@example(case="mp:geometric_pos", tol=1e-13, max_level=12)  # phi > 0 on Newton rows
 def test_pressure_equals_scalar_ladder(case, tol, max_level):
     name, phi = case.split(":")
     m, phi = MAPS[name], PHIS[phi]

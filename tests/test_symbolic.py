@@ -69,6 +69,8 @@ _DENS = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False))
 )
 # A negative num: the old rule gave (-1, -1) here, not (-2, -0.5).
 @example(rows=[(-2.0, -1.0, 1.0, 2.0)], nonnegative=False)
+# A zero den: -1/0 falls to -inf (it once read 0.0), 0/0 reads 0.0.
+@example(rows=[(-1.0, 2.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0)], nonnegative=False)
 def test_ratio_bracket_is_the_four_end_range(rows, nonnegative):
     rows = [
         (*sorted(abs(x) if nonnegative else x for x in (a, b)), *sorted((c, d)))
@@ -778,3 +780,42 @@ def test_unit_coefficient_returns_the_column(mp):
         both = arr.combined_side(1.0, 1.0, side)
         assert both is not psi and both.tobytes() == (psi + phi).tobytes()
 
+
+
+@pytest.mark.parametrize("cache_words", [1 << 10, 64])
+@pytest.mark.parametrize("name", ["mp", "farey", "golden", "doubling"])
+def test_table_without_psi_equals_full_table_bit_for_bit(request, name, cache_words):
+    # pressure()'s table: no psi columns, every other column as the full
+    # table's.  A geometric phi sums log|T'| in its own columns, in the
+    # order its sign calls for.
+    m = request.getfixturevalue(name)
+    phis = [
+        geometric(-0.7),
+        geometric(0.7),
+        _random_table(m, 1, seed=51),
+        _random_table(m, 3, seed=53),
+        Potential(kind="pointwise", funcs=(np.square, np.negative)),
+    ]
+    for phi in phis:
+        full = CylinderTable(m, phi, cache_words=cache_words)
+        lean = CylinderTable(m, phi, cache_words=cache_words, psi=False)
+        for n in range(1, 13):
+            arr, ref = lean.level(n), full.level(n)
+            assert arr.psi_lo is None and arr.psi_hi is None
+            for key in ("lo", "hi", "phi_lo", "phi_hi", "prefix_code", "first", "last"):
+                got, want = getattr(arr, key), getattr(ref, key)
+                assert (got is None) == (want is None), (phi, n, key)
+                if got is not None:
+                    assert got.tobytes() == want.tobytes(), (phi, n, key)
+            assert (arr.phi_hi is arr.phi_lo) == (ref.phi_hi is ref.phi_lo), (phi, n)
+
+
+def test_table_without_psi_raises_on_a_psi_read(mp):
+    arr = CylinderTable(mp, geometric(-0.7), psi=False).level(5)
+    for side in (0, 1):
+        assert arr.combined_side(0.0, 1.0, side) is (arr.phi_lo, arr.phi_hi)[side]
+        for a, b in ((1.0, 0.0), (-0.5, 1.0), (0.0, 0.0)):
+            with pytest.raises(ValueError, match="without psi"):
+                arr.combined_side(a, b, side)
+        with pytest.raises(ValueError, match="without psi"):
+            arr.combined_side(np.array([0.0, 1.0]), np.array([1.0, 1.0]), side)
