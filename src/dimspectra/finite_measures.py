@@ -31,7 +31,7 @@ from .errors import (
 )
 from .maps import MarkovMap
 from .numerics import descending_root, log_sum_exp
-from .symbolic import CylinderTable, Potential, cylinders, ratio_bracket, shared_table
+from .symbolic import SMALL_WORDS, CylinderTable, Potential, cylinders, ratio_bracket, shared_table
 
 CONNECTOR_CAP_SLACK = 8
 
@@ -160,6 +160,12 @@ class BlockMeasure:
     connectors: dict[tuple[int, int], tuple[int, ...]]
 
 
+def _dot(q: np.ndarray, x: np.ndarray) -> float:
+    """sum(q * x) in numpy's own loop, not BLAS, whose sum order follows its
+    thread count: the same bits on every run."""
+    return float(np.einsum("i,i->", q, x))
+
+
 def _entropy(q: np.ndarray) -> float:
     """-sum q log q over the support of q, copying no rows when it is all."""
     positive = q > 0.0
@@ -215,10 +221,10 @@ def block_measure(
     phl = arr.phi_lo if arr.phi_lo is not None else np.zeros(arr.count)
     phh = arr.phi_hi if arr.phi_hi is not None else phl
     # A bracket stored once (hi is lo) has one weighted sum and width 0.0.
-    psi_lo = float(q @ arr.psi_lo)
-    psi_hi = psi_lo if arr.psi_hi is arr.psi_lo else float(q @ arr.psi_hi)
-    phi_lo = float(q @ phl)
-    phi_hi = phi_lo if phh is phl else float(q @ phh)
+    psi_lo = _dot(q, arr.psi_lo)
+    psi_hi = psi_lo if arr.psi_hi is arr.psi_lo else _dot(q, arr.psi_hi)
+    phi_lo = _dot(q, phl)
+    phi_hi = phi_lo if phh is phl else _dot(q, phh)
 
     k = con.k
     lvl1 = table.level(1)
@@ -283,6 +289,12 @@ def optimize_block_weights(
     the step is below 1e-13 relative.  The attained objective equals
     b*alpha - a, the finite-level mirror of the pressure-equation value.
 
+    The start is (0, 0), except above `SMALL_WORDS` words (smaller levels
+    are cheap and keep that start's bits) where the problem is the same at
+    every level (`_level_free`): there it is the level-1 answer, which is
+    the level-n answer, and the solve stops on its first state.  Where the
+    level-1 solve fails, the start is (0, 0).
+
     Raises:
         ConstraintInfeasible: alpha outside the reachable ratio range of
             eligible level-n words.
@@ -295,45 +307,76 @@ def optimize_block_weights(
 
 
 def _midpoints(lo: np.ndarray, hi: np.ndarray, rows) -> np.ndarray:
-    """0.5 * (lo + hi) over `rows` (None: every row), in one buffer."""
+    """0.5 * (lo + hi) over `rows` (None: every row), in one buffer.  A
+    bracket stored once (hi is lo) is its own midpoint, bit for bit."""
+    if hi is lo:
+        return lo if rows is None else lo[rows]
     mid = lo + hi
     mid *= 0.5
     return mid if rows is None else mid[rows]
 
 
+def _level_free(m: MarkovMap, phi: Potential) -> bool:
+    """Whether the block problem is the same at every level: on a full
+    shift of linear branches a depth-1 phi and psi = log|T'| are per-symbol
+    constants, so the level-n family exp(a*psi + b*phi) is the level-1 one
+    n times over, and one (a, b) solves both.  Elsewhere the answers move
+    with the level, and a start from a shallower one can cost passes."""
+    return (
+        m.is_full_shift
+        and all(br.family == "linear" for br in m.branches)
+        and phi.kind == "locally_constant"
+        and phi.depth == 1
+    )
+
+
 def _block_weights(table: CylinderTable, n: int, alpha: float) -> np.ndarray:
-    """The weights of `optimize_block_weights`, one per level-n word.  Each
-    state is built in one buffer, and no full-size array outlives the solve."""
+    """The weights of `optimize_block_weights`, one per level-n word."""
+    m, start = table.map, (0.0, 0.0)
+    if m.word_count(n) > SMALL_WORDS and _level_free(m, table.phi):
+        try:
+            start = _block_newton(table, 1, alpha, *start)[:2]
+        except (ConstraintInfeasible, NotConverged, NoConnector):
+            pass
+    return _block_newton(table, n, alpha, *start)[2]
+
+
+def _block_newton(
+    table: CylinderTable, n: int, alpha: float, a: float, b: float
+) -> tuple[float, float, np.ndarray]:
+    """The level-n Newton from (a, b): the solved (a, b) and the weights.
+    Each state is built in one buffer, the ratios in the buffer g takes
+    over, every product in one more, and no full-size array outlives the
+    solve."""
     arr = table.level(n)
     mask = connector_length(table, n).eligible
     rows = None if mask.all() else mask
     psi = _midpoints(arr.psi_lo, arr.psi_hi, rows)
     phv = _midpoints(arr.phi_lo, arr.phi_hi, rows)
-    ratios = np.negative(phv)
-    ratios /= psi
-    r_lo, r_hi = float(np.min(ratios)), float(np.max(ratios))
-    del ratios
+    g = np.negative(phv)
+    g /= psi
+    r_lo, r_hi = float(np.min(g)), float(np.max(g))
     if alpha <= r_lo or alpha >= r_hi:
         raise ConstraintInfeasible(
             f"alpha = {alpha:g} outside the level-{n} ratio range [{r_lo:.6g}, {r_hi:.6g}]"
         )
-    g = alpha * psi
+    np.multiply(psi, alpha, out=g)
     g += phv
+    tmp = np.empty_like(g)  # every product a state or a step sums
 
     def state(a: float, b: float) -> tuple[float, np.ndarray, float]:
-        q = a * psi
-        q += b * phv
+        q = np.multiply(psi, a)
+        q += np.multiply(phv, b, out=tmp)
         log_z = log_sum_exp(q)
         q -= log_z
         np.exp(q, out=q)
-        return log_z, q, float(q @ g)
+        return log_z, q, _dot(q, g)
 
-    a = b = 0.0
     log_z, q, mean_g = state(a, b)
     for _ in range(NEWTON_CAP):
-        mean_psi, mean_phi = float(q @ psi), float(q @ phv)
-        cov_psi = float(q @ (g * psi)) - mean_g * mean_psi
-        cov_phi = float(q @ (g * phv)) - mean_g * mean_phi
+        mean_psi, mean_phi = _dot(q, psi), _dot(q, phv)
+        cov_psi = _dot(q, np.multiply(g, psi, out=tmp)) - mean_g * mean_psi
+        cov_phi = _dot(q, np.multiply(g, phv, out=tmp)) - mean_g * mean_phi
         det = mean_psi * cov_phi - mean_phi * cov_psi
         residual, t = math.hypot(log_z, mean_g), 1.0 if det else 0.0
         if det:
@@ -361,10 +404,10 @@ def _block_weights(table: CylinderTable, n: int, alpha: float) -> np.ndarray:
         raise NotConverged(f"block weights at alpha = {alpha:g}, level {n}: {NEWTON_CAP} steps")
     q /= q.sum()
     if rows is None:
-        return q
+        return a, b, q
     full = np.zeros(arr.count)
     full[rows] = q
-    return full
+    return a, b, full
 
 
 def block_objective(bm: BlockMeasure) -> float:

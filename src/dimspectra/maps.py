@@ -3,8 +3,9 @@
 A map is a finite family of analytic branches on closed subintervals of
 [0, 1] together with a 0/1 transition matrix.  Branches may have parabolic
 (derivative-one) fixed points; everything downstream distinguishes maps
-with and without them.  Instances are immutable after construction and all
-operations on them are pure, so they are safe to share across threads.
+with and without them.  A map's geometry is immutable after construction,
+but it memoizes its cylinder tables and ray starts without a lock, so one
+map is not for sharing across threads.
 
 Supported branch families:
 
@@ -22,7 +23,6 @@ exact from endpoint evaluations, which the cylinder machinery relies on.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -191,17 +191,22 @@ class Branch:
             raise OutOfImage(
                 f"point outside branch image [{ilo}, {ihi}]: range [{y_min}, {y_max}]"
             )
-        # min/max keep y where it equals a bound, as np.clip does (signed zeros).
-        y = min(max(y, ilo), ihi) if one else np.clip(y, ilo, ihi)
+        # min/max keep y where it equals a bound, as np.clip does (signed
+        # zeros), so an array inside the image is its own clip, uncopied.
+        if one:
+            y = min(max(y, ilo), ihi)
+        elif not (ilo <= y_min and y_max <= ihi):
+            y = np.clip(y, ilo, ihi)
         lo, hi = self.domain
         if self.family == "linear":
-            out = (y - self.offset) / self.slope
+            out = y - self.offset
+            out /= self.slope
         elif self.family == "farey_left":
             out = y / (1.0 + y)
         elif self.family == "farey_right":
             out = 1.0 / (1.0 + y)
         else:
-            y += self.lift  # in place: the clipped copy is this call's own
+            y = y + self.lift  # rebound, so an unclipped argument can be freed
             out = _power_inverse(self.c, self.s, y, lo, hi)
         if one:
             return float(min(max(out, lo), hi))
@@ -323,7 +328,6 @@ class MarkovMap:
         self.core_spans = core_spans
         self._table_cache: dict = {}
         self._ray_cache: dict = {}
-        self._cache_lock = threading.Lock()
 
     # -- basic queries ------------------------------------------------------
 

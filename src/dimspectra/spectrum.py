@@ -109,15 +109,11 @@ def _require_negative(m: MarkovMap, phi: Potential) -> float:
 def _ray_start(m: MarkovMap, tol: float, max_level: int) -> float:
     """a = -dim(Lambda), where the ray b(a) = 0 starts on a parabolic map:
     one Bowen solve per (map, tol, max_level), kept beside the map's
-    tables.  It runs outside the lock, so the solve blocks no other
-    thread's table lookups."""
+    tables."""
     key = (tol, max_level)
-    with m._cache_lock:
-        ray_at = m._ray_cache.get(key)
+    ray_at = m._ray_cache.get(key)
     if ray_at is None:
-        ray_at = -bowen_root(m, tol=tol, max_level=max_level).value
-        with m._cache_lock:
-            m._ray_cache[key] = ray_at
+        ray_at = m._ray_cache[key] = -bowen_root(m, tol=tol, max_level=max_level).value
     return ray_at
 
 

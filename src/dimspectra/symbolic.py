@@ -624,13 +624,10 @@ def shared_table(m: MarkovMap, phi: Potential | None = None) -> CylinderTable:
     """CylinderTable memoized on the map, so readers that come back to a
     level (b(a) lanes, the Legendre search, endpoints, block measures)
     reuse the levels already built for the same potential."""
-    key = phi
-    with m._cache_lock:
-        table = m._table_cache.get(key)
-        if table is None:
-            table = CylinderTable(m, phi)
-            m._table_cache[key] = table
-        return table
+    table = m._table_cache.get(phi)
+    if table is None:
+        table = m._table_cache[phi] = CylinderTable(m, phi)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from dimspectra import (
     finite_measures,
     EmptyWindow,
     InadmissibleSupport,
+    NoConnector,
     NotConverged,
     block_measure,
     block_objective,
@@ -25,7 +30,7 @@ from dimspectra import (
 from dimspectra.numerics import log_sum_exp
 from root_oracle import _bisect, _drive, _expand, _four_end_ratio
 from dimspectra.pressure import _moran_root
-from dimspectra.symbolic import shared_table, words_at_level
+from dimspectra.symbolic import SMALL_WORDS, shared_table, words_at_level
 
 LOG2 = math.log(2.0)
 ALPHA_PEAK = math.log(16.0 / 3.0) / (2.0 * LOG2)
@@ -327,25 +332,32 @@ def test_block_newton_pass_count(two_slopes, bernoulli_phi, monkeypatch):
         optimize_block_weights(two_slopes, bernoulli_phi, 12, 1.0)
 
 
-def _held_newton_weights(m, phi, n, alpha):
-    """Block weights by the 2x2 Newton as it ran before it was moved into a
-    helper that builds each state in place (the test oracle for the bits of
-    `optimize_block_weights`): every array of the solve held to the end."""
+def _dot(q, x):
+    return float(np.einsum("i,i->", q, x))
+
+
+def _held_newton(m, phi, n, alpha, a, b):
+    """The level-n 2x2 Newton from (a, b) as it ran before it was moved into
+    a helper that builds each state in place (the test oracle for the bits
+    of `optimize_block_weights`): every array of the solve held to the end.
+    Returns the solved (a, b) and the weights."""
     psi, phv, mask = _midpoint_sums(m, phi, n)
+    ratios = -phv / psi
+    if not ratios.min() < alpha < ratios.max():
+        raise ConstraintInfeasible(f"alpha outside the level-{n} ratio range")
     g = phv + alpha * psi
 
     def state(a, b):
         logq = a * psi + b * phv
         log_z = log_sum_exp(logq)
         q = np.exp(logq - log_z)
-        return log_z, q, float(q @ g)
+        return log_z, q, _dot(q, g)
 
-    a = b = 0.0
     log_z, q, mean_g = state(a, b)
     for _ in range(finite_measures.NEWTON_CAP):
-        mean_psi, mean_phi = float(q @ psi), float(q @ phv)
-        cov_psi = float(q @ (g * psi)) - mean_g * mean_psi
-        cov_phi = float(q @ (g * phv)) - mean_g * mean_phi
+        mean_psi, mean_phi = _dot(q, psi), _dot(q, phv)
+        cov_psi = _dot(q, g * psi) - mean_g * mean_psi
+        cov_phi = _dot(q, g * phv) - mean_g * mean_phi
         det = mean_psi * cov_phi - mean_phi * cov_psi
         residual, t = math.hypot(log_z, mean_g), 1.0 if det else 0.0
         if det:
@@ -359,26 +371,51 @@ def _held_newton_weights(m, phi, n, alpha):
                 break
             t *= 0.5
         else:
-            assert residual <= 1e-12 * (1.0 + abs(a) * psi.max() + abs(b) * np.abs(phv).max())
+            if residual > 1e-12 * (1.0 + abs(a) * psi.max() + abs(b) * np.abs(phv).max()):
+                raise NotConverged("stalled")
             break
         a, b = a + t * da, b + t * db
         log_z, q, mean_g = trial
+    else:
+        raise NotConverged("capped")
     full = np.zeros(mask.size)
     full[mask] = q / q.sum()
-    return full
+    return a, b, full
+
+
+def _held_newton_weights(m, phi, n, alpha):
+    """`_held_newton` started as `optimize_block_weights` starts it: above
+    SMALL_WORDS words on a full shift of linear branches with a depth-1
+    phi, from the level-1 answer; elsewhere, and where that solve fails,
+    from (0, 0)."""
+    start = 0.0, 0.0
+    level_free = (
+        m.is_full_shift and all(br.family == "linear" for br in m.branches)
+        and phi.kind == "locally_constant" and phi.depth == 1
+    )
+    if m.word_count(n) > SMALL_WORDS and level_free:
+        try:
+            start = _held_newton(m, phi, 1, alpha, *start)[:2]
+        except (ConstraintInfeasible, NotConverged, NoConnector):
+            pass
+    return _held_newton(m, phi, n, alpha, *start)[2]
 
 
 @pytest.mark.parametrize(
     "family, n, where",
-    [(f, n, w) for f, n in (("doubling", 10), ("two_slopes", 12), ("markov", 9), ("mp", 8))
-     for w in (1e-4, 0.5, 1.0 - 1e-4)] + [("doubling", 10, 1.0 - 1e-9)],
+    [(f, n, w) for f, n in (
+        ("doubling", 10), ("two_slopes", 12), ("markov", 9), ("mp", 8), ("mp", 12)
+    ) for w in (1e-4, 0.5, 1.0 - 1e-4)] + [("doubling", 10, 1.0 - 1e-9)],
 )
 def test_block_weights_keep_their_bits(request, bernoulli_phi, family, n, where):
     # The in-place solve returns the weights of the held-array solve bit for
-    # bit.  On MP the neutral word is not eligible, so the solve runs on the
-    # masked rows; elsewhere every word is eligible and nothing is copied.
-    # At 1e-9 of the range from the top, doubling level 10 stalls at the
-    # rounding floor, and the solve rebuilds the state it stalled at.
+    # bit, from the same start.  On MP the neutral word is not eligible, so
+    # the solve runs on the masked rows; elsewhere every word is eligible and
+    # nothing is copied.  At 1e-9 of the range from the top, doubling level
+    # 10 stalls at the rounding floor, and the solve rebuilds the state it
+    # stalled at.  two_slopes 12 starts from the level-1 answer; markov 9
+    # (not a full shift) and mp 12 (not linear) are above SMALL_WORDS words
+    # too, but start from (0, 0).
     m = request.getfixturevalue(family)
     phi = bernoulli_phi if family != "markov" else locally_constant(
         {(0,): math.log(0.2), (1,): math.log(0.3), (2,): math.log(0.5)}
@@ -389,6 +426,92 @@ def test_block_weights_keep_their_bits(request, bernoulli_phi, family, n, where)
     alpha = lo + where * (hi - lo)
     bm = optimize_block_weights(m, phi, n, alpha)
     assert bm.weights.tobytes() == _held_newton_weights(m, phi, n, alpha).tobytes()
+
+
+def test_block_newton_starts_from_the_level_one_answer(two_slopes, bernoulli_phi, monkeypatch):
+    # A depth-1 potential on linear full branches has the same (a, b) at
+    # every level, so the level-14 solve, started from the level-1 answer,
+    # stops on its first state.  From (0, 0) it took 5 level-14 passes.
+    n = 14
+    calls = []
+
+    def counting(values):
+        calls.append(values.size)
+        return log_sum_exp(values)
+
+    monkeypatch.setattr(finite_measures, "log_sum_exp", counting)
+    bm = optimize_block_weights(two_slopes, bernoulli_phi, n, 1.0)
+    assert 0 < calls.count(2**n) <= 2, calls
+    assert set(calls) == {2, 2**n}
+    assert block_objective(bm) == pytest.approx(0.6941893813185, abs=1e-12)
+
+
+def test_block_newton_falls_back_to_the_origin(two_slopes, bernoulli_phi, monkeypatch):
+    # Where the level-1 solve fails (here its connector search is made to
+    # raise), the level-12 solve starts from (0, 0), with the bits of that
+    # start.
+    n, alpha = 12, 1.0
+    search = finite_measures.connector_length
+
+    def failing_at_level_one(table, level):
+        if level == 1:
+            raise NoConnector("level 1")
+        return search(table, level)
+
+    monkeypatch.setattr(finite_measures, "connector_length", failing_at_level_one)
+    bm = optimize_block_weights(two_slopes, bernoulli_phi, n, alpha)
+    start = _held_newton(two_slopes, bernoulli_phi, n, alpha, 0.0, 0.0)[2]
+    assert bm.weights.tobytes() == start.tobytes()
+    assert bm.weights.tobytes() != _held_newton_weights(two_slopes, bernoulli_phi, n, alpha).tobytes()
+
+
+@pytest.mark.parametrize("where", ["outside", "low", "high"])
+def test_block_newton_off_the_level_free_maps_starts_from_the_origin(mp, bernoulli_phi, where):
+    # On MP the answer moves with the level, and the eligible words' ratio
+    # range widens with it: an alpha outside level 10's range, or just
+    # inside one of its ends, is interior at level 12.  Started from the
+    # level-10 answer, level 12 took 15 and 41 passes near those ends
+    # against 12 and 7 from (0, 0), so MP starts from (0, 0): the bits of
+    # that start, and the nested bisection's objective.
+    n = 12
+    psi, phv, _ = _midpoint_sums(mp, bernoulli_phi, n)
+    psi0, phv0, _ = _midpoint_sums(mp, bernoulli_phi, 10)
+    lo, hi = float(np.min(-phv / psi)), float(np.max(-phv / psi))
+    lo0, hi0 = float(np.min(-phv0 / psi0)), float(np.max(-phv0 / psi0))
+    assert lo < lo0 and hi0 < hi
+    alpha = {
+        "outside": 0.5 * (lo + lo0),
+        "low": lo0 + 1e-6 * (hi0 - lo0),
+        "high": hi0 - 1e-6 * (hi0 - lo0),
+    }[where]
+    bm = optimize_block_weights(mp, bernoulli_phi, n, alpha)
+    assert bm.weights.tobytes() == _held_newton(mp, bernoulli_phi, n, alpha, 0.0, 0.0)[2].tobytes()
+    oracle = block_measure(mp, bernoulli_phi, n, _nested_bisection_weights(mp, bernoulli_phi, n, alpha))
+    assert block_objective(bm) == pytest.approx(block_objective(oracle), abs=1e-10)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one CPU")
+def test_blockopt_bits_do_not_follow_blas_threads(tmp_path):
+    # The weighted sums run in numpy's own loop, not in BLAS, whose
+    # threaded dot products sum in another order: a level-16 blockopt
+    # writes the same CSV bytes with one BLAS thread and with two.
+    config = Path(__file__).resolve().parents[1] / "configs" / "two_slopes_blockopt.yaml"
+    src = str(Path(finite_measures.__file__).resolve().parents[1])
+    csvs = []
+    for threads in ("1", "2"):
+        csv = tmp_path / f"threads{threads}.csv"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        subprocess.run(
+            [sys.executable, "-m", "dimspectra.cli", str(config),
+             "--set", "command.level=16", "--set", f"output.csv={csv}"],
+            env=env, check=True, capture_output=True,
+        )
+        csvs.append(csv.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_block_weights_live_peak(two_slopes, bernoulli_phi):
