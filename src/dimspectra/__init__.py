@@ -53,8 +53,7 @@ from .symbolic import (
     words_at_level,
 )
 from .pressure import (
-    BowenRoot,
-    Pressure,
+    Enclosure,
     bowen_root,
     normalize_potential,
     pressure,

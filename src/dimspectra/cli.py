@@ -46,7 +46,7 @@ from .maps import (
     linear_full_branch_map,
     manneville_pomeau_map,
 )
-from .pressure import normalize_potential, pressure
+from .pressure import Enclosure, normalize_potential, pressure
 from .spectrum import b_curve, legendre_spectrum, spectrum_endpoints
 from .symbolic import Potential, geometric, locally_constant, validate_potential
 from .weak_gibbs import declared_model, exact_model, local_dimension
@@ -595,21 +595,27 @@ class _Result:
     checks: dict = field(default_factory=dict)
     widths: list[float] = field(default_factory=list)
 
+    def cells(self, found: Enclosure | NotConverged | None) -> list[float]:
+        """value, lower and upper of a solved number, or of the enclosure a
+        NotConverged carries (nan without one; status "enclosure" either
+        way), keeping its width for the manifest unless that is nan."""
+        if isinstance(found, NotConverged):
+            self.status, found = "enclosure", found.enclosure
+        if found is None:
+            return [math.nan] * 3
+        if not math.isnan(found.width):
+            self.widths.append(found.width)
+        return [found.value, found.lower, found.upper]
+
 
 def _cmd_pressure(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
     cmd = cfg.command
+    res = _Result(["value", "lower", "upper", "level", "mode"], [])
     try:
         p = pressure(m, phi, tol=cmd["tol"], max_level=cmd["max_level"])
-        row = [p.value, p.lower, p.upper, p.level, p.mode]
-        status = "ok"
-        width = p.width
     except NotConverged as exc:
-        lo, hi = exc.enclosure
-        row = [0.5 * (lo + hi), lo, hi, cmd["max_level"], "enclosure"]
-        status = "enclosure"
-        width = hi - lo
-    res = _Result(["value", "lower", "upper", "level", "mode"], [row], status)
-    res.widths.append(width)
+        res.status, p = "enclosure", exc.enclosure
+    res.rows.append([*res.cells(p), p.level, p.mode])
     return res
 
 
@@ -619,17 +625,8 @@ def _cmd_bcurve(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
     a_values = [float(a) for a in _grid_values(cmd["a_grid"])]
     points = b_curve(m, phi, a_values, tol=cmd["tol"], max_level=cmd["max_level"])
     for a, point in zip(a_values, points):
-        if isinstance(point, NotConverged):
-            # no enclosure rides along when a root's bracket expansion failed
-            lo, hi = point.enclosure or (math.nan, math.nan)
-            row = [a, 0.5 * (lo + hi), lo, hi, False]
-            if point.enclosure is not None:
-                res.widths.append(hi - lo)
-            res.status = "enclosure"
-        else:
-            row = [point.a, point.b, point.lower, point.upper, point.on_ray]
-            res.widths.append(point.width)
-        res.rows.append(row)
+        on_ray = not isinstance(point, NotConverged) and point.on_ray
+        res.rows.append([a, *res.cells(point), on_ray])
     return res
 
 
@@ -644,9 +641,10 @@ def _cmd_spectrum(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
     res = _Result(
         ["a", "b", "b_low", "b_high", "alpha", "f", "f_low", "f_high"], []
     )
-    for alpha, f, flo, fhi, a, b, blo, bhi in curve.as_rows():
-        res.rows.append([a, b, blo, bhi, alpha, f, flo, fhi])
-        res.widths.append(bhi - blo)
+    for pt, alpha, f, f_low, f_high in zip(
+        curve.points, curve.alphas, curve.f_values, curve.f_lowers, curve.f_uppers
+    ):
+        res.rows.append([pt.a, *res.cells(pt), alpha, f, f_low, f_high])
     second = np.diff(np.asarray(curve.f_values), 2)
     res.checks["concavity_margin"] = float(second.max()) if second.size else 0.0
     res.checks["alpha_min"] = float(curve.alpha_min)
@@ -655,19 +653,15 @@ def _cmd_spectrum(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
 
 
 def _cmd_endpoints(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
-    amin, amax, min_enc, max_enc = spectrum_endpoints(
-        m, phi, level=cfg.command["level"]
-    )
     res = _Result(
         [
             "alpha_min", "alpha_min_low", "alpha_min_high",
             "alpha_max", "alpha_max_low", "alpha_max_high",
         ],
-        [[amin, min_enc[0], min_enc[1], amax, max_enc[0], max_enc[1]]],
+        [],
     )
-    res.widths.append(min_enc[1] - min_enc[0])
-    if math.isfinite(amax):
-        res.widths.append(max_enc[1] - max_enc[0])
+    alpha_min, alpha_max = spectrum_endpoints(m, phi, level=cfg.command["level"])
+    res.rows.append([*res.cells(alpha_min), *res.cells(alpha_max)])
     return res
 
 
@@ -728,15 +722,10 @@ def _cmd_induce(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
     points = induced_b_curve(isys, grid, tol=cmd["tol"], tail_tol=cmd["tail_tol"])
     for a, point in zip(grid, points):
         if isinstance(point, NotConverged):
-            row = [float(a), math.nan, math.nan, math.nan, math.nan, False]
-            res.status = "enclosure"
+            tail = [math.nan, False]
         else:
-            row = [
-                point.a, point.b, point.lower, point.upper,
-                point.tail_ratio, point.on_ray,
-            ]
-            res.widths.append(point.upper - point.lower)
-        res.rows.append(row)
+            tail = [point.tail_ratio, point.on_ray]
+        res.rows.append([float(a), *res.cells(point), *tail])
     res.checks["coverage"] = float(isys.coverage)
     res.checks["branches"] = len(isys.branches)
     return res

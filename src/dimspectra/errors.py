@@ -6,7 +6,10 @@ generic misuse (wrong types, malformed arguments) raises ValueError as usual.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .pressure import Enclosure
 
 
 class DimspectraError(Exception):
@@ -46,11 +49,16 @@ class DegenerateCylinder(DimspectraError):
 class NotConverged(DimspectraError):
     """Iteration budget exhausted before reaching tolerance.
 
-    Carries the best enclosure computed so far; callers must consume it
-    rather than discard the run (parabolic maps land here routinely).
+    A ladder that did not stop by its last level carries its best bracket
+    as `enclosure`: a `pressure.Enclosure` with the bracket's midpoint as
+    value, level max_level and mode "enclosure".  Callers must consume it
+    rather than discard the run (parabolic maps land here routinely).  It
+    is None where no bracket exists: a root whose bracket expansion found
+    no sign change, a b(a) whose parabolic ray start did not converge, or
+    a search with no bracket at all (cycle ratios, block weights).
     """
 
-    def __init__(self, message: str, enclosure: Any = None):
+    def __init__(self, message: str, enclosure: Enclosure | None = None):
         super().__init__(message)
         self.enclosure = enclosure
 

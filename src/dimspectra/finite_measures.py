@@ -129,6 +129,15 @@ def connector_length(table: CylinderTable, n: int) -> ConnectorTable:
     raise NoConnector(f"no uniform connector length up to {cap} glues level-{n} words")
 
 
+def _connectors(table: CylinderTable, n: int) -> ConnectorTable:
+    """`connector_length(table, n)`, searched once per (table, level): the
+    block-weight Newton and the block measure of its weights share it."""
+    con = table._connectors.get(n)
+    if con is None:
+        con = table._connectors[n] = connector_length(table, n)
+    return con
+
+
 @dataclass(frozen=True)
 class BlockMeasure:
     """Probability weights on level-n words plus certified statistics.
@@ -211,7 +220,7 @@ def block_measure(
     if not np.any(q > 0.0):
         raise EmptyWindow("block measure has empty support")
 
-    con = connector_length(table, n)
+    con = _connectors(table, n)
     if np.any((q > 0.0) & ~con.eligible):
         raise InadmissibleSupport(
             "weight on a word with nonpositive expansion bracket"
@@ -297,7 +306,7 @@ def optimize_block_weights(
 
     Raises:
         ConstraintInfeasible: alpha outside the reachable ratio range of
-            eligible level-n words.
+            eligible level-n words, or a range no wider than its rounding.
         NotConverged: Newton stalled above rounding or used NEWTON_CAP steps.
     """
     if phi is None:
@@ -349,7 +358,7 @@ def _block_newton(
     over, every product in one more, and no full-size array outlives the
     solve."""
     arr = table.level(n)
-    mask = connector_length(table, n).eligible
+    mask = _connectors(table, n).eligible
     rows = None if mask.all() else mask
     psi = _midpoints(arr.psi_lo, arr.psi_hi, rows)
     phv = _midpoints(arr.phi_lo, arr.phi_hi, rows)
@@ -359,6 +368,11 @@ def _block_newton(
     if alpha <= r_lo or alpha >= r_hi:
         raise ConstraintInfeasible(
             f"alpha = {alpha:g} outside the level-{n} ratio range [{r_lo:.6g}, {r_hi:.6g}]"
+        )
+    # Each ratio is a quotient of n-term sums, good to about 2*n*eps of itself.
+    if r_hi - r_lo <= 2 * n * np.finfo(float).eps * max(abs(r_lo), abs(r_hi)):
+        raise ConstraintInfeasible(
+            f"the level-{n} ratio range [{r_lo!r}, {r_hi!r}] is only rounding wide"
         )
     np.multiply(psi, alpha, out=g)
     g += phv

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .maps import MarkovMap
 from .numerics import log_sum_exp
-from .pressure import _Curves, _Lanes, _log_z, _one_lane, _per_lane, _roots_in_b
+from .pressure import Enclosure, _Curves, _Lanes, _log_z, _one_lane, _per_lane, _roots_in_b
 from .symbolic import LevelArrays, Potential, cylinders
 
 WORD_CAP = 1 << 20
@@ -160,19 +160,18 @@ def build_induced(
 
 
 @dataclass(frozen=True)
-class InducedBPoint:
-    """b(a) from the truncated induced pressure equation.
+class InducedBPoint(Enclosure):
+    """b(a) from the truncated induced pressure equation, an `Enclosure`
+    whose level is the truncation.
 
     `lower`/`upper` bracket the root: the lower root ignores the dropped
-    tail, the upper root adds the geometric tail bound.  `on_ray` marks
-    parameters where the full induced sum stays below 1 at b = 0, the
-    linear-tail regime of the direct spectrum.
+    tail, the upper root adds the geometric tail bound (mode
+    "truncation").  `on_ray` (mode "ray") marks parameters where the full
+    induced sum stays below 1 at b = 0, the linear-tail regime of the
+    direct spectrum.
     """
 
     a: float
-    b: float
-    lower: float
-    upper: float
     tail_ratio: float
     on_ray: bool
 
@@ -314,8 +313,8 @@ def induced_b_curve(
             upper0[ray] = curves.level.upper(a[ray], zero[ray])
             ratio0[ray] = curves.tail_ratio(a[ray], zero[ray])
             lanes.leave(ray, lambda i: InducedBPoint(
-                a=a[i].item(), b=0.0, lower=0.0, upper=max(upper0[i].item(), 0.0) / (-sup_bar),
-                tail_ratio=ratio0[i].item(), on_ray=True,
+                0.0, 0.0, max(upper0[i].item(), 0.0) / (-sup_bar), isys.truncation, "ray",
+                a=a[i].item(), tail_ratio=ratio0[i].item(), on_ray=True,
             ))
 
     def root(curve) -> np.ndarray:
@@ -349,12 +348,8 @@ def induced_b_curve(
             lo_b, hi_b = max(lo_b, 0.0), max(hi_b, 0.0)
             b = max(b, 0.0)
         return InducedBPoint(
-            a=a[i].item(),
-            b=min(max(b, lo_b), hi_b),
-            lower=lo_b,
-            upper=hi_b,
-            tail_ratio=ratio[i].item(),
-            on_ray=False,
+            min(max(b, lo_b), hi_b), lo_b, hi_b, isys.truncation, "truncation",
+            a=a[i].item(), tail_ratio=ratio[i].item(), on_ray=False,
         )
 
     lanes.leave(np.ones(lanes.live.size, dtype=bool), point)

@@ -61,51 +61,6 @@ from .numerics import (
 from .symbolic import SMALL_WORDS, CylinderTable, LevelArrays, Potential, _scaled
 
 
-@dataclass(frozen=True)
-class Pressure:
-    """Pressure estimate with a certified enclosure.
-
-    `value` is the accelerated ratio estimate clamped into the bracket (its
-    upper end once the bracket has closed); `mode` records whether the
-    bracket ("bracket") or the heuristic ratio Cauchy gap ("ratio") stopped
-    the ladder.  `lower`/`upper` always hold the best certified enclosure
-    seen up to `level`.
-    """
-
-    value: float
-    lower: float
-    upper: float
-    level: int
-    mode: str
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class BowenRoot:
-    """Root s of P(-s log|T'|) = 0 with a certified enclosure.
-
-    For parabolic maps `upper` is +inf: the neutral fixed word keeps every
-    finite-level sup-sum at nonnegative pressure, so no finite computation
-    can certify an upper bound.  `value` is the partition-ratio root for
-    hyperbolic maps (geometric convergence) and the Moran-equation root
-    sum_w diam(w)^s = 1 for parabolic ones, where cylinders tile the whole
-    interval and the equation is exact at every level.
-    """
-
-    value: float
-    lower: float
-    upper: float
-    level: int
-    parabolic: bool
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
 def gluing_length(m: MarkovMap) -> int:
     """Symbols needed between any two admissible words to rejoin them.
 
@@ -281,6 +236,32 @@ class _Lanes:
         return values
 
 
+@dataclass(frozen=True)
+class Enclosure:
+    """A solved number: its estimate `value` in the certified [lower, upper],
+    the `level` the solve stopped at and the `mode`, the rule that stopped
+    it.
+
+    Ladder modes are "bracket" (the bracket closed, or its width reached
+    tol), "ratio" (the heuristic Cauchy gap of the ratio estimate) and
+    "enclosure" (no stop by the last level: the NotConverged carries the
+    best bracket, with its midpoint as value).  A b(a) on a parabolic ray
+    has mode "ray", an induced root "truncation" (its level is the
+    truncation), and an alpha range end "cycle" (its level is the word
+    length of the cycle search).
+    """
+
+    value: float
+    lower: float
+    upper: float
+    level: int
+    mode: str
+
+    @property
+    def width(self) -> float:
+        return self.upper - self.lower
+
+
 def _ladder(rung: Callable, what: list[str], first: int, max_level: int, *, tol: float) -> list:
     """The level ladder behind pressure(), bowen_root() and b_curve(), with
     one lane per name in `what`, every live lane advancing a level at a
@@ -292,9 +273,9 @@ def _ladder(rung: Callable, what: list[str], first: int, max_level: int, *, tol:
     closed bracket (value: its upper end), a width <= tol ("bracket"), or
     a raw or Aitken-accelerated estimate that moved by <= tol ("ratio",
     heuristic); the value is then the accelerated estimate clamped into
-    the bracket.  Returns per lane (value, lower, upper, level, mode), or
-    the NotConverged it ends with: no stop by `max_level` (the best
-    enclosure rides along), or a root that found no sign change.
+    the bracket.  Returns per lane its `Enclosure`, or the NotConverged it
+    ends with: no stop by `max_level` (the best enclosure rides along), or
+    a root that found no sign change.
     """
     lanes = _Lanes(len(what))
     best_lo, best_hi, est = (np.full(len(what), x) for x in (-math.inf, math.inf, math.nan))
@@ -302,11 +283,11 @@ def _ladder(rung: Callable, what: list[str], first: int, max_level: int, *, tol:
     last = None
 
     def stop(done: np.ndarray, mode: str) -> None:
-        def outcome(i: int) -> tuple:
+        def outcome(i: int) -> Enclosure:
             lo, hi = best_lo[i].item(), best_hi[i].item()
             # A closed bracket clamps every estimate to best_hi.
             value = hi if hi <= lo else min(max(est[i].item(), lo), hi)
-            return value, lo, hi, n, mode
+            return Enclosure(value, lo, hi, n, mode)
 
         lanes.leave(done, outcome)
 
@@ -339,7 +320,7 @@ def _ladder(rung: Callable, what: list[str], first: int, max_level: int, *, tol:
             f"{what[i]} not within {tol:g} by level {max_level}; "
             f"certified enclosure [{lo:.12g}, {hi:.12g}], "
             f"last accelerated value {est[i].item():.12g}",
-            enclosure=(lo, hi),
+            enclosure=Enclosure(0.5 * (lo + hi), lo, hi, max_level, "enclosure"),
         )
 
     lanes.leave(np.ones(lanes.live.size, dtype=bool), unsettled)
@@ -352,9 +333,11 @@ def pressure(
     *,
     tol: float = 1e-8,
     max_level: int = 32,
-) -> Pressure:
+) -> Enclosure:
     """Pressure of a potential by the level ladder; the ratio estimate is
-    log(Z_n^sup / Z_{n-1}^sup).
+    log(Z_n^sup / Z_{n-1}^sup).  Its `value` is the accelerated ratio
+    estimate clamped into the bracket (its upper end once the bracket has
+    closed).
 
     Raises:
         NotConverged: neither the certified bracket nor the ratio Cauchy gap
@@ -373,10 +356,10 @@ def pressure(
         ratio = None if n == 1 else lambda _live: (np.array([z_sup[n] - z_sup[n - 1]]), None)
         return _Rung(lambda _live: (np.array([level.lower(0.0, 1.0)]), None), upper, ratio)
 
-    return Pressure(*_one_lane(_ladder(rung, ["pressure"], 1, max_level, tol=tol)))
+    return _one_lane(_ladder(rung, ["pressure"], 1, max_level, tol=tol))
 
 
-def _one_lane(found: list) -> tuple:
+def _one_lane(found: list):
     """The one lane's result, or its NotConverged raised."""
     if isinstance(found[0], NotConverged):
         raise found[0]
@@ -411,27 +394,29 @@ def bowen_root(
     *,
     tol: float = 1e-6,
     max_level: int = 22,
-) -> BowenRoot:
+) -> Enclosure:
     """Dimension-type root of s -> P(-s log|T'|).
 
     Enclosure endpoints are roots of the certified lower/upper pressure
     curves (both strictly decreasing in s), and the estimate is the
     partition-ratio root, on the shared ladder.  Parabolic maps, whose
-    upper endpoint is +inf at any feasible level, take the Moran-equation
-    root as their estimate instead, so they stop only on its Cauchy gap.
+    upper endpoint is +inf at any feasible level (the neutral fixed word
+    keeps every finite-level sup-sum at nonnegative pressure), take the
+    Moran-equation root sum_w diam(w)^s = 1 as their estimate instead,
+    exact at every level because their cylinders tile the interval, so
+    they stop only on its Cauchy gap.
 
     Raises:
         NotConverged: neither criterion met by `max_level`.
     """
     table = CylinderTable(m, None, cache_words=SMALL_WORDS)  # one climb
-    parabolic = m.has_parabolic
     below = None  # level n-1 for the ratio curve, which the table drops
     zero = np.zeros(1)
 
     def rung(n: int, _last) -> _Rung:
         nonlocal below
         level = _Curves(table.level(n), gluing_length(m), table, below)
-        if not parabolic:
+        if not m.has_parabolic:
             below = level.arr
             return level.roots(zero, zero, step=8.0, xtol=1e-12, view=_in_s)
         # The Moran root is exact for full-interval parabolic maps; the
@@ -443,6 +428,4 @@ def bowen_root(
             lambda _live: (np.array([_moran_root(table, n)]), None),
         )
 
-    found = _ladder(rung, ["bowen root"], 2, max_level, tol=tol)
-    value, lower, upper, n, _ = _one_lane(found)
-    return BowenRoot(value, lower, upper, n, parabolic)
+    return _one_lane(_ladder(rung, ["bowen root"], 2, max_level, tol=tol))

@@ -41,24 +41,17 @@ from .errors import (
 )
 from .maps import MarkovMap
 from .numerics import log_sum_exp
-from .pressure import _Curves, _ladder, _one_lane, bowen_root, gluing_length
+from .pressure import Enclosure, _Curves, _ladder, _one_lane, bowen_root, gluing_length
 from .symbolic import Potential, shared_table
 
 
 @dataclass(frozen=True)
-class BPoint:
-    """One point of the b(a) curve with its certified enclosure."""
+class BPoint(Enclosure):
+    """b(a) at one a: the ladder's `Enclosure`, or on a parabolic ray
+    (`on_ray`, mode "ray") b = 0 in [0, U_n / (-sup phi)] at level n."""
 
     a: float
-    b: float
-    lower: float
-    upper: float
-    level: int
     on_ray: bool
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 @dataclass(frozen=True)
@@ -73,28 +66,16 @@ class AlphaPoint:
 
 @dataclass(frozen=True)
 class SpectrumCurve:
-    """Sampled Legendre spectrum f(alpha) with per-point minimizer data."""
+    """Sampled Legendre spectrum f(alpha), with the b(a) point at each
+    alpha's minimizer a*."""
 
     alphas: tuple[float, ...]
     f_values: tuple[float, ...]
-    f_lowers: tuple[float, ...]  # alpha*b_lo(a*) - a*
+    f_lowers: tuple[float, ...]  # alpha*b_lo(a*) - a*, not a bound: a* is approximate
     f_uppers: tuple[float, ...]  # certified upper bounds alpha*b_hi(a*) - a*
-    a_minimizers: tuple[float, ...]
-    b_at_minimizers: tuple[float, ...]
-    b_lowers: tuple[float, ...]
-    b_uppers: tuple[float, ...]
+    points: tuple[BPoint, ...]
     alpha_min: float
     alpha_max: float
-
-    def as_rows(self) -> list[tuple[float, ...]]:
-        return [
-            (al, f, flo, fu, a, b, blo, bhi)
-            for al, f, flo, fu, a, b, blo, bhi in zip(
-                self.alphas, self.f_values, self.f_lowers, self.f_uppers,
-                self.a_minimizers, self.b_at_minimizers,
-                self.b_lowers, self.b_uppers,
-            )
-        ]
 
 
 def _require_negative(m: MarkovMap, phi: Potential) -> float:
@@ -171,8 +152,8 @@ def b_curve(
     a_all = [float(a) for a in a_values]
     try:
         ray_at = _ray_start(m, tol, max_level) if m.has_parabolic else None
-    except NotConverged as exc:  # the ray start, which every lane needs
-        return [exc] * len(a_all)
+    except NotConverged as exc:  # every lane needs the ray start; none has a bracket
+        return [NotConverged(f"b({a:g}): no ray start: {exc}") for a in a_all]
     out: list = [None] * len(a_all)
     solve = []  # indices of the a-values off the ray
     for i, a in enumerate(a_all):
@@ -180,7 +161,7 @@ def b_curve(
             n = min(10, max_level)
             f_hi = table.level(n).combined_side(a, 0.0, 1)
             upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
-            out[i] = BPoint(a, 0.0, 0.0, upper_pressure / -sup_phi, n, True)
+            out[i] = BPoint(0.0, 0.0, upper_pressure / -sup_phi, n, "ray", a=a, on_ray=True)
         else:
             solve.append(i)
     a = np.array([a_all[i] for i in solve], dtype=float)
@@ -195,7 +176,9 @@ def b_curve(
 
     found = _ladder(rung, [f"b({x:g})" for x in a.tolist()], 2, max_level, tol=tol)
     for i, x, point in zip(solve, a.tolist(), found):
-        out[i] = point if isinstance(point, NotConverged) else BPoint(x, *point[:4], False)
+        if not isinstance(point, NotConverged):
+            point = BPoint(**vars(point), a=x, on_ray=False)
+        out[i] = point
     return out
 
 
@@ -225,8 +208,8 @@ def alpha_of_a(
     points = dict(zip(xs, found))
     if all(pt.on_ray for pt in points.values()):
         return AlphaPoint(a=a, alpha=math.inf, b_prime=0.0, spread=0.0)
-    d1 = (points[a + step].b - points[a - step].b) / (2 * step)
-    d2 = (points[a + step / 2].b - points[a - step / 2].b) / step
+    d1 = (points[a + step].value - points[a - step].value) / (2 * step)
+    d2 = (points[a + step / 2].value - points[a - step / 2].value) / step
     spread = abs(d1 - d2)
     if spread > max(0.01 * abs(d2), 1e-6):
         raise DerivativeUnstable(
@@ -331,18 +314,16 @@ def spectrum_endpoints(
     phi: Potential,
     *,
     level: int = 8,
-) -> tuple[float, float, tuple[float, float], tuple[float, float]]:
-    """(alpha_min, alpha_max) as extreme cycle-mean ratios, with enclosures.
+) -> tuple[Enclosure, Enclosure]:
+    """(alpha_min, alpha_max) as extreme cycle-mean ratios, with enclosures
+    (mode "cycle", at `level`).
 
     alpha_max is +inf exactly when the map has a parabolic orbit (Birkhoff
-    ratios along orbits approaching it diverge).  Enclosures come from
-    solving the same cycle-ratio problem on the outer bracket combinations.
-    The word digraph has the (level-1)-words as nodes and the level-words
-    as edges, each weighted by its brackets of S(-phi) and S(log|T'|).
-
-    Returns:
-        (alpha_min, alpha_max, (alpha_min_lo, alpha_min_hi),
-         (alpha_max_lo, alpha_max_hi))
+    ratios along orbits approaching it diverge); its enclosure is then
+    (inf, inf), of width nan.  Enclosures come from solving the same
+    cycle-ratio problem on the outer bracket combinations.  The word
+    digraph has the (level-1)-words as nodes and the level-words as edges,
+    each weighted by its brackets of S(-phi) and S(log|T'|).
     """
     _require_negative(m, phi)
     table = shared_table(m, phi)
@@ -356,17 +337,14 @@ def spectrum_endpoints(
     # Outer bracket: smaller numerators with larger denominators, and back.
     a_min_lo = _min_cycle_ratio(nodes, tails, heads, num_lo, den_hi)
     a_min_hi = _min_cycle_ratio(nodes, tails, heads, num_hi, den_lo)
+    alpha_min = Enclosure(a_min, a_min_lo, a_min_hi, level, "cycle")
     if m.has_parabolic:
-        return a_min, math.inf, (a_min_lo, a_min_hi), (math.inf, math.inf)
+        return alpha_min, Enclosure(math.inf, math.inf, math.inf, level, "cycle")
     a_max = -_min_cycle_ratio(nodes, tails, heads, -mid_num, mid_den)
     a_max_lo = -_min_cycle_ratio(nodes, tails, heads, -num_lo, den_hi)
     a_max_hi = -_min_cycle_ratio(nodes, tails, heads, -num_hi, den_lo)
-    return (
-        a_min,
-        a_max,
-        (a_min_lo, a_min_hi),
-        (min(a_max_lo, a_max_hi), max(a_max_lo, a_max_hi)),
-    )
+    ends = (min(a_max_lo, a_max_hi), max(a_max_lo, a_max_hi))
+    return alpha_min, Enclosure(a_max, *ends, level, "cycle")
 
 
 def dimension_at_infinite_alpha(
@@ -482,21 +460,18 @@ def legendre_spectrum(
             if isinstance(point, NotConverged):
                 raise point
             cache[key] = point
-        return grid[lanes] * np.array([cache[key].b for key in keys]) - a
+        return grid[lanes] * np.array([cache[key].value for key in keys]) - a
 
     found = _convex_argmin(objective, grid.size, a_lo, a_hi, xtol=refine_tol)
-    a_stars = [round(a, 12) for a in found.tolist()]  # the a whose b(a) the cache holds
-    rows = [(alpha, a, cache[a]) for alpha, a in zip(grid, a_stars)]
-    amin, amax, _, _ = spectrum_endpoints(m, phi)
+    # Each minimizer's point, solved at a* = round(a, 12), the a it holds.
+    rows = [(alpha, cache[round(a, 12)]) for alpha, a in zip(grid, found.tolist())]
+    amin, amax = spectrum_endpoints(m, phi)
     return SpectrumCurve(
         alphas=tuple(float(x) for x in alphas),
-        f_values=tuple(alpha * pt.b - a for alpha, a, pt in rows),
-        f_lowers=tuple(alpha * pt.lower - a for alpha, a, pt in rows),
-        f_uppers=tuple(alpha * pt.upper - a for alpha, a, pt in rows),
-        a_minimizers=tuple(a_stars),
-        b_at_minimizers=tuple(pt.b for _, _, pt in rows),
-        b_lowers=tuple(pt.lower for _, _, pt in rows),
-        b_uppers=tuple(pt.upper for _, _, pt in rows),
-        alpha_min=amin,
-        alpha_max=amax,
+        f_values=tuple(alpha * pt.value - pt.a for alpha, pt in rows),
+        f_lowers=tuple(alpha * pt.lower - pt.a for alpha, pt in rows),
+        f_uppers=tuple(alpha * pt.upper - pt.a for alpha, pt in rows),
+        points=tuple(pt for _, pt in rows),
+        alpha_min=amin.value,
+        alpha_max=amax.value,
     )

@@ -460,6 +460,7 @@ class CylinderTable:
         self.cache_words = cache_words
         self._levels: dict[int, LevelArrays] = {}
         self._ends: LevelArrays | None = None  # lo, hi, first, last of a dropped level
+        self._connectors: dict = {}  # finite_measures' connector search by level
         self._step = _Prepend(m, phi, psi)
 
     def level(self, n: int) -> LevelArrays:

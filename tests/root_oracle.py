@@ -9,18 +9,20 @@ roots, each root answered by `_descend` on scalar curve values, so that
 `pressure`, `bowen_root`, `b_of_a` and `b_curve` here run none of the
 array machinery.  `_golden` is one golden-section search of
 `spectrum._convex_argmin`, and `_four_end_ratio` is one row of
-`symbolic.ratio_bracket`.
+`symbolic.ratio_bracket`.  `hexed` names a record's bits, for comparing
+what a solver returns with what its oracle does.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 
 from dimspectra.errors import NotConverged
 from dimspectra.numerics import log_sum_exp
-from dimspectra.pressure import BowenRoot, Pressure, _Curves, _in_s, gluing_length
+from dimspectra.pressure import Enclosure, _Curves, _in_s, gluing_length
 from dimspectra.spectrum import BPoint, _require_negative
 from dimspectra.symbolic import SMALL_WORDS, CylinderTable, shared_table
 
@@ -36,6 +38,13 @@ def _four_end_ratio(num_lo, num_hi, den_lo, den_hi):
 
     ends = [end(num, den) for num in (num_lo, num_hi) for den in (den_lo, den_hi)]
     return min(ends), max(ends)
+
+
+def hexed(record) -> tuple:
+    """A record's type and fields, floats by float.hex: equal exactly when
+    the bits are (nan and -0.0 included)."""
+    fields = astuple(record)
+    return type(record).__name__, tuple(x.hex() if type(x) is float else x for x in fields)
 
 
 def _drive(steps, fn):
@@ -200,7 +209,8 @@ def _ladder(rung, first: int, max_level: int, *, tol: float, what: str):
     """One lane's level ladder: rung(n, last) is a lane giving level n's
     (lower, upper, estimate), the estimate None, a float or a lane run
     only while the best bracket is open.  Returns (value, lower, upper,
-    level, mode); raises NotConverged with the best enclosure."""
+    level, mode); raises NotConverged with the best enclosure, an
+    `Enclosure` at its midpoint, level max_level, mode "enclosure"."""
     best_lo, best_hi = -math.inf, math.inf
     accel = AitkenAccelerator()
     value_prev: float | None = None
@@ -227,11 +237,11 @@ def _ladder(rung, first: int, max_level: int, *, tol: float, what: str):
         f"{what} not within {tol:g} by level {max_level}; "
         f"certified enclosure [{best_lo:.12g}, {best_hi:.12g}], "
         f"last accelerated value {est:.12g}",
-        enclosure=(best_lo, best_hi),
+        enclosure=Enclosure(0.5 * (best_lo + best_hi), best_lo, best_hi, max_level, "enclosure"),
     )
 
 
-def pressure(m, phi, *, tol: float = 1e-8, max_level: int = 32) -> Pressure:
+def pressure(m, phi, *, tol: float = 1e-8, max_level: int = 32) -> Enclosure:
     """`pressure.pressure` on one scalar lane."""
     table = CylinderTable(m, phi, cache_words=SMALL_WORDS)
     z_sup: dict[int, float] = {}
@@ -242,7 +252,7 @@ def pressure(m, phi, *, tol: float = 1e-8, max_level: int = 32) -> Pressure:
         lower = yield level.lower, 0.0, 1.0
         return lower, z_sup[n] / n, None if n == 1 else z_sup[n] - z_sup[n - 1]
 
-    return Pressure(*_drive(_ladder(rung, 1, max_level, tol=tol, what="pressure"), _call))
+    return Enclosure(*_drive(_ladder(rung, 1, max_level, tol=tol, what="pressure"), _call))
 
 
 def _moran_root(table: CylinderTable, n: int) -> float:
@@ -250,21 +260,18 @@ def _moran_root(table: CylinderTable, n: int) -> float:
     return _drive(_descend(0.0, xtol=1e-14), lambda s: log_sum_exp(s * log_d))
 
 
-def bowen_root(m, *, tol: float = 1e-6, max_level: int = 22) -> BowenRoot:
+def bowen_root(m, *, tol: float = 1e-6, max_level: int = 22) -> Enclosure:
     """`pressure.bowen_root` on one scalar lane."""
     table = CylinderTable(m, None)
-    parabolic = m.has_parabolic
 
     def rung(n: int, _last):
         level = _Curves(table.level(n), gluing_length(m), table)
-        if not parabolic:
+        if not m.has_parabolic:
             return (yield from _roots(level, 0.0, 0.0, step=8.0, xtol=1e-12, view=_in_s))
         lower = yield from _root(_in_s(level.lower), 0.0, 0.0, step=8.0, xtol=1e-12)
         return lower, math.inf, _moran_root(table, n)
 
-    ladder = _ladder(rung, 2, max_level, tol=tol, what="bowen root")
-    value, lower, upper, n, _ = _drive(ladder, _call)
-    return BowenRoot(value, lower, upper, n, parabolic)
+    return Enclosure(*_drive(_ladder(rung, 2, max_level, tol=tol, what="bowen root"), _call))
 
 
 def b_of_a(m, phi, a: float, *, tol: float = 1e-8, max_level: int = 24, ray_at=None) -> BPoint:
@@ -279,7 +286,7 @@ def b_of_a(m, phi, a: float, *, tol: float = 1e-8, max_level: int = 24, ray_at=N
         n = min(10, max_level)
         f_hi = table.level(n).combined_side(a, 0.0, 1)
         upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
-        return BPoint(a, 0.0, 0.0, upper_pressure / -sup_phi, n, True)
+        return BPoint(0.0, 0.0, upper_pressure / -sup_phi, n, "ray", a=a, on_ray=True)
 
     def rung(n: int, last: float | None):
         level = _Curves(table.level(n), gluing_length(m), table)
@@ -287,16 +294,17 @@ def b_of_a(m, phi, a: float, *, tol: float = 1e-8, max_level: int = 24, ray_at=N
         return (yield from _roots(level, a, start, step=1.0, xtol=1e-13))
 
     ladder = _ladder(rung, 2, max_level, tol=tol, what=f"b({a:g})")
-    b, lower, upper, n, _ = _drive(ladder, _call)
-    return BPoint(a, b, lower, upper, n, False)
+    return BPoint(*_drive(ladder, _call), a=a, on_ray=False)
 
 
 def b_curve(m, phi, a_values, *, tol: float = 1e-8, max_level: int = 24) -> list:
-    """b_of_a at each a, NotConverged kept in place."""
+    """b_of_a at each a, NotConverged kept in place; where the ray start
+    does not converge, each a gets its own NotConverged naming it, with no
+    enclosure."""
     try:
         ray_at = -bowen_root(m, tol=tol, max_level=max_level).value if m.has_parabolic else None
     except NotConverged as exc:
-        return [exc] * len(a_values)
+        return [NotConverged(f"b({a:g}): no ray start: {exc}") for a in a_values]
     out = []
     for a in a_values:
         try:

@@ -93,7 +93,8 @@ def test_criterion_01_besicovitch_eggleston_oracle(be_curve):
 
 
 def test_criterion_02_degenerate_spectrum(degenerate_curve):
-    (a_min, a_max, _, _), curve, elapsed = degenerate_curve
+    (a_min, a_max), curve, elapsed = degenerate_curve
+    a_min, a_max = a_min.value, a_max.value
     ok = (
         abs(a_min - 1.0) <= 1e-9
         and abs(a_max - 1.0) <= 1e-9
@@ -141,12 +142,12 @@ def test_criterion_04_endpoint_cycle_search(
         for word in itertools.product((0, 1), repeat=n):
             num = -sum(table[(s,)] for s in word)
             ratios.append(num / (n * LOG2))
-    a_min, a_max, _, _ = spectrum_endpoints(doubling, bernoulli_phi, level=3)
+    a_min, a_max = (end.value for end in spectrum_endpoints(doubling, bernoulli_phi, level=3))
     exact_ok = abs(a_min - min(ratios)) <= 1e-6 and abs(a_max - max(ratios)) <= 1e-6
     # alpha_max is infinite exactly on the parabolic maps
     inf_ok = True
     for m, parabolic in ((farey, True), (mp, True), (doubling, False), (golden, False)):
-        _, m_max, _, _ = spectrum_endpoints(m, uniform_phi, level=5)
+        m_max = spectrum_endpoints(m, uniform_phi, level=5)[1].value
         inf_ok = inf_ok and (math.isinf(m_max) == parabolic == m.has_parabolic)
     report(
         4,
@@ -164,8 +165,8 @@ def test_criterion_05_legendre_identity(doubling, two_slopes, bernoulli_phi):
             point = alpha_of_a(m, phi, float(a), tol=1e-10)
             # independent slope estimate at a third step size
             step = 2e-3
-            b_hi = b_of_a(m, phi, float(a) + step, tol=1e-10).b
-            b_lo = b_of_a(m, phi, float(a) - step, tol=1e-10).b
+            b_hi = b_of_a(m, phi, float(a) + step, tol=1e-10).value
+            b_lo = b_of_a(m, phi, float(a) - step, tol=1e-10).value
             worst = max(worst, abs(point.alpha * (b_hi - b_lo) / (2 * step) - 1.0))
     report(5, worst <= 1e-3, f"max |alpha * b' - 1| = {worst:.3g} (tol 1e-3)")
 
@@ -236,7 +237,7 @@ def test_criterion_07_concavity_and_continuity(be_curve, degenerate_curve, mp_ta
             worst_second = max(worst_second, float(np.diff(f, 2).max()))
         if f.size >= 2:
             # envelope bound: |df/dalpha| = |b(a*)| along the curve
-            b_cap = max(abs(b) for b in curve.b_at_minimizers) + 1e-9
+            b_cap = max(abs(pt.value) for pt in curve.points) + 1e-9
             steps = np.abs(np.diff(f)) - b_cap * np.abs(np.diff(alphas))
             lipschitz_ok = lipschitz_ok and bool(np.all(steps <= 1e-6))
     report(
@@ -252,7 +253,7 @@ def test_criterion_08_parabolic_tail(mp_tail):
     f = np.asarray(curve.f_values)
     ok = (
         ray_point.on_ray
-        and ray_point.b == 0.0
+        and ray_point.value == 0.0
         and bool(np.all(np.diff(f) >= -5e-3))
         and abs(dim_tail - 1.0) <= 1e-2
         and elapsed < 120.0
@@ -260,7 +261,7 @@ def test_criterion_08_parabolic_tail(mp_tail):
     report(
         8,
         ok,
-        f"ray at a = -1.5: b = {ray_point.b}, tail f = {np.round(f, 6).tolist()}, "
+        f"ray at a = -1.5: b = {ray_point.value}, tail f = {np.round(f, 6).tolist()}, "
         f"dim at infinite alpha = {dim_tail:.6f}, {elapsed:.1f}s (limit 120s)",
     )
 
@@ -268,7 +269,7 @@ def test_criterion_08_parabolic_tail(mp_tail):
 def test_criterion_09_inducing_consistency(doubling, farey, uniform_phi):
     trivial = build_induced(doubling, uniform_phi, truncation=5)
     worst_trivial = max(
-        abs(induced_b_point(trivial, float(a), tol=1e-12).b - (1.0 + a))
+        abs(induced_b_point(trivial, float(a), tol=1e-12).value - (1.0 + a))
         for a in np.linspace(-1.5, 2.0, 8)
     )
     induced = build_induced(farey, uniform_phi, truncation=40)
@@ -277,7 +278,7 @@ def test_criterion_09_inducing_consistency(doubling, farey, uniform_phi):
         ind = induced_b_point(induced, a, tol=1e-10)
         direct = b_of_a(farey, uniform_phi, a, tol=1e-4, max_level=18)
         worst_gap = max(
-            worst_gap, direct.lower - ind.b, ind.b - direct.upper, 0.0
+            worst_gap, direct.lower - ind.value, ind.value - direct.upper, 0.0
         )
     report(
         9,

@@ -224,6 +224,23 @@ def test_bcurve_failed_bracket_expansion_writes_nan_row(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_bcurve_failed_ray_start_writes_nan_rows(tmp_path, capsys):
+    # configs/mp_ray_bcurve.yaml starved: the ray start a = -dim Lambda
+    # (a Bowen root) does not converge by level 2.  No b(a) has a bracket
+    # then, so every row is nan rather than the Bowen root's bracket, and
+    # the run exits 2.
+    data = yaml.safe_load((CONFIG_DIR / "mp_ray_bcurve.yaml").read_text())
+    data["command"].update(tol=1e-15, max_level=2)
+    data["output"] = {"csv": str(tmp_path / "ray.csv")}
+    assert main([str(write_config(tmp_path, data))]) == 2
+    lines = (tmp_path / "ray.csv").read_text().splitlines()
+    a_values = ["-2", "-1.5", "-1", "-0.5", "0", "0.5", "1"]
+    assert lines[1:] == [f"{a},nan,nan,nan,0" for a in a_values]
+    manifest = yaml.safe_load((tmp_path / "ray.manifest.yaml").read_text())
+    assert manifest["status"] == "enclosure"
+    assert "max_bracket_width" not in manifest["artifacts"][0]
+
+
 def test_induce_positive_potential_is_typed_error(tmp_path, capsys):
     data = {
         "map": {"family": "farey"},

@@ -56,9 +56,11 @@ def test_alpha_min_enclosure_holds_the_closed_form(farey, mp, level):
     # slack.  Its rounding is not yet directed outward, so the MP lower end,
     # which lies on the closed form, is pinned as computed: equal bit for
     # bit at even levels up to 8, and 1-2 ulps below it at levels 10-12.
-    _, _, (lo, hi), _ = spectrum_endpoints(farey, HALF, level=level)
+    alpha_min = spectrum_endpoints(farey, HALF, level=level)[0]
+    lo, hi = alpha_min.lower, alpha_min.upper
     assert lo <= ALPHA_MIN_FAREY <= hi
-    _, _, (lo, hi), _ = spectrum_endpoints(mp, HALF, level=level)
+    alpha_min = spectrum_endpoints(mp, HALF, level=level)[0]
+    lo, hi = alpha_min.lower, alpha_min.upper
     assert lo <= ALPHA_MIN_MP <= hi
     below = (ALPHA_MIN_MP - lo) / math.ulp(ALPHA_MIN_MP)
     if level in (6, 8):

@@ -23,6 +23,8 @@ from dimspectra import (
     bowen_sn,
     connector_length,
     doubling_map,
+    geometric,
+    linear_full_branch_map,
     locally_constant,
     optimize_block_weights,
     window_mask,
@@ -446,11 +448,12 @@ def test_block_newton_starts_from_the_level_one_answer(two_slopes, bernoulli_phi
     assert block_objective(bm) == pytest.approx(0.6941893813185, abs=1e-12)
 
 
-def test_block_newton_falls_back_to_the_origin(two_slopes, bernoulli_phi, monkeypatch):
+def test_block_newton_falls_back_to_the_origin(bernoulli_phi, monkeypatch):
     # Where the level-1 solve fails (here its connector search is made to
-    # raise), the level-12 solve starts from (0, 0), with the bits of that
-    # start.
+    # raise, on a map of its own, whose tables have searched no level yet),
+    # the level-12 solve starts from (0, 0), with the bits of that start.
     n, alpha = 12, 1.0
+    two_slopes = linear_full_branch_map([2.0, 4.0])
     search = finite_measures.connector_length
 
     def failing_at_level_one(table, level):
@@ -512,6 +515,41 @@ def test_blockopt_bits_do_not_follow_blas_threads(tmp_path):
         )
         csvs.append(csv.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_one_connector_search_per_level(bernoulli_phi, monkeypatch):
+    # The level-12 Newton's connector search also serves the block measure
+    # built from its weights (it ran twice); the level-1 start has its own.
+    # A map of its own: its tables have searched no level yet.
+    two_slopes = linear_full_branch_map([2.0, 4.0])
+    levels = []
+    search = finite_measures.connector_length
+
+    def counted(table, n):
+        levels.append(n)
+        return search(table, n)
+
+    monkeypatch.setattr(finite_measures, "connector_length", counted)
+    bm = optimize_block_weights(two_slopes, bernoulli_phi, 12, 1.0)
+    assert levels.count(12) == 1 and set(levels) == {1, 12}
+    assert block_objective(bm) == pytest.approx(0.6941893813185, abs=1e-12)
+    optimize_block_weights(two_slopes, bernoulli_phi, 12, 0.9)  # the table has both
+    assert levels.count(12) == 1 and len(levels) == 2
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_rounding_wide_ratio_range_is_infeasible(mp, n):
+    # With phi = -0.7 log|T'|, every word's ratio -S_n phi / S_n psi is 0.7
+    # up to rounding, so no alpha strictly inside the eligible words' range
+    # has a weight to fit but rounding noise.
+    phi = geometric(-0.7)
+    psi, phv, _ = _midpoint_sums(mp, phi, n)
+    lo, hi = float(np.min(-phv / psi)), float(np.max(-phv / psi))
+    assert 0.0 < hi - lo <= 2 * n * np.finfo(float).eps * 0.7
+    for alpha in (0.7, 0.5 * (lo + hi), math.nextafter(lo, hi)):
+        assert lo < alpha < hi
+        with pytest.raises(ConstraintInfeasible, match="only rounding wide"):
+            optimize_block_weights(mp, phi, n, alpha)
 
 
 def test_block_weights_live_peak(two_slopes, bernoulli_phi):

@@ -53,9 +53,9 @@ def test_trivial_inducing_matches_direct(doubling, uniform_phi):
     isys = build_induced(doubling, uniform_phi, truncation=5)
     for a in np.linspace(-1.5, 2.0, 8):
         pt = induced_b_point(isys, float(a), tol=1e-12)
-        assert pt.b == pytest.approx(1.0 + a, abs=1e-9)
+        assert pt.value == pytest.approx(1.0 + a, abs=1e-9)
         direct = b_of_a(doubling, uniform_phi, float(a), tol=1e-10)
-        assert pt.b == pytest.approx(direct.b, abs=1e-8)
+        assert pt.value == pytest.approx(direct.value, abs=1e-8)
         assert not pt.on_ray
 
 
@@ -144,14 +144,14 @@ def test_induced_b_zero_is_one(farey_sys, mp_sys):
     # sum over r of 2^-b*r = 1 at b = 1 regardless of the map
     for isys in (farey_sys, mp_sys):
         pt = induced_b_point(isys, 0.0, tol=1e-10)
-        assert pt.b == pytest.approx(1.0, abs=1e-8)
+        assert pt.value == pytest.approx(1.0, abs=1e-8)
         assert pt.lower - 1e-9 <= 1.0 <= pt.upper + 1e-9
 
 
 def test_mp_induced_ray(mp_sys):
     pt = induced_b_point(mp_sys, -1.5)
     assert pt.on_ray
-    assert pt.b == 0.0
+    assert pt.value == 0.0
     off = induced_b_point(mp_sys, 0.0)
     assert not off.on_ray
 
@@ -164,7 +164,7 @@ def test_truncation_brackets_nest(farey, uniform_phi):
     for prev, nxt in zip(points, points[1:]):
         assert prev.lower <= nxt.lower + 1e-12
         assert nxt.upper <= prev.upper + 1e-12
-        assert nxt.lower <= nxt.b <= nxt.upper
+        assert nxt.lower <= nxt.value <= nxt.upper
 
 
 def test_truncation_too_small(mp):
@@ -187,7 +187,7 @@ def test_tail_dominates_near_transition(farey, uniform_phi):
 def test_induced_b_curve_grid(farey_sys):
     pts = [induced_b_point(farey_sys, a, tol=1e-9) for a in (0.0, 1.0)]
     assert [pt.a for pt in pts] == [0.0, 1.0]
-    assert pts[0].b < pts[1].b
+    assert pts[0].value < pts[1].value
 
 
 def test_gapped_base_excursions_through_excluded_symbol():
@@ -199,7 +199,7 @@ def test_gapped_base_excursions_through_excluded_symbol():
     assert isys.coverage == pytest.approx(1.0, abs=1e-5)
     point = induced_b_point(isys, 0.0, tol=1e-10)
     assert point.lower <= 1.0 <= point.upper
-    assert point.b == pytest.approx(1.0, abs=1e-5)
+    assert point.value == pytest.approx(1.0, abs=1e-5)
     with pytest.raises(ValueError):
         build_induced(m, phi3, base_symbols=[])
 
@@ -289,9 +289,11 @@ def _scalar_b_point(isys, a, *, tol=1e-8, tail_tol=0.05):
     if countable and padded_pressure(0.0) <= 0.0:
         return induced.InducedBPoint(
             a=a,
-            b=0.0,
+            value=0.0,
             lower=0.0,
             upper=max(upper_pressure(0.0), 0.0) / (-sup_bar),
+            level=isys.truncation,
+            mode="ray",
             tail_ratio=tail_ratio(0.0),
             on_ray=True,
         )
@@ -322,8 +324,8 @@ def _scalar_b_point(isys, a, *, tol=1e-8, tail_tol=0.05):
         lo_b, hi_b = max(lo_b, 0.0), max(hi_b, 0.0)
         mid = max(mid, 0.0)
     return induced.InducedBPoint(
-        a=a, b=min(max(mid, lo_b), hi_b), lower=lo_b, upper=hi_b,
-        tail_ratio=ratio, on_ray=False,
+        a=a, value=min(max(mid, lo_b), hi_b), lower=lo_b, upper=hi_b,
+        level=isys.truncation, mode="truncation", tail_ratio=ratio, on_ray=False,
     )
 
 
@@ -404,7 +406,7 @@ def test_lanes_match_scalar_on_trivial_inducing(doubling, uniform_phi):
     grid = np.linspace(-1.5, 2.0, 8)
     found = induced_b_curve(isys, grid, tol=1e-12)
     assert _bits(found) == _bits(_oracle(isys, grid, tol=1e-12))
-    assert min(p.b for p in found) < 0.0
+    assert min(p.value for p in found) < 0.0
 
 
 def test_lanes_match_scalar_on_the_ray(farey_sys):
@@ -413,7 +415,7 @@ def test_lanes_match_scalar_on_the_ray(farey_sys):
     assert _bits(found) == _bits(_oracle(farey_sys, grid))
     # a = -1 is the transition: its roots are solved and clamped to 0
     assert [p.on_ray for p in found] == [True, True, True, False]
-    assert all(p.b == 0.0 for p in found)
+    assert all(p.value == 0.0 for p in found)
 
 
 def test_not_converged_lane_kept_in_place(farey_sys):

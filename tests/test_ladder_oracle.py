@@ -1,12 +1,11 @@
 """The array ladder against the scalar generator ladder it replaced
-(`root_oracle`), lane by lane: each float of a result by float.hex (and as
-a Python float), the level and the stop mode, or the NotConverged message
-and enclosure."""
+(`root_oracle`), lane by lane: the record's type, each float of it by
+float.hex (and as a Python float), the level and the stop mode, or the
+NotConverged message and its enclosure record the same way."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -43,12 +42,12 @@ PHIS = {
 
 
 def _hexed(found):
-    """A result's fields, floats by float.hex, or its NotConverged message
-    and enclosure."""
+    """A record's type and fields, floats by float.hex, or its NotConverged
+    message and enclosure (None, or hexed as a record)."""
     if isinstance(found, NotConverged):
         enclosure = found.enclosure
-        return str(found), enclosure and tuple(x.hex() for x in enclosure)
-    return tuple(x.hex() if type(x) is float else x for x in astuple(found))
+        return str(found), enclosure and root_oracle.hexed(enclosure)
+    return root_oracle.hexed(found)
 
 
 def _outcome(solve):
@@ -148,9 +147,10 @@ def test_b_examples_reach_every_end():
             if isinstance(point, NotConverged):
                 seen.add("levels" if point.enclosure else "expansion")
             elif point.on_ray:
-                seen.add("ray")
+                seen.add(point.mode)
             else:
-                seen.add("ratio" if point.upper - point.lower > tol else "bracket")
+                assert point.mode != "ratio" or point.width > tol
+                seen.add(point.mode)
                 seen.add(f"level {point.level}")
     assert {"levels", "expansion", "ray", "ratio", "bracket", "level 2"} <= seen
     assert len([s for s in seen if s.startswith("level ")]) > 2

@@ -6,13 +6,13 @@ import math
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimspectra import (
+    Enclosure,
     NotConverged,
     bowen_root,
     doubling_map,
@@ -31,7 +31,7 @@ from dimspectra.pressure import _Curves, _Rung, _ladder, _roots_in_b, gluing_len
 from dimspectra.symbolic import SMALL_WORDS, CylinderTable
 
 from conftest import linear_markov_map
-from root_oracle import _descend, _drive
+from root_oracle import _descend, _drive, hexed
 
 LOG2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -94,8 +94,9 @@ def test_pressure_bracket_contains_truth(golden, zero_phi):
 def test_not_converged_carries_enclosure(golden, zero_phi):
     with pytest.raises(NotConverged) as err:
         pressure(golden, zero_phi, tol=1e-13, max_level=4)
-    lo, hi = err.value.enclosure
-    assert lo <= GOLDEN_ENTROPY <= hi
+    enc = err.value.enclosure
+    assert enc.lower <= GOLDEN_ENTROPY <= enc.upper
+    assert (enc.value, enc.level, enc.mode) == (0.5 * (enc.lower + enc.upper), 4, "enclosure")
 
 
 def test_normalize_potential(golden, zero_phi):
@@ -118,7 +119,7 @@ def test_bowen_root_two_slopes(two_slopes):
     root = bowen_root(two_slopes)
     assert root.value == pytest.approx(truth, abs=1e-9)
     assert root.lower - 1e-9 <= truth <= root.upper + 1e-9
-    assert not root.parabolic
+    assert math.isfinite(root.upper)
 
 
 def test_bowen_root_golden_mean(golden):
@@ -129,7 +130,7 @@ def test_bowen_root_golden_mean(golden):
     assert root.lower <= truth <= root.upper
     assert root.lower < root.upper
     assert abs(root.value - truth) <= 1e-6
-    assert not root.parabolic
+    assert math.isfinite(root.upper)
 
 
 def test_bowen_root_doubling(doubling):
@@ -142,7 +143,7 @@ def test_bowen_root_doubling(doubling):
 def test_bowen_root_parabolic(farey, mp):
     for m in (farey, mp):
         root = bowen_root(m)
-        assert root.parabolic
+        assert m.has_parabolic
         assert root.upper == math.inf
         assert root.value == pytest.approx(1.0, abs=1e-6)
 
@@ -169,7 +170,7 @@ def _enclosure(m, phi, **kw):
         p = pressure(m, phi, **kw)
         return p.lower, p.upper
     except NotConverged as exc:
-        return exc.enclosure
+        return exc.enclosure.lower, exc.enclosure.upper
 
 
 def _encloses(lo, hi, truth):
@@ -239,13 +240,12 @@ ONE_CLIMB_CASES = {
 
 
 def _hexed(solve):
-    """A solve's fields with floats by float.hex, or its NotConverged
-    message and enclosure."""
+    """A solve's record with floats by float.hex, or its NotConverged
+    message and enclosure record the same way."""
     try:
-        out = astuple(solve())
+        return hexed(solve())
     except NotConverged as exc:
-        return str(exc), tuple(x.hex() for x in exc.enclosure)
-    return tuple(x.hex() if isinstance(x, float) else x for x in out)
+        return str(exc), hexed(exc.enclosure)
 
 
 @pytest.mark.parametrize("name", sorted(ONE_CLIMB_CASES))
@@ -329,7 +329,9 @@ def test_ladders_without_a_rung_raise_open_enclosure(doubling, bernoulli_phi):
     ):
         with pytest.raises(NotConverged, match="last accelerated value nan") as err:
             solve()
-        assert err.value.enclosure == (-math.inf, math.inf)
+        assert err.value.enclosure.lower == -math.inf
+        assert err.value.enclosure.upper == math.inf
+        assert err.value.enclosure.mode == "enclosure"
 
 
 @pytest.mark.parametrize("estimate, value", [(5.0, 1.0), (-5.0, 0.0)])
@@ -343,7 +345,7 @@ def test_ladder_clamps_the_estimate_into_the_bracket(estimate, value):
         return _Rung(const(0.0), const(1.0), const(estimate))
 
     (out,) = _ladder(rung, ["clamped"], 1, 10, tol=1e-3)
-    assert out == (value, 0.0, 1.0, 2, "ratio")
+    assert out == Enclosure(value, 0.0, 1.0, 2, "ratio")
 
 
 @pytest.mark.parametrize("curve", ["lower", "upper", "ratio"])

@@ -122,3 +122,25 @@ def test_one_function_writes_files():
         for path in (ROOT / "src" / "dimspectra").glob("*.py")
     ))
     assert writers == {("cli", "_write_text")}
+
+
+def test_one_record_holds_an_enclosure():
+    # Every solved number is an Enclosure or a subclass of it, so `width`
+    # is defined once, and no other class declares float `lower` and
+    # `upper` fields of its own.
+    widths, bounded = set(), set()
+    for path in (ROOT / "src" / "dimspectra").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if any(isinstance(f, ast.FunctionDef) and f.name == "width" for f in node.body):
+                widths.add(node.name)
+            floats = {
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and ast.unparse(stmt.annotation) == "float"
+            }
+            if {"lower", "upper"} <= floats:
+                bounded.add(node.name)
+    assert widths == bounded == {"Enclosure"}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dimspectra import (
+    Enclosure,
     NoParabolicOrbit,
     NotConverged,
     NotStrictlyNegative,
@@ -40,7 +41,7 @@ def test_b_curve_doubling_uniform(doubling, uniform_phi):
     # P(a psi + b phi) = a log2 - b log2 = 0, so b(a) = 1 + a exactly
     points = b_curve(doubling, uniform_phi, np.linspace(-2.0, 2.0, 9), tol=1e-10)
     for pt in points:
-        assert pt.b == pytest.approx(1.0 + pt.a, abs=1e-10)
+        assert pt.value == pytest.approx(1.0 + pt.a, abs=1e-10)
         assert pt.lower - 1e-10 <= 1.0 + pt.a <= pt.upper + 1e-10
         assert not pt.on_ray
         assert pt.width <= 1e-10
@@ -49,8 +50,8 @@ def test_b_curve_doubling_uniform(doubling, uniform_phi):
 def test_b_of_a_bernoulli_root_residual(doubling, bernoulli_phi):
     pt = b_of_a(doubling, bernoulli_phi, 1.0, tol=1e-10)
     # closed form pressure: P = a log2 + log((1/4)^b + (3/4)^b)
-    assert 2.0 * (0.25**pt.b + 0.75**pt.b) == pytest.approx(1.0, abs=1e-9)
-    assert pt.b == pytest.approx(2.6030478148, abs=1e-8)
+    assert 2.0 * (0.25**pt.value + 0.75**pt.value) == pytest.approx(1.0, abs=1e-9)
+    assert pt.value == pytest.approx(2.6030478148, abs=1e-8)
 
 
 @pytest.mark.parametrize("a", [-2.0, -0.5, 0.0, 1.0, 3.0])
@@ -68,7 +69,7 @@ def test_b_of_a_one_root_when_curves_coincide(doubling, bernoulli_phi, a):
     lo, hi, _, _ = _drive(_expand(0.0, step, max_expand=60), curve)
     root = _drive(_bisect(lo, hi, xtol=1e-13, max_iter=200), curve)
     assert pt.level == 2
-    assert pt.lower == pt.b == pt.upper == root
+    assert pt.lower == pt.value == pt.upper == root
 
 
 def test_b_of_a_full_ladder_when_curves_differ(golden, mp, uniform_phi):
@@ -78,7 +79,7 @@ def test_b_of_a_full_ladder_when_curves_differ(golden, mp, uniform_phi):
         pt = b_of_a(m, uniform_phi, a, tol=1e-4, max_level=12)
         assert not pt.on_ray
         assert pt.lower < pt.upper
-        assert pt.lower <= pt.b <= pt.upper
+        assert pt.lower <= pt.value <= pt.upper
 
 
 def test_positive_potential_rejected(doubling):
@@ -97,7 +98,7 @@ def test_alpha_of_a_closed_form(doubling, bernoulli_phi):
 def test_mp_ray_detection(mp, uniform_phi):
     pt = b_of_a(mp, uniform_phi, -1.5, tol=1e-4, max_level=12)
     assert pt.on_ray
-    assert pt.b == 0.0
+    assert pt.value == 0.0
     assert pt.upper >= 0.0
 
 
@@ -106,19 +107,18 @@ def test_mp_off_ray_bracket(mp, uniform_phi):
     assert not pt.on_ray
     # b(0) = 1: the potential is the normalized uniform weight vector
     assert pt.lower <= 1.0 <= pt.upper
-    assert pt.b == pytest.approx(1.0, abs=0.05)
+    assert pt.value == pytest.approx(1.0, abs=0.05)
 
 
 def test_endpoints_bernoulli_exact(doubling, bernoulli_phi):
     # The extreme cycles are the fixed points 1 and 0; their ratios are the
     # values returned, so only the rounding of the Birkhoff sums remains.
-    a_min, a_max, enc_min, enc_max = spectrum_endpoints(
-        doubling, bernoulli_phi, level=4
-    )
-    assert a_min == pytest.approx(ALPHA_MIN_BE, abs=1e-14)
-    assert a_max == pytest.approx(2.0, abs=1e-14)
-    assert enc_min[0] <= a_min <= enc_min[1]
-    assert enc_max[0] <= a_max <= enc_max[1]
+    a_min, a_max = spectrum_endpoints(doubling, bernoulli_phi, level=4)
+    assert a_min.value == pytest.approx(ALPHA_MIN_BE, abs=1e-14)
+    assert a_max.value == pytest.approx(2.0, abs=1e-14)
+    assert a_min.lower <= a_min.value <= a_min.upper
+    assert a_max.lower <= a_max.value <= a_max.upper
+    assert (a_min.level, a_min.mode) == (a_max.level, a_max.mode) == (4, "cycle")
 
 
 def _has_negative_cycle(nodes, tails, heads, w):
@@ -234,17 +234,17 @@ def test_min_cycle_ratio_cap_raises(monkeypatch):
 
 
 def test_endpoints_degenerate_uniform(golden, uniform_phi):
-    a_min, a_max, _, _ = spectrum_endpoints(golden, uniform_phi, level=4)
-    assert a_min == pytest.approx(1.0, abs=1e-9)
-    assert a_max == pytest.approx(1.0, abs=1e-9)
+    a_min, a_max = spectrum_endpoints(golden, uniform_phi, level=4)
+    assert a_min.value == pytest.approx(1.0, abs=1e-9)
+    assert a_max.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_endpoints_parabolic_infinite(farey, mp, uniform_phi):
     for m in (farey, mp):
-        a_min, a_max, _, enc_max = spectrum_endpoints(m, uniform_phi, level=6)
-        assert a_max == math.inf
-        assert enc_max == (math.inf, math.inf)
-        assert 0.0 < a_min < 1.0
+        a_min, a_max = spectrum_endpoints(m, uniform_phi, level=6)
+        assert a_max.value == a_max.lower == a_max.upper == math.inf
+        assert math.isnan(a_max.width)
+        assert 0.0 < a_min.value < 1.0
 
 
 def test_dimension_at_infinite_alpha(mp, farey, doubling):
@@ -280,15 +280,15 @@ def test_legendre_peak_value(doubling, bernoulli_phi):
 def test_curve_rows_align(doubling, bernoulli_phi):
     alphas = [0.6, 0.9, 1.2]
     curve = legendre_spectrum(doubling, bernoulli_phi, alphas, tol=1e-9)
-    rows = curve.as_rows()
+    rows = _rows(curve)
     assert len(rows) == 3
     for row, alpha in zip(rows, alphas):
-        al, f, flo, fup, a, b, blo, bhi = row
+        al, f, flo, fup, pt = row
         assert al == alpha
         assert flo <= f <= fup
-        assert blo <= b <= bhi
+        assert pt.lower <= pt.value <= pt.upper
         # row is self-consistent: f = alpha * b - a at the minimizer
-        assert f == pytest.approx(alpha * b - a, abs=1e-12)
+        assert f == pytest.approx(alpha * pt.value - pt.a, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,8 @@ def test_curve_rows_align(doubling, bernoulli_phi):
 def _legendre_oracle(m, phi, alphas, *, tol, max_level, refine_tol=1e-7, a_lo=-4.0, a_hi=4.0):
     """The scalar Legendre transform: one golden-section search per alpha,
     each b(a) solved alone by the scalar ladder (`root_oracle.b_of_a`) and
-    cached by round(a, 12).  Returns rows in the order of
-    SpectrumCurve.as_rows."""
+    cached by round(a, 12).  Returns rows as `_rows` gives them, the
+    minimizer's point by its bits."""
     cache = {}
 
     def bp(a):
@@ -313,7 +313,7 @@ def _legendre_oracle(m, phi, alphas, *, tol, max_level, refine_tol=1e-7, a_lo=-4
         lo, hi = a_lo, a_hi
         for _ in range(8):
             a_star, _ = _drive(
-                _golden(lo, hi, xtol=refine_tol, max_iter=120), lambda a: alpha * bp(a).b - a
+                _golden(lo, hi, xtol=refine_tol, max_iter=120), lambda a: alpha * bp(a).value - a
             )
             span = hi - lo
             if a_star - lo < 0.02 * span:
@@ -325,10 +325,17 @@ def _legendre_oracle(m, phi, alphas, *, tol, max_level, refine_tol=1e-7, a_lo=-4
         a_star = round(a_star, 12)
         pt = bp(a_star)
         rows.append((
-            float(alpha), alpha * pt.b - a_star, alpha * pt.lower - a_star,
-            alpha * pt.upper - a_star, a_star, pt.b, pt.lower, pt.upper,
+            float(alpha), alpha * pt.value - a_star, alpha * pt.lower - a_star,
+            alpha * pt.upper - a_star, root_oracle.hexed(pt),
         ))
     return rows
+
+
+def _rows(curve, bits=False):
+    """A curve's rows (alpha, f, f_low, f_high, point), the point by its
+    bits if asked."""
+    points = [root_oracle.hexed(pt) if bits else pt for pt in curve.points]
+    return list(zip(curve.alphas, curve.f_values, curve.f_lowers, curve.f_uppers, points))
 
 
 def _depth2_phi(doubling):
@@ -348,7 +355,7 @@ def test_legendre_lockstep_equals_scalar_loop(request, case, doubling, bernoulli
         m, phi, alphas = doubling, _depth2_phi(doubling), [0.9, 1.2]
         kw = dict(tol=1e-5, max_level=12, refine_tol=1e-4)
     curve = legendre_spectrum(m, phi, alphas, **kw)
-    assert curve.as_rows() == _legendre_oracle(m, phi, alphas, **kw)
+    assert _rows(curve, bits=True) == _legendre_oracle(m, phi, alphas, **kw)
 
 
 def _same_outcome(got, m, phi, a, **kw):
@@ -356,7 +363,8 @@ def _same_outcome(got, m, phi, a, **kw):
         want = b_of_a(m, phi, a, **kw)
     except NotConverged as exc:
         assert isinstance(got, NotConverged), a
-        assert str(got) == str(exc) and got.enclosure == exc.enclosure, a
+        assert str(got) == str(exc), a
+        assert root_oracle.hexed(got.enclosure) == root_oracle.hexed(exc.enclosure), a
         return "raised"
     assert got == want, a
     return "ray" if want.on_ray else "solved"
@@ -382,14 +390,16 @@ def test_empty_grids_give_empty_results(doubling, mp, uniform_phi, bernoulli_phi
     assert b_curve(doubling, uniform_phi, []) == []
     assert b_curve(mp, uniform_phi, [], tol=1e-4, max_level=12) == []
     curve = legendre_spectrum(doubling, bernoulli_phi, [], tol=1e-9)
-    assert curve.as_rows() == [] and curve.a_minimizers == ()
+    assert _rows(curve) == [] and curve.points == ()
 
 
 def test_b_of_a_without_a_rung_raises_open_enclosure(doubling, bernoulli_phi):
     # The ladder starts at level 2, so max_level=1 runs no rung.
     with pytest.raises(NotConverged, match="last accelerated value nan") as err:
         b_of_a(doubling, bernoulli_phi, 0.5, max_level=1)
-    assert err.value.enclosure == (-math.inf, math.inf)
+    assert root_oracle.hexed(err.value.enclosure) == root_oracle.hexed(
+        Enclosure(math.nan, -math.inf, math.inf, 1, "enclosure")
+    )
 
 
 def test_b_curve_keeps_failed_bracket_expansion_in_place(doubling, uniform_phi):
@@ -403,10 +413,22 @@ def test_b_curve_keeps_failed_bracket_expansion_in_place(doubling, uniform_phi):
         b_of_a(doubling, uniform_phi, 1e20, **kw)
 
     def hexed(point):
-        return [float(x).hex() for x in (point.a, point.b, point.lower, point.upper)]
+        return root_oracle.hexed(point)
 
     alone = b_curve(doubling, uniform_phi, [0.0, 1.0], **kw)
     assert [hexed(p) for p in found[::2]] == [hexed(p) for p in alone]
+
+
+def test_failed_ray_start_gives_each_lane_its_own_error(mp, uniform_phi):
+    # The ray start is a Bowen root; where it does not converge, no lane
+    # has a bracket of its own.  Each a gets a NotConverged naming it and
+    # the ray start, with no enclosure (not the Bowen root's).
+    a_values = [-2.0, 0.5]
+    found = b_curve(mp, uniform_phi, a_values, tol=1e-15, max_level=2)
+    assert found[0] is not found[1]
+    for a, point in zip(a_values, found):
+        assert isinstance(point, NotConverged) and point.enclosure is None
+        assert str(point).startswith(f"b({a:g}): no ray start: bowen root not within")
 
 
 def test_b_curve_splits_wide_levels_into_chunks(doubling, monkeypatch):
@@ -493,7 +515,7 @@ def test_b_ladder_past_cache_words_builds_each_level_once(monkeypatch):
         m._table_cache[half] = CylinderTable(m, half, cache_words=cache_words)
         with pytest.raises(NotConverged) as err:
             b_of_a(m, half, -0.7, tol=1e-9, max_level=12)
-        outcomes.append((err.value.enclosure, str(err.value)))
+        outcomes.append((root_oracle.hexed(err.value.enclosure), str(err.value)))
     assert max(builds.values()) == 1
     assert outcomes[0] == outcomes[1]
 
