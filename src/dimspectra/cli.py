@@ -822,6 +822,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _override_value(raw: str):
+    """An override's value as YAML reads it, except that an unquoted one
+    float() reads is a float: YAML 1.1 reads 1e-10 (no dot) as a string."""
+    try:
+        value = yaml.safe_load(raw)
+    except yaml.YAMLError:
+        return raw
+    if isinstance(value, str) and raw.strip()[:1] not in ("'", '"'):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return value
+
+
 def _apply_override(data: dict, spec: str) -> None:
     if "=" not in spec:
         raise ConfigError(f"override {spec!r} is not KEY=VALUE")
@@ -829,10 +844,7 @@ def _apply_override(data: dict, spec: str) -> None:
     parts = [p for p in key.strip().split(".") if p]
     if not parts:
         raise ConfigError(f"override {spec!r} has an empty key")
-    try:
-        value = yaml.safe_load(raw_value)
-    except yaml.YAMLError:
-        value = raw_value
+    value = _override_value(raw_value)
     node = data
     for part in parts[:-1]:
         nxt = node.get(part)

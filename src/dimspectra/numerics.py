@@ -85,11 +85,12 @@ def _log_sum_exp_rows(values: np.ndarray) -> np.ndarray:
     if values.shape[1] > _CHUNK or values.shape[1] == 0:
         return np.array([log_sum_exp(row) for row in values], dtype=float)
     m = values.max(axis=1)
-    if np.isfinite(m).all():
+    finite = np.isfinite(m)  # tested once, for both paths
+    if finite.all():
         sums = np.exp(values - m[:, None]).sum(axis=1)
     else:
         empty = m == -math.inf
-        if not np.all(np.isfinite(m) | empty):
+        if not np.all(finite | empty):
             raise ValueError("log_sum_exp received a non-finite (nan or +inf) entry")
         sums = np.exp(values - np.where(empty, 0.0, m)[:, None]).sum(axis=1)
         sums[empty] = 1.0  # all -inf rows: -inf + log 1
@@ -164,7 +165,9 @@ def _solve_roots(
     walk = np.flatnonzero(f != 0.0)
     x, up = start[walk], f[walk] > 0.0  # walk forward while f > 0
     dx = np.where(up, step, -step)
-    live, lo, hi, pos = [walk[:0]], [x[:0]], [x[:0]], [up[:0]]  # pos: f(lo) > 0
+    # A sign change needs x_next != x, and the walk steps forward exactly
+    # where f > 0, so every bracket has f(lo) > 0 > f(hi).
+    live, lo, hi = [walk[:0]], [x[:0]], [x[:0]]
     for _ in range(60):
         if not walk.size:
             break
@@ -178,26 +181,33 @@ def _solve_roots(
             live.append(walk[new])
             lo.append(np.where(ahead, x, x_next)[new])
             hi.append(np.where(ahead, x_next, x)[new])
-            pos.append((ahead == up)[new])
             keep = ~turned
             walk, x_next, up, dx = walk[keep], x_next[keep], up[keep], dx[keep]
         x, dx = x_next, dx * 2.0
-    live, lo, hi, pos = (np.concatenate(v) for v in (live, lo, hi, pos))
+    live, lo, hi = (np.concatenate(v) for v in (live, lo, hi))
+    # The midpoint meets an end only where the ends are equal or adjacent
+    # floats: at most max(2**-1074, 2**-52 * max |end|) apart, and the
+    # brackets only shrink.  Where xtol covers that, the width test alone
+    # ends those lanes (a nan end keeps both tests).
+    reach = np.maximum(-lo.min(), hi.max()) if live.size else 0.0
+    meets = not (xtol > 0.0 and xtol >= 2.0**-52 * reach)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        done = (hi - lo <= xtol) | (mid == lo) | (mid == hi)
+        done = hi - lo <= xtol
+        if meets:
+            done |= (mid == lo) | (mid == hi)
         if np.count_nonzero(done):
             roots[live[done]] = mid[done]
             keep = ~done
-            live, lo, hi, pos, mid = (v[keep] for v in (live, lo, hi, pos, mid))
+            live, lo, hi, mid = (v[keep] for v in (live, lo, hi, mid))
         if not live.size:
             break
         f = ask(live, mid)
         if np.count_nonzero(f) < live.size:  # exact zeros end at the midpoint
             keep = f != 0.0
             roots[live[~keep]] = mid[~keep]
-            live, lo, hi, pos, mid, f = (v[keep] for v in (live, lo, hi, pos, mid, f))
-        take = (f > 0.0) == pos  # the midpoint replaces lo
+            live, lo, hi, mid, f = (v[keep] for v in (live, lo, hi, mid, f))
+        take = f > 0.0  # the midpoint replaces lo
         lo, hi = np.where(take, mid, lo), np.where(take, hi, mid)
     roots[live] = 0.5 * (lo + hi)
     failed = np.zeros(start.size, dtype=bool)

@@ -113,21 +113,27 @@ def _roots_in_b(curve: Callable, a: np.ndarray, start: np.ndarray, *, step: floa
     """The descending roots in b of curve(a, b, held), one lane per entry of
     a, from `start`, as (roots, failed) (see `_solve_roots`).  a is fixed
     per lane: held(key, count, make) forms make(a) once per solve and gives
-    its rows for the live lanes (a copy), or None where lanes x count
-    entries pass one log-sum-exp chunk."""
+    its rows for the live lanes, taken again only when the live lanes
+    change (read-only: b*phi is added out of place), or None where lanes
+    x count entries pass one log-sum-exp chunk."""
     terms: dict = {}
-    live = [None]
+    rows: dict = {}  # terms' rows for the live lanes
+    live: list = [None, a]  # the live lanes and their a-values
 
     def held(key, count: int, make: Callable):
         if a.size * count > _CHUNK:
             return None
-        if key not in terms:
-            terms[key] = make(a)
-        return terms[key][live[0]]
+        if key not in rows:
+            if key not in terms:
+                terms[key] = make(a)
+            rows[key] = terms[key][live[0]]
+        return rows[key]
 
     def values(at: np.ndarray, b: np.ndarray) -> np.ndarray:
-        live[0] = at
-        return curve(a[at], b, held)
+        if at is not live[0]:
+            live[:] = at, a[at]
+            rows.clear()
+        return curve(live[1], b, held)
 
     return _solve_roots(values, start, step=step, xtol=xtol)
 
@@ -262,7 +268,9 @@ class Enclosure:
         return self.upper - self.lower
 
 
-def _ladder(rung: Callable, what: list[str], first: int, max_level: int, *, tol: float) -> list:
+def _ladder(
+    rung: Callable, what: list[str], first: int, max_level: int, *, tol: float, record=None
+) -> list:
     """The level ladder behind pressure(), bowen_root() and b_curve(), with
     one lane per name in `what`, every live lane advancing a level at a
     time.
@@ -273,21 +281,23 @@ def _ladder(rung: Callable, what: list[str], first: int, max_level: int, *, tol:
     closed bracket (value: its upper end), a width <= tol ("bracket"), or
     a raw or Aitken-accelerated estimate that moved by <= tol ("ratio",
     heuristic); the value is then the accelerated estimate clamped into
-    the bracket.  Returns per lane its `Enclosure`, or the NotConverged it
-    ends with: no stop by `max_level` (the best enclosure rides along), or
-    a root that found no sign change.
+    the bracket.  Returns per lane its `Enclosure`, or record(i, *fields)
+    for lane i if a record is given, or the NotConverged it ends with: no
+    stop by `max_level` (the best enclosure rides along), or a root that
+    found no sign change.
     """
+    record = record or (lambda _, *fields: Enclosure(*fields))
     lanes = _Lanes(len(what))
     best_lo, best_hi, est = (np.full(len(what), x) for x in (-math.inf, math.inf, math.nan))
     accel = AitkenAccelerator(len(what))
     last = None
 
     def stop(done: np.ndarray, mode: str) -> None:
-        def outcome(i: int) -> Enclosure:
+        def outcome(i: int):
             lo, hi = best_lo[i].item(), best_hi[i].item()
             # A closed bracket clamps every estimate to best_hi.
             value = hi if hi <= lo else min(max(est[i].item(), lo), hi)
-            return Enclosure(value, lo, hi, n, mode)
+            return record(i, value, lo, hi, n, mode)
 
         lanes.leave(done, outcome)
 

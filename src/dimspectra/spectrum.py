@@ -174,10 +174,13 @@ def b_curve(
         start = np.zeros(a.size) if last is None else last
         return level.roots(a, start, step=1.0, xtol=1e-13)
 
-    found = _ladder(rung, [f"b({x:g})" for x in a.tolist()], 2, max_level, tol=tol)
-    for i, x, point in zip(solve, a.tolist(), found):
-        if not isinstance(point, NotConverged):
-            point = BPoint(**vars(point), a=x, on_ray=False)
+    a_list = a.tolist()
+
+    def record(i: int, *fields) -> BPoint:
+        return BPoint(*fields, a=a_list[i], on_ray=False)
+
+    found = _ladder(rung, [f"b({x:g})" for x in a_list], 2, max_level, tol=tol, record=record)
+    for i, point in zip(solve, found):
         out[i] = point
     return out
 
@@ -372,6 +375,13 @@ def dimension_at_infinite_alpha(
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_CAP = 120  # golden-section steps per search
+SEARCHES = 8  # golden-section searches per lane: the first and its widenings
+EDGE = 0.02  # share of a bracket's span, at either end, that widens it
+
+# The Legendre search's work, counted over every call of `_convex_argmin`:
+# rounds (calls of its objective), searches begun, and points asked only
+# for a successor search.
+legendre_counts = {"rounds": 0, "searches": 0, "successor_points": 0}
 
 
 def _convex_argmin(
@@ -379,47 +389,126 @@ def _convex_argmin(
 ) -> np.ndarray:
     """Per lane, the minimizer of a unimodal f(lane, a) by golden-section
     search on [lo, hi] to xtol (at most GOLDEN_CAP steps), searched again on
-    the bracket widened by its span toward an end, at most 8 searches in
-    all, while the minimizer lies within 2% of that end.  The
-    lanes advance together: each round asks f at every live lane's new
-    points, both interior points where a search starts, in one call
-    f(lanes, a) over arrays, and each lane takes the scalar search's steps."""
-    lo, hi = np.full(lanes, lo), np.full(lanes, hi)
-    a, b, c, d, fc, fd, found = (np.zeros(lanes) for _ in range(7))
-    steps, searches = np.zeros(lanes, dtype=int), np.zeros(lanes, dtype=int)
+    the bracket widened by its span toward an end, at most SEARCHES searches
+    in all, while the minimizer lies within EDGE of the span from that end.
+    Each lane gets the bits of that scalar loop.
+
+    The lanes advance together: each round asks f at every search's new
+    points (both interior points where a search starts) in one call
+    f(lanes, a, ahead) over arrays, and no round is spent on an outcome
+    already decided.  The minimizer lies in the bracket [a, b] a search
+    holds, and x - lo rounds monotonically in x, so a search whose [a, b]
+    lies in one end's zone widens whatever it finds there: it ends at once,
+    unless it is the last.  From its first step on, a search whose [a, b]
+    still touches an end's zone runs its widened successor beside it (lane
+    i's current search is row i, its successor row lanes + i; after a step
+    [a, b] spans at most 0.62 of the bracket and touches one zone at most),
+    dropped once [a, b] leaves the zone; a search that widens that way
+    hands over to its successor, steps ahead.
+
+    f raises where it cannot evaluate a point, except at entries where
+    `ahead` holds (asked only by a successor): there it gives nan, which
+    ends that successor."""
+    rows = 2 * lanes
+    lo, hi = np.full(rows, float(lo)), np.full(rows, float(hi))
+    a, b, c, d, fc, fd = (np.zeros(rows) for _ in range(6))
+    steps, number = np.zeros(rows, dtype=int), np.ones(rows, dtype=int)
+    need_c, need_d = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)  # points to ask
+    state = (lo, hi, a, b, c, d, fc, fd, steps, number, need_c, need_d)
+    found = np.zeros(lanes)
+    toward = np.zeros(lanes, dtype=int)  # successor begun: -1 low, 1 high, 0 not yet
+    running = np.zeros(lanes, dtype=bool)  # its successor still steps or waits
+    live = np.arange(lanes)  # unfinished lanes, each the row of its current search
 
     def begin(s: np.ndarray) -> None:
         a[s], b[s], steps[s] = lo[s], hi[s], 0
         c[s] = b[s] - _INV_GOLDEN * (b[s] - a[s])
         d[s] = a[s] + _INV_GOLDEN * (b[s] - a[s])
+        need_c[s] = need_d[s] = True
+        legendre_counts["searches"] += s.size
 
-    live = ask_c = ask_d = np.arange(lanes)
-    begin(live)
-    while live.size:
-        values = f(np.concatenate([ask_c, ask_d]), np.concatenate([c[ask_c], d[ask_d]]))
-        fc[ask_c], fd[ask_d] = values[: ask_c.size], values[ask_c.size :]
-        end = (b[live] - a[live] <= xtol) | (steps[live] == GOLDEN_CAP)
-        go, over = live[~end], live[end]
-        left = fc[go] <= fd[go]
-        ask_c, ask_d = go[left], go[~left]
-        s = ask_c  # the minimum is left of d: [a, d] with c the new point
-        b[s], d[s], fd[s] = d[s], c[s], fc[s]
-        c[s] = b[s] - _INV_GOLDEN * (b[s] - a[s])
-        s = ask_d  # the minimum is right of c: [c, b] with d the new point
-        a[s], c[s], fc[s] = c[s], d[s], fd[s]
-        d[s] = a[s] + _INV_GOLDEN * (b[s] - a[s])
-        steps[go] += 1
+    def ended(s: np.ndarray) -> np.ndarray:
+        """The searches at rows s that end: before the last search, those
+        decided to widen; and those with no point pending that are within
+        xtol or at GOLDEN_CAP steps."""
+        lo_s, zone = lo[s], EDGE * (hi[s] - lo[s])
+        decided = (b[s] - lo_s < zone) | ((a[s] - lo_s >= zone) & (hi[s] - a[s] < zone))
+        done = ((b[s] - a[s] <= xtol) | (steps[s] == GOLDEN_CAP)) & ~(need_c[s] | need_d[s])
+        return (decided & (number[s] < SEARCHES)) | done
+
+    def step(s: np.ndarray) -> None:
+        left = fc[s] <= fd[s]
+        t = s[left]  # the minimum is left of d: [a, d] with c the new point
+        b[t], d[t], fd[t] = d[t], c[t], fc[t]
+        c[t] = b[t] - _INV_GOLDEN * (b[t] - a[t])
+        need_c[t] = True
+        t = s[~left]  # the minimum is right of c: [c, b] with d the new point
+        a[t], c[t], fc[t] = c[t], d[t], fd[t]
+        d[t] = a[t] + _INV_GOLDEN * (b[t] - a[t])
+        need_d[t] = True
+        steps[s] += 1
+
+    def drop(t: np.ndarray) -> None:
+        """End the successors of lanes t."""
+        running[t] = need_c[t + lanes] = need_d[t + lanes] = False
+
+    def settle(over: np.ndarray) -> np.ndarray:
+        """End the current searches of lanes `over`: each lane finishes, or
+        widens into its successor, returned, or into a fresh search."""
+        nonlocal live
         found[over] = np.where(fc[over] <= fd[over], c[over], d[over])
-        searches[over] += 1
         span = hi[over] - lo[over]
-        low = found[over] - lo[over] < 0.02 * span
-        high = ~low & (hi[over] - found[over] < 0.02 * span)
+        low = found[over] - lo[over] < EDGE * span
+        high = ~low & (hi[over] - found[over] < EDGE * span)
+        widen = (low | high) & (number[over] < SEARCHES)
+        live = np.setdiff1d(live, over[~widen], assume_unique=True)
+        ready = widen & running[over] & (toward[over] == np.where(low, -1, 1))
+        need_c[over] = need_d[over] = False
+        for v in state:
+            v[over[ready]] = v[over[ready] + lanes]
+        drop(over)
+        toward[over] = 0
+        fresh = widen & ~ready
+        over, low, high, span, s = over[fresh], low[fresh], high[fresh], span[fresh], over[ready]
         lo[over] = np.where(low, lo[over] - span, lo[over])
         hi[over] = np.where(high, hi[over] + span, hi[over])
-        again = over[(low | high) & (searches[over] < 8)]
-        begin(again)
-        ask_c, ask_d = np.concatenate([ask_c, again]), np.concatenate([ask_d, again])
-        live = np.concatenate([go, again])
+        number[over] += 1
+        begin(over)
+        return s
+
+    begin(live)
+    while live.size:
+        ask_c, ask_d = np.flatnonzero(need_c), np.flatnonzero(need_d)
+        need_c[ask_c] = need_d[ask_d] = False
+        asked = np.concatenate([ask_c, ask_d])
+        ahead = asked >= lanes
+        values = f(asked % lanes, np.concatenate([c[ask_c], d[ask_d]]), ahead)
+        legendre_counts["rounds"] += 1
+        legendre_counts["successor_points"] += int(np.count_nonzero(ahead))
+        fc[ask_c], fd[ask_d] = values[: ask_c.size], values[ask_c.size :]
+        running[asked[ahead & np.isnan(values)] - lanes] = False
+        s = np.concatenate([live, np.flatnonzero(running) + lanes])
+        step(s[~ended(s)])
+        s = np.flatnonzero(running) + lanes  # a decided successor waits, asking nothing
+        s = s[ended(s)]
+        need_c[s] = need_d[s] = False
+        over = live[ended(live)]
+        while over.size:
+            over = settle(over)
+            over = over[ended(over)]
+        # Successors of the current searches that stepped, where one follows.
+        s = live[(steps[live] > 0) & (number[live] < SEARCHES)]
+        span = hi[s] - lo[s]
+        zone = EDGE * span
+        want = np.where(a[s] - lo[s] < zone, -1, np.where(hi[s] - b[s] < zone, 1, 0))
+        drop(s[running[s] & (toward[s] != want)])
+        new = (toward[s] == 0) & (want != 0)
+        s, want, span = s[new], want[new], span[new]
+        t = s + lanes
+        lo[t] = np.where(want < 0, lo[s] - span, lo[s])
+        hi[t] = np.where(want > 0, hi[s] + span, hi[s])
+        number[t], toward[s], running[s] = number[s] + 1, want, True
+        begin(t)
     return found
 
 
@@ -441,26 +530,33 @@ def legendre_spectrum(
     bracket widened automatically while the minimizer sits on its edge.
     The searches advance together (see `_convex_argmin`): each round, the
     a values that no alpha has asked for before (by round(a, 12)) are
-    solved in one `b_curve`.  A NotConverged from b(a) ends the whole
-    transform.
+    solved in one `b_curve`.  A search already decided to widen ends at
+    once, and the widened search it would start runs ahead beside it, so
+    each alpha gets the minimizer of the search run alone in fewer rounds.
+    A NotConverged from b(a) ends the whole transform once a search reads
+    it; at a point only a search running ahead asked, it ends that search
+    alone.
 
     Values outside the admissible alpha range come out negative; they are
     reported as computed (no clamping), matching the convention f < 0 means
     "no points with that local dimension".
     """
     _require_negative(m, phi)
-    cache: dict[float, BPoint] = {}  # b(a) by round(a, 12)
+    cache: dict[float, BPoint | NotConverged] = {}  # b(a) by round(a, 12)
     grid = np.asarray(alphas, dtype=float)
 
-    def objective(lanes: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """alpha*b(a) - a per lane, solving every new a in one b_curve."""
+    def objective(lanes: np.ndarray, a: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+        """alpha*b(a) - a per lane, solving every new a in one b_curve; a
+        b(a) that did not converge is raised, or nan where only a successor
+        search asked it."""
         keys = [round(x, 12) for x in a.tolist()]
         new = [key for key in dict.fromkeys(keys) if key not in cache]
-        for key, point in zip(new, b_curve(m, phi, new, tol=tol, max_level=max_level)):
-            if isinstance(point, NotConverged):
+        cache.update(zip(new, b_curve(m, phi, new, tol=tol, max_level=max_level)))
+        points = [cache[key] for key in keys]
+        for point, spec in zip(points, ahead.tolist()):
+            if isinstance(point, NotConverged) and not spec:
                 raise point
-            cache[key] = point
-        return grid[lanes] * np.array([cache[key].value for key in keys]) - a
+        return grid[lanes] * np.array([getattr(pt, "value", math.nan) for pt in points]) - a
 
     found = _convex_argmin(objective, grid.size, a_lo, a_hi, xtol=refine_tol)
     # Each minimizer's point, solved at a* = round(a, 12), the a it holds.

@@ -385,7 +385,8 @@ class LevelArrays:
         the ends at (a[i], b[i]), bit for bit what the scalar call gives,
         except that the scalar call also skips psi where a == 0 != b, so a
         zero entry may differ in sign there; `a_term`, if given, is their
-        a*psi rows formed beforehand, which b*phi is added to in place."""
+        a*psi rows formed beforehand, which b*phi is added to out of place
+        (where every b is 0, they are returned as they are)."""
         if np.ndim(a):
             a, b = np.asarray(a), np.asarray(b)
             f = _scaled(a, *self._psi(), side) if a_term is None else a_term
@@ -393,7 +394,10 @@ class LevelArrays:
             if nonzero:
                 if self.phi_lo is None:
                     raise ValueError("table was built without a phi potential")
-                on = slice(None) if nonzero == b.size else b != 0.0
+                if nonzero == b.size:
+                    return f + _scaled(b, self.phi_lo, self.phi_hi, side)
+                on = b != 0.0
+                f = f.copy()
                 f[on] += _scaled(b[on], self.phi_lo, self.phi_hi, side)
             return f
         f = None

@@ -7,8 +7,10 @@ computes (one lane of `numerics._solve_roots`), one x at a time.
 arrays of lanes; its rungs ask for curve values (fn, *args) and whole
 roots, each root answered by `_descend` on scalar curve values, so that
 `pressure`, `bowen_root`, `b_of_a` and `b_curve` here run none of the
-array machinery.  `_golden` is one golden-section search of
-`spectrum._convex_argmin`, and `_four_end_ratio` is one row of
+array machinery.  `_convex_argmin` is one lane of
+`spectrum._convex_argmin`: golden-section searches (`_golden`), widened
+toward an end while the minimizer sits by it, and `legendre_spectrum`
+runs one per alpha on `b_of_a`.  `_four_end_ratio` is one row of
 `symbolic.ratio_bracket`.  `hexed` names a record's bits, for comparing
 what a solver returns with what its oracle does.
 """
@@ -140,6 +142,23 @@ def _golden(lo: float, hi: float, *, xtol: float, max_iter: int):
     if fc <= fd:
         return c, fc
     return d, fd
+
+
+def _convex_argmin(lo: float, hi: float, *, xtol: float):
+    """Minimizer lane: golden-section search on [lo, hi] to xtol (120 steps
+    at most), searched again on the bracket widened by its span toward an
+    end while the minimizer lies within 2% of the span from that end, 8
+    searches at most; returns the last search's minimizer."""
+    for _ in range(8):
+        found, _ = yield from _golden(lo, hi, xtol=xtol, max_iter=120)
+        span = hi - lo
+        if found - lo < 0.02 * span:
+            lo -= span
+        elif hi - found < 0.02 * span:
+            hi += span
+        else:
+            break
+    return found
 
 
 class AitkenAccelerator:
@@ -312,3 +331,34 @@ def b_curve(m, phi, a_values, *, tol: float = 1e-8, max_level: int = 24) -> list
         except NotConverged as exc:
             out.append(exc)
     return out
+
+
+def legendre_spectrum(
+    m, phi, alphas, *, tol, max_level, refine_tol=1e-7, a_lo=-4.0, a_hi=4.0, asked=None
+):
+    """`spectrum.legendre_spectrum` on scalar lanes: one `_convex_argmin`
+    lane per alpha, each b(a) solved alone by `b_of_a` and cached by
+    round(a, 12) (each new key appended to `asked`, if given), the ray
+    start (on a parabolic map) solved once.  Returns its rows (alpha, f,
+    f_low, f_high, point), the point at a* = round(a, 12)."""
+    ray_at = -bowen_root(m, tol=tol, max_level=max_level).value if m.has_parabolic else None
+    cache = {}
+
+    def bp(a: float) -> BPoint:
+        key = round(a, 12)
+        if key not in cache:
+            if asked is not None:
+                asked.append(key)
+            cache[key] = b_of_a(m, phi, key, tol=tol, max_level=max_level, ray_at=ray_at)
+        return cache[key]
+
+    rows = []
+    for alpha in np.asarray(alphas, dtype=float).tolist():
+        search = _convex_argmin(a_lo, a_hi, xtol=refine_tol)
+        a_star = round(_drive(search, lambda a: alpha * bp(a).value - a), 12)
+        pt = bp(a_star)
+        rows.append((
+            alpha, alpha * pt.value - a_star, alpha * pt.lower - a_star,
+            alpha * pt.upper - a_star, pt,
+        ))
+    return rows

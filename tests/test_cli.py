@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from dimspectra.cli import (
+    _apply_override,
     build_map_from,
     build_potential_from,
     emit_csv,
@@ -81,6 +82,28 @@ def test_set_overrides(tmp_path):
         == 0
     )
     assert len(other.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("tol", ["1e-10", "1e-6"])  # the --help example and README's
+def test_set_reads_exponent_floats(tmp_path, tol):
+    # YAML 1.1 reads 1e-10 (no dot) as a string; an override reads it as
+    # the float that 1.0e-10 gives.
+    config = CONFIG_DIR / "golden_mean_pressure.yaml"
+    bodies = []
+    for value in (tol, f"{float(tol):.1e}"):
+        out = tmp_path / f"{value}.csv"
+        args = [str(config), "--set", f"output.csv={out}", "--set", f"command.tol={value}"]
+        assert main(args) == 0
+        bodies.append(out.read_text())
+    assert bodies[0] == bodies[1]
+
+
+def test_set_keeps_ints_booleans_and_strings():
+    data: dict = {}
+    for spec in ("a=8", "b=true", 'c="1e-10"', "d=doubling", "e=inf", "f=1e-6"):
+        _apply_override(data, spec)
+    assert data == {"a": 8, "b": True, "c": "1e-10", "d": "doubling", "e": math.inf, "f": 1e-6}
+    assert [type(data[k]) for k in "abcf"] == [int, bool, str, float]
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):

@@ -214,6 +214,12 @@ _LANE = st.tuples(
     step=1.0,
     xtol=0.0,
 )
+@example(  # at 1234 adjacent floats lie 2**-42 > xtol apart: that lane stops on
+    # its midpoint meeting an end, the lane beside it on its width
+    lanes=[("linear", 1234.5678, 1234.0), ("linear", 0.3, 0.0)],
+    step=1.0,
+    xtol=1e-13,
+)
 def test_root_solver_equals_scalar_lanes(lanes, step, xtol):
     # Lane by lane, the array solver asks the x the scalar lane asks, in
     # order, and returns its root bit for bit; a walk that finds no sign
@@ -263,7 +269,7 @@ def test_expand_to_sign_change_failure():
 
 
 def test_golden_section_min_parabola():
-    (x,) = _convex_argmin(lambda _, a: (a - 1.3) ** 2, 1, -4.0, 4.0, xtol=1e-9)
+    (x,) = _convex_argmin(lambda _, a, _ahead: (a - 1.3) ** 2, 1, -4.0, 4.0, xtol=1e-9)
     assert x == pytest.approx(1.3, abs=1e-6)
     assert (x - 1.3) ** 2 == pytest.approx(0.0, abs=1e-12)
 

@@ -24,9 +24,9 @@ from dimspectra import (
 from dimspectra.cli import main
 from dimspectra.numerics import _CHUNK, log_sum_exp, root_counts
 import root_oracle
-from root_oracle import _bisect, _drive, _expand, _golden
+from root_oracle import _bisect, _drive, _expand
 from dimspectra import normalize_potential, spectrum
-from dimspectra.spectrum import _min_cycle_ratio
+from dimspectra.spectrum import GOLDEN_CAP, _convex_argmin, _min_cycle_ratio, legendre_counts
 from dimspectra.symbolic import CylinderTable, LevelArrays, shared_table
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -295,40 +295,11 @@ def test_curve_rows_align(doubling, bernoulli_phi):
 # array solves against the scalar loops they replaced
 
 
-def _legendre_oracle(m, phi, alphas, *, tol, max_level, refine_tol=1e-7, a_lo=-4.0, a_hi=4.0):
-    """The scalar Legendre transform: one golden-section search per alpha,
-    each b(a) solved alone by the scalar ladder (`root_oracle.b_of_a`) and
-    cached by round(a, 12).  Returns rows as `_rows` gives them, the
-    minimizer's point by its bits."""
-    cache = {}
-
-    def bp(a):
-        key = round(a, 12)
-        if key not in cache:
-            cache[key] = root_oracle.b_of_a(m, phi, key, tol=tol, max_level=max_level)
-        return cache[key]
-
-    rows = []
-    for alpha in np.asarray(alphas, dtype=float):
-        lo, hi = a_lo, a_hi
-        for _ in range(8):
-            a_star, _ = _drive(
-                _golden(lo, hi, xtol=refine_tol, max_iter=120), lambda a: alpha * bp(a).value - a
-            )
-            span = hi - lo
-            if a_star - lo < 0.02 * span:
-                lo -= span
-            elif hi - a_star < 0.02 * span:
-                hi += span
-            else:
-                break
-        a_star = round(a_star, 12)
-        pt = bp(a_star)
-        rows.append((
-            float(alpha), alpha * pt.value - a_star, alpha * pt.lower - a_star,
-            alpha * pt.upper - a_star, root_oracle.hexed(pt),
-        ))
-    return rows
+def _legendre_oracle(m, phi, alphas, **kw):
+    """The scalar Legendre transform's rows (`root_oracle.legendre_spectrum`),
+    as `_rows` gives them with the point by its bits."""
+    rows = root_oracle.legendre_spectrum(m, phi, alphas, **kw)
+    return [(*row[:4], root_oracle.hexed(row[4])) for row in rows]
 
 
 def _rows(curve, bits=False):
@@ -356,6 +327,148 @@ def test_legendre_lockstep_equals_scalar_loop(request, case, doubling, bernoulli
         kw = dict(tol=1e-5, max_level=12, refine_tol=1e-4)
     curve = legendre_spectrum(m, phi, alphas, **kw)
     assert _rows(curve, bits=True) == _legendre_oracle(m, phi, alphas, **kw)
+
+
+# Synthetic convex objectives of x = a - minimizer, exact in IEEE arithmetic
+# so that array and scalar evaluations agree bit for bit; "plateau" is flat
+# on [-1, 1], so its searches compare equal values.
+_SHAPES = {
+    "square": lambda x: x * x,
+    "abs": np.abs,
+    "kink": lambda x: np.where(x < 0.0, -3.0 * x, x),
+    "plateau": lambda x: np.maximum(np.abs(x) - 1.0, 0.0),
+}
+
+
+def _minimizer(lo: float, hi: float, end: str, widenings: int, u: float) -> float:
+    """A minimizer that the search on [lo, hi] reaches after about
+    `widenings` widenings toward `end` (inside the bracket for 0)."""
+    span = hi - lo
+    if widenings == 0:
+        return lo + u * span
+    beyond = span * (2.0 ** (widenings - 1) - 1.0 + u * 2.0 ** (widenings - 1))
+    return lo - beyond if end == "low" else hi + beyond
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lanes=st.lists(
+        st.tuples(
+            st.sampled_from(["low", "high"]),
+            st.sampled_from([0, 1, 2, 7, 8, 10]),
+            # near a zone's edge: 2% from the end for 0 widenings, 0.96 after
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.019, 0.025, 0.955, 0.965, 0.981])),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    shape=st.sampled_from(sorted(_SHAPES)),
+    bracket=st.sampled_from([(-4.0, 4.0), (-1.0, 0.5), (2.0, 3.0)]),
+    xtol=st.sampled_from([1e-7, 1e-3, 0.5, 1e-300]),
+)
+@example(lanes=[("low", 10, 0.5), ("high", 7, 0.3), ("low", 0, 0.5)], shape="square",
+         bracket=(-4.0, 4.0), xtol=1e-300)  # every search takes GOLDEN_CAP steps
+@example(lanes=[("low", 1, 0.0), ("high", 2, 0.99), ("high", 1, 0.999)], shape="kink",
+         bracket=(-4.0, 4.0), xtol=1e-7)  # minimizers on a widened end's zone
+@example(lanes=[("low", 0, 0.025), ("high", 0, 0.975), ("low", 1, 0.955), ("high", 2, 0.955)],
+         shape="square", bracket=(-4.0, 4.0), xtol=1e-7)  # just outside a zone
+def test_convex_argmin_equals_scalar_search(lanes, shape, bracket, xtol):
+    # The array search ends searches already decided to widen and runs the
+    # widened successors ahead; every lane must still find the bits of the
+    # scalar loop, for interior minimizers, one to seven widenings toward
+    # either end or the eight-search cap, and lanes that widen in different
+    # rounds.
+    lo, hi = bracket
+    mins = np.array([_minimizer(lo, hi, *lane) for lane in lanes])
+    g = _SHAPES[shape]
+    found = _convex_argmin(lambda lane, a, _ahead: g(a - mins[lane]), len(lanes), lo, hi, xtol=xtol)
+    for x, m in zip(found.tolist(), mins.tolist()):
+        search = root_oracle._convex_argmin(lo, hi, xtol=xtol)
+        scalar = _drive(search, lambda a: float(g(np.array([a - m]))[0]))
+        assert x.hex() == scalar.hex()
+
+
+def test_convex_argmin_caps_steps_and_searches():
+    # At xtol 1e-300 a bracket closing on 0 never gets that narrow before
+    # GOLDEN_CAP steps (one far from 0 collapses to one float first); a
+    # minimizer far below takes all 8 searches, ending in [-1020, 4].
+    mins = np.array([1e-30, -1e6])
+    asked = [[], []]
+
+    def lane(i: int):
+        def value(a: float) -> float:
+            asked[i].append(a)
+            return abs(a - mins[i].item())
+        return value
+
+    scalar = [_drive(root_oracle._convex_argmin(-4.0, 4.0, xtol=1e-300), lane(i)) for i in (0, 1)]
+    assert len(asked[0]) == 2 + GOLDEN_CAP  # one search: two points to start, one per step
+    assert -1020.0 <= scalar[1] < -1000.0
+    rounds = legendre_counts["rounds"]
+    found = _convex_argmin(
+        lambda lane, a, _ahead: np.abs(a - mins[lane]), 2, -4.0, 4.0, xtol=1e-300
+    )
+    assert [x.hex() for x in found.tolist()] == [x.hex() for x in scalar]
+    assert legendre_counts["rounds"] - rounds < len(asked[1]) / 2
+
+
+def _b_curve_failing_below(monkeypatch, threshold: float) -> list:
+    """Make spectrum.b_curve give a NotConverged for every a < threshold;
+    returns the list of a-values it is asked."""
+    real, asked = spectrum.b_curve, []
+
+    def b_curve(m, phi, a_values, **kw):
+        asked.extend(a_values)
+        solved = iter(real(m, phi, [a for a in a_values if a >= threshold], **kw))
+        return [next(solved) if a >= threshold else NotConverged(f"b({a:g}) refused")
+                for a in a_values]
+
+    monkeypatch.setattr(spectrum, "b_curve", b_curve)
+    return asked
+
+
+def test_speculative_failures_stay_contained(doubling, bernoulli_phi, monkeypatch):
+    # b(a) fails below a = -5.  Minimizers inside [-4, 4] never need such
+    # a point, though the successor searches toward [-12, 4] ask them: the
+    # transform keeps its bits.  A minimizer below -4 needs one, and the
+    # transform raises the error the scalar loop meets first.
+    kw = dict(tol=1e-10, max_level=16)
+    inside = [0.7, 1.0, 1.4]
+    want = _rows(legendre_spectrum(doubling, bernoulli_phi, inside, **kw), bits=True)
+    asked = _b_curve_failing_below(monkeypatch, -5.0)
+    curve = legendre_spectrum(doubling, bernoulli_phi, inside, **kw)
+    assert _rows(curve, bits=True) == want
+    assert min(asked) < -5.0
+    first = []
+
+    def objective(a: float) -> float:
+        if round(a, 12) < -5.0:
+            first.append(round(a, 12))
+            raise NotConverged("stop")
+        return 1.95 * spectrum.b_of_a(doubling, bernoulli_phi, round(a, 12), **kw).value - a
+
+    with pytest.raises(NotConverged):
+        _drive(root_oracle._convex_argmin(-4.0, 4.0, xtol=1e-7), objective)
+    with pytest.raises(NotConverged, match=r"refused") as err:
+        legendre_spectrum(doubling, bernoulli_phi, [1.0, 1.95], **kw)
+    assert str(err.value) == f"b({first[0]:g}) refused"
+
+
+def test_farey_spectrum_takes_no_more_solves_than_scalar_search(farey, bernoulli_phi):
+    # Farey's low successors run on the parabolic ray, which needs no root
+    # solve: the array transform solves no more b(a) roots than the points
+    # of the scalar loop need, and gives its bits.
+    alphas, kw = [0.9, 1.5, 3.0], dict(tol=1e-2, max_level=8)
+    spectrum._ray_start(farey, kw["tol"], kw["max_level"])  # solved once per map
+    before = root_counts["solves"]
+    curve = legendre_spectrum(farey, bernoulli_phi, alphas, **kw)
+    solves = root_counts["solves"] - before
+    keys = []  # each new b(a) the scalar loop solves
+    want = _legendre_oracle(farey, bernoulli_phi, alphas, **kw, asked=keys)
+    before = root_counts["solves"]
+    b_curve(farey, bernoulli_phi, keys, **kw)
+    assert 0 < solves <= root_counts["solves"] - before
+    assert _rows(curve, bits=True) == want
 
 
 def _same_outcome(got, m, phi, a, **kw):
@@ -573,18 +686,21 @@ def test_one_b_solve_asks_each_b_once(doubling, bernoulli_phi, monkeypatch):
 
 
 def test_shipped_spectrum_root_counts(tmp_path):
-    # configs/doubling_bernoulli_spectrum.yaml solves 1,680 b(a), each one
-    # root (the bracket closes at level 2 on one curve), at the 79,136
-    # points the scalar root lanes asked, in at most 3,990 curve calls
-    # (4,036 when each golden-section search asked its first two points in
-    # two rounds).
-    before = dict(root_counts)
+    # configs/doubling_bernoulli_spectrum.yaml solves 1,634 b(a), each one
+    # root (the bracket closes at level 2 on one curve), at the 76,932
+    # points the scalar root lanes asked, in 42 rounds of the Legendre
+    # search and at most 2,100 curve calls.  A search that asked every
+    # point of a search already decided to widen, and began its widened
+    # successor only then, took 80 rounds, 1,680 solves at 79,136 points
+    # and 3,990 curve calls.
+    before, rounds = dict(root_counts), legendre_counts["rounds"]
     config = CONFIG_DIR / "doubling_bernoulli_spectrum.yaml"
     assert main([str(config), "--set", f"output.csv={tmp_path / 's.csv'}"]) == 0
     counts = {key: root_counts[key] - before[key] for key in before}
-    assert counts["solves"] == 1680
-    assert counts["lane_evals"] == 79136
-    assert 0 < counts["curve_calls"] <= 3990
+    assert counts["solves"] == 1634
+    assert counts["lane_evals"] == 76932
+    assert 0 < counts["curve_calls"] <= 2100
+    assert legendre_counts["rounds"] - rounds == 42
 
 
 def test_root_counts_equal_on_one_ladder_and_alone(golden, bernoulli_phi):
