@@ -61,8 +61,15 @@ def log_sum_exp(values: np.ndarray) -> float:
         ValueError: a nan or +inf entry (in any row).
     """
     values = np.asarray(values, dtype=float)
+    lse_counts["calls"] += 1
+    lse_counts["entries"] += values.size
     if values.ndim == 2:
         return _log_sum_exp_rows(values)
+    return _log_sum_exp(values)
+
+
+def _log_sum_exp(values: np.ndarray) -> float:
+    """`log_sum_exp` of a 1-d array, uncounted."""
     if values.size == 0:
         return -math.inf
     m = float(values.max())
@@ -83,7 +90,7 @@ def _log_sum_exp_rows(values: np.ndarray) -> np.ndarray:
     """`log_sum_exp` of each row: the 1-d steps on all rows at once, with
     math.log per row (np.log may differ from it in the last bit)."""
     if values.shape[1] > _CHUNK or values.shape[1] == 0:
-        return np.array([log_sum_exp(row) for row in values], dtype=float)
+        return np.array([_log_sum_exp(row) for row in values], dtype=float)
     m = values.max(axis=1)
     finite = np.isfinite(m)  # tested once, for both paths
     if finite.all():
@@ -135,6 +142,10 @@ class AitkenAccelerator:
 
 # A solve's work, counted over every call of `_solve_roots`.
 root_counts = {"solves": 0, "lane_evals": 0, "curve_calls": 0}
+
+# `log_sum_exp`'s work, counted over every call: calls (a 2-d call is one)
+# and entries reduced.
+lse_counts = {"calls": 0, "entries": 0}
 
 
 # ---------------------------------------------------------------------------

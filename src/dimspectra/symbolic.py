@@ -40,11 +40,15 @@ from .errors import (
     LevelTooLarge,
     PointOutsideCylinder,
 )
-from .maps import MarkovMap
+from .maps import _INVERSE_BLOCK, MarkovMap
 from .numerics import log_sum_exp
 
 WORD_BUDGET = 1 << 26
 SMALL_WORDS = 1 << 10  # levels this small are cached by every table
+
+# A table's work, counted over every level build: levels and words built,
+# and the endpoints sent to the Newton inverse.
+level_counts = {"levels": 0, "words": 0, "inverse_points": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +446,11 @@ class CylinderTable:
     count stays under `cache_words`, a level built only on the way to a
     deeper one while it stays under SMALL_WORDS as well; above that only
     the newest level asked for is kept, so deep ladders do not hold every
-    large level at once.  The ends of a level not kept stay for the next
-    build, which reads them from its grandparent (see `_repeats`): lo, hi,
-    first, last.  A reader that climbs the levels once (`pressure`,
+    large level at once.  On a map with a Newton branch each build also
+    flags, per parent row, whether its first child's lo and its last
+    child's hi repeat the parent's bits; the next build reads the flags in
+    place of the parent's ends (see `_newton_ends`), so no dropped level
+    leaves data behind.  A reader that climbs the levels once (`pressure`,
     `bowen_root`) builds on a table of its own with cache_words =
     SMALL_WORDS, dropped when it returns; readers that come back to a
     level share the map's table (`shared_table`).  `pressure` reads phi
@@ -463,7 +469,12 @@ class CylinderTable:
         self.phi = phi
         self.cache_words = cache_words
         self._levels: dict[int, LevelArrays] = {}
-        self._ends: LevelArrays | None = None  # lo, hi, first, last of a dropped level
+        # Per level n on a map with a Newton branch: (lo, hi, first_lo,
+        # last_hi), whether each level-(n-1) row's first child's lo and last
+        # child's hi repeat its bits (packed bool flags), bound to the
+        # level's lo and hi arrays.
+        self._runs: dict[int, tuple] = {}
+        self._newton = any(br.family == "power" for br in m.branches)
         self._connectors: dict = {}  # finite_measures' connector search by level
         self._step = _Prepend(m, phi, psi)
 
@@ -477,8 +488,8 @@ class CylinderTable:
         base_n = max((k for k in self._levels if k < n), default=0)
         arrays = self._levels.get(base_n) or self._base_level()
         for step in range(arrays.n + 1, n + 1):
-            prev, arrays = arrays, self._extend(arrays)
-            self._store(arrays, prev, asked=step == n)
+            arrays = self._extend(arrays)
+            self._store(arrays, asked=step == n)
         return arrays
 
     def links(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -491,21 +502,21 @@ class CylinderTable:
         suffix = np.concatenate([np.flatnonzero(A[i, prev.first]) for i in range(self.map.p)])
         return prefix, suffix
 
-    def _store(self, arrays: LevelArrays, prev: LevelArrays | None = None, asked=True) -> None:
-        """Store a level built from `prev` (None for level 1); `asked` is
-        False for a level built only on the way to a deeper one."""
+    def _store(self, arrays: LevelArrays, asked=True) -> None:
+        """Store a level just built; `asked` is False for a level built only
+        on the way to a deeper one.  Flags stay with the levels kept and the
+        new one."""
+        level_counts["levels"] += 1
+        level_counts["words"] += arrays.count
         for f in fields(LevelArrays)[1:]:
             if getattr(arrays, f.name) is not None:
                 getattr(arrays, f.name).setflags(write=False)
         cap = self.cache_words
         if arrays.count > cap:  # the level held past the cache goes
             self._levels = {k: v for k, v in self._levels.items() if v.count <= cap}
-        keep = arrays.count <= (cap if asked else min(cap, SMALL_WORDS))
-        self._ends = None
-        if not (keep or prev is None or prev.n in self._levels):
-            self._ends = LevelArrays(prev.n, prev.lo, prev.hi, *[None] * 5, prev.first, prev.last)
-        if asked or keep:
+        if asked or arrays.count <= min(cap, SMALL_WORDS):
             self._levels[arrays.n] = arrays
+        self._runs = {k: v for k, v in self._runs.items() if k in self._levels or k == arrays.n}
 
     def _base_level(self) -> LevelArrays:
         """Level 1: the step from each symbol's core span.  A bracket every
@@ -524,7 +535,7 @@ class CylinderTable:
 
     def _extend(self, prev: LevelArrays) -> LevelArrays:
         """Level n+1, each branch's rows written into its columns.  Newton
-        branches invert only the ends new since level n-1 (`_repeats`);
+        branches invert only the ends new since level n-1 (`_newton_ends`);
         closed forms invert every end in a few flops."""
         m, n, A = self.map, prev.n, self.map.transition
         data = tuple(getattr(prev, f.name) for f in fields(LevelArrays)[1:8])
@@ -535,12 +546,11 @@ class CylinderTable:
             if c is not None and id(c) not in fresh:
                 fresh[id(c)] = np.empty(int((A @ sizes).sum()), c.dtype)
         cols = [None if c is None else fresh[id(c)] for c in data + (prev.first, prev.last)]
-        before = self._levels.get(n - 1)
-        if before is None and self._ends is not None and self._ends.n == n - 1:
-            before = self._ends
         kids = A.sum(axis=1)  # the children of a word, by its last symbol
-        even = before is not None and (kids == kids[0]).all()
-        repeats: dict = {}  # per take: the branches that take every row share one
+        k = int(kids[0])
+        runs = self._runs.get(n)
+        if runs is not None and (runs[0] is not prev.lo or runs[1] is not prev.hi):
+            runs = None  # flags of other arrays: prev was rebuilt or replaced
         at = 0
         for i, br in enumerate(m.branches):
             mask, size = np.repeat(A[i].astype(bool), sizes), int(A[i] @ sizes)
@@ -548,21 +558,28 @@ class CylinderTable:
             rows = slice(at, at + size)
             views, ends = tuple(None if c is None else c[rows] for c in cols[:7]), None
             if br.family == "power":  # increasing
-                src, parent = (prev.lo, prev.hi), None
-                if even and take is _same:
-                    start, k = int(sizes[:i].sum()), before.count  # prev's rows i·u
-                    src = (prev.lo[start : start + k], prev.hi[start : start + k])
-                    parent = (before.lo, before.hi, int(kids[0]))
-                if take not in repeats:
-                    repeats[take] = _repeats(take(prev.lo), take(prev.hi), parent)
+                parent = None
+                if runs is not None and take is _same:
+                    start = int(sizes[:i].sum())
+                    par = slice(start, start + prev.count // k)  # prev's rows i·u
+                    parent = (prev.lo[par], prev.hi[par], runs[2], runs[3], k)
                 out = views[:2] + self._d_out(views)
-                ends = _newton_ends(br, repeats[take], take(prev.lo), take(prev.hi), *src, out)
+                ends = _newton_ends(br, take(prev.lo), take(prev.hi), parent, out)
             self._step(i, data, n, take, ends=ends, out=views)
+            if np.less_equal(views[1], views[0]).any():  # a branch at a time: a smaller mask
+                raise DegenerateCylinder(
+                    f"a level-{n + 1} cylinder collapsed below float resolution"
+                )
             cols[7][rows], cols[8][rows] = i, take(prev.last)
             at += size
-        if np.less_equal(cols[1], cols[0]).any():
-            raise DegenerateCylinder(f"a level-{n + 1} cylinder collapsed below float resolution")
-        return LevelArrays(n + 1, *cols)
+        arrays = LevelArrays(n + 1, *cols)
+        if self._newton and (kids == k).all():  # flags read-only, as columns are
+            p_lo, p_hi, lo, hi = (c.view(np.int64) for c in (*data[:2], *cols[:2]))
+            flags = np.packbits(lo[::k] == p_lo), np.packbits(hi[k - 1 :: k] == p_hi)
+            for flag in flags:
+                flag.setflags(write=False)
+            self._runs[n + 1] = (arrays.lo, arrays.hi, *flags)
+        return arrays
 
     def _d_out(self, views: tuple) -> tuple:
         """Where a Newton branch's log|T'| ranges (dlo, dhi) go: the psi
@@ -576,52 +593,78 @@ class CylinderTable:
         return np.empty(views[0].size), np.empty(views[0].size)
 
 
-def _repeats(lo: np.ndarray, hi: np.ndarray, parent) -> tuple:
-    """Which ends of the rows lo, hi (a level's rows that admit a branch)
-    repeat bits whose image is in hand: a row's lo may be the hi above it,
-    and given `parent` = (lo, hi, k) of the shorter words, each the parent
-    of a run of k rows, a run may start at its parent's lo and end at its
-    hi, whose images are rows of the level.  Returns the rows whose lo and
-    hi are new, (rows, parents) of the parents' ends, and the rows whose lo
-    is not the hi above, as index arrays or slices."""
-    bits_lo, bits_hi = lo.view(np.int64), hi.view(np.int64)
-    linked = np.zeros(lo.size, dtype=bool)
-    np.equal(bits_lo[1:], bits_hi[:-1], out=linked[1:])
+def _repeats(lo: np.ndarray, hi: np.ndarray, linked_top: bool, runs) -> tuple:
+    """Which ends of the rows lo, hi (a block of a level's rows that admit a
+    branch) repeat bits whose image is in hand: a row's lo may be the hi
+    above it (`linked_top`: the first row's lo is that of the row before
+    the block), and given `runs` = (first_lo, last_hi, k), the rows run in
+    runs of k children of one parent, a run starting at its parent's lo
+    where first_lo is set and ending at its hi where last_hi is, whose
+    images are rows of the level.  Returns the rows whose lo and hi are
+    new, (rows, runs) of the parents' ends, and the rows whose lo is not
+    the hi above, as index arrays or slices."""
+    linked = np.empty(lo.size, dtype=bool)
+    linked[0] = linked_top
+    np.equal(lo[1:].view(np.int64), hi[:-1].view(np.int64), out=linked[1:])
     unlinked = np.flatnonzero(~linked)
-    if parent is None:
+    if runs is None:
         return unlinked, slice(None), (unlinked[:0],) * 2, (unlinked[:0],) * 2, unlinked
-    p_lo, p_hi, k = parent
+    first_lo, last_hi, k = runs
     firsts, lasts = slice(0, None, k), slice(k - 1, None, k)
-    hit = bits_hi[lasts] == p_hi.view(np.int64)
-    every = hit.all()
-    hit = slice(None) if every else np.flatnonzero(hit)
+    every = last_hi.all()
+    hit = slice(None) if every else np.flatnonzero(last_hi)
     hi_rows = lasts if every else k * hit + (k - 1)
     new = np.ones(lo.size, dtype=bool)
     new[hi_rows] = False
     new_hi = firsts if every and k == 2 else np.flatnonzero(new)
-    lo_par = np.flatnonzero(~linked[firsts] & (bits_lo[firsts] == p_lo.view(np.int64)))
+    lo_par = np.flatnonzero(~linked[firsts] & first_lo)
     new[:] = True
     new[k * lo_par] = False
     return unlinked[new[unlinked]], new_hi, (k * lo_par, lo_par), (hi_rows, hit), unlinked
 
 
-def _newton_ends(br, repeats: tuple, lo, hi, src_lo, src_hi, out: tuple) -> tuple:
+def _newton_ends(br, lo, hi, parent, out: tuple) -> tuple:
     """An increasing branch's cylinders of the rows lo, hi into out[0:2] and
-    the range of log|T'| on each into out[2:4].  Only the ends `repeats` calls
-    new are inverted (src_lo, src_hi: images of the parents' ends), and
-    log|T'| is evaluated once per image, but at the unlinked rows' lo."""
-    new_lo, new_hi, (lo_rows, lo_par), (hi_rows, hi_par), unlinked = repeats
+    the range of log|T'| on each into out[2:4].  Only the ends `_repeats`
+    calls new are inverted; given `parent` = (src_lo, src_hi, first_lo,
+    last_hi, k), src_lo and src_hi are the images of the parents' ends, and
+    first_lo and last_hi the flags of their runs of k rows, packed 8 to a
+    byte.  log|T'| is evaluated once per image, but at the unlinked rows'
+    lo.  Rows go in blocks of 2 * _INVERSE_BLOCK runs (k = 1 without
+    `parent`), each with its own gather, inverse, scatter and ranges, so no
+    temporary grows with the level; on a two-branch full shift a block's
+    new ends fill about two inverse blocks (blocks half this size measured
+    4% slower, from numpy's cost per call).  A block recomputes the log|T'|
+    of the row above it, and its first run is a multiple of 8, so its flags
+    start a byte."""
     a, b, dlo, dhi = out[:4]
-    y = lo[new_lo]
-    x = br.inverse(np.concatenate((y, hi[new_hi])))
-    b[new_hi], b[hi_rows] = x[y.size :], src_hi[hi_par]
-    a[1:] = b[:-1]  # a row's lo is the hi above it, but at the unlinked rows
-    a[new_lo], a[lo_rows] = x[: y.size], src_lo[lo_par]
-    del x, y
-    lb, la = br.log_abs_derivative(b), br.log_abs_derivative(a[unlinked])
-    np.minimum(lb[:-1], lb[1:], out=dlo[1:])
-    np.maximum(lb[:-1], lb[1:], out=dhi[1:])
-    dlo[unlinked], dhi[unlinked] = np.minimum(la, lb[unlinked]), np.maximum(la, lb[unlinked])
+    src_lo, src_hi, first_lo, last_hi, k = parent or (lo[:0], lo[:0], None, None, 1)
+    width, bits_lo, bits_hi = 2 * _INVERSE_BLOCK * k, lo.view(np.int64), hi.view(np.int64)
+    for s in range(0, lo.size, width):
+        e, top = min(s + width, lo.size), max(s - 1, 0)  # top: the row above, if any
+        rows, runs = slice(s, e), slice(s // k, e // k)
+        flags = None if parent is None else tuple(
+            np.unpackbits(f[runs.start // 8 :], count=runs.stop - runs.start).view(bool)
+            for f in (first_lo, last_hi)
+        ) + (k,)
+        linked_top = s > 0 and bits_lo[s] == bits_hi[s - 1]
+        new_lo, new_hi, (lo_rows, lo_par), (hi_rows, hi_par), unlinked = _repeats(
+            lo[rows], hi[rows], linked_top, flags
+        )
+        aa, bb = a[rows], b[rows]
+        y = lo[rows][new_lo]
+        x = br.inverse(np.concatenate((y, hi[rows][new_hi])))
+        level_counts["inverse_points"] += x.size
+        bb[new_hi], bb[hi_rows] = x[y.size :], src_hi[runs][hi_par]
+        a[top + 1 : e] = b[top : e - 1]  # a row's lo is the hi above it, but at the unlinked rows
+        aa[new_lo], aa[lo_rows] = x[: y.size], src_lo[runs][lo_par]
+        del x, y
+        lb = br.log_abs_derivative(b[top:e])
+        np.minimum(lb[:-1], lb[1:], out=dlo[top + 1 : e])
+        np.maximum(lb[:-1], lb[1:], out=dhi[top + 1 : e])
+        if unlinked.size:
+            lb, la = lb[s - top :][unlinked], br.log_abs_derivative(aa[unlinked])
+            dlo[rows][unlinked], dhi[rows][unlinked] = np.minimum(la, lb), np.maximum(la, lb)
     return out[:4]
 
 

@@ -13,6 +13,7 @@ from dimspectra.numerics import (
     _solve_roots,
     descending_root,
     log_sum_exp,
+    lse_counts,
 )
 from dimspectra.spectrum import _convex_argmin
 from root_oracle import _bisect, _descend, _drive, _expand
@@ -117,6 +118,17 @@ def test_log_sum_exp_rows_equal_one_dimensional_calls(
 def test_log_sum_exp_rows_shapes():
     assert log_sum_exp(np.zeros((0, 4))).shape == (0,)
     assert log_sum_exp(np.zeros((3, 0))).tolist() == [-math.inf] * 3
+
+
+def test_log_sum_exp_counts_calls_and_entries():
+    # A 2-d call is one call, also where its rows are wider than a chunk
+    # and are reduced one by one.
+    before = dict(lse_counts)
+    log_sum_exp(np.zeros(3))
+    log_sum_exp(np.zeros((2, 5)))
+    log_sum_exp(np.zeros((2, _CHUNK + 1)))
+    counts = {key: lse_counts[key] - before[key] for key in before}
+    assert counts == {"calls": 3, "entries": 3 + 10 + 2 * (_CHUNK + 1)}
 
 
 def test_descending_root_asks_each_x_once():

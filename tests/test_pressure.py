@@ -27,8 +27,10 @@ from dimspectra import (
     shared_table,
     words_at_level,
 )
+from dimspectra.maps import newton_counts
+from dimspectra.numerics import lse_counts
 from dimspectra.pressure import _Curves, _Rung, _ladder, _roots_in_b, gluing_length
-from dimspectra.symbolic import SMALL_WORDS, CylinderTable
+from dimspectra.symbolic import SMALL_WORDS, CylinderTable, level_counts
 
 from conftest import linear_markov_map
 from root_oracle import _descend, _drive, hexed
@@ -306,10 +308,12 @@ def test_one_climb_leaves_no_large_level(monkeypatch):
 
 def test_mp_pressure_live_peak():
     # The parabolic workload's seed-0 command climbs to level 19 (2^19
-    # words).  Holding level 18 and the one in hand, without psi columns
-    # (pressure reads phi alone), it peaks at about 30.4 MiB traced; with
-    # them it peaked at 42.4 MiB, and on the shared table, which kept
-    # levels 1-18 (about 24 MiB), at 52.6 MiB.
+    # words), without psi columns (pressure reads phi alone).  Its peak,
+    # about 26.5 MiB traced, falls inside a Newton branch's row blocks: the
+    # level in hand (17.0 MiB: lo, hi, phi_lo, phi_hi, first, last), the
+    # level it extends (8.5 MiB), and about 1 MiB besides: levels 1-10, the
+    # packed flags of first and last children, one block's temporaries
+    # (0.6 MiB).  No parent ends are kept and no temporary is level-sized.
     m = manneville_pomeau_map(0.5)
     tracemalloc.start()
     try:
@@ -318,7 +322,27 @@ def test_mp_pressure_live_peak():
     finally:
         tracemalloc.stop()
     assert p.level == 19
-    assert peak <= 32 * 2**20
+    assert peak <= 27.5 * 2**20
+
+
+def test_mp_pressure_counts_repeat():
+    # The library's counters over the same climb: levels 1-19 (2^20 - 2
+    # words), 524,296 endpoints through the Newton inverse (a quarter of
+    # the 2,097,144 ends built; the rest repeat ends in hand), and the same
+    # counts, sweeps and log_sum_exp work included, on a second run.
+    def climb():
+        m = manneville_pomeau_map(0.5)  # built before counting
+        counters = (level_counts, newton_counts, lse_counts)
+        before = [dict(c) for c in counters]
+        assert pressure(m, geometric(-0.7), tol=1e-6, max_level=22).level == 19
+        return [{key: c[key] - b[key] for key in c} for c, b in zip(counters, before)]
+
+    first = climb()
+    assert climb() == first
+    levels, newton, lse = first
+    assert levels == {"levels": 19, "words": 2**20 - 2, "inverse_points": 524_296}
+    assert newton["points"] == 524_296 < newton["point_sweeps"]
+    assert lse["calls"] > 0 and lse["entries"] >= 2**19
 
 
 def test_ladders_without_a_rung_raise_open_enclosure(doubling, bernoulli_phi):

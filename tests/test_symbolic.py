@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -28,7 +30,7 @@ from dimspectra import (
     words_at_level,
 )
 from dimspectra.errors import LevelTooLarge
-from dimspectra.symbolic import LevelArrays, ratio_bracket
+from dimspectra.symbolic import SMALL_WORDS, LevelArrays, level_counts, ratio_bracket
 from root_oracle import _four_end_ratio
 
 LOG2 = math.log(2.0)
@@ -351,13 +353,45 @@ def test_table_levels_equal_full_inversion_bit_for_bit(request, name, cache_word
             prev = arr
 
 
+def test_row_blocks_equal_full_inversion_bit_for_bit(mp):
+    # Level 17 takes four row blocks per branch (2^16 rows, 16,384 a block):
+    # the links and the row of log|T'| that cross a block's edge, and the
+    # parents' flags, give the bits of inverting every end, at a quarter of
+    # the inversions (2^16 of 2^18 ends).
+    table = CylinderTable(mp, geometric(-0.7), psi=False)
+    prev = table.level(16)
+    before = level_counts["inverse_points"]
+    arr = table.level(17)
+    assert level_counts["inverse_points"] - before == 2**16
+    # Without flags only the links save inversions: every hi, and the lo of
+    # each row whose lo is not the hi above, block edges included.
+    table._runs.clear()
+    before = level_counts["inverse_points"]
+    bare = table._extend(prev)
+    unlinked = 1 + np.count_nonzero(prev.lo[1:].view(np.int64) != prev.hi[:-1].view(np.int64))
+    assert level_counts["inverse_points"] - before == mp.p * (prev.count + unlinked)
+    ref = _reference_level(table, prev)
+    for f in fields(LevelArrays)[1:]:
+        want = getattr(ref, f.name)
+        assert (getattr(arr, f.name) is None) == (want is None), f.name
+        if want is not None:
+            assert getattr(arr, f.name).tobytes() == want.tobytes(), f.name
+            assert getattr(bare, f.name).tobytes() == want.tobytes(), f.name
+
+
 def test_reuse_needs_identical_input_bits(mp):
     # Move every end of a level one ulp inward: no input then repeats an
     # earlier one, although the rows still nest, so none may be reused.
+    # The flags level 6's build left are bound to its own lo and hi arrays,
+    # which `replace` swaps: flags that followed the level into the copy
+    # would reuse the parents' ends, inverting fewer than every end.
     table = CylinderTable(mp, geometric(-0.7))
     prev = table.level(6)  # level 5 stays cached beside it
     moved = replace(prev, lo=np.nextafter(prev.lo, 1.0), hi=np.nextafter(prev.hi, 0.0))
-    got, want = table._extend(moved), _reference_level(table, moved)
+    before = level_counts["inverse_points"]
+    got = table._extend(moved)
+    assert level_counts["inverse_points"] - before == 2 * mp.p * moved.count
+    want = _reference_level(table, moved)
     for f in fields(LevelArrays)[1:]:
         if getattr(want, f.name) is not None:
             assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
@@ -381,9 +415,10 @@ def test_parabolic_table_inverts_each_endpoint_once(mp, monkeypatch):
 def test_levels_over_cache_words_keep_previous_level_reuse(mp, monkeypatch):
     # With cache_words = 4096 = 2^12, levels 13 on are dropped as the next
     # large one is stored.  Levels 15 and 16 are built while their
-    # grandparent is such a dropped level; its kept ends still let each
-    # level invert a quarter of its endpoints (half without them: 32,776 and
-    # 65,544), and every column equals that of a table that caches them all.
+    # grandparent is such a dropped level; the flags each build leaves for
+    # the next still let each level invert a quarter of its endpoints (half
+    # without them: 32,776 and 65,544), and every column equals that of a
+    # table that caches them all.
     points = []
     inverse = Branch.inverse
 
@@ -412,9 +447,9 @@ def test_levels_over_cache_words_keep_previous_level_reuse(mp, monkeypatch):
 
 def test_levels_on_the_way_past_small_words_are_not_kept(mp, monkeypatch):
     # A level built only as the input of a deeper one is kept while it has
-    # at most SMALL_WORDS = 2^10 words (levels 1-10 here).  The ends of the
-    # ones dropped still serve the next build, so level 14 inverts as many
-    # points as when every level is asked for, and has the same bits.
+    # at most SMALL_WORDS = 2^10 words (levels 1-10 here).  The flags each
+    # build leaves still serve the next, so level 14 inverts as many points
+    # as when every level is asked for, and has the same bits.
     points = []
     inverse = Branch.inverse
 
@@ -437,6 +472,32 @@ def test_levels_on_the_way_past_small_words_are_not_kept(mp, monkeypatch):
         assert (got is None) == (want is None), f.name
         if got is not None:
             assert got.tobytes() == want.tobytes(), f.name
+
+
+@pytest.mark.parametrize("name", ["mp", "two_slopes", "farey"])
+def test_climb_leaves_no_dropped_level_reachable(request, name):
+    # On pressure's table (no psi, cache_words = SMALL_WORDS = 2^10 words),
+    # once level(n) returns no array of a dropped level (11 to n-1) is
+    # reachable: the table holds levels 1-10 and n and, on MP, their flags
+    # of first and last children.  A closed-form map (two slopes, Farey)
+    # keeps no parent data at all.
+    m = request.getfixturevalue(name)
+    table = CylinderTable(m, geometric(-0.7), cache_words=SMALL_WORDS, psi=False)
+    built, extend = [], table._extend
+
+    def tracked(prev):
+        out = extend(prev)
+        cols = (getattr(out, f.name) for f in fields(LevelArrays)[1:])
+        built.append((out.n, [weakref.ref(c) for c in cols if c is not None]))
+        return out
+
+    table._extend = tracked
+    for n in range(11, 17):
+        table.level(n)
+        gc.collect()
+        assert sorted(table._levels) == [*range(1, 11), n]
+        assert sorted(table._runs) == ([*range(2, 11), n] if name == "mp" else [])
+        assert all(ref() is None for k, refs in built if 10 < k < n for ref in refs), n
 
 
 _COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-6.0, 6.0))
@@ -766,9 +827,11 @@ def test_level_columns_are_read_only(mp, markov):
                 if col is not None:
                     with pytest.raises(ValueError, match="read-only"):
                         col[0] = col[0]
-        if table._ends is not None:
-            with pytest.raises(ValueError, match="read-only"):
-                table._ends.lo[0] = 0.0
+        assert bool(table._runs) == (table.map is mp)  # flags only where a branch is Newton's
+        for runs in table._runs.values():
+            for flags in runs[2:]:
+                with pytest.raises(ValueError, match="read-only"):
+                    flags[0] = flags[0]
 
 
 def test_unit_coefficient_returns_the_column(mp):
