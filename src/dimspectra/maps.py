@@ -39,9 +39,9 @@ ENDPOINT_TOL = 1e-12
 NEWTON_SWEEPS = 120
 _INVERSE_BLOCK = 4096
 
-# The power-branch inverse's work, counted over every call: points solved,
-# and the sum over Newton sweeps of the points each sweep steps.
-newton_counts = {"points": 0, "point_sweeps": 0}
+# The power-branch inverse's work, counted over every call: the sum over
+# Newton sweeps of the points each sweep steps.
+newton_counts = {"point_sweeps": 0}
 
 _FAMILIES = ("linear", "power", "farey_left", "farey_right")
 
@@ -188,7 +188,7 @@ class Branch:
             y_min = y_max = y
         else:
             y = np.asarray(y, dtype=float)
-            y_min, y_max = float(y.min()), float(y.max())
+            y_min, y_max = float(np.min(y)), float(np.max(y))
         ilo, ihi = self.image
         # Stated so that NaN, which fails every comparison, is rejected too.
         if not (ilo - clamp_tol <= y_min and y_max <= ihi + clamp_tol):
@@ -214,7 +214,7 @@ class Branch:
             out = _power_inverse(self.c, self.s, y, lo, hi)
         if one:
             return float(min(max(out, lo), hi))
-        out = out.clip(lo, hi, out=out if out.ndim else None)
+        out = np.clip(out, lo, hi, out=out if out.ndim else None)
         return out if out.ndim else float(out)
 
     def preimage_interval(self, lo: float, hi: float) -> tuple[float, float]:
@@ -236,11 +236,8 @@ def _power_inverse(c: float, s: float, z, lo: float, hi: float):
     remaining sweeps picks the member.
     """
     z = np.asarray(z, dtype=float)
-    newton_counts["points"] += z.size
     if z.ndim == 0:
         return _power_inverse_block(c, s, z[None], lo, hi)[0]
-    if z.size <= _INVERSE_BLOCK:  # one block: its result, uncopied
-        return _power_inverse_block(c, s, z, lo, hi)
     # Every point iterates alone, so solving in blocks changes no bit; it
     # keeps the sweep's temporaries small on million-point levels.
     x = np.empty_like(z)
@@ -251,32 +248,17 @@ def _power_inverse(c: float, s: float, z, lo: float, hi: float):
 
 
 def _power_inverse_block(c: float, s: float, z: np.ndarray, lo: float, hi: float):
-    """`_power_inverse` on a 1-d array.  Every point starts at hi, so the
-    first sweep is affine in z: x + c*x**(1+s) and 1 + c*(1+s)*x**s at hi
-    are formed once, as one-element arrays so that they take the array
-    expressions' bits.  Later sweeps take the same operations in place on
-    the two powers, and the step overwrites the first."""
+    """`_power_inverse` on a 1-d array."""
     x = np.empty_like(z)
-    top = np.full(1, hi)
-    f_hi, d_hi = top + c * top ** (1.0 + s), 1.0 + c * (1.0 + s) * top**s
-    live, zs = np.arange(z.size), z
-    # Sweep 1 settles the points it leaves at hi, as with no iterate behind.
-    back = xs = np.full_like(z, hi)
+    live = np.arange(z.size)
+    xs, zs = np.full_like(z, hi), z
+    back = np.nan  # the iterate two sweeps back
     for k in range(1, NEWTON_SWEEPS + 1):
         newton_counts["point_sweeps"] += zs.size
-        if k == 1:
-            f, d = np.subtract(f_hi, zs), d_hi
-        else:  # xs + c*xs**(1+s) - zs and 1 + c*(1+s)*xs**s
-            f, d = xs ** (1.0 + s), xs**s
-            if c != 1.0:  # x * 1.0 is x
-                f *= c
-            f += xs
-            f -= zs
-            d *= c * (1.0 + s)
-            d += 1.0
-        f /= d
-        step = np.subtract(xs, f, out=f)
-        step.clip(lo, hi, out=step)
+        # One expression, so that no temporary outlives the step.
+        step = np.clip(
+            xs - (xs + c * xs ** (1.0 + s) - zs) / (1.0 + c * (1.0 + s) * xs**s), lo, hi
+        )
         fixed = step == xs
         settled = fixed | (step == back)
         if settled.any():

@@ -471,8 +471,8 @@ class CylinderTable:
         self._levels: dict[int, LevelArrays] = {}
         # Per level n on a map with a Newton branch: (lo, hi, first_lo,
         # last_hi), whether each level-(n-1) row's first child's lo and last
-        # child's hi repeat its bits (packed bool flags), bound to the
-        # level's lo and hi arrays.
+        # child's hi repeat its bits (bool flags), bound to the level's lo
+        # and hi arrays.
         self._runs: dict[int, tuple] = {}
         self._newton = any(br.family == "power" for br in m.branches)
         self._connectors: dict = {}  # finite_measures' connector search by level
@@ -575,7 +575,7 @@ class CylinderTable:
         arrays = LevelArrays(n + 1, *cols)
         if self._newton and (kids == k).all():  # flags read-only, as columns are
             p_lo, p_hi, lo, hi = (c.view(np.int64) for c in (*data[:2], *cols[:2]))
-            flags = np.packbits(lo[::k] == p_lo), np.packbits(hi[k - 1 :: k] == p_hi)
+            flags = lo[::k] == p_lo, hi[k - 1 :: k] == p_hi
             for flag in flags:
                 flag.setflags(write=False)
             self._runs[n + 1] = (arrays.lo, arrays.hi, *flags)
@@ -628,25 +628,21 @@ def _newton_ends(br, lo, hi, parent, out: tuple) -> tuple:
     the range of log|T'| on each into out[2:4].  Only the ends `_repeats`
     calls new are inverted; given `parent` = (src_lo, src_hi, first_lo,
     last_hi, k), src_lo and src_hi are the images of the parents' ends, and
-    first_lo and last_hi the flags of their runs of k rows, packed 8 to a
-    byte.  log|T'| is evaluated once per image, but at the unlinked rows'
-    lo.  Rows go in blocks of 2 * _INVERSE_BLOCK runs (k = 1 without
-    `parent`), each with its own gather, inverse, scatter and ranges, so no
-    temporary grows with the level; on a two-branch full shift a block's
-    new ends fill about two inverse blocks (blocks half this size measured
-    4% slower, from numpy's cost per call).  A block recomputes the log|T'|
-    of the row above it, and its first run is a multiple of 8, so its flags
-    start a byte."""
+    first_lo and last_hi the flags of their runs of k rows.  log|T'| is
+    evaluated once per image, but at the unlinked rows' lo.  Rows go in
+    blocks of 2 * _INVERSE_BLOCK runs (k = 1 without `parent`), each with
+    its own gather, inverse, scatter and ranges, so no temporary grows with
+    the level; on a two-branch full shift a block has about 2 *
+    _INVERSE_BLOCK new ends (blocks half this size measured slower, from
+    numpy's cost per call).  A block recomputes the log|T'| of the row
+    above it."""
     a, b, dlo, dhi = out[:4]
     src_lo, src_hi, first_lo, last_hi, k = parent or (lo[:0], lo[:0], None, None, 1)
     width, bits_lo, bits_hi = 2 * _INVERSE_BLOCK * k, lo.view(np.int64), hi.view(np.int64)
     for s in range(0, lo.size, width):
         e, top = min(s + width, lo.size), max(s - 1, 0)  # top: the row above, if any
         rows, runs = slice(s, e), slice(s // k, e // k)
-        flags = None if parent is None else tuple(
-            np.unpackbits(f[runs.start // 8 :], count=runs.stop - runs.start).view(bool)
-            for f in (first_lo, last_hi)
-        ) + (k,)
+        flags = None if parent is None else (first_lo[runs], last_hi[runs], k)
         linked_top = s > 0 and bits_lo[s] == bits_hi[s - 1]
         new_lo, new_hi, (lo_rows, lo_par), (hi_rows, hi_par), unlinked = _repeats(
             lo[rows], hi[rows], linked_top, flags

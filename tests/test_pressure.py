@@ -309,11 +309,11 @@ def test_one_climb_leaves_no_large_level(monkeypatch):
 def test_mp_pressure_live_peak():
     # The parabolic workload's seed-0 command climbs to level 19 (2^19
     # words), without psi columns (pressure reads phi alone).  Its peak,
-    # about 26.5 MiB traced, falls inside a Newton branch's row blocks: the
+    # about 26.7 MiB traced, falls inside a Newton branch's row blocks: the
     # level in hand (17.0 MiB: lo, hi, phi_lo, phi_hi, first, last), the
     # level it extends (8.5 MiB), and about 1 MiB besides: levels 1-10, the
-    # packed flags of first and last children, one block's temporaries
-    # (0.6 MiB).  No parent ends are kept and no temporary is level-sized.
+    # flags of first and last children, one block's temporaries (0.6 MiB).
+    # No parent ends are kept and no temporary is level-sized.
     m = manneville_pomeau_map(0.5)
     tracemalloc.start()
     try:
@@ -341,7 +341,7 @@ def test_mp_pressure_counts_repeat():
     assert climb() == first
     levels, newton, lse = first
     assert levels == {"levels": 19, "words": 2**20 - 2, "inverse_points": 524_296}
-    assert newton["points"] == 524_296 < newton["point_sweeps"]
+    assert newton["point_sweeps"] > 524_296
     assert lse["calls"] > 0 and lse["entries"] >= 2**19
 
 

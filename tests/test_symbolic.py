@@ -360,9 +360,19 @@ def test_row_blocks_equal_full_inversion_bit_for_bit(mp):
     # the inversions (2^16 of 2^18 ends).
     table = CylinderTable(mp, geometric(-0.7), psi=False)
     prev = table.level(16)
+    flags = table._runs[16]
     before = level_counts["inverse_points"]
     arr = table.level(17)
     assert level_counts["inverse_points"] - before == 2**16
+    # Every flag is set on MP; a run whose flag is cleared, here in the
+    # second to fourth blocks (8,192 runs a block), inverts its last hi in
+    # each branch, so each block reads its own runs' flags.
+    last_hi = flags[3].copy()
+    last_hi[[10_000, 20_000, 30_000]] = False
+    table._runs[16] = (*flags[:3], last_hi)
+    before = level_counts["inverse_points"]
+    cleared = table._extend(prev)
+    assert level_counts["inverse_points"] - before == 2**16 + mp.p * 3
     # Without flags only the links save inversions: every hi, and the lo of
     # each row whose lo is not the hi above, block edges included.
     table._runs.clear()
@@ -375,8 +385,8 @@ def test_row_blocks_equal_full_inversion_bit_for_bit(mp):
         want = getattr(ref, f.name)
         assert (getattr(arr, f.name) is None) == (want is None), f.name
         if want is not None:
-            assert getattr(arr, f.name).tobytes() == want.tobytes(), f.name
-            assert getattr(bare, f.name).tobytes() == want.tobytes(), f.name
+            for got in (arr, cleared, bare):
+                assert getattr(got, f.name).tobytes() == want.tobytes(), f.name
 
 
 def test_reuse_needs_identical_input_bits(mp):
