@@ -455,6 +455,8 @@ def bowen_sn(m: MarkovMap, phi: Potential, n: int, alpha: float, eps: float) -> 
 
     Raises:
         EmptyWindow: no word's ratio bracket meets the window.
+        DegenerateCylinder: a cylinder up to level n collapsed below float
+            resolution (the ends come from `CylinderTable.ends`).
     """
     mask = window_mask(m, phi, n, alpha, eps)
     count = int(np.sum(mask))
@@ -464,5 +466,6 @@ def bowen_sn(m: MarkovMap, phi: Potential, n: int, alpha: float, eps: float) -> 
         )
     if count == 1:
         return 0.0
-    log_d = np.log(shared_table(m, phi).level(n).diameters()[mask])
+    lo, hi = shared_table(m, phi).ends(n)
+    log_d = np.log((hi - lo)[mask])
     return descending_root(lambda s: log_sum_exp(s * log_d), 0.0, xtol=1e-10)

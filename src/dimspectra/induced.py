@@ -178,9 +178,11 @@ class InducedBPoint(Enclosure):
 
 def _rows(branches) -> LevelArrays:
     """Branches as one level of rows (n = 1, one induced step per branch):
-    their domains and Birkhoff brackets, without the word columns."""
+    their domains, Birkhoff brackets and words' end symbols, without a
+    prefix code."""
     cols = np.array([br.domain + br.psi_bracket + br.phi_bracket for br in branches]).T
-    return LevelArrays(1, *cols, *[None] * 3)
+    first, last = np.array([(br.word[0], br.word[-1]) for br in branches], dtype=np.int8).T
+    return LevelArrays(1, *cols, None, first, last)
 
 
 class _Returns:

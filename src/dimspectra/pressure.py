@@ -395,7 +395,8 @@ def normalize_potential(
 
 def _moran_root(table: CylinderTable, n: int) -> float:
     """Root of sum_w diam(w)^s = 1 at level n (unique: strictly decreasing)."""
-    log_d = np.log(table.level(n).diameters())
+    lo, hi = table.ends(n)
+    log_d = np.log(hi - lo)
     return descending_root(lambda s: log_sum_exp(s * log_d), 0.0, xtol=1e-14)
 
 

@@ -47,8 +47,9 @@ WORD_BUDGET = 1 << 26
 SMALL_WORDS = 1 << 10  # levels this small are cached by every table
 
 # A table's work, counted over every level build: levels and words built,
-# and the endpoints sent to the Newton inverse.
-level_counts = {"levels": 0, "words": 0, "inverse_points": 0}
+# the rows whose cylinder ends a build made, and the endpoints sent to the
+# Newton inverse.
+level_counts = {"levels": 0, "words": 0, "end_rows": 0, "inverse_points": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,8 @@ class _Prepend:
         """Data of i·w from the data `prev` of the n-words w.
 
         `take` picks the rows of `prev` that admit i; it is applied to each
-        column where that column is used, so no masked copy is held.  With
+        column where that column is used, so no masked copy is held.  Where
+        prev has no ends (None, on linear branches only) neither has i·w.  With
         pull=False, prev's interval is already the cylinder of i·w (a
         symbol's core span, for n = 0).  `ends` may hold (lo, hi, dlo, dhi):
         the cylinders of i·w and the range of log|T_i'| on each.  `out` may
@@ -300,7 +302,9 @@ class _Prepend:
         m, phi = self.map, self.phi
         br = m.branches[i]
         if ends is None:
-            if pull:
+            if prev[0] is None:  # a level without ends: only linear branches,
+                lo = hi = None  # whose log|T'| reads none
+            elif pull:
                 a, b = br.inverse(take(prev[0])), br.inverse(take(prev[1]))
                 lo, hi = (a, b) if br.increasing else (b, a)
             else:
@@ -352,7 +356,9 @@ class LevelArrays:
     """Flat per-word data for one level, rows in lexicographic word order.
 
     The columns lo .. prefix_code are the cylinder step's data (see
-    `_Prepend`); `first` and `last` hold each word's end symbols.  An exact
+    `_Prepend`); `first` and `last` hold each word's end symbols.  lo and hi
+    are None from level 2 on where no reader of the table reads them (see
+    `CylinderTable`); `CylinderTable.ends` gives every level's.  An exact
     bracket is stored once: psi_hi is psi_lo on linear branches, and
     phi_hi is phi_lo where every summand of phi is exact as well (a depth-1
     locally constant phi, or a geometric one on linear branches).  psi_lo
@@ -363,8 +369,8 @@ class LevelArrays:
     """
 
     n: int
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: np.ndarray | None
+    hi: np.ndarray | None
     psi_lo: np.ndarray | None
     psi_hi: np.ndarray | None
     phi_lo: np.ndarray | None
@@ -375,10 +381,7 @@ class LevelArrays:
 
     @property
     def count(self) -> int:
-        return self.lo.size
-
-    def diameters(self) -> np.ndarray:
-        return self.hi - self.lo
+        return self.first.size
 
     def combined_side(self, a, b, side: int, a_term=None) -> np.ndarray:
         """The lower (side 0) or upper (side 1) ends of the brackets of
@@ -455,6 +458,13 @@ class CylinderTable:
     SMALL_WORDS, dropped when it returns; readers that come back to a
     level share the map's table (`shared_table`).  `pressure` reads phi
     alone, so its table has no psi columns (psi=False).
+
+    Cylinder ends are made from level 2 on only where the table's columns
+    read them: a Newton or Farey branch (log|T'| ranges, flags), a pointwise
+    phi, or a table of neither psi nor phi, whose ends are its only columns.
+    On linear branches with any other phi, log|T'| and phi add one value
+    per symbol, so levels 2 on hold no ends and make no inverse, clip or
+    collapse check; `ends` gives them from a geometry-only table.
     """
 
     def __init__(
@@ -475,6 +485,10 @@ class CylinderTable:
         # and hi arrays.
         self._runs: dict[int, tuple] = {}
         self._newton = any(br.family == "power" for br in m.branches)
+        linear = all(br.family == "linear" for br in m.branches)
+        pointwise = phi is not None and phi.kind == "pointwise"
+        self._makes_ends = not linear or pointwise or (phi is None and not psi)
+        self._geometry: CylinderTable | None = None  # `ends` where levels hold none
         self._connectors: dict = {}  # finite_measures' connector search by level
         self._step = _Prepend(m, phi, psi)
 
@@ -492,6 +506,29 @@ class CylinderTable:
             self._store(arrays, asked=step == n)
         return arrays
 
+    def ends(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (lo, hi) cylinder ends of the level-n rows.  A level that
+        holds its ends gives them; else they come from a table of neither
+        psi nor phi, held from the first call on and started from this
+        table's level 1, whose climb runs the same steps on the ends alone,
+        so every end has the same bits.
+
+        Raises:
+            DegenerateCylinder: a cylinder up to level n collapsed below
+                float resolution.
+        """
+        table = self
+        if not self._makes_ends and n > 1:
+            if self._geometry is None:
+                base = self.level(1)
+                self._geometry = CylinderTable(self.map, cache_words=self.cache_words, psi=False)
+                self._geometry._levels[1] = LevelArrays(
+                    1, base.lo, base.hi, *(None,) * 5, base.first, base.last
+                )
+            table = self._geometry
+        arr = table.level(n)
+        return arr.lo, arr.hi
+
     def links(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """For each level-n row w (n >= 2), the level-(n-1) rows of w[:-1]
         and of w[1:].  In lexicographic order the children of a word u are
@@ -508,6 +545,7 @@ class CylinderTable:
         new one."""
         level_counts["levels"] += 1
         level_counts["words"] += arrays.count
+        level_counts["end_rows"] += 0 if arrays.lo is None else arrays.count
         for f in fields(LevelArrays)[1:]:
             if getattr(arrays, f.name) is not None:
                 getattr(arrays, f.name).setflags(write=False)
@@ -536,9 +574,12 @@ class CylinderTable:
     def _extend(self, prev: LevelArrays) -> LevelArrays:
         """Level n+1, each branch's rows written into its columns.  Newton
         branches invert only the ends new since level n-1 (`_newton_ends`);
-        closed forms invert every end in a few flops."""
+        closed forms invert every end in a few flops; a table that makes no
+        ends (see the class) inverts none."""
         m, n, A = self.map, prev.n, self.map.transition
         data = tuple(getattr(prev, f.name) for f in fields(LevelArrays)[1:8])
+        if not self._makes_ends:  # level 1's spans seed no deeper ends
+            data = (None, None) + data[2:]
         sizes = np.diff(np.searchsorted(prev.first, np.arange(m.p + 1, dtype=np.int8)))
         # Columns as prev's: an exact bracket stays one array (`_base_level`).
         fresh: dict[int, np.ndarray] = {}
@@ -566,7 +607,8 @@ class CylinderTable:
                 out = views[:2] + self._d_out(views)
                 ends = _newton_ends(br, take(prev.lo), take(prev.hi), parent, out)
             self._step(i, data, n, take, ends=ends, out=views)
-            if np.less_equal(views[1], views[0]).any():  # a branch at a time: a smaller mask
+            # A branch at a time: a smaller mask.
+            if self._makes_ends and np.less_equal(views[1], views[0]).any():
                 raise DegenerateCylinder(
                     f"a level-{n + 1} cylinder collapsed below float resolution"
                 )

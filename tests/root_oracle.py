@@ -275,7 +275,8 @@ def pressure(m, phi, *, tol: float = 1e-8, max_level: int = 32) -> Enclosure:
 
 
 def _moran_root(table: CylinderTable, n: int) -> float:
-    log_d = np.log(table.level(n).diameters())
+    lo, hi = table.ends(n)
+    log_d = np.log(hi - lo)
     return _drive(_descend(0.0, xtol=1e-14), lambda s: log_sum_exp(s * log_d))
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from dimspectra import (
     ConstraintInfeasible,
+    DegenerateCylinder,
     finite_measures,
     EmptyWindow,
     InadmissibleSupport,
@@ -22,6 +23,8 @@ from dimspectra import (
     block_objective,
     bowen_sn,
     connector_length,
+    cylinder,
+    cylinders,
     doubling_map,
     geometric,
     linear_full_branch_map,
@@ -32,7 +35,7 @@ from dimspectra import (
 from dimspectra.numerics import log_sum_exp
 from root_oracle import _bisect, _drive, _expand, _four_end_ratio
 from dimspectra.pressure import _moran_root
-from dimspectra.symbolic import SMALL_WORDS, shared_table, words_at_level
+from dimspectra.symbolic import SMALL_WORDS, Potential, level_counts, shared_table, words_at_level
 
 LOG2 = math.log(2.0)
 ALPHA_PEAK = math.log(16.0 / 3.0) / (2.0 * LOG2)
@@ -153,7 +156,8 @@ def _moran_weights(m, n):
     words, s_n the Moran root of the whole level, and s_n."""
     table = shared_table(m, None)
     s_n = _moran_root(table, n)
-    q = np.where(connector_length(table, n).eligible, table.level(n).diameters() ** s_n, 0.0)
+    lo, hi = table.ends(n)
+    q = np.where(connector_length(table, n).eligible, (hi - lo) ** s_n, 0.0)
     return block_measure(m, None, n, q / q.sum()), s_n
 
 
@@ -245,7 +249,8 @@ def test_window_weights_are_suboptimal(doubling, bernoulli_phi):
     # optimizer's objective is at least this preset's.
     s_n = bowen_sn(doubling, bernoulli_phi, 8, ALPHA_FIX, 0.05)
     mask = window_mask(doubling, bernoulli_phi, 8, ALPHA_FIX, 0.05)
-    q = np.where(mask, shared_table(doubling, bernoulli_phi).level(8).diameters() ** s_n, 0.0)
+    lo, hi = shared_table(doubling, bernoulli_phi).ends(8)
+    q = np.where(mask, (hi - lo) ** s_n, 0.0)
     ww = block_measure(doubling, bernoulli_phi, 8, q / q.sum())
     opt = optimize_block_weights(doubling, bernoulli_phi, 8, ALPHA_FIX)
     assert block_objective(ww) <= block_objective(opt) + 1e-9
@@ -568,6 +573,70 @@ def test_block_weights_live_peak(two_slopes, bernoulli_phi):
     finally:
         tracemalloc.stop()
     assert peak <= 7 * column, peak / column
+
+
+def test_block_weights_cold_peak(bernoulli_phi):
+    # On a fresh table the level-18 solve builds levels 1-18 as well.
+    # Linear branches and a locally constant phi make no cylinder ends from
+    # level 2 on, so the whole call peaks within 6 level-18 columns (5.65
+    # measured; 7.67 while every level held its lo and hi).
+    n = 18
+    m = linear_full_branch_map([2.0, 4.0])
+    tracemalloc.start()
+    try:
+        optimize_block_weights(m, bernoulli_phi, n, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = 8 * 2**n
+    assert peak <= 6 * column, peak / column
+
+
+def test_end_rows_count_the_ends_made(bernoulli_phi):
+    # Level 1 makes one end row per symbol.  A cold two-slope level-18
+    # optimisation makes no more, and its level holds no ends.  On doubling,
+    # the first bowen_sn at level 8 makes one end row per row of levels 2-8
+    # (508) in the table's geometry climb, and a repeat call makes none.
+    def made(call):
+        before = level_counts["end_rows"]
+        call()
+        return level_counts["end_rows"] - before
+
+    two_slopes = linear_full_branch_map([2.0, 4.0])
+    assert made(lambda: optimize_block_weights(two_slopes, bernoulli_phi, 18, 1.0)) == 2
+    arr = shared_table(two_slopes, bernoulli_phi).level(18)
+    assert arr.lo is None and arr.hi is None
+    doubling = doubling_map()
+    assert made(lambda: shared_table(doubling, bernoulli_phi).level(8)) == 2
+    s_n = bowen_sn(doubling, bernoulli_phi, 8, 1.0, 0.05)
+    assert made(lambda: bowen_sn(doubling, bernoulli_phi, 8, 1.0, 0.05)) == 0
+    fresh = doubling_map()
+    shared_table(fresh, bernoulli_phi).level(8)
+    assert made(lambda: bowen_sn(fresh, bernoulli_phi, 8, 1.0, 0.05)) == 508
+    assert bowen_sn(fresh, bernoulli_phi, 8, 1.0, 0.05) == s_n
+
+
+def test_collapse_raises_only_where_ends_are_made(bernoulli_phi):
+    # Slopes 1e6: level-3 cylinders are narrower than float resolution.  On
+    # linear branches the psi and phi sums read no cylinder ends, so the
+    # table and the block optimisation return; every reader that makes
+    # ends raises, a pointwise phi's table included.
+    m = linear_full_branch_map([1e6, 1e6])
+    table = shared_table(m, bernoulli_phi)
+    assert table.level(5).count == 32
+    optimize_block_weights(m, bernoulli_phi, 5, 0.1)
+    lo, hi = table.ends(2)
+    assert np.all(hi > lo)
+    pointwise = Potential(kind="pointwise", funcs=(np.square, np.negative))
+    for read in (
+        lambda: table.ends(3),
+        lambda: bowen_sn(m, bernoulli_phi, 5, 0.1, 0.05),
+        lambda: cylinders(m, words_at_level(m, 3)),
+        lambda: cylinder(m, (1, 0, 0)),
+        lambda: shared_table(m, pointwise).level(3),
+    ):
+        with pytest.raises(DegenerateCylinder):
+            read()
 
 
 def test_block_measure_of_brackets_stored_once_keeps_bits(two_slopes, bernoulli_phi, monkeypatch):

@@ -327,8 +327,9 @@ def test_mp_pressure_live_peak():
 
 def test_mp_pressure_counts_repeat():
     # The library's counters over the same climb: levels 1-19 (2^20 - 2
-    # words), 524,296 endpoints through the Newton inverse (a quarter of
-    # the 2,097,144 ends built; the rest repeat ends in hand), and the same
+    # words, each with its ends: a Newton branch's log|T'| reads them),
+    # 524,296 endpoints through the Newton inverse (a quarter of the
+    # 2,097,144 ends built; the rest repeat ends in hand), and the same
     # counts, sweeps and log_sum_exp work included, on a second run.
     def climb():
         m = manneville_pomeau_map(0.5)  # built before counting
@@ -340,7 +341,9 @@ def test_mp_pressure_counts_repeat():
     first = climb()
     assert climb() == first
     levels, newton, lse = first
-    assert levels == {"levels": 19, "words": 2**20 - 2, "inverse_points": 524_296}
+    assert levels == {
+        "levels": 19, "words": 2**20 - 2, "end_rows": 2**20 - 2, "inverse_points": 524_296
+    }
     assert newton["point_sweeps"] > 524_296
     assert lse["calls"] > 0 and lse["entries"] >= 2**19
 

@@ -181,13 +181,15 @@ def test_cylinders_resume_keeps_bits(farey, bernoulli_phi):
 
 
 def test_level_arrays_contents(doubling, bernoulli_phi):
-    arr = shared_table(doubling, bernoulli_phi).level(3)
+    table = shared_table(doubling, bernoulli_phi)
+    arr, (lo, hi) = table.level(3), table.ends(3)
     assert arr.count == 8
-    assert np.allclose(arr.diameters(), 0.125)
+    assert arr.lo is None and arr.hi is None  # linear branches: ends on demand
+    assert np.allclose(hi - lo, 0.125)
     assert np.allclose(arr.psi_lo, 3 * LOG2)
     assert np.allclose(arr.psi_hi, 3 * LOG2)
     # lexicographic rows: word k occupies [k/8, (k+1)/8]
-    assert np.allclose(arr.lo, np.arange(8) / 8.0)
+    assert np.allclose(lo, np.arange(8) / 8.0)
     ones = np.array([bin(k).count("1") for k in range(8)])
     assert np.allclose(
         arr.phi_lo, (3 - ones) * math.log(0.25) + ones * math.log(0.75)
@@ -265,15 +267,28 @@ def _potentials(m):
         yield _random_table(m, depth, seed=10 + depth)
 
 
+def _with_ends(table, n):
+    """Level n of a table with its cylinder ends from `ends(n)`: a level
+    that holds none (linear branches, phi not pointwise, n >= 2) then
+    compares column by column with one that does."""
+    arr = table.level(n)
+    linear = all(br.family == "linear" for br in table.map.branches)
+    pointwise = table.phi is not None and table.phi.kind == "pointwise"
+    assert (arr.lo is None) == (n > 1 and linear and not pointwise), n
+    lo, hi = table.ends(n)
+    return replace(arr, lo=lo, hi=hi)
+
+
 @pytest.mark.parametrize("name", ["doubling", "golden", "farey", "mp"])
 def test_table_rows_equal_scalar_cylinders_bit_for_bit(request, name):
     # Farey's closed forms invert floats without numpy on the scalar path
     # and arrays with it in the table; its rows are compared to level 10.
+    # Ends come from `ends(n)`, the level's own or a geometry-only climb.
     m = request.getfixturevalue(name)
     for phi in _potentials(m):
         table = CylinderTable(m, phi)
         for n in range(1, 11 if name == "farey" else 7):
-            arr = table.level(n)
+            arr = _with_ends(table, n)
             cyls = cylinders(m, words_at_level(m, n), phi)
             assert [c.word[0] for c in cyls] == arr.first.tolist()
             assert [c.word[-1] for c in cyls] == arr.last.tolist()
@@ -288,6 +303,27 @@ def test_table_rows_equal_scalar_cylinders_bit_for_bit(request, name):
                 columns["phi_hi"] = [c.birkhoff_phi[1] for c in cyls]
             for key, scalar in columns.items():
                 assert np.array(scalar).tobytes() == getattr(arr, key).tobytes(), (phi, n, key)
+
+
+ENDS_MAPS = {
+    "doubling": lambda request: request.getfixturevalue("doubling"),
+    "golden": lambda request: request.getfixturevalue("golden"),
+    "markov": lambda request: request.getfixturevalue("markov"),
+    "negative_slope": lambda request: linear_full_branch_map([2.0, -2.5]),
+    "two_slopes": lambda request: request.getfixturevalue("two_slopes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDS_MAPS))
+def test_ends_equal_scalar_cylinders_bit_for_bit(request, name):
+    # Linear branches: levels 2 on hold no ends, and `ends` climbs a table
+    # of ends alone, whose rows are the scalar path's intervals bit for bit.
+    m = ENDS_MAPS[name](request)
+    table = CylinderTable(m, geometric(-0.7))
+    for n in range(1, 11):
+        arr, cyls = _with_ends(table, n), cylinders(m, words_at_level(m, n))
+        assert np.array([c.interval[0] for c in cyls]).tobytes() == arr.lo.tobytes(), n
+        assert np.array([c.interval[1] for c in cyls]).tobytes() == arr.hi.tobytes(), n
 
 
 def _masked_power_map():
@@ -339,12 +375,13 @@ def test_table_levels_equal_full_inversion_bit_for_bit(request, name, cache_word
     # The table inverts each endpoint once, reusing the images of shared and
     # previous-level inputs; the reference inverts every endpoint.  Above
     # cache_words the previous level keeps only the columns that reuse reads.
+    # A level without ends (linear maps) is compared with `ends(n)`'s.
     m = ORACLE_MAPS[name](request)
     for phi in (geometric(-0.7), _random_table(m, 2, seed=3)):
         table = CylinderTable(m, phi, cache_words=cache_words)
-        prev = table.level(1)
+        prev = _with_ends(table, 1)
         for n in range(2, 15):
-            arr, ref = table.level(n), _reference_level(table, prev)
+            arr, ref = _with_ends(table, n), _reference_level(table, prev)
             for f in fields(LevelArrays)[1:]:
                 got, want = getattr(arr, f.name), getattr(ref, f.name)
                 assert (got is None) == (want is None), (phi, n, f.name)
@@ -619,7 +656,7 @@ def test_exact_brackets_stored_once_with_unchanged_bits(request, name):
     # Reference: levels 1-12 with every column its own array.  The table
     # holds psi_hi as psi_lo on linear maps, and phi_hi as phi_lo for a
     # depth-1 locally constant phi, or a geometric phi on a linear map;
-    # every column keeps the reference's bits.
+    # every column keeps the reference's bits, the ends read by `ends(n)`.
     m = ALIAS_MAPS[name](request)
     linear = all(br.family == "linear" for br in m.branches)
     for phi in _alias_potentials(m, linear):
@@ -627,7 +664,7 @@ def test_exact_brackets_stored_once_with_unchanged_bits(request, name):
         table = CylinderTable(m, phi)
         ref = _unaliased_level_one(table)
         for n in range(1, 13):
-            arr = table.level(n)
+            arr = _with_ends(table, n)
             if n > 1:
                 ref = _reference_level(table, ref)
             assert ref.psi_hi is not ref.psi_lo and ref.phi_hi is not ref.phi_lo
@@ -792,13 +829,13 @@ def _old_build_potentials(m):
 
 @pytest.mark.parametrize("name", sorted(OLD_BUILD_MAPS))
 def test_level_build_equals_old_build_bit_for_bit(request, name):
-    # Levels 1-14 column by column, and an exact bracket stored once exactly
-    # where the old build stored it once.
+    # Levels 1-14 column by column, the ends read by `ends(n)`, and an exact
+    # bracket stored once exactly where the old build stored it once.
     m = OLD_BUILD_MAPS[name](request)
     for phi in _old_build_potentials(m):
         table, old = CylinderTable(m, phi), _OldTable(m, phi)
         for n in range(1, 15):
-            arr, ref = table.level(n), old.level(n)
+            arr, ref = _with_ends(table, n), old.level(n)
             for f in fields(LevelArrays)[1:]:
                 got, want = getattr(arr, f.name), getattr(ref, f.name)
                 assert (got is None) == (want is None), (phi, n, f.name)
