@@ -509,11 +509,15 @@ def _check_expansion(branches: tuple[Branch, ...]) -> None:
 
 
 def _core_spans(branches: tuple[Branch, ...], A: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Outer enclosures of the per-symbol spans of the repeller.
+    """The per-symbol spans of the repeller, in round-to-nearest.
 
     Iterates span_i <- T_i^{-1}(hull of follow spans) from the full domains.
-    The iteration is monotone decreasing and stays an outer approximation,
-    so stopping early only widens downstream brackets, never breaks them.
+    In exact arithmetic the iteration is monotone decreasing and stays an
+    outer approximation, so stopping early would only widen downstream
+    brackets.  The preimages are rounded to nearest, not outward, so the
+    spans are not yet outer enclosures: on MP(0.5) span 0 ends at the
+    float just below the true split point and span 1 starts at the float
+    just above it, so neither contains it (ROADMAP item 23).
     """
     spans = [br.domain for br in branches]
     p = len(branches)

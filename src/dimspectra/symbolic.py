@@ -449,22 +449,27 @@ class CylinderTable:
     count stays under `cache_words`, a level built only on the way to a
     deeper one while it stays under SMALL_WORDS as well; above that only
     the newest level asked for is kept, so deep ladders do not hold every
-    large level at once.  On a map with a Newton branch each build also
-    flags, per parent row, whether its first child's lo and its last
-    child's hi repeat the parent's bits; the next build reads the flags in
-    place of the parent's ends (see `_newton_ends`), so no dropped level
-    leaves data behind.  A reader that climbs the levels once (`pressure`,
+    large level at once.  A reader that climbs the levels once (`pressure`,
     `bowen_root`) builds on a table of its own with cache_words =
     SMALL_WORDS, dropped when it returns; readers that come back to a
     level share the map's table (`shared_table`).  `pressure` reads phi
     alone, so its table has no psi columns (psi=False).
 
     Cylinder ends are made from level 2 on only where the table's columns
-    read them: a Newton or Farey branch (log|T'| ranges, flags), a pointwise
+    read them: a Newton or Farey branch (log|T'| ranges), a pointwise
     phi, or a table of neither psi nor phi, whose ends are its only columns.
     On linear branches with any other phi, log|T'| and phi add one value
     per symbol, so levels 2 on hold no ends and make no inverse, clip or
     collapse check; `ends` gives them from a geometry-only table.
+
+    On a full shift of k symbols with a Newton branch and every branch
+    increasing, the build of level 2 checks that each word's first child
+    starts at its lo and its last child ends at its hi, bit for bit.  Where
+    that holds (`_nested`), it holds at every level: every inverse is
+    elementwise, so lo(i·u·0) = inv_i(lo(u·0)) = inv_i(lo(u)) = lo(i·u),
+    and likewise for the last child's hi.  A Newton branch then takes those
+    ends from the parents' images, rows of the level in hand (see
+    `_newton_ends`), and keeps nothing of the level before.
     """
 
     def __init__(
@@ -479,12 +484,7 @@ class CylinderTable:
         self.phi = phi
         self.cache_words = cache_words
         self._levels: dict[int, LevelArrays] = {}
-        # Per level n on a map with a Newton branch: (lo, hi, first_lo,
-        # last_hi), whether each level-(n-1) row's first child's lo and last
-        # child's hi repeat its bits (bool flags), bound to the level's lo
-        # and hi arrays.
-        self._runs: dict[int, tuple] = {}
-        self._newton = any(br.family == "power" for br in m.branches)
+        self._nested = False  # children repeat their parent's outer ends; set at level 2
         linear = all(br.family == "linear" for br in m.branches)
         pointwise = phi is not None and phi.kind == "pointwise"
         self._makes_ends = not linear or pointwise or (phi is None and not psi)
@@ -541,8 +541,7 @@ class CylinderTable:
 
     def _store(self, arrays: LevelArrays, asked=True) -> None:
         """Store a level just built; `asked` is False for a level built only
-        on the way to a deeper one.  Flags stay with the levels kept and the
-        new one."""
+        on the way to a deeper one."""
         level_counts["levels"] += 1
         level_counts["words"] += arrays.count
         level_counts["end_rows"] += 0 if arrays.lo is None else arrays.count
@@ -554,7 +553,6 @@ class CylinderTable:
             self._levels = {k: v for k, v in self._levels.items() if v.count <= cap}
         if asked or arrays.count <= min(cap, SMALL_WORDS):
             self._levels[arrays.n] = arrays
-        self._runs = {k: v for k, v in self._runs.items() if k in self._levels or k == arrays.n}
 
     def _base_level(self) -> LevelArrays:
         """Level 1: the step from each symbol's core span.  A bracket every
@@ -587,11 +585,6 @@ class CylinderTable:
             if c is not None and id(c) not in fresh:
                 fresh[id(c)] = np.empty(int((A @ sizes).sum()), c.dtype)
         cols = [None if c is None else fresh[id(c)] for c in data + (prev.first, prev.last)]
-        kids = A.sum(axis=1)  # the children of a word, by its last symbol
-        k = int(kids[0])
-        runs = self._runs.get(n)
-        if runs is not None and (runs[0] is not prev.lo or runs[1] is not prev.hi):
-            runs = None  # flags of other arrays: prev was rebuilt or replaced
         at = 0
         for i, br in enumerate(m.branches):
             mask, size = np.repeat(A[i].astype(bool), sizes), int(A[i] @ sizes)
@@ -600,10 +593,10 @@ class CylinderTable:
             views, ends = tuple(None if c is None else c[rows] for c in cols[:7]), None
             if br.family == "power":  # increasing
                 parent = None
-                if runs is not None and take is _same:
+                if self._nested:  # a full shift: every row admits i
                     start = int(sizes[:i].sum())
-                    par = slice(start, start + prev.count // k)  # prev's rows i·u
-                    parent = (prev.lo[par], prev.hi[par], runs[2], runs[3], k)
+                    par = slice(start, start + int(sizes[i]))  # prev's rows i·u
+                    parent = (prev.lo[par], prev.hi[par], m.p)
                 out = views[:2] + self._d_out(views)
                 ends = _newton_ends(br, take(prev.lo), take(prev.hi), parent, out)
             self._step(i, data, n, take, ends=ends, out=views)
@@ -614,14 +607,13 @@ class CylinderTable:
                 )
             cols[7][rows], cols[8][rows] = i, take(prev.last)
             at += size
-        arrays = LevelArrays(n + 1, *cols)
-        if self._newton and (kids == k).all():  # flags read-only, as columns are
-            p_lo, p_hi, lo, hi = (c.view(np.int64) for c in (*data[:2], *cols[:2]))
-            flags = lo[::k] == p_lo, hi[k - 1 :: k] == p_hi
-            for flag in flags:
-                flag.setflags(write=False)
-            self._runs[n + 1] = (arrays.lo, arrays.hi, *flags)
-        return arrays
+        brs = m.branches
+        if n == 1 and m.is_full_shift and all(br.increasing for br in brs) and any(
+            br.family == "power" for br in brs
+        ):  # the level-2 check that sets `_nested` (see the class)
+            k, p_lo, p_hi, lo, hi = m.p, *(c.view(np.int64) for c in (*data[:2], *cols[:2]))
+            self._nested = bool((lo[::k] == p_lo).all() and (hi[k - 1 :: k] == p_hi).all())
+        return LevelArrays(n + 1, *cols)
 
     def _d_out(self, views: tuple) -> tuple:
         """Where a Newton branch's log|T'| ranges (dlo, dhi) go: the psi
@@ -635,42 +627,35 @@ class CylinderTable:
         return np.empty(views[0].size), np.empty(views[0].size)
 
 
-def _repeats(lo: np.ndarray, hi: np.ndarray, linked_top: bool, runs) -> tuple:
+def _repeats(lo: np.ndarray, hi: np.ndarray, linked_top: bool, k: int | None) -> tuple:
     """Which ends of the rows lo, hi (a block of a level's rows that admit a
     branch) repeat bits whose image is in hand: a row's lo may be the hi
     above it (`linked_top`: the first row's lo is that of the row before
-    the block), and given `runs` = (first_lo, last_hi, k), the rows run in
-    runs of k children of one parent, a run starting at its parent's lo
-    where first_lo is set and ending at its hi where last_hi is, whose
-    images are rows of the level.  Returns the rows whose lo and hi are
-    new, (rows, runs) of the parents' ends, and the rows whose lo is not
-    the hi above, as index arrays or slices."""
+    the block), and on a nested table (k not None) the rows run in runs of
+    k children of one parent, each run starting at its parent's lo and
+    ending at its hi, whose images are rows of the level.  Returns the rows
+    whose lo and hi are new, (rows, parents) of the unlinked first
+    children, the rows of the last children, and the rows whose lo is not
+    the hi above, as index arrays or slices (no parent rows for k None)."""
     linked = np.empty(lo.size, dtype=bool)
     linked[0] = linked_top
     np.equal(lo[1:].view(np.int64), hi[:-1].view(np.int64), out=linked[1:])
     unlinked = np.flatnonzero(~linked)
-    if runs is None:
-        return unlinked, slice(None), (unlinked[:0],) * 2, (unlinked[:0],) * 2, unlinked
-    first_lo, last_hi, k = runs
-    firsts, lasts = slice(0, None, k), slice(k - 1, None, k)
-    every = last_hi.all()
-    hit = slice(None) if every else np.flatnonzero(last_hi)
-    hi_rows = lasts if every else k * hit + (k - 1)
-    new = np.ones(lo.size, dtype=bool)
-    new[hi_rows] = False
-    new_hi = firsts if every and k == 2 else np.flatnonzero(new)
-    lo_par = np.flatnonzero(~linked[firsts] & first_lo)
-    new[:] = True
-    new[k * lo_par] = False
-    return unlinked[new[unlinked]], new_hi, (k * lo_par, lo_par), (hi_rows, hit), unlinked
+    if k is None:
+        return unlinked, slice(None), (unlinked[:0],) * 2, unlinked[:0], unlinked
+    first = unlinked % k == 0
+    new_hi = slice(0, None, k) if k == 2 else np.flatnonzero(np.arange(lo.size) % k != k - 1)
+    firsts = unlinked[first]
+    return unlinked[~first], new_hi, (firsts, firsts // k), slice(k - 1, None, k), unlinked
 
 
 def _newton_ends(br, lo, hi, parent, out: tuple) -> tuple:
     """An increasing branch's cylinders of the rows lo, hi into out[0:2] and
     the range of log|T'| on each into out[2:4].  Only the ends `_repeats`
-    calls new are inverted; given `parent` = (src_lo, src_hi, first_lo,
-    last_hi, k), src_lo and src_hi are the images of the parents' ends, and
-    first_lo and last_hi the flags of their runs of k rows.  log|T'| is
+    calls new are inverted; given `parent` = (src_lo, src_hi, k) on a
+    nested table (see `CylinderTable`), the rows run in runs of k children,
+    and src_lo and src_hi are the images of their parents' ends, which the
+    first child's lo and the last child's hi repeat.  log|T'| is
     evaluated once per image, but at the unlinked rows' lo.  Rows go in
     blocks of 2 * _INVERSE_BLOCK runs (k = 1 without `parent`), each with
     its own gather, inverse, scatter and ranges, so no temporary grows with
@@ -679,21 +664,20 @@ def _newton_ends(br, lo, hi, parent, out: tuple) -> tuple:
     numpy's cost per call).  A block recomputes the log|T'| of the row
     above it."""
     a, b, dlo, dhi = out[:4]
-    src_lo, src_hi, first_lo, last_hi, k = parent or (lo[:0], lo[:0], None, None, 1)
+    src_lo, src_hi, k = parent or (lo[:0], lo[:0], 1)
     width, bits_lo, bits_hi = 2 * _INVERSE_BLOCK * k, lo.view(np.int64), hi.view(np.int64)
     for s in range(0, lo.size, width):
         e, top = min(s + width, lo.size), max(s - 1, 0)  # top: the row above, if any
         rows, runs = slice(s, e), slice(s // k, e // k)
-        flags = None if parent is None else (first_lo[runs], last_hi[runs], k)
         linked_top = s > 0 and bits_lo[s] == bits_hi[s - 1]
-        new_lo, new_hi, (lo_rows, lo_par), (hi_rows, hi_par), unlinked = _repeats(
-            lo[rows], hi[rows], linked_top, flags
+        new_lo, new_hi, (lo_rows, lo_par), hi_rows, unlinked = _repeats(
+            lo[rows], hi[rows], linked_top, None if parent is None else k
         )
         aa, bb = a[rows], b[rows]
         y = lo[rows][new_lo]
         x = br.inverse(np.concatenate((y, hi[rows][new_hi])))
         level_counts["inverse_points"] += x.size
-        bb[new_hi], bb[hi_rows] = x[y.size :], src_hi[runs][hi_par]
+        bb[new_hi], bb[hi_rows] = x[y.size :], src_hi[runs]
         a[top + 1 : e] = b[top : e - 1]  # a row's lo is the hi above it, but at the unlinked rows
         aa[new_lo], aa[lo_rows] = x[: y.size], src_lo[runs][lo_par]
         del x, y

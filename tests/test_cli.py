@@ -310,19 +310,35 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("dimspectra ")
 
 
+def _shipped_fields(manifest: Path) -> dict:
+    """A manifest without the keys that depend on the host (`versions`) or
+    on where the run wrote its CSV (`config_sha256`, artifact paths)."""
+    data = yaml.safe_load(manifest.read_text(encoding="utf-8"))
+    del data["versions"], data["config_sha256"]
+    for artifact in data["artifacts"]:
+        del artifact["path"]
+    return data
+
+
 @pytest.mark.parametrize(
     "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem
 )
 def test_spectrum_config_reproduces_shipped_csv(tmp_path, config):
-    # Every shipped config converges (exit 0) and writes its out/ CSV bytes,
-    # so a change that moves a shipped number fails here, not only in the
-    # benchmark's sweep.
+    # Every shipped config converges (exit 0) and writes its out/ CSV bytes
+    # and manifest, so a change that moves a shipped number fails here, not
+    # only in the benchmark's sweep.
     out = tmp_path / f"{config.stem}.csv"
     assert main([str(config), "--set", f"output.csv={out}"]) == 0
+    regenerate = (
+        f"if the change is intended, regenerate it from the repository root "
+        f"with `dimspectra {config.relative_to(CONFIG_DIR.parent)}`"
+    )
     assert out.read_bytes() == (OUT_DIR / f"{config.stem}.csv").read_bytes(), (
-        f"{config.name} no longer reproduces out/{config.stem}.csv; if the change "
-        f"is intended, regenerate it from the repository root with "
-        f"`dimspectra {config.relative_to(CONFIG_DIR.parent)}`"
+        f"{config.name} no longer reproduces out/{config.stem}.csv; {regenerate}"
+    )
+    shipped = OUT_DIR / f"{config.stem}.manifest.yaml"
+    assert _shipped_fields(out.with_suffix(".manifest.yaml")) == _shipped_fields(shipped), (
+        f"{config.name} no longer reproduces {shipped.name}; {regenerate}"
     )
 
 

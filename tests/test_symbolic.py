@@ -336,6 +336,18 @@ def _masked_power_map():
     ])
 
 
+def _reversed_tail_map():
+    """MP(0.5)'s power branch on [0, split] beside a decreasing linear
+    branch on [split, 1]: a full shift with a Newton branch whose words'
+    first children do not start at their lo, so its table does not nest."""
+    split = manneville_pomeau_map(0.5).branches[0].domain[1]
+    return build_map([
+        Branch("power", (0.0, split), (0.0, 1.0), s=0.5, c=1.0),
+        Branch("linear", (split, 1.0), (0.0, 1.0), slope=-1.0 / (1.0 - split),
+               offset=1.0 / (1.0 - split)),
+    ])
+
+
 ORACLE_MAPS = {
     "mp": lambda request: request.getfixturevalue("mp"),
     "mp_1": lambda request: manneville_pomeau_map(1.0),
@@ -345,6 +357,7 @@ ORACLE_MAPS = {
     "negative_slope": lambda request: linear_full_branch_map([2.0, -2.5]),
     "markov": lambda request: request.getfixturevalue("markov"),
     "masked_power": lambda request: _masked_power_map(),
+    "reversed_tail": lambda request: _reversed_tail_map(),
 }
 
 
@@ -390,29 +403,35 @@ def test_table_levels_equal_full_inversion_bit_for_bit(request, name, cache_word
             prev = arr
 
 
+def test_nested_is_read_off_level_2():
+    # MP maps nest: every first child's lo and last child's hi repeat the
+    # parent's bits.  A decreasing branch, or a branch whose image leaves a
+    # symbol out (not a full shift), leaves the table on the no-parent path.
+    for s in (0.05, 0.25, 0.5, 1.0, 2.0, 3.0):
+        table = CylinderTable(manneville_pomeau_map(s), geometric(-0.7))
+        assert table._nested is False  # until level 2 is built
+        table.level(2)
+        assert table._nested is True, s
+    for m in (_reversed_tail_map(), _masked_power_map()):
+        table = CylinderTable(m, geometric(-0.7))
+        table.level(6)
+        assert table._nested is False
+
+
 def test_row_blocks_equal_full_inversion_bit_for_bit(mp):
     # Level 17 takes four row blocks per branch (2^16 rows, 16,384 a block):
     # the links and the row of log|T'| that cross a block's edge, and the
-    # parents' flags, give the bits of inverting every end, at a quarter of
+    # parents' ends, give the bits of inverting every end, at a quarter of
     # the inversions (2^16 of 2^18 ends).
     table = CylinderTable(mp, geometric(-0.7), psi=False)
     prev = table.level(16)
-    flags = table._runs[16]
     before = level_counts["inverse_points"]
     arr = table.level(17)
     assert level_counts["inverse_points"] - before == 2**16
-    # Every flag is set on MP; a run whose flag is cleared, here in the
-    # second to fourth blocks (8,192 runs a block), inverts its last hi in
-    # each branch, so each block reads its own runs' flags.
-    last_hi = flags[3].copy()
-    last_hi[[10_000, 20_000, 30_000]] = False
-    table._runs[16] = (*flags[:3], last_hi)
-    before = level_counts["inverse_points"]
-    cleared = table._extend(prev)
-    assert level_counts["inverse_points"] - before == 2**16 + mp.p * 3
-    # Without flags only the links save inversions: every hi, and the lo of
-    # each row whose lo is not the hi above, block edges included.
-    table._runs.clear()
+    # Without the parents' ends only the links save inversions: every hi,
+    # and the lo of each row whose lo is not the hi above, block edges
+    # included.
+    table._nested = False
     before = level_counts["inverse_points"]
     bare = table._extend(prev)
     unlinked = 1 + np.count_nonzero(prev.lo[1:].view(np.int64) != prev.hi[:-1].view(np.int64))
@@ -422,18 +441,19 @@ def test_row_blocks_equal_full_inversion_bit_for_bit(mp):
         want = getattr(ref, f.name)
         assert (getattr(arr, f.name) is None) == (want is None), f.name
         if want is not None:
-            for got in (arr, cleared, bare):
+            for got in (arr, bare):
                 assert getattr(got, f.name).tobytes() == want.tobytes(), f.name
 
 
 def test_reuse_needs_identical_input_bits(mp):
     # Move every end of a level one ulp inward: no input then repeats an
-    # earlier one, although the rows still nest, so none may be reused.
-    # The flags level 6's build left are bound to its own lo and hi arrays,
-    # which `replace` swaps: flags that followed the level into the copy
-    # would reuse the parents' ends, inverting fewer than every end.
+    # earlier one, so the links may reuse none.  No table builds such a
+    # level, whose children no longer start at their parent's lo, so the
+    # parents' ends are switched off (`_nested`) and the links alone are
+    # checked.
     table = CylinderTable(mp, geometric(-0.7))
-    prev = table.level(6)  # level 5 stays cached beside it
+    prev = table.level(6)
+    table._nested = False
     moved = replace(prev, lo=np.nextafter(prev.lo, 1.0), hi=np.nextafter(prev.hi, 0.0))
     before = level_counts["inverse_points"]
     got = table._extend(moved)
@@ -462,10 +482,10 @@ def test_parabolic_table_inverts_each_endpoint_once(mp, monkeypatch):
 def test_levels_over_cache_words_keep_previous_level_reuse(mp, monkeypatch):
     # With cache_words = 4096 = 2^12, levels 13 on are dropped as the next
     # large one is stored.  Levels 15 and 16 are built while their
-    # grandparent is such a dropped level; the flags each build leaves for
-    # the next still let each level invert a quarter of its endpoints (half
-    # without them: 32,776 and 65,544), and every column equals that of a
-    # table that caches them all.
+    # grandparent is such a dropped level; the parents' ends, rows of the
+    # level in hand, still let each level invert a quarter of its endpoints
+    # (half without them: 32,776 and 65,544), and every column equals that
+    # of a table that caches them all.
     points = []
     inverse = Branch.inverse
 
@@ -494,9 +514,9 @@ def test_levels_over_cache_words_keep_previous_level_reuse(mp, monkeypatch):
 
 def test_levels_on_the_way_past_small_words_are_not_kept(mp, monkeypatch):
     # A level built only as the input of a deeper one is kept while it has
-    # at most SMALL_WORDS = 2^10 words (levels 1-10 here).  The flags each
-    # build leaves still serve the next, so level 14 inverts as many points
-    # as when every level is asked for, and has the same bits.
+    # at most SMALL_WORDS = 2^10 words (levels 1-10 here).  Each build reads
+    # its parents' ends off the level it extends, so level 14 inverts as
+    # many points as when every level is asked for, and has the same bits.
     points = []
     inverse = Branch.inverse
 
@@ -525,9 +545,7 @@ def test_levels_on_the_way_past_small_words_are_not_kept(mp, monkeypatch):
 def test_climb_leaves_no_dropped_level_reachable(request, name):
     # On pressure's table (no psi, cache_words = SMALL_WORDS = 2^10 words),
     # once level(n) returns no array of a dropped level (11 to n-1) is
-    # reachable: the table holds levels 1-10 and n and, on MP, their flags
-    # of first and last children.  A closed-form map (two slopes, Farey)
-    # keeps no parent data at all.
+    # reachable: the table holds levels 1-10 and n, and no parent data.
     m = request.getfixturevalue(name)
     table = CylinderTable(m, geometric(-0.7), cache_words=SMALL_WORDS, psi=False)
     built, extend = [], table._extend
@@ -543,7 +561,6 @@ def test_climb_leaves_no_dropped_level_reachable(request, name):
         table.level(n)
         gc.collect()
         assert sorted(table._levels) == [*range(1, 11), n]
-        assert sorted(table._runs) == ([*range(2, 11), n] if name == "mp" else [])
         assert all(ref() is None for k, refs in built if 10 < k < n for ref in refs), n
 
 
@@ -874,11 +891,6 @@ def test_level_columns_are_read_only(mp, markov):
                 if col is not None:
                     with pytest.raises(ValueError, match="read-only"):
                         col[0] = col[0]
-        assert bool(table._runs) == (table.map is mp)  # flags only where a branch is Newton's
-        for runs in table._runs.values():
-            for flags in runs[2:]:
-                with pytest.raises(ValueError, match="read-only"):
-                    flags[0] = flags[0]
 
 
 def test_unit_coefficient_returns_the_column(mp):
