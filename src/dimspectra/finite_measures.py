@@ -17,7 +17,7 @@ hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,9 @@ from .errors import (
 )
 from .maps import MarkovMap
 from .numerics import descending_root, log_sum_exp
-from .symbolic import SMALL_WORDS, CylinderTable, Potential, cylinders, ratio_bracket, shared_table
+from .symbolic import (
+    SMALL_WORDS, CylinderTable, Potential, checked_word_count, cylinders, ratio_bracket, shared_table
+)
 
 CONNECTOR_CAP_SLACK = 8
 
@@ -292,27 +294,37 @@ def optimize_block_weights(
     (weighted -phi sum) / (weighted psi sum) = alpha, over eligible words.
     The maximizer is exponential-family, q = exp(a*psi + b*phi) at bracket
     midpoints, with log Z(a, b) = 0 and E_q[g] = 0 for g = phi + alpha*psi.
-    One 2x2 Newton solves both, with Jacobian
+    One 2x2 Newton from (0, 0) solves both, with Jacobian
     [[E psi, E phi], [Cov(g, psi), Cov(g, phi)]] from the same q; a step
     that does not reduce |(log Z, E g)| is halved, and the solve stops once
     the step is below 1e-13 relative.  The attained objective equals
     b*alpha - a, the finite-level mirror of the pressure-equation value.
 
-    The start is (0, 0), except above `SMALL_WORDS` words (smaller levels
-    are cheap and keep that start's bits) where the problem is the same at
-    every level (`_level_free`): there it is the level-1 answer, which is
-    the level-n answer, and the solve stops on its first state.  Where the
-    level-1 solve fails, the start is (0, 0).
+    Above `SMALL_WORDS` words (smaller levels are cheap and keep the
+    table's bits), where the problem is the same at every level
+    (`_level_free`), the Newton runs on level 1 alone and the level-n
+    answer is its n-th power (`_power_measure`): no level above 1 is
+    built.  Where that solve stalls or finds no connectors, the level-n
+    table is solved as everywhere else.
 
     Raises:
         ConstraintInfeasible: alpha outside the reachable ratio range of
             eligible level-n words, or a range no wider than its rounding.
         NotConverged: Newton stalled above rounding or used NEWTON_CAP steps.
+        LevelTooLarge: more than WORD_BUDGET level-n words.
     """
     if phi is None:
         raise ConstraintInfeasible("ratio optimization needs a potential")
+    table = shared_table(m, phi)
+    if checked_word_count(m, n) > SMALL_WORDS and _level_free(m, phi):
+        try:
+            q1 = _block_newton(table, 1, alpha, as_level=n)
+        except (NotConverged, NoConnector):
+            pass
+        else:
+            return _power_measure(block_measure(m, phi, 1, q1), n)
     # The solve's arrays die with it, before block_measure allocates its own.
-    return block_measure(m, phi, n, _block_weights(shared_table(m, phi), n, alpha))
+    return block_measure(m, phi, n, _block_newton(table, n, alpha))
 
 
 def _midpoints(lo: np.ndarray, hi: np.ndarray, rows) -> np.ndarray:
@@ -329,8 +341,11 @@ def _level_free(m: MarkovMap, phi: Potential) -> bool:
     """Whether the block problem is the same at every level: on a full
     shift of linear branches a depth-1 phi and psi = log|T'| are per-symbol
     constants, so the level-n family exp(a*psi + b*phi) is the level-1 one
-    n times over, and one (a, b) solves both.  Elsewhere the answers move
-    with the level, and a start from a shallower one can cost passes."""
+    n times over.  Its level-n optimum at any alpha is then the product of
+    n copies of the level-1 optimum, with the same (a, b): log Z and E g
+    add over the symbols.  A linear branch expands (`build_map` refuses
+    |slope| <= 1), so every word of every level is eligible.  Elsewhere
+    the answer moves with the level."""
     return (
         m.is_full_shift
         and all(br.family == "linear" for br in m.branches)
@@ -339,24 +354,36 @@ def _level_free(m: MarkovMap, phi: Potential) -> bool:
     )
 
 
-def _block_weights(table: CylinderTable, n: int, alpha: float) -> np.ndarray:
-    """The weights of `optimize_block_weights`, one per level-n word."""
-    m, start = table.map, (0.0, 0.0)
-    if m.word_count(n) > SMALL_WORDS and _level_free(m, table.phi):
-        try:
-            start = _block_newton(table, 1, alpha, *start)[:2]
-        except (ConstraintInfeasible, NotConverged, NoConnector):
-            pass
-    return _block_newton(table, n, alpha, *start)[2]
+def _power_measure(bm: BlockMeasure, n: int) -> BlockMeasure:
+    """The level-n block measure whose weights are the n-fold product of the
+    level-1 weights of `bm`, on a `_level_free` map.  Its entropy is n
+    times theirs; its per-symbol averages, ratio bracket and rho are theirs,
+    and a full shift glues with k = 0, so the spread fields, `lemma_bar`
+    and the connectors are theirs too.  The weights are written into one
+    p^n buffer in the table's row order (first symbol most significant):
+    each pass puts one more symbol in front of the rows written so far,
+    the rows of symbol 0 last, in place."""
+    q1 = bm.weights
+    p = q1.size
+    q = np.empty(p**n)
+    q[:p] = q1
+    size = p
+    for _ in range(n - 1):
+        for i in range(p - 1, 0, -1):
+            np.multiply(q[:size], q1[i], out=q[i * size : (i + 1) * size])
+        q[:size] *= q1[0]
+        size *= p
+    return replace(bm, level=n, weights=q, entropy=n * bm.entropy)
 
 
 def _block_newton(
-    table: CylinderTable, n: int, alpha: float, a: float, b: float
-) -> tuple[float, float, np.ndarray]:
-    """The level-n Newton from (a, b): the solved (a, b) and the weights.
-    Each state is built in one buffer, the ratios in the buffer g takes
-    over, every product in one more, and no full-size array outlives the
-    solve."""
+    table: CylinderTable, n: int, alpha: float, as_level: int | None = None
+) -> np.ndarray:
+    """The weights of the level-n Newton from (0, 0).  Each state is built
+    in one buffer, the ratios in the buffer g takes over, every product in
+    one more, and no full-size array outlives the solve.  The ratio range
+    is checked as that of level `as_level` (default n), whose ratios are
+    level n's on a `_level_free` map, to that level's rounding."""
     arr = table.level(n)
     mask = _connectors(table, n).eligible
     rows = None if mask.all() else mask
@@ -365,14 +392,15 @@ def _block_newton(
     g = np.negative(phv)
     g /= psi
     r_lo, r_hi = float(np.min(g)), float(np.max(g))
+    level = as_level or n
     if alpha <= r_lo or alpha >= r_hi:
         raise ConstraintInfeasible(
-            f"alpha = {alpha:g} outside the level-{n} ratio range [{r_lo:.6g}, {r_hi:.6g}]"
+            f"alpha = {alpha:g} outside the level-{level} ratio range [{r_lo:.6g}, {r_hi:.6g}]"
         )
     # Each ratio is a quotient of n-term sums, good to about 2*n*eps of itself.
-    if r_hi - r_lo <= 2 * n * np.finfo(float).eps * max(abs(r_lo), abs(r_hi)):
+    if r_hi - r_lo <= 2 * level * np.finfo(float).eps * max(abs(r_lo), abs(r_hi)):
         raise ConstraintInfeasible(
-            f"the level-{n} ratio range [{r_lo!r}, {r_hi!r}] is only rounding wide"
+            f"the level-{level} ratio range [{r_lo!r}, {r_hi!r}] is only rounding wide"
         )
     np.multiply(psi, alpha, out=g)
     g += phv
@@ -386,6 +414,7 @@ def _block_newton(
         np.exp(q, out=q)
         return log_z, q, _dot(q, g)
 
+    a = b = 0.0
     log_z, q, mean_g = state(a, b)
     for _ in range(NEWTON_CAP):
         mean_psi, mean_phi = _dot(q, psi), _dot(q, phv)
@@ -418,10 +447,10 @@ def _block_newton(
         raise NotConverged(f"block weights at alpha = {alpha:g}, level {n}: {NEWTON_CAP} steps")
     q /= q.sum()
     if rows is None:
-        return a, b, q
+        return q
     full = np.zeros(arr.count)
     full[rows] = q
-    return a, b, full
+    return full
 
 
 def block_objective(bm: BlockMeasure) -> float:

@@ -181,6 +181,14 @@ def ratio_bracket(num_lo, num_hi, den_lo, den_hi) -> tuple:
 # word enumeration
 
 
+def checked_word_count(m: MarkovMap, n: int) -> int:
+    """`m.word_count(n)`, or LevelTooLarge if it exceeds WORD_BUDGET."""
+    count = m.word_count(n)
+    if count > WORD_BUDGET:
+        raise LevelTooLarge(f"level {n} holds {count} words, budget is {WORD_BUDGET}")
+    return count
+
+
 def words_at_level(m: MarkovMap, n: int) -> Iterator[tuple[int, ...]]:
     """Admissible n-words in lexicographic order (streaming generator).
 
@@ -189,9 +197,7 @@ def words_at_level(m: MarkovMap, n: int) -> Iterator[tuple[int, ...]]:
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    count = m.word_count(n)
-    if count > WORD_BUDGET:
-        raise LevelTooLarge(f"level {n} holds {count} words, budget is {WORD_BUDGET}")
+    checked_word_count(m, n)
     A = m.transition
     p = m.p
     stack: list[int] = []
@@ -496,9 +502,7 @@ class CylinderTable:
         cached = self._levels.get(n)
         if cached is not None:  # no larger than a level that passed the budget
             return cached
-        count = self.map.word_count(n)
-        if count > WORD_BUDGET:
-            raise LevelTooLarge(f"level {n} holds {count} words, budget is {WORD_BUDGET}")
+        checked_word_count(self.map, n)
         base_n = max((k for k in self._levels if k < n), default=0)
         arrays = self._levels.get(base_n) or self._base_level()
         for step in range(arrays.n + 1, n + 1):

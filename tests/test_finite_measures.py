@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from dimspectra import (
     ConstraintInfeasible,
     DegenerateCylinder,
+    LevelTooLarge,
     finite_measures,
     EmptyWindow,
     InadmissibleSupport,
@@ -38,6 +40,7 @@ from dimspectra.pressure import _moran_root
 from dimspectra.symbolic import SMALL_WORDS, Potential, level_counts, shared_table, words_at_level
 
 LOG2 = math.log(2.0)
+THREE_SYMBOL_PHI = {(0,): math.log(0.2), (1,): math.log(0.3), (2,): math.log(0.5)}
 ALPHA_PEAK = math.log(16.0 / 3.0) / (2.0 * LOG2)
 ALPHA_FIX = 0.8112781244591328
 
@@ -321,8 +324,8 @@ def test_block_newton_matches_nested_bisection(request, bernoulli_phi, family, n
 
 
 def test_block_newton_pass_count(two_slopes, bernoulli_phi, monkeypatch):
-    # A level-12 solve takes a handful of log-sum-exp passes; the nested
-    # bisection took hundreds.
+    # A level-10 solve on the table takes a handful of log-sum-exp passes;
+    # the nested bisection took hundreds.
     calls = []
 
     def counting(values):
@@ -330,29 +333,32 @@ def test_block_newton_pass_count(two_slopes, bernoulli_phi, monkeypatch):
         return log_sum_exp(values)
 
     monkeypatch.setattr(finite_measures, "log_sum_exp", counting)
-    bm = optimize_block_weights(two_slopes, bernoulli_phi, 12, 1.0)
-    assert 0 < len(calls) <= 20
+    bm = optimize_block_weights(two_slopes, bernoulli_phi, 10, 1.0)
+    assert 0 < len(calls) <= 20 and set(calls) == {2**10}
     assert block_objective(bm) == pytest.approx(0.6941893813185, abs=1e-12)
-    # Capped short of convergence, the solve raises instead of returning.
+    # Capped short of convergence, the solve raises instead of returning:
+    # at level 12 the level-1 solve stalls, and so does the table's.
     monkeypatch.setattr(finite_measures, "NEWTON_CAP", 2)
-    with pytest.raises(NotConverged, match="2 steps"):
-        optimize_block_weights(two_slopes, bernoulli_phi, 12, 1.0)
+    for n in (10, 12):
+        with pytest.raises(NotConverged, match="2 steps"):
+            optimize_block_weights(two_slopes, bernoulli_phi, n, 1.0)
 
 
 def _dot(q, x):
     return float(np.einsum("i,i->", q, x))
 
 
-def _held_newton(m, phi, n, alpha, a, b):
-    """The level-n 2x2 Newton from (a, b) as it ran before it was moved into
+def _held_newton(m, phi, n, alpha):
+    """The level-n 2x2 Newton from (0, 0) as it ran before it was moved into
     a helper that builds each state in place (the test oracle for the bits
     of `optimize_block_weights`): every array of the solve held to the end.
-    Returns the solved (a, b) and the weights."""
+    Returns the weights."""
     psi, phv, mask = _midpoint_sums(m, phi, n)
     ratios = -phv / psi
     if not ratios.min() < alpha < ratios.max():
         raise ConstraintInfeasible(f"alpha outside the level-{n} ratio range")
     g = phv + alpha * psi
+    a = b = 0.0
 
     def state(a, b):
         logq = a * psi + b * phv
@@ -387,25 +393,22 @@ def _held_newton(m, phi, n, alpha, a, b):
         raise NotConverged("capped")
     full = np.zeros(mask.size)
     full[mask] = q / q.sum()
-    return a, b, full
+    return full
 
 
 def _held_newton_weights(m, phi, n, alpha):
-    """`_held_newton` started as `optimize_block_weights` starts it: above
-    SMALL_WORDS words on a full shift of linear branches with a depth-1
-    phi, from the level-1 answer; elsewhere, and where that solve fails,
-    from (0, 0)."""
-    start = 0.0, 0.0
+    """The weights of `optimize_block_weights` as `_held_newton` gives them:
+    above SMALL_WORDS words on a full shift of linear branches with a
+    depth-1 phi, the n-fold Kronecker power of the level-1 weights, each
+    new symbol put in front; elsewhere the level-n solve."""
     level_free = (
         m.is_full_shift and all(br.family == "linear" for br in m.branches)
         and phi.kind == "locally_constant" and phi.depth == 1
     )
     if m.word_count(n) > SMALL_WORDS and level_free:
-        try:
-            start = _held_newton(m, phi, 1, alpha, *start)[:2]
-        except (ConstraintInfeasible, NotConverged, NoConnector):
-            pass
-    return _held_newton(m, phi, n, alpha, *start)[2]
+        q1 = _held_newton(m, phi, 1, alpha)
+        return functools.reduce(lambda q, _: np.kron(q1, q), range(n - 1), q1)
+    return _held_newton(m, phi, n, alpha)
 
 
 @pytest.mark.parametrize(
@@ -416,17 +419,15 @@ def _held_newton_weights(m, phi, n, alpha):
 )
 def test_block_weights_keep_their_bits(request, bernoulli_phi, family, n, where):
     # The in-place solve returns the weights of the held-array solve bit for
-    # bit, from the same start.  On MP the neutral word is not eligible, so
-    # the solve runs on the masked rows; elsewhere every word is eligible and
-    # nothing is copied.  At 1e-9 of the range from the top, doubling level
-    # 10 stalls at the rounding floor, and the solve rebuilds the state it
-    # stalled at.  two_slopes 12 starts from the level-1 answer; markov 9
+    # bit.  On MP the neutral word is not eligible, so the solve runs on the
+    # masked rows; elsewhere every word is eligible and nothing is copied.
+    # At 1e-9 of the range from the top, doubling level 10 stalls at the
+    # rounding floor, and the solve rebuilds the state it stalled at.
+    # two_slopes 12 is the Kronecker power of the level-1 solve; markov 9
     # (not a full shift) and mp 12 (not linear) are above SMALL_WORDS words
-    # too, but start from (0, 0).
+    # too, but solve their level.
     m = request.getfixturevalue(family)
-    phi = bernoulli_phi if family != "markov" else locally_constant(
-        {(0,): math.log(0.2), (1,): math.log(0.3), (2,): math.log(0.5)}
-    )
+    phi = bernoulli_phi if family != "markov" else locally_constant(THREE_SYMBOL_PHI)
     psi, phv, mask = _midpoint_sums(m, phi, n)
     assert mask.all() == (family != "mp")
     lo, hi = float(np.min(-phv / psi)), float(np.max(-phv / psi))
@@ -435,11 +436,14 @@ def test_block_weights_keep_their_bits(request, bernoulli_phi, family, n, where)
     assert bm.weights.tobytes() == _held_newton_weights(m, phi, n, alpha).tobytes()
 
 
-def test_block_newton_starts_from_the_level_one_answer(two_slopes, bernoulli_phi, monkeypatch):
+def test_block_newton_starts_from_the_level_one_answer(bernoulli_phi, monkeypatch):
     # A depth-1 potential on linear full branches has the same (a, b) at
-    # every level, so the level-14 solve, started from the level-1 answer,
-    # stops on its first state.  From (0, 0) it took 5 level-14 passes.
-    n = 14
+    # every level, and the level-18 answer is the level-1 answer's 18th
+    # power: no level above 1 is built, and no log-sum-exp pass sees more
+    # than the 2 symbols.  Started from the level-1 answer, the level-18
+    # solve took one 2^18-word pass; from (0, 0) it took 5.
+    n = 18
+    m = linear_full_branch_map([2.0, 4.0])  # a map of its own: no level built
     calls = []
 
     def counting(values):
@@ -447,16 +451,85 @@ def test_block_newton_starts_from_the_level_one_answer(two_slopes, bernoulli_phi
         return log_sum_exp(values)
 
     monkeypatch.setattr(finite_measures, "log_sum_exp", counting)
-    bm = optimize_block_weights(two_slopes, bernoulli_phi, n, 1.0)
-    assert 0 < calls.count(2**n) <= 2, calls
-    assert set(calls) == {2, 2**n}
+    before = dict(level_counts)
+    bm = optimize_block_weights(m, bernoulli_phi, n, 1.0)
+    assert calls and set(calls) == {2}, calls
+    assert level_counts["levels"] - before["levels"] == 1
+    assert level_counts["words"] - before["words"] == 2
+    assert list(shared_table(m, bernoulli_phi)._levels) == [1]
+    assert bm.level == n and bm.weights.size == 2**n
     assert block_objective(bm) == pytest.approx(0.6941893813185, abs=1e-12)
+
+
+@pytest.mark.parametrize("where", [1e-4, 0.5, 1.0 - 1e-4], ids=["low", "mid", "high"])
+@pytest.mark.parametrize(
+    "family, n", [("two_slopes", 12), ("two_slopes", 14), ("doubling", 11), ("three_slopes", 8)]
+)
+def test_level_free_measure_is_the_power_of_level_one(request, bernoulli_phi, family, n, where):
+    # Every field of the measure built from level 1's equals that of
+    # block_measure on the level-n table, given the same weights, and the
+    # weights are the level-n solve's to its tolerance.  On three symbols
+    # a Kronecker power in another row order would move the psi and phi sums.
+    if family == "three_slopes":
+        m, phi = linear_full_branch_map([3.0, 4.0, 5.0]), locally_constant(THREE_SYMBOL_PHI)
+    else:
+        m, phi = request.getfixturevalue(family), bernoulli_phi
+    assert m.word_count(n) > SMALL_WORDS
+    psi, phv, _ = _midpoint_sums(m, phi, n)
+    lo, hi = float(np.min(-phv / psi)), float(np.max(-phv / psi))
+    alpha = lo + where * (hi - lo)
+    bm = optimize_block_weights(m, phi, n, alpha)
+    want = block_measure(m, phi, n, bm.weights)
+    for f in fields(bm):
+        got, ref = getattr(bm, f.name), getattr(want, f.name)
+        if f.name == "connectors":
+            assert got == ref
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=f.name)
+    np.testing.assert_allclose(bm.weights, _held_newton(m, phi, n, alpha), rtol=1e-9, atol=0.0)
+
+
+def test_level_free_level_over_budget_allocates_nothing(bernoulli_phi):
+    # 2^27 doubling words exceed WORD_BUDGET: the call raises before it
+    # solves level 1 or allocates a weight per word.
+    m = doubling_map()
+    tracemalloc.start()
+    try:
+        with pytest.raises(LevelTooLarge, match="level 27 "):
+            optimize_block_weights(m, bernoulli_phi, 27, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_level_free_infeasible_alpha_names_level_n(bernoulli_phi):
+    # Level 1's ratio range stands for level n's: an alpha outside it, or a
+    # range no wider than level n's rounding (2*n*eps*max|ratio|), raises
+    # naming level n, with no level above 1 built.  Doubling with ratios
+    # 0.7 and 0.7 + 10 ulps: wider than level 1's rounding, within level 18's.
+    eps = np.finfo(float).eps
+    r1 = 0.7 + 10 * math.ulp(0.7)
+    narrow = locally_constant({(0,): -0.7 * LOG2, (1,): -r1 * LOG2})
+    for phi, alpha, match in (
+        (bernoulli_phi, 3.0, "alpha = 3 outside the level-18 ratio range"),
+        (narrow, 0.5 * (0.7 + r1), "the level-18 ratio range .* is only rounding wide"),
+    ):
+        m = doubling_map()
+        before = level_counts["levels"]
+        with pytest.raises(ConstraintInfeasible, match=match):
+            optimize_block_weights(m, phi, 18, alpha)
+        assert level_counts["levels"] - before == 1
+    arr = shared_table(m, narrow).level(1)
+    ratios = -arr.phi_lo / arr.psi_lo
+    width = float(ratios.max() - ratios.min())
+    assert 2 * eps * ratios.max() < width <= 2 * 18 * eps * ratios.max()
 
 
 def test_block_newton_falls_back_to_the_origin(bernoulli_phi, monkeypatch):
     # Where the level-1 solve fails (here its connector search is made to
     # raise, on a map of its own, whose tables have searched no level yet),
-    # the level-12 solve starts from (0, 0), with the bits of that start.
+    # level 12 is solved on its table, with the bits of that solve.
     n, alpha = 12, 1.0
     two_slopes = linear_full_branch_map([2.0, 4.0])
     search = finite_measures.connector_length
@@ -468,8 +541,8 @@ def test_block_newton_falls_back_to_the_origin(bernoulli_phi, monkeypatch):
 
     monkeypatch.setattr(finite_measures, "connector_length", failing_at_level_one)
     bm = optimize_block_weights(two_slopes, bernoulli_phi, n, alpha)
-    start = _held_newton(two_slopes, bernoulli_phi, n, alpha, 0.0, 0.0)[2]
-    assert bm.weights.tobytes() == start.tobytes()
+    held = _held_newton(two_slopes, bernoulli_phi, n, alpha)
+    assert bm.weights.tobytes() == held.tobytes()
     assert bm.weights.tobytes() != _held_newton_weights(two_slopes, bernoulli_phi, n, alpha).tobytes()
 
 
@@ -493,7 +566,7 @@ def test_block_newton_off_the_level_free_maps_starts_from_the_origin(mp, bernoul
         "high": hi0 - 1e-6 * (hi0 - lo0),
     }[where]
     bm = optimize_block_weights(mp, bernoulli_phi, n, alpha)
-    assert bm.weights.tobytes() == _held_newton(mp, bernoulli_phi, n, alpha, 0.0, 0.0)[2].tobytes()
+    assert bm.weights.tobytes() == _held_newton(mp, bernoulli_phi, n, alpha).tobytes()
     oracle = block_measure(mp, bernoulli_phi, n, _nested_bisection_weights(mp, bernoulli_phi, n, alpha))
     assert block_objective(bm) == pytest.approx(block_objective(oracle), abs=1e-10)
 
@@ -523,9 +596,10 @@ def test_blockopt_bits_do_not_follow_blas_threads(tmp_path):
 
 
 def test_one_connector_search_per_level(bernoulli_phi, monkeypatch):
-    # The level-12 Newton's connector search also serves the block measure
-    # built from its weights (it ran twice); the level-1 start has its own.
-    # A map of its own: its tables have searched no level yet.
+    # The level-1 Newton's connector search also serves the block measure
+    # built from its weights (it ran twice), and level 12, the level-1
+    # answer's power, searches none.  A map of its own: its tables have
+    # searched no level yet.
     two_slopes = linear_full_branch_map([2.0, 4.0])
     levels = []
     search = finite_measures.connector_length
@@ -536,10 +610,10 @@ def test_one_connector_search_per_level(bernoulli_phi, monkeypatch):
 
     monkeypatch.setattr(finite_measures, "connector_length", counted)
     bm = optimize_block_weights(two_slopes, bernoulli_phi, 12, 1.0)
-    assert levels.count(12) == 1 and set(levels) == {1, 12}
+    assert levels == [1]
     assert block_objective(bm) == pytest.approx(0.6941893813185, abs=1e-12)
-    optimize_block_weights(two_slopes, bernoulli_phi, 12, 0.9)  # the table has both
-    assert levels.count(12) == 1 and len(levels) == 2
+    optimize_block_weights(two_slopes, bernoulli_phi, 12, 0.9)  # the table has it
+    assert levels == [1]
 
 
 @pytest.mark.parametrize("n", [12, 16])
@@ -558,13 +632,12 @@ def test_rounding_wide_ratio_range_is_infeasible(mp, n):
 
 
 def test_block_weights_live_peak(two_slopes, bernoulli_phi):
-    # With the level table built, the level-14 solve and its block measure
-    # hold at most 7 level-14 columns at once: psi, phv, g and one state,
-    # plus log_sum_exp's two one-chunk temporaries.  Holding every array of
-    # the solve through block_measure took 9.4.
+    # With level 1 and its connectors in hand, a level-14 optimisation holds
+    # the weights (one level-14 column) and little else: it peaked at 7
+    # columns while it solved on the level-14 table, 9.4 while it held
+    # every array of that solve through block_measure.
     n = 14
-    table = shared_table(two_slopes, bernoulli_phi)
-    column = table.level(n).psi_lo.nbytes
+    column = 8 * 2**n
     optimize_block_weights(two_slopes, bernoulli_phi, n, 1.0)  # builds level 1 and the connectors
     tracemalloc.start()
     try:
@@ -572,14 +645,15 @@ def test_block_weights_live_peak(two_slopes, bernoulli_phi):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * column, peak / column
+    assert peak <= 2 * column, peak / column
 
 
 def test_block_weights_cold_peak(bernoulli_phi):
-    # On a fresh table the level-18 solve builds levels 1-18 as well.
-    # Linear branches and a locally constant phi make no cylinder ends from
-    # level 2 on, so the whole call peaks within 6 level-18 columns (5.65
-    # measured; 7.67 while every level held its lo and hi).
+    # On a fresh table the level-18 optimisation builds level 1 alone, so
+    # the whole call peaks within 2 level-18 columns (1.004 measured: the
+    # weights).  While it solved on the level-18 table, which it built, it
+    # peaked at 5.65 columns, and at 7.67 while every level held its lo
+    # and hi.
     n = 18
     m = linear_full_branch_map([2.0, 4.0])
     tracemalloc.start()
@@ -589,12 +663,12 @@ def test_block_weights_cold_peak(bernoulli_phi):
     finally:
         tracemalloc.stop()
     column = 8 * 2**n
-    assert peak <= 6 * column, peak / column
+    assert peak <= 2 * column, peak / column
 
 
 def test_end_rows_count_the_ends_made(bernoulli_phi):
     # Level 1 makes one end row per symbol.  A cold two-slope level-18
-    # optimisation makes no more, and its level holds no ends.  On doubling,
+    # optimisation makes no more, and the table's level 18 holds no ends.  On doubling,
     # the first bowen_sn at level 8 makes one end row per row of levels 2-8
     # (508) in the table's geometry climb, and a repeat call makes none.
     def made(call):
