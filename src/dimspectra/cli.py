@@ -52,17 +52,6 @@ from .symbolic import Potential, geometric, locally_constant, validate_potential
 from .weak_gibbs import declared_model, exact_model, local_dimension
 from . import __version__
 
-COMMANDS = (
-    "pressure",
-    "bcurve",
-    "spectrum",
-    "endpoints",
-    "blockopt",
-    "localdim",
-    "induce",
-    "validate",
-)
-
 _FAMILIES = {
     "doubling": (),
     "linear_full_branch": ("slopes",),
@@ -266,6 +255,12 @@ def _parse_map_section(obj: Any) -> dict:
     return out
 
 
+# Bounds potential.table values and potential.coefficient, as map.slopes is
+# bounded: the Birkhoff sums over any level the word budget allows stay
+# finite (at 1e308 a level-2 sum already overflows to +inf).
+_POTENTIAL_MAX = 1e300
+
+
 def _parse_potential_section(obj: Any) -> dict:
     d = _expect_mapping(obj, "potential")
     if not d:
@@ -289,6 +284,8 @@ def _parse_potential_section(obj: Any) -> dict:
         for key, value in table.items():
             word = _parse_word(key, f"potential.table[{key!r}]")
             parsed[word] = _finite(value, f"potential.table[{key!r}]")
+            if abs(parsed[word]) > _POTENTIAL_MAX:
+                raise ConfigError(f"potential.table[{key!r}] must have absolute value <= 1e300")
         depths = {len(w) for w in parsed}
         if len(depths) != 1:
             raise ConfigError("potential.table words must share one depth")
@@ -301,7 +298,9 @@ def _parse_potential_section(obj: Any) -> dict:
         out["depth"] = depth
         out["table"] = {_word_key(w): v for w, v in sorted(parsed.items())}
     else:
-        out["coefficient"] = _get_number(d, "coefficient", "potential")
+        out["coefficient"] = _get_number(
+            d, "coefficient", "potential", minimum=-_POTENTIAL_MAX, maximum=_POTENTIAL_MAX
+        )
     normalize = d.get("normalize", False)
     if not isinstance(normalize, bool):
         raise ConfigError("potential.normalize must be true or false")
@@ -332,6 +331,7 @@ _COMMAND_KEYS: dict[str, tuple[str, ...]] = {
     "induce": ("truncation", "base_symbols", "a_grid", "tol", "tail_tol"),
     "validate": (),
 }
+COMMANDS = tuple(_COMMAND_KEYS)
 
 
 def _parse_command_section(obj: Any) -> dict:

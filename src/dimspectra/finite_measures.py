@@ -30,7 +30,8 @@ from .errors import (
     NotConverged,
 )
 from .maps import MarkovMap
-from .numerics import descending_root, log_sum_exp
+from .numerics import log_sum_exp
+from .pressure import _moran_root
 from .symbolic import (
     SMALL_WORDS, CylinderTable, Potential, checked_word_count, cylinders, ratio_bracket, shared_table
 )
@@ -479,8 +480,9 @@ def bowen_sn(m: MarkovMap, phi: Potential, n: int, alpha: float, eps: float) -> 
     The window (`window_mask`) keeps every word whose ratio bracket, an
     enclosure of its ratios, meets (alpha - eps, alpha + eps), so no word
     with a ratio in the window is left out; diameters enter at bracket
-    midpoint.  The sum is strictly decreasing in s, so the root is found by
-    bisection to 1e-10.
+    midpoint.  The sum is strictly decreasing in s, so its Moran root
+    (`pressure._moran_root` on the window) is bisected to 1e-10; a window
+    of one word gives 0.0, where the sum is exactly 1.
 
     Raises:
         EmptyWindow: no word's ratio bracket meets the window.
@@ -488,13 +490,8 @@ def bowen_sn(m: MarkovMap, phi: Potential, n: int, alpha: float, eps: float) -> 
             resolution (the ends come from `CylinderTable.ends`).
     """
     mask = window_mask(m, phi, n, alpha, eps)
-    count = int(np.sum(mask))
-    if count == 0:
+    if not mask.any():
         raise EmptyWindow(
             f"no level-{n} ratio bracket meets ({alpha - eps:g}, {alpha + eps:g})"
         )
-    if count == 1:
-        return 0.0
-    lo, hi = shared_table(m, phi).ends(n)
-    log_d = np.log((hi - lo)[mask])
-    return descending_root(lambda s: log_sum_exp(s * log_d), 0.0, xtol=1e-10)
+    return _moran_root(shared_table(m, phi), n, mask, xtol=1e-10)

@@ -1,13 +1,13 @@
-"""Low-level numeric helpers: compensated sums, log-sum-exp, root finding.
+"""Low-level numeric helpers: log-sum-exp, Aitken extrapolation, root finding.
 
 All reductions here are deterministic: chunk boundaries are fixed by array
-length, within-chunk sums use numpy's pairwise reduction, and cross-chunk
-combination is sequential and compensated.  Repeated runs on the same
-machine therefore produce identical bits.
+length, within-chunk sums use numpy's pairwise reduction, and the chunk
+sums of a row are added exactly rounded (`math.fsum`).  Repeated runs on
+the same machine therefore produce identical bits.
 
-A row reduction equals the 1-d one: `log_sum_exp` on a 2-d array gives,
-for each row, the bits the 1-d call on that row gives, so a solve that
-evaluates many lanes in one call (see `_solve_roots`) computes what
+`log_sum_exp` reduces a 1-d array as a single row, so on a 2-d array it
+gives, for each row, the bits the 1-d call on that row gives: a solve
+that evaluates many lanes in one call (see `_solve_roots`) computes what
 solving each lane alone would.
 """
 
@@ -22,36 +22,14 @@ import numpy as np
 _CHUNK = 1 << 15
 
 
-class NeumaierSum:
-    """Running compensated sum (Neumaier's variant of Kahan summation)."""
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._comp = 0.0
-
-    def add(self, value: float) -> None:
-        t = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._comp += (self._sum - t) + value
-        else:
-            self._comp += (value - t) + self._sum
-        self._sum = t
-
-    @property
-    def value(self) -> float:
-        return self._sum + self._comp
-
-
 def log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) with max shifting, safe against overflow.
 
     Args:
-        values: 1-d float array; -inf entries contribute zero mass.  A 2-d
-            array is reduced along its last axis, one result per row, each
-            bit for bit the 1-d call's on that row (rows longer than one
-            chunk take that call).
+        values: 1-d float array, reduced as one row; -inf entries
+            contribute zero mass.  A 2-d array is reduced along its last
+            axis, one result per row, each bit for bit the 1-d call's on
+            that row.
 
     Returns:
         The log-sum, or -inf for an empty / all -inf input; an array of
@@ -63,45 +41,27 @@ def log_sum_exp(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     lse_counts["calls"] += 1
     lse_counts["entries"] += values.size
-    if values.ndim == 2:
-        return _log_sum_exp_rows(values)
-    return _log_sum_exp(values)
-
-
-def _log_sum_exp(values: np.ndarray) -> float:
-    """`log_sum_exp` of a 1-d array, uncounted."""
-    if values.size == 0:
-        return -math.inf
-    m = float(values.max())
-    if not math.isfinite(m):
-        if m == -math.inf:
-            return -math.inf
-        raise ValueError("log_sum_exp received a non-finite (nan or +inf) entry")
-    if values.size <= _CHUNK:
-        # One chunk: the compensated sum of a single partial is that partial.
-        return m + math.log(float(np.exp(values - m).sum()))
-    acc = NeumaierSum()
-    for i in range(0, values.size, _CHUNK):  # sequential, in chunk order
-        acc.add(float(np.exp(values[i : i + _CHUNK] - m).sum()))
-    return m + math.log(acc.value)
-
-
-def _log_sum_exp_rows(values: np.ndarray) -> np.ndarray:
-    """`log_sum_exp` of each row: the 1-d steps on all rows at once, with
-    math.log per row (np.log may differ from it in the last bit)."""
-    if values.shape[1] > _CHUNK or values.shape[1] == 0:
-        return np.array([_log_sum_exp(row) for row in values], dtype=float)
-    m = values.max(axis=1)
+    rows = values if values.ndim == 2 else values.reshape(1, -1)
+    m = rows.max(axis=1, initial=-math.inf)  # empty rows: -inf
     finite = np.isfinite(m)  # tested once, for both paths
-    if finite.all():
-        sums = np.exp(values - m[:, None]).sum(axis=1)
-    else:
-        empty = m == -math.inf
-        if not np.all(finite | empty):
+    shift = m
+    if not finite.all():
+        if not np.all(finite | (m == -math.inf)):
             raise ValueError("log_sum_exp received a non-finite (nan or +inf) entry")
-        sums = np.exp(values - np.where(empty, 0.0, m)[:, None]).sum(axis=1)
-        sums[empty] = 1.0  # all -inf rows: -inf + log 1
-    return m + np.fromiter(map(math.log, sums.tolist()), float, sums.size)
+        shift = np.where(finite, m, 0.0)
+    if rows.shape[1] <= _CHUNK:
+        sums = np.exp(rows - shift[:, None]).sum(axis=1)
+    else:  # a chunk at a time, in chunk order; the chunk sums exactly rounded
+        sums = np.array([
+            math.fsum(float(np.exp(row[i : i + _CHUNK] - s).sum())
+                      for i in range(0, row.size, _CHUNK))
+            for row, s in zip(rows, shift.tolist())
+        ])
+    if shift is not m:
+        sums[~finite] = 1.0  # empty and all -inf rows: -inf + log 1
+    # math.log per row: np.log may differ from it in the last bit.
+    out = m + np.fromiter(map(math.log, sums.tolist()), float, sums.size)
+    return out if values.ndim == 2 else float(out[0])
 
 
 class AitkenAccelerator:

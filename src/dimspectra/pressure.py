@@ -393,11 +393,14 @@ def normalize_potential(
     return phi.shifted_by(shift)
 
 
-def _moran_root(table: CylinderTable, n: int) -> float:
-    """Root of sum_w diam(w)^s = 1 at level n (unique: strictly decreasing)."""
+def _moran_root(
+    table: CylinderTable, n: int, mask: np.ndarray | None = None, *, xtol: float = 1e-14
+) -> float:
+    """Root of sum_w diam(w)^s = 1 over the level-n words, or the words a
+    row mask keeps (unique: strictly decreasing)."""
     lo, hi = table.ends(n)
-    log_d = np.log(hi - lo)
-    return descending_root(lambda s: log_sum_exp(s * log_d), 0.0, xtol=1e-14)
+    log_d = np.log(hi - lo if mask is None else (hi - lo)[mask])
+    return descending_root(lambda s: log_sum_exp(s * log_d), 0.0, xtol=xtol)
 
 
 def bowen_root(

@@ -9,6 +9,8 @@ import pytest
 import yaml
 
 from dimspectra.cli import (
+    COMMANDS,
+    _DISPATCH,
     _apply_override,
     build_map_from,
     build_potential_from,
@@ -363,7 +365,8 @@ def test_spectrum_rows_solve_b_at_the_printed_a(tmp_path):
     table = yaml.safe_load(config.read_text(encoding="utf-8"))["potential"]["table"]
     out = tmp_path / "s.csv"
     assert main([str(config), "--set", f"output.csv={out}"]) == 0
-    rows = list(csv.DictReader(out.open(encoding="utf-8")))
+    with out.open(encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 50
     for row in rows:
         b = _bernoulli_b(float(row["a"]), table["0"], table["1"])
@@ -538,6 +541,38 @@ def test_bad_values_are_config_errors(tmp_path, capsys, config, overrides, needl
     err = capsys.readouterr().err
     assert "ConfigError" in err
     assert needle in err
+
+
+MP_GEOMETRIC_PRESSURE = {
+    "map": {"family": "manneville_pomeau", "s": 0.5},
+    "potential": {"kind": "geometric", "coefficient": 1.0},
+    "command": {"name": "pressure"},
+}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ("golden_mean_pressure", "potential.table.0"),
+    (MP_GEOMETRIC_PRESSURE, "potential.coefficient"),
+], ids=["table", "coefficient"])
+def test_overflowing_potential_is_a_config_error(tmp_path, capsys, doc, key):
+    # At 1e308 the level-2 Birkhoff sums overflow to +inf; the parser's
+    # 1e300 bound names the key instead of letting log_sum_exp refuse them.
+    if isinstance(doc, str):
+        path = CONFIG_DIR / f"{doc}.yaml"
+    else:
+        path = write_config(tmp_path, doc)
+    args = [str(path), "--set", f"output.csv={tmp_path / 'x.csv'}"]
+    for value, code in (("1.0e308", 1), ("-1.0e308", 1), ("1.0e300", 0)):
+        assert main(args + ["--set", f"{key}={value}"]) == code
+        err = capsys.readouterr().err
+        if code:
+            label = "potential.table['0']" if "table" in key else key
+            assert err.startswith(f"dimspectra: error: ConfigError: {label} ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_every_command_is_dispatched():
+    assert sorted(_DISPATCH) == sorted(COMMANDS)
 
 
 def _leaves(node, path=()):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from dimspectra.numerics import (
     _CHUNK,
     AitkenAccelerator,
-    NeumaierSum,
     _solve_roots,
     descending_root,
     log_sum_exp,
@@ -19,13 +19,6 @@ from dimspectra.spectrum import _convex_argmin
 from root_oracle import _bisect, _descend, _drive, _expand
 
 
-def test_neumaier_compensates_cancellation():
-    acc = NeumaierSum()
-    for v in (1.0, 1e100, 1.0, -1e100):
-        acc.add(v)
-    assert acc.value == 2.0
-
-
 def test_log_sum_exp_matches_numpy():
     vals = np.random.default_rng(0).normal(size=10001)
     ref = float(np.logaddexp.reduce(np.sort(vals)))
@@ -33,19 +26,46 @@ def test_log_sum_exp_matches_numpy():
 
 
 def _chunked_log_sum_exp(values: np.ndarray) -> float:
-    """Reference: per-chunk partial sums composed by a Neumaier sum."""
+    """Reference: per-chunk partial sums, added exactly rounded."""
+    if values.size == 0:
+        return -math.inf
     m = float(np.max(values))
-    acc = NeumaierSum()
-    for i in range(0, values.size, _CHUNK):
-        acc.add(float(np.sum(np.exp(values[i : i + _CHUNK] - m))))
-    return m + math.log(acc.value)
+    parts = [
+        float(np.sum(np.exp(values[i : i + _CHUNK] - m))) for i in range(0, values.size, _CHUNK)
+    ]
+    return m + math.log(math.fsum(parts))
 
 
-@pytest.mark.parametrize("size", [1, 4, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("size", [0, 1, 4, _CHUNK, _CHUNK + 1, 7 * _CHUNK + 5])
 def test_log_sum_exp_equals_chunked_composition(size):
-    vals = np.random.default_rng(size).normal(scale=20.0, size=size)
-    ref = _chunked_log_sum_exp(vals)
-    assert log_sum_exp(vals) == ref
+    # The 1-d call, and each row of a 3-row call, has the reference's bits.
+    rows = np.random.default_rng(size).normal(scale=20.0, size=(3, size))
+    expected = [_chunked_log_sum_exp(row).hex() for row in rows]
+    assert log_sum_exp(rows[0]).hex() == expected[0]
+    assert [x.hex() for x in log_sum_exp(rows).tolist()] == expected
+
+
+def test_log_sum_exp_adds_chunk_sums_exactly_rounded():
+    # Chunk 0 sums to 1 and each of 15 more chunks to 0.45 ulp of 1: added
+    # one by one in floats they all round away, exactly rounded they do not.
+    values = np.full(16 * _CHUNK, -math.inf)
+    values[0] = 0.0
+    values[_CHUNK::_CHUNK] = math.log(0.45 * 2.0**-52)
+    assert log_sum_exp(values) == math.log(1.0 + 7 * 2.0**-52) == _chunked_log_sum_exp(values)
+
+
+def test_log_sum_exp_wide_row_holds_one_chunk():
+    # A 16-chunk row is reduced a chunk at a time: no temporary as large as
+    # the row, and the traced peak stays under 3 chunks of float64.
+    values = np.random.default_rng(3).normal(size=16 * _CHUNK)
+    tracemalloc.start()
+    try:
+        log_sum_exp(values)
+        log_sum_exp(values[None, :])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * _CHUNK * 8
 
 
 @pytest.mark.parametrize("size", [4, _CHUNK + 1])
@@ -122,7 +142,7 @@ def test_log_sum_exp_rows_shapes():
 
 def test_log_sum_exp_counts_calls_and_entries():
     # A 2-d call is one call, also where its rows are wider than a chunk
-    # and are reduced one by one.
+    # and are reduced a chunk at a time.
     before = dict(lse_counts)
     log_sum_exp(np.zeros(3))
     log_sum_exp(np.zeros((2, 5)))
