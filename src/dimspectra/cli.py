@@ -18,7 +18,6 @@ are printed at fixed significance.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -51,6 +50,14 @@ from .spectrum import b_curve, legendre_spectrum, spectrum_endpoints
 from .symbolic import Potential, geometric, locally_constant, validate_potential
 from .weak_gibbs import declared_model, exact_model, local_dimension
 from . import __version__
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto (3.6 MB)
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 _FAMILIES = {
     "doubling": (),
@@ -790,9 +797,7 @@ def run(cfg: RunConfig, *, echo: Callable[[str], None] | None = None) -> int:
             manifest_path,
             {
                 "command": name,
-                "config_sha256": hashlib.sha256(
-                    serialize_config(cfg).encode("utf-8")
-                ).hexdigest(),
+                "config_sha256": sha256(serialize_config(cfg).encode("utf-8")).hexdigest(),
                 "versions": {
                     "dimspectra": __version__,
                     "python": "%d.%d" % sys.version_info[:2],

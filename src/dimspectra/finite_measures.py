@@ -377,6 +377,7 @@ def _power_measure(bm: BlockMeasure, n: int) -> BlockMeasure:
     return replace(bm, level=n, weights=q, entropy=n * bm.entropy)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends as a stalled step
 def _block_newton(
     table: CylinderTable, n: int, alpha: float, as_level: int | None = None
 ) -> np.ndarray:
@@ -407,10 +408,13 @@ def _block_newton(
     g += phv
     tmp = np.empty_like(g)  # every product a state or a step sums
 
-    def state(a: float, b: float) -> tuple[float, np.ndarray, float]:
+    def state(a: float, b: float) -> tuple[float, np.ndarray | None, float]:
         q = np.multiply(psi, a)
         q += np.multiply(phv, b, out=tmp)
-        log_z = log_sum_exp(q)
+        try:
+            log_z = log_sum_exp(q)
+        except ValueError:  # overflowed logits: a trial with no decrease
+            return math.inf, None, math.inf
         q -= log_z
         np.exp(q, out=q)
         return log_z, q, _dot(q, g)

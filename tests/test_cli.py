@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from dimspectra.cli import (
     COMMANDS,
@@ -19,6 +24,7 @@ from dimspectra.cli import (
     main,
     parse_config,
     serialize_config,
+    sha256,
 )
 from dimspectra.errors import ConfigError, DimspectraError, IoError
 
@@ -313,24 +319,24 @@ def test_version_flag(capsys):
 
 
 def _shipped_fields(manifest: Path) -> dict:
-    """A manifest without the keys that depend on the host (`versions`) or
-    on where the run wrote its CSV (`config_sha256`, artifact paths)."""
+    """A manifest without the key that depends on the host (`versions`)."""
     data = yaml.safe_load(manifest.read_text(encoding="utf-8"))
-    del data["versions"], data["config_sha256"]
-    for artifact in data["artifacts"]:
-        del artifact["path"]
+    del data["versions"]
     return data
 
 
 @pytest.mark.parametrize(
     "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem
 )
-def test_spectrum_config_reproduces_shipped_csv(tmp_path, config):
+def test_spectrum_config_reproduces_shipped_csv(tmp_path, monkeypatch, config):
     # Every shipped config converges (exit 0) and writes its out/ CSV bytes
     # and manifest, so a change that moves a shipped number fails here, not
-    # only in the benchmark's sweep.
-    out = tmp_path / f"{config.stem}.csv"
-    assert main([str(config), "--set", f"output.csv={out}"]) == 0
+    # only in the benchmark's sweep.  The run writes to the config's own
+    # relative paths, under tmp_path, so its manifest names the same paths
+    # and carries the same config_sha256 as the shipped one.
+    monkeypatch.chdir(tmp_path)
+    assert main([str(config)]) == 0
+    out = tmp_path / "out" / f"{config.stem}.csv"
     regenerate = (
         f"if the change is intended, regenerate it from the repository root "
         f"with `dimspectra {config.relative_to(CONFIG_DIR.parent)}`"
@@ -339,9 +345,38 @@ def test_spectrum_config_reproduces_shipped_csv(tmp_path, config):
         f"{config.name} no longer reproduces out/{config.stem}.csv; {regenerate}"
     )
     shipped = OUT_DIR / f"{config.stem}.manifest.yaml"
-    assert _shipped_fields(out.with_suffix(".manifest.yaml")) == _shipped_fields(shipped), (
+    written = _shipped_fields(out.with_suffix(".manifest.yaml"))
+    assert written == _shipped_fields(shipped), (
         f"{config.name} no longer reproduces {shipped.name}; {regenerate}"
     )
+    canonical = serialize_config(load_config(config)).encode("utf-8")
+    assert written["config_sha256"] == hashlib.sha256(canonical).hexdigest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=10_000))
+def test_config_digest_is_sha256(data):
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_a_run_loads_no_openssl(tmp_path):
+    # Importing hashlib loads OpenSSL's libcrypto (about 3.6 MB resident)
+    # into every process; the manifest digest needs none of it.
+    config = CONFIG_DIR / "golden_mean_pressure.yaml"
+    argv = [str(config), "--set", f"output.csv={tmp_path / 'x.csv'}"]
+    script = (
+        f"import sys; from dimspectra.cli import main; code = main({argv!r}); "
+        "print(code, sorted({'hashlib', '_hashlib', '_ssl'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(CONFIG_DIR.parent / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "x.csv").read_bytes() == (OUT_DIR / "golden_mean_pressure.csv").read_bytes()
 
 
 def _bernoulli_b(a: float, log_p: float, log_q: float) -> float:
@@ -569,6 +604,44 @@ def test_overflowing_potential_is_a_config_error(tmp_path, capsys, doc, key):
             label = "potential.table['0']" if "table" in key else key
             assert err.startswith(f"dimspectra: error: ConfigError: {label} ")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1.0e300", "-1.0e200"])
+def test_overflowing_blockopt_trial_is_a_stalled_newton(tmp_path, capsys, value):
+    # Inside the 1e300 bound a line-search trial's a*psi + b*phi can
+    # overflow; the trial counts as no decrease, and the stalled solve is
+    # one typed error line.
+    args = [
+        str(CONFIG_DIR / "two_slopes_blockopt.yaml"),
+        "--set", f"output.csv={tmp_path / 'x.csv'}",
+        "--set", f"potential.table.0={value}",
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "dimspectra: error: NotConverged: block weights at alpha = 1, level 6: "
+        "Newton stalled at residual "
+    )
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_blockopt_at_a_large_finite_potential_keeps_its_row(tmp_path):
+    # No trial overflows here, so the solve takes the steps and writes the
+    # bits it wrote before overflowing trials were caught.  The bits are
+    # pinned, not vouched for: the row's alpha bracket misses alpha = 1.
+    out = tmp_path / "x.csv"
+    args = [
+        str(CONFIG_DIR / "two_slopes_blockopt.yaml"),
+        "--set", f"output.csv={out}",
+        "--set", "potential.table.0=-1.0e100",
+    ]
+    assert main(args) == 0
+    assert out.read_text().splitlines()[1] == (
+        "6,0,1,1.140035372250851e-06,9.4825472125920828e-06,1.5804245354320138e-06,"
+        "6.6269973395437285e+92,6.6269973395437285e+92,1.140035372250851e-06,"
+        "1.140035372250851e-06,0,0"
+    )
 
 
 def test_every_command_is_dispatched():
