@@ -41,15 +41,13 @@ from .maps import (
     manneville_pomeau_map,
 )
 from .symbolic import (
-    Cylinder,
     CylinderTable,
     Potential,
-    cylinder,
-    cylinders,
     geometric,
     locally_constant,
     shared_table,
     validate_potential,
+    word_rows,
     words_at_level,
 )
 from .pressure import (

@@ -45,8 +45,8 @@ class PointOutsideCylinder(DimspectraError):
 class DegenerateCylinder(DimspectraError):
     """Cylinder interval collapsed below floating-point resolution.
 
-    Raised where cylinder ends are made: the scalar `cylinder`/`cylinders`
-    path, `CylinderTable.ends` (so `bowen_sn`), and the level builds of a
+    Raised where cylinder ends are made: `symbolic.word_rows`,
+    `CylinderTable.ends` (so `bowen_sn`), and the level builds of a
     table that holds ends (Newton or Farey branches, a pointwise phi).  On
     linear branches the psi and phi sums read no ends, so their tables, and
     readers of those sums alone such as `pressure` and

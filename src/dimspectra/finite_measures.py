@@ -32,9 +32,8 @@ from .errors import (
 from .maps import MarkovMap
 from .numerics import log_sum_exp
 from .pressure import _moran_root
-from .symbolic import (
-    SMALL_WORDS, CylinderTable, Potential, checked_word_count, cylinders, ratio_bracket, shared_table
-)
+from .symbolic import (SMALL_WORDS, CylinderTable, Potential, checked_word_count, ratio_bracket,
+                       shared_table, word_rows)
 
 CONNECTOR_CAP_SLACK = 8
 
@@ -89,8 +88,8 @@ def connector_length(table: CylinderTable, n: int) -> ConnectorTable:
     on their own (neutral-orbit words on parabolic maps) are excluded from
     eligibility rather than from the search.  The level-n psi brackets come
     from `table`, whatever its potential (they do not depend on it), so
-    callers pass the table they already hold; the connectors' come from the
-    scalar cylinder path, which equals the table rows bit for bit.
+    callers pass the table they already hold; the connectors' come from
+    `word_rows`, which equals the table rows bit for bit.
 
     Raises:
         NoConnector: no uniform length up to 3 * aperiodicity_power +
@@ -118,9 +117,7 @@ def connector_length(table: CylinderTable, n: int) -> ConnectorTable:
                 break
         if not ok:
             continue
-        con_psi = 0.0
-        if k > 0:
-            con_psi = min(c.birkhoff_psi[0] for c in cylinders(m, set(words.values())))
+        con_psi = float(word_rows(m, words.values())[2].min()) if k > 0 else 0.0
         if min_psi + con_psi > 0.0:
             return ConnectorTable(
                 level=n,
@@ -439,17 +436,19 @@ def _block_newton(
                 break
             q = None
             t *= 0.5
-        else:  # stalled: accept only the logits' rounding floor
-            if residual <= 1e-12 * (1.0 + abs(a) * psi.max() + abs(b) * np.abs(phv).max()):
-                q = state(a, b)[1]  # rebuilt: the line search dropped it
-                break
-            raise NotConverged(
-                f"block weights at alpha = {alpha:g}, level {n}: Newton stalled "
-                f"at residual {residual:.3g}"
-            )
+        else:  # stalled
+            break
         a, b, log_z, mean_g = a + t * da, b + t * db, trial_z, trial_g
     else:
         raise NotConverged(f"block weights at alpha = {alpha:g}, level {n}: {NEWTON_CAP} steps")
+    # A vanishing step and a stall alike stop only at the logits' rounding floor.
+    if residual > 1e-12 * (1.0 + abs(a) * psi.max() + abs(b) * np.abs(phv).max()):
+        raise NotConverged(
+            f"block weights at alpha = {alpha:g}, level {n}: Newton stalled "
+            f"at residual {residual:.3g}"
+        )
+    if q is None:
+        q = state(a, b)[1]  # rebuilt: the line search dropped it
     q /= q.sum()
     if rows is None:
         return q

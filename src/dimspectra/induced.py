@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
 from .maps import MarkovMap
 from .numerics import log_sum_exp
 from .pressure import Enclosure, _Curves, _Lanes, _log_z, _one_lane, _per_lane, _roots_in_b
-from .symbolic import LevelArrays, Potential, cylinders
+from .symbolic import LevelArrays, Potential, word_rows
 
 WORD_CAP = 1 << 20
 
@@ -124,27 +125,17 @@ def build_induced(
             raise ValueError("base symbols must have disjoint cylinders")
     base_iv = (spans[0][0], spans[-1][1])
 
-    branches: list[InducedBranch] = []
-    log_weights: list[float] = []
     words = _excursion_words(m, base, truncation)
-    for cyl in cylinders(m, words, phi, terminal=base_iv):
-        branches.append(
-            InducedBranch(
-                word=cyl.word,
-                return_time=len(cyl.word),
-                domain=cyl.interval,
-                psi_bracket=cyl.birkhoff_psi,
-                phi_bracket=cyl.birkhoff_phi,
-            )
-        )
-        if phi is not None:
-            log_weights.append(0.5 * sum(cyl.birkhoff_phi))
-        else:
-            log_weights.append(-0.5 * sum(cyl.birkhoff_psi))
-    branches.sort(key=lambda b: b.domain[0])
+    lo, hi, psi_lo, psi_hi, phi_lo, phi_hi = word_rows(m, words, phi, terminal=base_iv)
+    domains, psis = zip(lo.tolist(), hi.tolist()), zip(psi_lo.tolist(), psi_hi.tolist())
+    phis = repeat(None) if phi is None else zip(phi_lo.tolist(), phi_hi.tolist())
+    branches = sorted(
+        map(InducedBranch, words, map(len, words), domains, psis, phis), key=lambda br: br.domain[0]
+    )
     # Conditional Gibbs mass of each return word given the base; the full
     # countable family sums to 1 up to distortion.
-    coverage = float(np.exp(log_weights).sum()) if log_weights else 0.0
+    log_weights = -0.5 * (psi_lo + psi_hi) if phi is None else 0.5 * (phi_lo + phi_hi)
+    coverage = float(np.exp(log_weights).sum())
     if coverage < 0.5:
         raise TruncationTooSmall(
             f"kept branches cover {coverage:.3f} of the base mass; "

@@ -168,11 +168,10 @@ class Branch:
     def inverse(self, y, *, clamp_tol: float = 1e-9):
         """Preimage under T_i.
 
-        Linear and Farey branches invert in closed form; one float does so
-        without numpy, by the same IEEE operations and clamps.  The
-        power family runs a vector Newton iteration until each point
-        settles, then solve again by bisection every point whose residual
-        |x + c*x**(1+s) - z| exceeds 1e-12 * max(|z|, x), where z = y + lift.
+        Linear and Farey branches invert in closed form.  The power family
+        runs a vector Newton iteration until each point settles, then solve
+        again by bisection every point whose residual |x + c*x**(1+s) - z|
+        exceeds 1e-12 * max(|z|, x), where z = y + lift.
 
         Args:
             y: point(s) in the branch image.
@@ -183,23 +182,15 @@ class Branch:
             OutOfImage: if some y is not finite, or lies outside the image
                 beyond clamp_tol.
         """
-        one = isinstance(y, float) and self.family != "power"
-        if one:
-            y_min = y_max = y
-        else:
-            y = np.asarray(y, dtype=float)
-            y_min, y_max = float(np.min(y)), float(np.max(y))
+        y = np.asarray(y, dtype=float)
+        y_min, y_max = float(y.min()), float(y.max())
         ilo, ihi = self.image
         # Stated so that NaN, which fails every comparison, is rejected too.
         if not (ilo - clamp_tol <= y_min and y_max <= ihi + clamp_tol):
             raise OutOfImage(
                 f"point outside branch image [{ilo}, {ihi}]: range [{y_min}, {y_max}]"
             )
-        # min/max keep y where it equals a bound, as np.clip does (signed
-        # zeros), so an array inside the image is its own clip, uncopied.
-        if one:
-            y = min(max(y, ilo), ihi)
-        elif not (ilo <= y_min and y_max <= ihi):
+        if not (ilo <= y_min and y_max <= ihi):  # an array inside is not copied
             y = np.clip(y, ilo, ihi)
         lo, hi = self.domain
         if self.family == "linear":
@@ -212,9 +203,7 @@ class Branch:
         else:
             y = y + self.lift  # rebound, so an unclipped argument can be freed
             out = _power_inverse(self.c, self.s, y, lo, hi)
-        if one:
-            return float(min(max(out, lo), hi))
-        out = np.clip(out, lo, hi, out=out if out.ndim else None)
+        out = out.clip(lo, hi, out=out if out.ndim else None)
         return out if out.ndim else float(out)
 
     def preimage_interval(self, lo: float, hi: float) -> tuple[float, float]:

@@ -10,9 +10,9 @@ inverse branch of i to the intervals and adding one summand per sum.
 n it holds flat arrays over all admissible n-words in lexicographic order,
 level 1 one step from each symbol's core span and level n+1 one step from
 level n, so the cost of level n is O(number of n-words) vectorized
-operations.  :func:`cylinders` applies the same step to scalars, word by
-word inside a suffix trie, so a word's scalar data equal its table row
-bit for bit.
+operations.  :func:`word_rows` applies the same step to any list of words,
+one call per symbol per suffix length, so each word's data equal its table
+row bit for bit.
 
 Bracket soundness: every branch family has a monotone derivative, so the
 range of log|T'| over an interval is attained at the endpoints, and summing
@@ -38,7 +38,6 @@ from .errors import (
     DegenerateCylinder,
     InadmissibleSupport,
     LevelTooLarge,
-    PointOutsideCylinder,
 )
 from .maps import _INVERSE_BLOCK, MarkovMap
 from .numerics import log_sum_exp
@@ -48,8 +47,10 @@ SMALL_WORDS = 1 << 10  # levels this small are cached by every table
 
 # A table's work, counted over every level build: levels and words built,
 # the rows whose cylinder ends a build made, and the endpoints sent to the
-# Newton inverse.
-level_counts = {"levels": 0, "words": 0, "end_rows": 0, "inverse_points": 0}
+# Newton inverse; and `word_rows`' `_Prepend` calls and the rows they make.
+level_counts = {
+    "levels": 0, "words": 0, "end_rows": 0, "inverse_points": 0, "sparse_calls": 0, "sparse_rows": 0
+}
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +276,10 @@ class _Prepend:
     code): its cylinder interval, the brackets of S_n psi (None with
     psi=False) and S_n phi (None without phi), and for a locally constant
     phi of depth d >= 2 the base-p code of its first min(n, d-1) symbols
-    (None otherwise).  Columns are arrays with one row per word (the level
-    table) or scalars (one node of the suffix trie in `cylinders`).  Where
-    both ends of a bracket are equal by construction (prev's ends are one
-    column and the summand is one value), the high column is the low one.
+    (None otherwise), a row per word of a table level or a `word_rows`
+    call, each stepped alone; n enters only as min(n, d-1).  Where both
+    ends of a bracket are equal by construction (prev's ends are one column
+    and the summand is one value), the high column is the low one.
     """
 
     def __init__(self, m: MarkovMap, phi: Potential | None, psi: bool = True):
@@ -705,114 +706,78 @@ def shared_table(m: MarkovMap, phi: Potential | None = None) -> CylinderTable:
 
 
 # ---------------------------------------------------------------------------
-# scalar cylinder path
+# sparse words
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """One admissible word with its interval and Birkhoff-sum brackets."""
-
-    word: tuple[int, ...]
-    interval: tuple[float, float]
-    diameter: float
-    birkhoff_psi: tuple[float, float]
-    birkhoff_phi: tuple[float, float] | None
-
-    def boundary_ratio(self, x: float) -> float:
-        """Distance of x to the cylinder boundary, relative to the diameter.
-
-        Returns Z_n/D_n in [0, 1/2]; raises PointOutsideCylinder when x lies
-        outside the interval beyond 1e-12.
-        """
-        lo, hi = self.interval
-        if x < lo - 1e-12 or x > hi + 1e-12:
-            raise PointOutsideCylinder(
-                f"x = {x:.17g} outside cylinder [{lo:.17g}, {hi:.17g}] of {self.word}"
-            )
-        return max(min(x - lo, hi - x), 0.0) / self.diameter
-
-
-def cylinder(
-    m: MarkovMap,
-    word: Sequence[int],
-    phi: Potential | None = None,
-    *,
-    terminal: tuple[float, float] | None = None,
-) -> Cylinder:
-    """Cylinder interval and Birkhoff brackets for one word (scalar path).
-
-    The one-word case of :func:`cylinders`, which documents the arguments.
-    """
-    return cylinders(m, [word], phi, terminal=terminal)[0]
-
-
-def cylinders(
+def word_rows(
     m: MarkovMap,
     words: Iterable[Sequence[int]],
     phi: Potential | None = None,
     *,
     terminal: tuple[float, float] | None = None,
-) -> list[Cylinder]:
-    """Cylinder intervals and Birkhoff brackets for each word (scalar path).
+) -> tuple:
+    """The columns (lo, hi, psi_lo, psi_hi, phi_lo, phi_hi) of the words'
+    cylinders and Birkhoff brackets in input order, phi's None without phi.
 
-    Each word is built right to left by the level table's cylinder step on
-    scalars: the last symbol's core span (or the preimage of `terminal`)
-    first, then one prepended symbol at a time, so a word's data equals its
-    row in the level table bit for bit.  The data after the symbols
-    word[k:] depends on that suffix alone, so words sharing a suffix share
-    its steps: the data are kept in a suffix trie for the length of the
-    call, and each word's walk down the trie resumes from the longest suffix
-    it shares with the previous word, so a list of words that grow by one
-    symbol costs one step per new suffix, not one lookup per symbol.
-
-    Args:
-        terminal: replaces the terminal span, restricting to the points whose
-            orbit lands in that interval after the word; must lie inside the
-            last symbol's follow span.  Used for first-return domains.
+    Each word is built right to left from its last symbol's core span (or
+    the preimage of `terminal`, inside that symbol's follow span), each
+    distinct suffix once.  A suffix another extends is made at its step, in
+    one `_Prepend` call per symbol and one inverse call for its ends; whole
+    words wait, and those prepending one symbol share one call at the end.
+    Every inverse point iterates alone: each row is the table's bit for bit.
 
     Raises:
         ValueError: inadmissible word.
         DegenerateCylinder: interval collapsed to a point in float arithmetic.
     """
     words = [tuple(w) for w in words]
+    base = np.array(m.core_spans if terminal is None else [terminal])
+    # Suffix rows follow the base rows, in a trie (row of w, i) -> row of
+    # i·w.  A word's walk resumes at the longest suffix it shares with the
+    # word before; a new row checks its first pair.
+    trie, path, prev, final, rows = {}, [], (), [], []  # rows: (i, row of w, len(w))
     for word in words:
-        if not word or not m.admissible(word):
-            raise ValueError(f"word {word} is not admissible for this map")
-    step = _Prepend(m, phi)
-    trie: dict[int, tuple] = {}  # symbol -> (data, trie of longer suffixes)
-    path: list[tuple] = []  # the trie entries of the previous word's suffixes
-    last: tuple[int, ...] = ()
-    out: list[Cylinder] = []
-    for word in words:
+        if not word:
+            raise ValueError("word () is not admissible for this map")
         n = len(word)
-        # Resume at the longest suffix this word shares with the previous one:
-        # the first mismatch from the right, found without a Python loop.
-        differ = map(ne, reversed(word), reversed(last))
-        shared = next(compress(count(), differ), min(n, len(last)))
+        shared = next(compress(count(), map(ne, reversed(word), reversed(prev))), min(n, len(prev)))
         del path[shared:]
-        last = word
-        if path:
-            data, node = path[-1]
-        else:
-            lo, hi = m.core_spans[word[-1]] if terminal is None else terminal
-            data, node = (lo, hi, 0.0, 0.0, 0.0, 0.0, 0), trie
+        row, prev = path[-1] if path else word[-1] if terminal is None else 0, word
         for k in range(n - 1 - shared, -1, -1):
-            entry = node.get(word[k])
-            if entry is None:
-                pull = k < n - 1 or terminal is not None
-                entry = node[word[k]] = (step(word[k], data, n - 1 - k, pull=pull), {})
-            data, node = entry
-            path.append(entry)
-        lo, hi, psi_lo, psi_hi, phi_lo, phi_hi, _ = data
-        if hi - lo <= 0.0:
-            raise DegenerateCylinder(f"cylinder of {word} collapsed to a point")
-        out.append(
-            Cylinder(
-                word=word,
-                interval=(lo, hi),
-                diameter=hi - lo,
-                birkhoff_psi=(float(psi_lo), float(psi_hi)),
-                birkhoff_phi=None if phi is None else (float(phi_lo), float(phi_hi)),
-            )
-        )
-    return out
+            new = len(base) + len(rows)
+            up, row = row, trie.setdefault((row, word[k]), new)
+            if row == new:
+                if not m.admissible(word[k : k + 2]):
+                    raise ValueError(f"word {word} is not admissible for this map")
+                rows.append((word[k], up, n - 1 - k))
+            path.append(row)
+        final.append(row)
+    # One call per (stage, symbol, n, pull): rows another extends at stage
+    # len(w), whole words after them all, where n enters `_Prepend` only as
+    # min(n, d - 1); pull is False where a core span is the cylinder.
+    step = _Prepend(m, phi)
+    d = 1 if step.ranges is None else phi.depth
+    extended, calls = {up for _, up, _ in rows}, {}
+    for row, (i, up, t) in enumerate(rows, len(base)):
+        waits, pull = row not in extended, t > 0 or terminal is not None
+        key = (waits, 0 if waits else t, i, min(t, d - 1) if waits else t, pull)
+        calls.setdefault(key, []).append((row, up))
+    cols = [*np.zeros((6, len(base) + len(rows))), np.zeros(len(base) + len(rows), np.int64)]
+    cols[0][: len(base)], cols[1][: len(base)] = base.T
+    for (*_, i, n, pull), pairs in sorted(calls.items()):
+        (own, up), br = np.array(pairs).T, m.branches[i]
+        lo, hi = cols[0][up], cols[1][up]
+        if pull:
+            x = br.inverse(np.concatenate((lo, hi)))
+            lo, hi = (x[: up.size], x[up.size :])[:: 1 if br.increasing else -1]
+        ends = (lo, hi, *br.log_deriv_range(lo, hi))
+        for col, data in zip(cols, step(i, cols, n, lambda col: col[up], ends=ends)):
+            if data is not None:
+                col[own] = data
+        level_counts["sparse_calls"] += 1
+        level_counts["sparse_rows"] += up.size
+    lo, hi, *sums = (col[final] for col in cols[:6])
+    collapsed = np.flatnonzero(hi - lo <= 0.0)
+    if collapsed.size:
+        raise DegenerateCylinder(f"cylinder of {words[collapsed[0]]} collapsed to a point")
+    return lo, hi, *sums[:2], *(sums[2:] if phi is not None else (None, None))

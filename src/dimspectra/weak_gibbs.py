@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, PointOutsideCylinder
 from .maps import MarkovMap
-from .symbolic import Cylinder, Potential, cylinder, cylinders, ratio_bracket, shared_table
+from .symbolic import Potential, ratio_bracket, shared_table, word_rows
 
 BOUNDARY_FLAG_THRESHOLD = 0.01
 
@@ -87,14 +87,9 @@ def cylinder_mass_bracket(
     model: WeakGibbsModel, m: MarkovMap, word: Sequence[int]
 ) -> tuple[float, float]:
     """[exp(-n·k_n + inf S_n phi), exp(n·k_n + sup S_n phi)] for one word."""
-    return _mass_bracket(model, cylinder(m, word, model.phi))
-
-
-def _mass_bracket(model: WeakGibbsModel, cyl: Cylinder) -> tuple[float, float]:
-    n = len(cyl.word)
-    k = model.k(n)
-    lo, hi = cyl.birkhoff_phi
-    return (math.exp(-n * k + lo), math.exp(n * k + hi))
+    n, k = len(word), model.k(len(word))
+    phi_lo, phi_hi = word_rows(m, [word], model.phi)[4:]
+    return (math.exp(-n * k + phi_lo[0]), math.exp(n * k + phi_hi[0]))
 
 
 def _level_mass_midpoints(
@@ -139,27 +134,28 @@ def local_dimension(
     Raises:
         ValueError: word shorter than 4 symbols or inadmissible.
         DegenerateCylinder: the deepest cylinder underflows.
+        PointOutsideCylinder: the deepest cylinder's midpoint lies outside
+            a shallower prefix's cylinder.
     """
     word = tuple(word)
     big_n = len(word)
     if big_n < 4:
         raise ValueError("local dimension needs a word of depth at least 4")
     levels = tuple(range(big_n // 2, big_n + 1))
-    ratio_lo = np.empty(len(levels))
-    ratio_hi = np.empty(len(levels))
-    prefixes = cylinders(m, [word[:n] for n in levels], model.phi)
-    deep = prefixes[-1]
-    x = 0.5 * (deep.interval[0] + deep.interval[1])
-    boundary_min = math.inf
-    for i, cyl in enumerate(prefixes):
-        p_lo, p_hi = cyl.birkhoff_phi
-        s_lo, s_hi = cyl.birkhoff_psi
-        # s_lo = 0 happens on all-neutral prefixes of parabolic maps; the
-        # ratio is unbounded there and the bracket top is honestly infinite.
-        ratio_lo[i], ratio_hi[i] = ratio_bracket(-p_hi, -p_lo, s_lo, s_hi)
-        boundary_min = min(boundary_min, cyl.boundary_ratio(x))
-    mass_lo, mass_hi = _mass_bracket(model, deep)
-    log_d = math.log(deep.diameter)
+    lo, hi, s_lo, s_hi, p_lo, p_hi = word_rows(m, [word[:n] for n in levels], model.phi)
+    # s_lo = 0 happens on all-neutral prefixes of parabolic maps; the
+    # ratio is unbounded there and the bracket top is honestly infinite.
+    ratio_lo, ratio_hi = ratio_bracket(-p_hi, -p_lo, s_lo, s_hi)
+    # Z_n/D_n in [0, 1/2]: the deepest midpoint's distance to each prefix
+    # cylinder's boundary over its diameter.
+    x = 0.5 * (lo[-1] + hi[-1])
+    out = np.flatnonzero((x < lo - 1e-12) | (x > hi + 1e-12))
+    if out.size:
+        raise PointOutsideCylinder(f"x = {x:.17g} outside cylinder of {word[: levels[out[0]]]}")
+    boundary_min = float((np.maximum(np.minimum(x - lo, hi - x), 0.0) / (hi - lo)).min())
+    k = model.k(big_n)
+    mass_lo, mass_hi = math.exp(-big_n * k + p_lo[-1]), math.exp(big_n * k + p_hi[-1])
+    log_d = math.log(hi[-1] - lo[-1])
     combos = [
         (math.log(mass_lo) if mass_lo > 0.0 else -math.inf) / log_d,
         (math.log(mass_hi) if mass_hi > 0.0 else -math.inf) / log_d,

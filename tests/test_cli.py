@@ -626,22 +626,24 @@ def test_overflowing_blockopt_trial_is_a_stalled_newton(tmp_path, capsys, value)
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_blockopt_at_a_large_finite_potential_keeps_its_row(tmp_path):
-    # No trial overflows here, so the solve takes the steps and writes the
-    # bits it wrote before overflowing trials were caught.  The bits are
-    # pinned, not vouched for: the row's alpha bracket misses alpha = 1.
-    out = tmp_path / "x.csv"
+@pytest.mark.parametrize("value, residual", [("-1.0e100", "5.51e+93"), ("-1.0e50", "5.51e+43")])
+def test_blockopt_at_a_large_finite_potential_fails_typed(tmp_path, capsys, value, residual):
+    # No trial overflows here: the Newton's step falls below its size test
+    # while the constraint is still 1e43 and more off, far above the
+    # logits' rounding floor, and a row whose alpha bracket misses alpha = 1
+    # was written.  That exit now meets the floor or is one typed line.
     args = [
         str(CONFIG_DIR / "two_slopes_blockopt.yaml"),
-        "--set", f"output.csv={out}",
-        "--set", "potential.table.0=-1.0e100",
+        "--set", f"output.csv={tmp_path / 'x.csv'}",
+        "--set", f"potential.table.0={value}",
     ]
-    assert main(args) == 0
-    assert out.read_text().splitlines()[1] == (
-        "6,0,1,1.140035372250851e-06,9.4825472125920828e-06,1.5804245354320138e-06,"
-        "6.6269973395437285e+92,6.6269973395437285e+92,1.140035372250851e-06,"
-        "1.140035372250851e-06,0,0"
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "dimspectra: error: NotConverged: block weights at alpha = 1, level 6: "
+        f"Newton stalled at residual {residual}\n"
     )
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_every_command_is_dispatched():

@@ -25,14 +25,13 @@ from dimspectra import (
     block_objective,
     bowen_sn,
     connector_length,
-    cylinder,
-    cylinders,
     doubling_map,
     geometric,
     linear_full_branch_map,
     locally_constant,
     optimize_block_weights,
     window_mask,
+    word_rows,
 )
 from dimspectra.numerics import log_sum_exp
 from root_oracle import _bisect, _drive, _expand, _four_end_ratio
@@ -705,8 +704,8 @@ def test_collapse_raises_only_where_ends_are_made(bernoulli_phi):
     for read in (
         lambda: table.ends(3),
         lambda: bowen_sn(m, bernoulli_phi, 5, 0.1, 0.05),
-        lambda: cylinders(m, words_at_level(m, 3)),
-        lambda: cylinder(m, (1, 0, 0)),
+        lambda: word_rows(m, words_at_level(m, 3)),
+        lambda: word_rows(m, [(1, 0, 0)]),
         lambda: shared_table(m, pointwise).level(3),
     ):
         with pytest.raises(DegenerateCylinder):

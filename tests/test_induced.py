@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from dimspectra import (
     TruncationTooSmall,
     b_of_a,
     build_induced,
-    cylinder,
     farey_map,
     Potential,
     geometric,
@@ -26,7 +26,10 @@ from dimspectra import (
     manneville_pomeau_map,
 )
 from dimspectra import induced
+from dimspectra.cli import main
 from dimspectra.numerics import log_sum_exp
+from dimspectra.symbolic import level_counts
+from cylinder_oracle import cylinder
 from root_oracle import _descend, _drive
 
 LOG2 = math.log(2.0)
@@ -118,6 +121,17 @@ def test_induced_branches_equal_per_word_cylinders(farey, mp, case, truncation):
         assert br.domain == one.interval
         assert br.psi_bracket == one.birkhoff_psi
         assert br.phi_bracket == one.birkhoff_phi
+
+
+def test_farey_induced_config_prepends_once_per_symbol_per_step(tmp_path):
+    # Truncation 40 keeps the words 1·0^(k-1), k = 1..40: the suffixes 0^j
+    # (j = 1..39) take one call each, one row per call, and the 40 words,
+    # none of them another's suffix, wait for one call of symbol 1.
+    before = dict(level_counts)
+    config = Path(__file__).resolve().parent.parent / "configs" / "farey_induced.yaml"
+    assert main([str(config), "--set", f"output.csv={tmp_path / 'x.csv'}"]) == 0
+    assert level_counts["sparse_calls"] - before["sparse_calls"] == 40
+    assert level_counts["sparse_rows"] - before["sparse_rows"] == 39 + 40
 
 
 def test_induced_domains_disjoint_in_base(farey_sys):

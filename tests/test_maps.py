@@ -19,7 +19,7 @@ from dimspectra import (
 )
 from dimspectra import maps
 from dimspectra.maps import _periodic_point, _power_inverse, _unit_point
-from dimspectra.symbolic import CylinderTable, cylinders
+from dimspectra.symbolic import CylinderTable, word_rows
 
 LOG2 = math.log(2.0)
 
@@ -364,7 +364,7 @@ def test_admissible_matches_pairwise_loop(golden, farey, markov):
     assert not farey.admissible((0, 5))
     assert not farey.admissible((1, -1))
     with pytest.raises(ValueError, match="not admissible"):
-        cylinders(farey, [(0, 5)])
+        word_rows(farey, [(0, 5)])
 
 
 @pytest.mark.parametrize("word", [(1, 1, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1, 1), (0, 2), (-1, 0)])
@@ -373,12 +373,12 @@ def test_cylinders_refuse_inadmissible_words(golden, farey, word):
     # middle and at the end of a word, and symbols out of range.  A full
     # shift allows every pair, so it checks only the range.
     with pytest.raises(ValueError, match=rf"word {re.escape(str(word))} is not admissible"):
-        cylinders(golden, [(0,), word])
+        word_rows(golden, [(0,), word])
     if 0 <= min(word) and max(word) < farey.p:
         assert farey.admissible(word)
     else:
         with pytest.raises(ValueError, match="not admissible"):
-            cylinders(farey, [(0,), word])
+            word_rows(farey, [(0,), word])
 
 
 def _power_map():

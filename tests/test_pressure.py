@@ -330,7 +330,8 @@ def test_mp_pressure_counts_repeat():
     # words, each with its ends: a Newton branch's log|T'| reads them),
     # 524,296 endpoints through the Newton inverse (a quarter of the
     # 2,097,144 ends built; the rest repeat ends in hand), and the same
-    # counts, sweeps and log_sum_exp work included, on a second run.
+    # counts, sweeps and log_sum_exp work included, on a second run.  The
+    # climb makes no `word_rows` call.
     def climb():
         m = manneville_pomeau_map(0.5)  # built before counting
         counters = (level_counts, newton_counts, lse_counts)
@@ -342,7 +343,8 @@ def test_mp_pressure_counts_repeat():
     assert climb() == first
     levels, newton, lse = first
     assert levels == {
-        "levels": 19, "words": 2**20 - 2, "end_rows": 2**20 - 2, "inverse_points": 524_296
+        "levels": 19, "words": 2**20 - 2, "end_rows": 2**20 - 2, "inverse_points": 524_296,
+        "sparse_calls": 0, "sparse_rows": 0,
     }
     assert newton["point_sweeps"] > 524_296
     assert lse["calls"] > 0 and lse["entries"] >= 2**19

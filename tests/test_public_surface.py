@@ -65,16 +65,22 @@ def test_every_error_type_is_raised_by_the_package():
 
 def test_solver_modules_run_no_generator_lanes():
     # The ladder, the b(a) and induce solves and the Legendre search hold
-    # their lanes as arrays: no generator (a `yield`), and none of the
-    # functions that ran generator lanes.
-    retired = {"_drive", "_lockstep", "_call_stacked"}
+    # their lanes as arrays: no generator (a `yield`).
     for name in ("numerics", "pressure", "spectrum", "induced"):
         tree = ast.parse((ROOT / "src" / "dimspectra" / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             assert not isinstance(node, (ast.Yield, ast.YieldFrom)), (name, node.lineno)
-            # defined, imported, read or looked up as an attribute
+
+
+def test_no_module_names_a_retired_path():
+    # No module defines, imports, reads or looks up as an attribute the
+    # functions that ran generator lanes, or the scalar cylinder path that
+    # `symbolic.word_rows` replaced (kept in tests/cylinder_oracle.py).
+    retired = {"_drive", "_lockstep", "_call_stacked", "Cylinder", "cylinder", "cylinders"}
+    for path in sorted((ROOT / "src" / "dimspectra").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}
-            assert not names & retired, (name, ast.dump(node))
+            assert not names & retired, (path.name, ast.dump(node))
 
 
 def test_no_module_reads_the_environment_or_starts_threads():

@@ -17,20 +17,26 @@ from dimspectra import (
     PointOutsideCylinder,
     Potential,
     build_map,
-    cylinder,
-    cylinders,
+    doubling_map,
+    exact_model,
+    farey_map,
     geometric,
+    golden_mean_map,
     linear_full_branch_map,
+    local_dimension,
     locally_constant,
     manneville_pomeau_map,
     normalize_potential,
     pressure,
     shared_table,
     validate_potential,
+    word_rows,
     words_at_level,
 )
 from dimspectra.errors import LevelTooLarge
 from dimspectra.symbolic import SMALL_WORDS, LevelArrays, level_counts, ratio_bracket
+from dimspectra import weak_gibbs
+from cylinder_oracle import Cylinder, cylinder, cylinders
 from root_oracle import _four_end_ratio
 
 LOG2 = math.log(2.0)
@@ -123,61 +129,74 @@ def test_cylinder_table_budget_before_building(doubling, monkeypatch):
         table.level(27)
 
 
+def _one(m, word, phi=None, terminal=None):
+    """`word_rows` of one word: (interval, psi bracket, phi bracket)."""
+    lo, hi, psi_lo, psi_hi, phi_lo, phi_hi = word_rows(m, [word], phi, terminal=terminal)
+    phi_bracket = None if phi_lo is None else (phi_lo[0], phi_hi[0])
+    return (lo[0], hi[0]), (psi_lo[0], psi_hi[0]), phi_bracket
+
+
 def test_cylinder_dyadic_exact(doubling, bernoulli_phi):
-    cyl = cylinder(doubling, (0, 1, 1), bernoulli_phi)
-    assert cyl.interval == (0.375, 0.5)
-    assert cyl.diameter == 0.125
+    interval, psi, phi = _one(doubling, (0, 1, 1), bernoulli_phi)
+    assert interval == (0.375, 0.5)
     # constant log-derivative and depth-1 potential: degenerate brackets
-    assert cyl.birkhoff_psi == pytest.approx((3 * LOG2, 3 * LOG2), abs=1e-14)
+    assert psi == pytest.approx((3 * LOG2, 3 * LOG2), abs=1e-14)
     truth = math.log(9.0 / 64.0)
-    assert cyl.birkhoff_phi == pytest.approx((truth, truth), abs=1e-14)
+    assert phi == pytest.approx((truth, truth), abs=1e-14)
 
 
 def test_cylinder_terminal_restriction(doubling):
-    cyl = cylinder(doubling, (0,), terminal=(0.5, 1.0))
-    assert cyl.interval == pytest.approx((0.25, 0.5), abs=1e-15)
+    interval, _, phi = _one(doubling, (0,), terminal=(0.5, 1.0))
+    assert interval == pytest.approx((0.25, 0.5), abs=1e-15)
+    assert phi is None
 
 
 def test_cylinder_nesting(doubling, bernoulli_phi):
-    outer = cylinder(doubling, (0, 1), bernoulli_phi)
-    inner = cylinder(doubling, (0, 1, 1), bernoulli_phi)
-    assert outer.interval[0] <= inner.interval[0]
-    assert inner.interval[1] <= outer.interval[1]
+    (outer_lo, outer_hi), (inner_lo, inner_hi) = zip(
+        *word_rows(doubling, [(0, 1), (0, 1, 1)], bernoulli_phi)[:2]
+    )
+    assert outer_lo <= inner_lo
+    assert inner_hi <= outer_hi
 
 
 def test_cylinder_lives_on_core(golden):
     # from symbol 1 only 0 is allowed, so (1,) and (1, 0) span the same set
-    one = cylinder(golden, (1,))
-    one_zero = cylinder(golden, (1, 0))
-    assert one.interval == pytest.approx(one_zero.interval, abs=1e-12)
-    assert one.interval[1] == pytest.approx(2.0 / 3.0, abs=1e-9)
+    one, one_zero = (_one(golden, w)[0] for w in ((1,), (1, 0)))
+    assert one == pytest.approx(one_zero, abs=1e-12)
+    assert one[1] == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
+def _assert_oracle_bits(got, want):
+    """`word_rows` columns equal the scalar oracle's, bit for bit."""
+    for g, w in zip(got, Cylinder.columns(want)):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.tobytes() == w.tobytes()
 
 
 def test_cylinders_share_suffixes_without_changing_bits(golden, bernoulli_phi):
     words = [(0, 1, 0), (1, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0,), (1, 0)]
-    many = cylinders(golden, words, bernoulli_phi)
-    assert [c.word for c in many] == words
-    assert many == [cylinder(golden, w, bernoulli_phi) for w in words]
+    _assert_oracle_bits(word_rows(golden, words, bernoulli_phi), cylinders(golden, words, bernoulli_phi))
+    _assert_oracle_bits(
+        word_rows(golden, words, bernoulli_phi),
+        [cylinder(golden, w, bernoulli_phi) for w in words],
+    )
     with pytest.raises(ValueError):
-        cylinders(golden, [(0, 1), (1, 1)], bernoulli_phi)
-
-
-def _bits(cyl):
-    return [float(x).hex() for x in (*cyl.interval, *cyl.birkhoff_psi, *cyl.birkhoff_phi)]
+        word_rows(golden, [(0, 1), (1, 1)], bernoulli_phi)
 
 
 def test_cylinders_resume_keeps_bits(farey, bernoulli_phi):
     # Farey's return words (1, 0^j) share the suffix 0^(j-1) with the word
     # before them; a shuffled list with repeats shares less.  Either way a
-    # word's data are those of a one-word call, bit for bit.
+    # word's data are those of the word stepped alone, bit for bit.
     base = farey.core_spans[1]
     words = [(1,) + (0,) * j for j in range(60)]
     order = [words[k] for k in np.random.default_rng(0).permutation(60)] + words[::7]
     for batch in (words, order):
-        many = cylinders(farey, batch, bernoulli_phi, terminal=base)
-        assert [c.word for c in many] == batch
-        for c in many:
-            assert _bits(c) == _bits(cylinder(farey, c.word, bernoulli_phi, terminal=base))
+        _assert_oracle_bits(
+            word_rows(farey, batch, bernoulli_phi, terminal=base),
+            [cylinder(farey, w, bernoulli_phi, terminal=base) for w in batch],
+        )
 
 
 def test_level_arrays_contents(doubling, bernoulli_phi):
@@ -219,12 +238,21 @@ def test_shared_table_is_cached(doubling, bernoulli_phi, uniform_phi):
     )
 
 
-def test_boundary_ratio(doubling):
-    # cylinder (0, 1) is [1/4, 1/2]; x = 0.3 sits 0.05 above the lower edge
-    cyl = cylinder(doubling, (0, 1))
-    assert cyl.boundary_ratio(0.3) == pytest.approx(0.2)
-    with pytest.raises(PointOutsideCylinder):
-        cyl.boundary_ratio(0.6)
+def test_boundary_ratio(doubling, monkeypatch):
+    # local_dimension's check, on the prefixes (0, 1), (0, 1, 0), (0, 1, 0, 0)
+    # = [1/4, 1/2], [1/4, 3/8], [1/4, 5/16]: the deepest midpoint 9/32 sits
+    # 1/32 above every lower edge, 1/8 of the widest diameter.
+    model = exact_model(doubling, locally_constant({(0,): -LOG2, (1,): -LOG2}))
+    assert local_dimension(model, doubling, (0, 1, 0, 0)).boundary_min == 0.125
+
+    def moved(*args):  # the deepest cylinder moved out of the others
+        lo, hi, *sums = word_rows(*args)
+        lo[-1], hi[-1] = 0.6, 0.7
+        return lo, hi, *sums
+
+    monkeypatch.setattr(weak_gibbs, "word_rows", moved)
+    with pytest.raises(PointOutsideCylinder, match=r"outside cylinder of \(0, 1\)$"):
+        local_dimension(model, doubling, (0, 1, 0, 0))
 
 
 def test_distortion_parabolic(mp, uniform_phi):
@@ -281,9 +309,9 @@ def _with_ends(table, n):
 
 @pytest.mark.parametrize("name", ["doubling", "golden", "farey", "mp"])
 def test_table_rows_equal_scalar_cylinders_bit_for_bit(request, name):
-    # Farey's closed forms invert floats without numpy on the scalar path
-    # and arrays with it in the table; its rows are compared to level 10.
-    # Ends come from `ends(n)`, the level's own or a geometry-only climb.
+    # The scalar oracle steps each word alone; Farey's rows are compared to
+    # level 10.  Ends come from `ends(n)`, the level's own or a geometry-only
+    # climb.
     m = request.getfixturevalue(name)
     for phi in _potentials(m):
         table = CylinderTable(m, phi)
@@ -324,6 +352,52 @@ def test_ends_equal_scalar_cylinders_bit_for_bit(request, name):
         arr, cyls = _with_ends(table, n), cylinders(m, words_at_level(m, n))
         assert np.array([c.interval[0] for c in cyls]).tobytes() == arr.lo.tobytes(), n
         assert np.array([c.interval[1] for c in cyls]).tobytes() == arr.hi.tobytes(), n
+
+
+_SPARSE_MAPS = {
+    "doubling": doubling_map(),
+    "farey": farey_map(),
+    "golden": golden_mean_map(),
+    "mp": manneville_pomeau_map(0.5),
+}
+
+
+def _admissible(m, raw):
+    """The word raw with each symbol its successor's forbids flipped (two
+    symbols, each with some successor)."""
+    word = [raw[0]]
+    for s in raw[1:]:
+        word.append(s if m.transition[word[-1], s] else 1 - s)
+    return tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SPARSE_MAPS)),
+    kind=st.sampled_from(["none", "depth1", "depth2", "geometric", "pointwise"]),
+    terminal=st.booleans(),
+    raw=st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=12), min_size=1, max_size=12),
+    repeats=st.lists(st.integers(0, 11), max_size=6),
+)
+def test_word_rows_equal_the_scalar_oracle_bit_for_bit(name, kind, terminal, raw, repeats):
+    # Unsorted word lists of lengths 1-12, with repeats and (on two
+    # symbols) shared suffixes: every column `word_rows` gives is the scalar
+    # trie's, bit for bit.  Every last symbol admits 0, so symbol 0's core
+    # span serves as the terminal.
+    m = _SPARSE_MAPS[name]
+    phi = {
+        "none": None,
+        "depth1": _random_table(m, 1, seed=21),
+        "depth2": _random_table(m, 2, seed=22),
+        "geometric": geometric(-0.7),
+        "pointwise": Potential(kind="pointwise", funcs=(np.square, np.negative)),
+    }[kind]
+    words = [_admissible(m, w) for w in raw]
+    words += [words[k % len(words)] for k in repeats]
+    base = m.core_spans[0] if terminal else None
+    _assert_oracle_bits(
+        word_rows(m, words, phi, terminal=base), cylinders(m, words, phi, terminal=base)
+    )
 
 
 def _masked_power_map():
