@@ -45,6 +45,7 @@ from .symbolic import (
     Potential,
     geometric,
     locally_constant,
+    potential_sup,
     shared_table,
     validate_potential,
     word_rows,

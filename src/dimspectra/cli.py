@@ -47,7 +47,7 @@ from .maps import (
 )
 from .pressure import Enclosure, normalize_potential, pressure
 from .spectrum import b_curve, legendre_spectrum, spectrum_endpoints
-from .symbolic import Potential, geometric, locally_constant, validate_potential
+from .symbolic import Potential, geometric, locally_constant, potential_sup, validate_potential
 from .weak_gibbs import declared_model, exact_model, local_dimension
 from . import __version__
 
@@ -266,22 +266,26 @@ def _parse_map_section(obj: Any) -> dict:
 # bounded: the Birkhoff sums over any level the word budget allows stay
 # finite (at 1e308 a level-2 sum already overflows to +inf).
 _POTENTIAL_MAX = 1e300
+_POTENTIAL_KEYS: dict[str, tuple[str, ...]] = {
+    "locally_constant": ("depth", "table"),
+    "geometric": ("coefficient",),
+}
 
 
 def _parse_potential_section(obj: Any) -> dict:
     d = _expect_mapping(obj, "potential")
     if not d:
         raise ConfigError("potential.kind is required")
-    _reject_unknown(
-        d, ("kind", "depth", "table", "coefficient", "normalize", "envelope"),
-        "potential",
-    )
     kind = d.get("kind")
-    if kind not in ("locally_constant", "geometric"):
+    if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
         raise ConfigError(
             "potential.kind must be locally_constant or geometric; "
             "pointwise potentials are library-only"
         )
+    # A null value is an absent key, so an override can drop the other kind's.
+    present = {k: v for k, v in d.items() if v is not None}
+    allowed = ("kind", "normalize", "envelope") + _POTENTIAL_KEYS[kind]
+    _reject_unknown(present, allowed, "potential")
     out: dict = {"kind": kind}
     if kind == "locally_constant":
         table = _expect_mapping(d.get("table"), "potential.table")
@@ -747,7 +751,7 @@ def _cmd_validate(cfg: RunConfig, m: MarkovMap, phi: Potential) -> _Result:
             ["full_shift", m.is_full_shift],
             ["parabolic_orbits", len(m.parabolic_orbits)],
             ["potential_kind", phi.kind],
-            ["potential_sup", phi.bounds(m)[1]],
+            ["potential_sup", potential_sup(m, phi)],
         ],
     )
     if cfg.potential.get("envelope"):

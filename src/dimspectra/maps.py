@@ -353,15 +353,6 @@ class MarkovMap:
             vec = [sum(rows[i][j] * vec[j] for j in range(p)) for i in range(p)]
         return sum(vec)
 
-    def log_deriv_bounds(self) -> tuple[float, float]:
-        """(inf, sup) of log|T'| over the core spans, exact per family."""
-        lows, highs = [], []
-        for br, (lo, hi) in zip(self.branches, self.core_spans):
-            a, b = br.log_deriv_range(lo, hi)
-            lows.append(float(a))
-            highs.append(float(b))
-        return min(lows), max(highs)
-
     def __repr__(self) -> str:  # terse; maps appear in error messages
         tag = "parabolic" if self.has_parabolic else "uniformly expanding"
         return f"MarkovMap(p={self.p}, {tag}, k={self.aperiodicity_power})"

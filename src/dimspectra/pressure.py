@@ -71,21 +71,17 @@ def gluing_length(m: MarkovMap) -> int:
 
 
 def potential_floor(
-    table: CylinderTable, coeff_psi: float, coeff_phi: float = 0.0, held=None
-):
-    """Certified lower bound for inf of the combined potential on the core
-    (one per lane for arrays of coefficients, see `_Curves`)."""
-    arr = table.level(1)
-    floor = _sum(arr, 0, coeff_psi, coeff_phi, held, lambda f: f.min(axis=-1))
-    return floor if np.ndim(floor) else float(floor)
+    table: CylinderTable, coeff_psi: np.ndarray, coeff_phi: np.ndarray, held=None
+) -> np.ndarray:
+    """Certified lower bound for inf of the combined potential on the core,
+    one per lane (see `_Curves`)."""
+    return _sum(table.level(1), 0, coeff_psi, coeff_phi, held, lambda f: f.min(axis=1))
 
 
-def _per_lane(fn: Callable, count: int, a, b):
-    """fn(a, b) on rows of `count` entries per lane.  For arrays a, b of
-    one entry per lane it runs on slices of lanes holding at most one
+def _per_lane(fn: Callable, count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """fn(a, b) on rows of `count` entries per lane, for arrays a, b of one
+    entry per lane: it runs on slices of lanes holding at most one
     log-sum-exp chunk of entries, and the results are joined."""
-    if np.ndim(a) == 0:
-        return fn(a, b)
     rows = max(1, _CHUNK // count)
     if a.size <= rows:
         return fn(a, b)
@@ -149,10 +145,10 @@ class _Curves:
     floor and level n-1), or rows shaped like one, such as the branches of
     an induced system (n = 1, k = 0, no table).
 
-    Each curve takes (a, b) as floats, or as arrays of one entry per lane
-    (and in a root solve the solve's `held` a-terms, see `_roots_in_b`);
-    then it gives one value per lane, bit for bit the scalar call's, so
-    lanes that share a level are answered in one call.
+    Each curve takes (a, b) as arrays of one entry per lane (and in a root
+    solve the solve's `held` a-terms, see `_roots_in_b`) and gives one
+    value per lane, each with the bits of its lane alone, so lanes that
+    share a level are answered in one call.
     """
 
     def __init__(self, arr: LevelArrays, k: int = 0, table: CylinderTable | None = None, prev=None):
@@ -354,17 +350,18 @@ def pressure(
             reached `tol` by `max_level`; the best enclosure rides along.
     """
     table = CylinderTable(m, phi, cache_words=SMALL_WORDS, psi=False)  # one climb, phi alone
-    z_sup: dict[int, float] = {}
+    z_sup: dict[int, np.ndarray] = {}
+    a, b = np.zeros(1), np.ones(1)  # the one lane: phi alone
 
     def rung(n: int, _last) -> _Rung:
         level = _Curves(table.level(n), gluing_length(m), table)
 
         def upper(_live):
-            z_sup[n] = level.z_sup(0.0, 1.0)
-            return np.array([z_sup[n] / n]), None
+            z_sup[n] = level.z_sup(a, b)
+            return z_sup[n] / n, None
 
-        ratio = None if n == 1 else lambda _live: (np.array([z_sup[n] - z_sup[n - 1]]), None)
-        return _Rung(lambda _live: (np.array([level.lower(0.0, 1.0)]), None), upper, ratio)
+        ratio = None if n == 1 else lambda _live: (z_sup[n] - z_sup[n - 1], None)
+        return _Rung(lambda _live: (level.lower(a, b), None), upper, ratio)
 
     return _one_lane(_ladder(rung, ["pressure"], 1, max_level, tol=tol))
 
@@ -379,18 +376,14 @@ def _one_lane(found: list):
 def normalize_potential(
     m: MarkovMap, phi: Potential, *, tol: float = 1e-10, max_level: int = 32
 ) -> Potential:
-    """Shift a potential so its pressure vanishes.
-
-    Depth-1 locally constant potentials on full shifts normalize by their
-    closed-form pressure (`Potential.closed_form_pressure`), which is what
-    exact mode's check relies on; anything else goes through the pressure
-    ladder to `tol`.  The sign of the result is not checked: the solvers
-    that need phi < 0 check it themselves.
+    """Shift a potential so its pressure vanishes, by the pressure ladder
+    to `tol`.  A depth-1 locally constant potential on a full shift closes
+    its bracket at level 1 (no gluing symbols, exact sums), at the closed
+    form log sum_i exp(phi_i), which exact mode's check relies on.  The
+    sign of the result is not checked: the solvers that need phi < 0 check
+    it themselves.
     """
-    shift = phi.closed_form_pressure(m)
-    if shift is None:
-        shift = pressure(m, phi, tol=tol, max_level=max_level).value
-    return phi.shifted_by(shift)
+    return phi.shifted_by(pressure(m, phi, tol=tol, max_level=max_level).value)
 
 
 def _moran_root(

@@ -40,9 +40,8 @@ from .errors import (
     NotStrictlyNegative,
 )
 from .maps import MarkovMap
-from .numerics import log_sum_exp
-from .pressure import Enclosure, _Curves, _ladder, _one_lane, bowen_root, gluing_length
-from .symbolic import Potential, shared_table
+from .pressure import Enclosure, _Curves, _ladder, _log_z, _one_lane, bowen_root, gluing_length
+from .symbolic import Potential, potential_sup, shared_table
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class SpectrumCurve:
 
 
 def _require_negative(m: MarkovMap, phi: Potential) -> float:
-    sup = phi.bounds(m)[1]
+    sup = potential_sup(m, phi)
     if sup >= 0.0:
         raise NotStrictlyNegative(
             f"spectrum potential must be strictly negative; sup is {sup:.6g}"
@@ -155,15 +154,13 @@ def b_curve(
     except NotConverged as exc:  # every lane needs the ray start; none has a bracket
         return [NotConverged(f"b({a:g}): no ray start: {exc}") for a in a_all]
     out: list = [None] * len(a_all)
-    solve = []  # indices of the a-values off the ray
-    for i, a in enumerate(a_all):
-        if ray_at is not None and a <= ray_at + 1e-12:
-            n = min(10, max_level)
-            f_hi = table.level(n).combined_side(a, 0.0, 1)
-            upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
-            out[i] = BPoint(0.0, 0.0, upper_pressure / -sup_phi, n, "ray", a=a, on_ray=True)
-        else:
-            solve.append(i)
+    ray = [i for i, a in enumerate(a_all) if ray_at is not None and a <= ray_at + 1e-12]
+    if ray:
+        n = min(10, max_level)
+        z_sup = _log_z(table.level(n), 1, np.array([a_all[i] for i in ray]), np.zeros(len(ray)))
+        for i, z in zip(ray, z_sup.tolist()):
+            out[i] = BPoint(0.0, 0.0, max(z / n, 0.0) / -sup_phi, n, "ray", a=a_all[i], on_ray=True)
+    solve = [i for i in range(len(a_all)) if out[i] is None]  # the a-values off the ray
     a = np.array([a_all[i] for i in solve], dtype=float)
     below = None  # the previous rung's level arrays
 

@@ -40,7 +40,6 @@ from .errors import (
     LevelTooLarge,
 )
 from .maps import _INVERSE_BLOCK, MarkovMap
-from .numerics import log_sum_exp
 
 WORD_BUDGET = 1 << 26
 SMALL_WORDS = 1 << 10  # levels this small are cached by every table
@@ -71,7 +70,8 @@ class Potential:
 
     `pressure_shift` is subtracted from the raw potential; normalization
     stores the computed pressure here so shifted potentials keep their
-    structural form.
+    structural form.  A Potential only declares: the cylinder table
+    evaluates it, its sup included (`potential_sup`).
     """
 
     kind: str
@@ -99,33 +99,6 @@ class Potential:
     def shifted_by(self, delta: float) -> "Potential":
         """Same potential with `delta` added to the pressure shift."""
         return replace(self, pressure_shift=self.pressure_shift + delta)
-
-    def closed_form_pressure(self, m: MarkovMap) -> float | None:
-        """log sum_i exp(phi_i) for a depth-1 table on a full shift, where
-        Z_n = Z_1**n makes it the pressure; None for any other potential."""
-        if self.kind != "locally_constant" or self.depth != 1 or not m.is_full_shift:
-            return None
-        return log_sum_exp(np.array([v for _, v in self.table]) - self.pressure_shift)
-
-    def bounds(self, m: MarkovMap) -> tuple[float, float]:
-        """(inf, sup) of the shifted potential over the symbol space."""
-        if self.kind == "locally_constant":
-            values = [
-                v for w, v in self.table if m.admissible(w)
-            ]
-            if not values:
-                raise InadmissibleSupport("potential table covers no admissible word")
-            lo, hi = min(values), max(values)
-        elif self.kind == "geometric":
-            a, b = m.log_deriv_bounds()
-            lo, hi = sorted((self.coefficient * a, self.coefficient * b))
-        else:
-            vals = []
-            for f, (lo_x, hi_x) in zip(self.funcs, m.core_spans):
-                vals.append(float(f(np.asarray(lo_x))))
-                vals.append(float(f(np.asarray(hi_x))))
-            lo, hi = min(vals), max(vals)
-        return lo - self.pressure_shift, hi - self.pressure_shift
 
 
 def locally_constant(table: dict[Sequence[int], float], depth: int | None = None) -> Potential:
@@ -390,44 +363,30 @@ class LevelArrays:
     def count(self) -> int:
         return self.first.size
 
-    def combined_side(self, a, b, side: int, a_term=None) -> np.ndarray:
+    def combined_side(self, a: np.ndarray, b: np.ndarray, side: int, a_term=None) -> np.ndarray:
         """The lower (side 0) or upper (side 1) ends of the brackets of
-        S_n(a*psi + b*phi) per word, one product per entry: each coefficient
-        picks the psi or phi side its sign calls for, and phi is skipped
-        where b == 0.  A lone term at coefficient 1.0 is the column itself,
-        not a copy.  For arrays a and b of one entry per lane, row i holds
-        the ends at (a[i], b[i]), bit for bit what the scalar call gives,
-        except that the scalar call also skips psi where a == 0 != b, so a
-        zero entry may differ in sign there; `a_term`, if given, is their
-        a*psi rows formed beforehand, which b*phi is added to out of place
-        (where every b is 0, they are returned as they are)."""
-        if np.ndim(a):
-            a, b = np.asarray(a), np.asarray(b)
-            f = _scaled(a, *self._psi(), side) if a_term is None else a_term
-            nonzero = np.count_nonzero(b)
-            if nonzero:
-                if self.phi_lo is None:
-                    raise ValueError("table was built without a phi potential")
-                if nonzero == b.size:
-                    return f + _scaled(b, self.phi_lo, self.phi_hi, side)
-                on = b != 0.0
-                f = f.copy()
-                f[on] += _scaled(b[on], self.phi_lo, self.phi_hi, side)
-            return f
-        f = None
-        if a != 0.0 or b == 0.0:
-            psi_lo, psi_hi = self._psi()
-            col = psi_lo if (a >= 0.0) == (side == 0) else psi_hi
-            if b == 0.0:  # one term at coefficient 1.0 is the column itself
-                return col if a == 1.0 else a * col
-            f = a * col
+        S_n(a*psi + b*phi) per word, for arrays a and b of one entry per
+        lane: row i holds the ends at (a[i], b[i]), one product per entry,
+        each coefficient picking the psi or phi side its sign calls for.
+        phi is skipped where b == 0, and psi where every a == 0 and no b is
+        (as on `pressure`'s table, which has no psi).  A lone lane at
+        coefficient 1.0 is its column as a (1, count) view, not a copy.
+        `a_term`, if given, is the a*psi rows formed beforehand, which
+        b*phi is added to out of place (where every b is 0, they are
+        returned as they are)."""
+        on = b != 0.0
+        if not on.any():
+            return _scaled(a, *self._psi(), side) if a_term is None else a_term
         if self.phi_lo is None:
             raise ValueError("table was built without a phi potential")
-        low = (b >= 0.0) == (side == 0)
-        col = self.phi_lo if low else self.phi_hi
-        if f is None:
-            return col if b == 1.0 else b * col
-        f += b * col
+        phi = self.phi_lo, self.phi_hi
+        if a_term is None and on.all() and not a.any():
+            return _scaled(b, *phi, side)
+        f = _scaled(a, *self._psi(), side) if a_term is None else a_term
+        if on.all():
+            return f + _scaled(b, *phi, side)
+        f = f.copy()
+        f[on] += _scaled(b[on], *phi, side)
         return f
 
     def _psi(self) -> tuple[np.ndarray, np.ndarray]:
@@ -438,11 +397,14 @@ class LevelArrays:
 
 def _scaled(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, side: int) -> np.ndarray:
     """Rows c[i]*lo where c[i] >= 0 and c[i]*hi elsewhere (side 0), or the
-    other way round (side 1).  An exact bracket (hi is lo) has no side."""
+    other way round (side 1).  An exact bracket (hi is lo) has no side; one
+    row at c = 1.0 is a view of its column."""
     if side:
         lo, hi = hi, lo
     keep = None if hi is lo else c >= 0.0
     if keep is None or keep.all():
+        if c.size == 1 and c[0] == 1.0:  # the column itself
+            return lo[None]
         return np.multiply.outer(c, lo)
     return c[:, None] * np.where(keep[:, None], lo, hi)
 
@@ -703,6 +665,14 @@ def shared_table(m: MarkovMap, phi: Potential | None = None) -> CylinderTable:
     if table is None:
         table = m._table_cache[phi] = CylinderTable(m, phi)
     return table
+
+
+def potential_sup(m: MarkovMap, phi: Potential) -> float:
+    """sup of the shifted potential over the symbol space: the largest
+    upper end of level 1's phi brackets on the shared table, which are the
+    table's largest value over an admissible word, or the larger end of
+    coefficient * log|T'| or of the callable over each core span."""
+    return float(shared_table(m, phi).level(1).phi_hi.max())
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, PointOutsideCylinder
 from .maps import MarkovMap
+from .pressure import pressure
 from .symbolic import Potential, ratio_bracket, shared_table, word_rows
 
 BOUNDARY_FLAG_THRESHOLD = 0.01
@@ -58,9 +59,9 @@ def exact_model(m: MarkovMap, phi: Potential) -> WeakGibbsModel:
             shift is not full, or the weights do not sum to 1 within 1e-12
             (the measure would not be an exact product measure).
     """
-    total = phi.closed_form_pressure(m)
-    if total is None:
+    if phi.kind != "locally_constant" or phi.depth != 1 or not m.is_full_shift:
         raise ConfigError("exact mode needs a depth-1 locally constant potential on a full shift")
+    total = pressure(m, phi).value  # the closed form log sum_i exp(phi_i), at level 1
     if abs(total) > 1e-12:
         raise ConfigError(
             f"weights sum to exp({total:.3e}), not 1; normalize the potential first"

@@ -5,14 +5,14 @@ back the answer; `_drive` runs one.  `_descend` is what `descending_root`
 computes (one lane of `numerics._solve_roots`), one x at a time.
 `_ladder` is the level ladder of one lane that `pressure._ladder` runs for
 arrays of lanes; its rungs ask for curve values (fn, *args) and whole
-roots, each root answered by `_descend` on scalar curve values, so that
-`pressure`, `bowen_root`, `b_of_a` and `b_curve` here run none of the
-array machinery.  `_convex_argmin` is one lane of
-`spectrum._convex_argmin`: golden-section searches (`_golden`), widened
-toward an end while the minimizer sits by it, and `legendre_spectrum`
-runs one per alpha on `b_of_a`.  `_four_end_ratio` is one row of
-`symbolic.ratio_bracket`.  `hexed` names a record's bits, for comparing
-what a solver returns with what its oracle does.
+roots, each root answered by `_descend` on curve values asked one lane
+at a time (`_lane`), so that `pressure`, `bowen_root`, `b_of_a` and
+`b_curve` here run none of the lane-array solvers.  `_convex_argmin` is
+one lane of `spectrum._convex_argmin`: golden-section searches
+(`_golden`), widened toward an end while the minimizer sits by it, and
+`legendre_spectrum` runs one per alpha on `b_of_a`.  `_four_end_ratio`
+is one row of `symbolic.ratio_bracket`.  `hexed` names a record's bits,
+for comparing what a solver returns with what its oracle does.
 """
 
 from __future__ import annotations
@@ -193,11 +193,17 @@ def _call(request: tuple):
     return request[0](*request[1:])
 
 
+def _lane(curve):
+    """curve at one (a, b), asked as arrays of one lane, as a float."""
+    return lambda a, b: float(curve(np.array([a]), np.array([b]))[0])
+
+
 def _scalar_root(curve, a: float, start: float, step: float, xtol: float):
-    """The descending root in b of curve(a, b) by the scalar lane, or the
-    ValueError of a bracket expansion that found no sign change."""
+    """The descending root in b of curve(a, b) by the scalar lane, the
+    curve asked one lane at a time, or the ValueError of a bracket
+    expansion that found no sign change."""
     try:
-        return _drive(_descend(start, xtol=xtol, step=step), lambda b: float(curve(a, b)))
+        return _drive(_descend(start, xtol=xtol, step=step), lambda b: _lane(curve)(a, b))
     except ValueError as exc:
         return exc
 
@@ -267,8 +273,8 @@ def pressure(m, phi, *, tol: float = 1e-8, max_level: int = 32) -> Enclosure:
 
     def rung(n: int, _last):
         level = _Curves(table.level(n), gluing_length(m), table)
-        z_sup[n] = yield level.z_sup, 0.0, 1.0
-        lower = yield level.lower, 0.0, 1.0
+        z_sup[n] = yield _lane(level.z_sup), 0.0, 1.0
+        lower = yield _lane(level.lower), 0.0, 1.0
         return lower, z_sup[n] / n, None if n == 1 else z_sup[n] - z_sup[n - 1]
 
     return Enclosure(*_drive(_ladder(rung, 1, max_level, tol=tol, what="pressure"), _call))
@@ -304,7 +310,7 @@ def b_of_a(m, phi, a: float, *, tol: float = 1e-8, max_level: int = 24, ray_at=N
     a = float(a)
     if ray_at is not None and a <= ray_at + 1e-12:
         n = min(10, max_level)
-        f_hi = table.level(n).combined_side(a, 0.0, 1)
+        f_hi = table.level(n).combined_side(np.array([a]), np.zeros(1), 1)[0]
         upper_pressure = max(log_sum_exp(f_hi) / n, 0.0)
         return BPoint(0.0, 0.0, upper_pressure / -sup_phi, n, "ray", a=a, on_ray=True)
 

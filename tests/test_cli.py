@@ -131,6 +131,42 @@ def test_unknown_keys_rejected(tmp_path, capsys):
         assert key in err
 
 
+@pytest.mark.parametrize("config, overrides, key", [
+    ("doubling_uniform_bcurve", ["potential.coefficient=-5.0"], "potential.coefficient"),
+    ("doubling_uniform_bcurve", ["potential.kind=geometric", "potential.coefficient=-1",
+                                 "potential.depth=null"], "potential.table"),
+    ("doubling_uniform_bcurve", ["potential.kind=geometric", "potential.coefficient=-1",
+                                 "potential.table=null"], "potential.depth"),
+])
+def test_potential_keys_of_the_other_kind_rejected(tmp_path, capsys, config, overrides, key):
+    # The keys a potential allows depend on its kind, as map keys depend
+    # on the family: a key of the other kind is an error, not dropped.
+    args = [str(CONFIG_DIR / f"{config}.yaml"), "--set", f"output.csv={tmp_path / 'x.csv'}"]
+    for spec in overrides:
+        args += ["--set", spec]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and f"unknown key {key}" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_null_potential_key_switches_kind(tmp_path):
+    # A null value counts as absent: nulling the table (and depth) switches
+    # a shipped table config to a geometric potential, and the run is the
+    # one a config written with that potential gives.
+    config = CONFIG_DIR / "doubling_uniform_bcurve.yaml"
+    switched, written = tmp_path / "switched.csv", tmp_path / "written.csv"
+    args = [str(config), "--set", f"output.csv={switched}", "--set", "potential.kind=geometric",
+            "--set", "potential.coefficient=-1", "--set", "potential.table=null",
+            "--set", "potential.depth=null"]
+    assert main(args) == 0
+    data = yaml.safe_load(config.read_text(encoding="utf-8"))
+    data["potential"] = {"kind": "geometric", "coefficient": -1.0}
+    data["output"] = {"csv": str(written)}
+    assert main([str(write_config(tmp_path, data))]) == 0
+    assert switched.read_bytes() == written.read_bytes()
+
+
 def test_range_validation(tmp_path, capsys):
     cases = (
         ({"tol": -1.0}, "command.tol"),

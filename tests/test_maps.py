@@ -21,8 +21,6 @@ from dimspectra import maps
 from dimspectra.maps import _periodic_point, _power_inverse, _unit_point
 from dimspectra.symbolic import CylinderTable, word_rows
 
-LOG2 = math.log(2.0)
-
 
 def test_doubling_structure(doubling):
     assert doubling.p == 2
@@ -30,7 +28,6 @@ def test_doubling_structure(doubling):
     assert not doubling.has_parabolic
     assert doubling.aperiodicity_power == 1
     assert doubling.core_spans == ((0.0, 0.5), (0.5, 1.0))
-    assert doubling.log_deriv_bounds() == (LOG2, LOG2)
     assert doubling.word_count(10) == 1024
 
 

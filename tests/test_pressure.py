@@ -23,6 +23,7 @@ from dimspectra import (
     locally_constant,
     manneville_pomeau_map,
     normalize_potential,
+    potential_sup,
     pressure,
     shared_table,
     words_at_level,
@@ -33,7 +34,7 @@ from dimspectra.pressure import _Curves, _Rung, _ladder, _roots_in_b, gluing_len
 from dimspectra.symbolic import SMALL_WORDS, CylinderTable, level_counts
 
 from conftest import linear_markov_map
-from root_oracle import _descend, _drive, hexed
+from root_oracle import _descend, _drive, _lane, hexed
 
 LOG2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -57,19 +58,6 @@ def test_full_shift_log_sum_closed_form(doubling, two_slopes, bernoulli_phi):
     assert p2.value == pytest.approx(math.log(0.9), abs=1e-12)
 
 
-def test_closed_form_pressure(doubling, two_slopes, golden, bernoulli_phi, uniform_phi):
-    # A depth-1 table on a full shift: Z_n = Z_1**n, so log Z_1 is the
-    # pressure the ladder finds.
-    for m, phi in ((doubling, bernoulli_phi), (two_slopes, bernoulli_phi),
-                   (two_slopes, locally_constant({(0,): math.log(0.7), (1,): math.log(0.2)}))):
-        closed = phi.closed_form_pressure(m)
-        assert abs(closed - pressure(m, phi, tol=1e-12).value) <= 1e-12
-    deep = locally_constant({(a, b): -2 * LOG2 for a in (0, 1) for b in (0, 1)}, depth=2)
-    assert uniform_phi.closed_form_pressure(golden) is None  # not a full shift
-    assert deep.closed_form_pressure(doubling) is None
-    assert geometric(-1.0).closed_form_pressure(doubling) is None
-
-
 def test_golden_mean_entropy(golden, zero_phi):
     p = pressure(golden, zero_phi, tol=1e-9)
     assert p.value == pytest.approx(GOLDEN_ENTROPY, abs=1e-9)
@@ -81,7 +69,7 @@ def _bracket(m, phi, n):
     """The certified level-n pressure bracket of phi."""
     table = shared_table(m, phi)
     level = _Curves(table.level(n), gluing_length(m), table)
-    return level.lower(0.0, 1.0), level.upper(0.0, 1.0)
+    return _lane(level.lower)(0.0, 1.0), _lane(level.upper)(0.0, 1.0)
 
 
 def test_pressure_bracket_contains_truth(golden, zero_phi):
@@ -110,8 +98,7 @@ def test_normalize_potential(golden, zero_phi):
 def test_normalize_negative_result(doubling):
     phi = locally_constant({(0,): math.log(3.0), (1,): math.log(3.0)})
     norm = normalize_potential(doubling, phi)
-    lo, hi = norm.bounds(doubling)
-    assert hi < 0.0
+    assert potential_sup(doubling, norm) < 0.0
     assert pressure(doubling, norm).value == pytest.approx(0.0, abs=1e-10)
 
 
@@ -386,8 +373,8 @@ def test_ladder_clamps_the_estimate_into_the_bracket(estimate, value):
 def test_root_request_equals_scalar_lane(request, name, phi_name, n, curve):
     # One root step solves every lane with its a-terms formed once per
     # solve (or per chunk of lanes where they do not fit one); each lane
-    # equals the scalar descending-root lane on the scalar curve at its a,
-    # bit for bit.
+    # equals the scalar descending-root lane on the curve asked at its a
+    # alone (one lane), bit for bit.
     m, phi = request.getfixturevalue(name), request.getfixturevalue(phi_name)
     table = CylinderTable(m, phi)
     fn = getattr(_Curves(table.level(n), gluing_length(m), table), curve)
@@ -396,5 +383,5 @@ def test_root_request_equals_scalar_lane(request, name, phi_name, n, curve):
     found, failed = _roots_in_b(fn, np.array(a_values), np.array(starts), step=1.0, xtol=1e-13)
     assert not failed.any()
     for a, start, got in zip(a_values, starts, found):
-        want = _drive(_descend(start, xtol=1e-13), lambda b: fn(a, b))
+        want = _drive(_descend(start, xtol=1e-13), lambda b: _lane(fn)(a, b))
         assert got.hex() == float(want).hex(), a

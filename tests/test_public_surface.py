@@ -74,9 +74,14 @@ def test_solver_modules_run_no_generator_lanes():
 
 def test_no_module_names_a_retired_path():
     # No module defines, imports, reads or looks up as an attribute the
-    # functions that ran generator lanes, or the scalar cylinder path that
-    # `symbolic.word_rows` replaced (kept in tests/cylinder_oracle.py).
-    retired = {"_drive", "_lockstep", "_call_stacked", "Cylinder", "cylinder", "cylinders"}
+    # functions that ran generator lanes, the scalar cylinder path that
+    # `symbolic.word_rows` replaced (kept in tests/cylinder_oracle.py), or
+    # the per-kind evaluators of a potential that level 1 of its table
+    # replaced (`symbolic.potential_sup`, `pressure.pressure`).
+    retired = {
+        "_drive", "_lockstep", "_call_stacked", "Cylinder", "cylinder", "cylinders",
+        "bounds", "closed_form_pressure", "log_deriv_bounds",
+    }
     for path in sorted((ROOT / "src" / "dimspectra").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import weakref
 from dataclasses import fields, replace
@@ -27,6 +28,7 @@ from dimspectra import (
     locally_constant,
     manneville_pomeau_map,
     normalize_potential,
+    potential_sup,
     pressure,
     shared_table,
     validate_potential,
@@ -34,6 +36,7 @@ from dimspectra import (
     words_at_level,
 )
 from dimspectra.errors import LevelTooLarge
+from dimspectra.numerics import log_sum_exp
 from dimspectra.symbolic import SMALL_WORDS, LevelArrays, level_counts, ratio_bracket
 from dimspectra import weak_gibbs
 from cylinder_oracle import Cylinder, cylinder, cylinders
@@ -47,16 +50,6 @@ def test_locally_constant_validation():
         locally_constant({(0, 1): 0.0, (1,): 1.0})
     with pytest.raises(ValueError):
         locally_constant({}, depth=1)
-
-
-def test_potential_bounds(doubling, bernoulli_phi):
-    assert bernoulli_phi.bounds(doubling) == (math.log(0.25), math.log(0.75))
-    geo = geometric(-1.0)
-    assert geo.bounds(doubling) == (-LOG2, -LOG2)
-    shifted = bernoulli_phi.shifted_by(0.5)
-    lo, hi = shifted.bounds(doubling)
-    assert lo == pytest.approx(math.log(0.25) - 0.5)
-    assert hi == pytest.approx(math.log(0.75) - 0.5)
 
 
 def _old_ratio_bracket(num_lo, num_hi, den_lo, den_hi):
@@ -217,7 +210,8 @@ def test_level_arrays_contents(doubling, bernoulli_phi):
 
 def test_combined_sign_handling(doubling, bernoulli_phi):
     arr = shared_table(doubling, bernoulli_phi).level(3)
-    f_lo, f_hi = arr.combined_side(-1.2, 0.7, 0), arr.combined_side(-1.2, 0.7, 1)
+    a, b = np.array([-1.2]), np.array([0.7])
+    (f_lo,), (f_hi,) = arr.combined_side(a, b, 0), arr.combined_side(a, b, 1)
     assert np.allclose(f_lo, -1.2 * arr.psi_hi + 0.7 * arr.phi_lo)
     assert np.allclose(f_hi, -1.2 * arr.psi_lo + 0.7 * arr.phi_hi)
     assert np.all(f_lo <= f_hi + 1e-15)
@@ -226,7 +220,7 @@ def test_combined_sign_handling(doubling, bernoulli_phi):
 def test_combined_needs_phi(doubling):
     arr = shared_table(doubling, None).level(2)
     with pytest.raises(ValueError):
-        arr.combined_side(1.0, 0.5, 0)
+        arr.combined_side(np.array([1.0]), np.array([0.5]), 0)
 
 
 def test_shared_table_is_cached(doubling, bernoulli_phi, uniform_phi):
@@ -638,50 +632,125 @@ def test_climb_leaves_no_dropped_level_reachable(request, name):
         assert all(ref() is None for k, refs in built if 10 < k < n for ref in refs), n
 
 
-_COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-6.0, 6.0))
-_ROW_TABLES = {}
+_COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-6.0, 6.0))
+_DECLARED_MAPS = {
+    "doubling": doubling_map,
+    "golden": golden_mean_map,
+    "two_slopes": lambda: linear_full_branch_map([2.0, 4.0]),
+    "three_slopes": lambda: linear_full_branch_map([3.0, -4.0, 2.5]),
+    "farey": farey_map,
+    "mp": lambda: manneville_pomeau_map(0.5),
+}
+_BUILT_MAPS: dict = {}
+_MONOTONE = (np.square, np.negative, np.exp, np.sqrt, np.log1p, np.arctan)
 
 
-def _row_table(kind):
-    """Session-lived tables for the row test: (table, has phi)."""
-    if kind not in _ROW_TABLES:
-        mp = manneville_pomeau_map(0.5)
-        negative = linear_full_branch_map([2.0, -2.5])
-        _ROW_TABLES[kind] = {
-            "mp_geometric": (CylinderTable(mp, geometric(-0.7)), True),
-            "negative_slope_depth2": (CylinderTable(negative, _random_table(negative, 2, 5)), True),
-            "mp_no_phi": (CylinderTable(mp), False),
-        }[kind]
-    return _ROW_TABLES[kind]
+@st.composite
+def _declared(draw, full_shift=False):
+    """(map, potential): a locally constant table of depth 1-3 (a value on
+    every word, admissible or not), coefficient * log|T'|, or one monotone
+    callable per branch, each shifted or not.  With full_shift, a depth-1
+    table on a full shift."""
+    names = [k for k in sorted(_DECLARED_MAPS) if not full_shift or k != "golden"]
+    name = draw(st.sampled_from(names))
+    if name not in _BUILT_MAPS:
+        _BUILT_MAPS[name] = _DECLARED_MAPS[name]()
+    m = _BUILT_MAPS[name]
+    value = st.floats(-30.0, 30.0)
+    kind = "locally_constant" if full_shift else draw(
+        st.sampled_from(["locally_constant", "geometric", "pointwise"])
+    )
+    if kind == "locally_constant":
+        depth = 1 if full_shift else draw(st.integers(1, 3))
+        words = list(itertools.product(range(m.p), repeat=depth))
+        values = draw(st.lists(value, min_size=len(words), max_size=len(words)))
+        phi = locally_constant(dict(zip(words, values)), depth)
+    elif kind == "geometric":
+        phi = geometric(draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))))
+    else:
+        funcs = draw(st.lists(st.sampled_from(_MONOTONE), min_size=m.p, max_size=m.p))
+        phi = Potential(kind="pointwise", funcs=tuple(funcs))
+    return m, phi.shifted_by(draw(st.one_of(st.just(0.0), value)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(declared=_declared())
+def test_potential_sup_equals_the_declared_sup(declared):
+    # The sup the level-1 table gives is the one its declaration names:
+    # the largest value over admissible words, c * log|T'| at the core-span
+    # ends, or the callables at the span ends, less the shift.  A Birkhoff
+    # sum starts from 0.0, so a zero sup is +0.0.
+    m, phi = declared
+    if phi.kind == "locally_constant":
+        ends = [v for w, v in phi.table if m.admissible(w)]
+    elif phi.kind == "geometric":
+        ends = [phi.coefficient * br.log_abs_derivative(x)
+                for br, span in zip(m.branches, m.core_spans) for x in span]
+    else:
+        ends = [float(f(np.asarray(x))) for f, span in zip(phi.funcs, m.core_spans) for x in span]
+    want = max(ends) - phi.pressure_shift + 0.0
+    assert potential_sup(m, phi).hex() == want.hex()
 
 
 @settings(max_examples=60, deadline=None)
+@given(declared=_declared(full_shift=True))
+def test_depth1_pressure_on_a_full_shift_closes_at_level_one(declared):
+    # Z_n = Z_1**n, and a full shift glues with no symbols: the bracket
+    # closes at level 1 on the closed form log sum_i exp(phi_i).
+    m, phi = declared
+    found = pressure(m, phi)
+    want = log_sum_exp(np.array([v for _, v in phi.table]) - phi.pressure_shift)
+    assert (found.level, found.mode) == (1, "bracket")
+    assert found.value.hex() == found.lower.hex() == found.upper.hex() == want.hex()
+
+
+def _lane_row(arr, a: float, b: float, side: int, psi: bool) -> np.ndarray:
+    """One lane's ends of S_n(a*psi + b*phi): each term on the side its
+    coefficient's sign calls for, phi only where b != 0, psi where `psi`."""
+
+    def term(c, lo, hi):
+        return c * (lo if (c >= 0.0) == (side == 0) else hi)
+
+    row = term(a, arr.psi_lo, arr.psi_hi) if psi else None
+    if b != 0.0:
+        phi = term(b, arr.phi_lo, arr.phi_hi)
+        row = phi if row is None else row + phi
+    return row
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    kind=st.sampled_from(["mp_geometric", "negative_slope_depth2", "mp_no_phi"]),
-    n=st.integers(1, 9),
-    coeffs=st.lists(st.tuples(_COEFF, _COEFF), min_size=1, max_size=12),
+    declared=_declared(),
+    with_phi=st.booleans(),
+    n=st.integers(1, 6),
+    coeffs=st.lists(st.tuples(_COEFF, _COEFF), min_size=1, max_size=8),
 )
-def test_combined_rows_equal_scalar_calls(kind, n, coeffs):
-    # Row i of the lane form is the scalar call at (a[i], b[i]) bit for bit,
-    # with phi skipped where b == 0 (a table without phi then still works).
-    # Where a == 0 != b the scalar call skips psi too, so zeros may differ
-    # in sign there.
-    table, has_phi = _row_table(kind)
-    arr = table.level(n)
-    if not has_phi:
+def test_combined_rows_equal_per_lane_expression(declared, with_phi, n, coeffs):
+    # Row i of combined_side is lane i's expression bit for bit: phi is
+    # skipped where b == 0, psi only where every a == 0 and no b is.  A
+    # table without psi gives the same rows where no lane needs psi and
+    # refuses every lane set that does; one without phi refuses b != 0.
+    m, phi = declared
+    phi = phi if with_phi else None
+    if phi is None:
         coeffs = [(a, 0.0) for a, _ in coeffs]
     a, b = (np.array(col) for col in zip(*coeffs))
+    psi = not (b.all() and not a.any())
+    arr = CylinderTable(m, phi).level(n)
+    lean = CylinderTable(m, phi, psi=False).level(n) if phi is not None else None
     for side in (0, 1):
         rows = arr.combined_side(a, b, side)
+        assert rows.shape == (a.size, arr.count)
         for i, (ai, bi) in enumerate(coeffs):
-            scalar = arr.combined_side(ai, bi, side)
-            if ai == 0.0 != bi:
-                assert np.array_equal(rows[i], scalar)
-            else:
-                assert rows[i].tobytes() == scalar.tobytes()
-    if not has_phi:
-        with pytest.raises(ValueError, match="without a phi"):
-            arr.combined_side(a, b + 1.0, 0)
+            assert rows[i].tobytes() == _lane_row(arr, ai, bi, side, psi).tobytes()
+        if lean is None:
+            with pytest.raises(ValueError, match="without a phi"):
+                arr.combined_side(a, b + 1.0, side)
+        elif psi:
+            with pytest.raises(ValueError, match="without psi"):
+                lean.combined_side(a, b, side)
+        else:
+            assert lean.combined_side(a, b, side).tobytes() == rows.tobytes()
 
 
 LINK_MAPS = {
@@ -968,13 +1037,19 @@ def test_level_columns_are_read_only(mp, markov):
 
 
 def test_unit_coefficient_returns_the_column(mp):
+    # A lone lane at coefficient 1.0 is its column as a (1, count) view.
     arr = CylinderTable(mp, geometric(-0.7)).level(6)
+    zero, one, two = np.zeros(1), np.ones(1), np.full(1, 2.0)
     for side, (psi, phi) in enumerate(((arr.psi_lo, arr.phi_lo), (arr.psi_hi, arr.phi_hi))):
-        assert arr.combined_side(0.0, 1.0, side) is phi
-        assert arr.combined_side(1.0, 0.0, side) is psi
-        assert arr.combined_side(2.0, 0.0, side).tobytes() == (2.0 * psi).tobytes()
-        both = arr.combined_side(1.0, 1.0, side)
-        assert both is not psi and both.tobytes() == (psi + phi).tobytes()
+        for got, col in ((arr.combined_side(zero, one, side), phi),
+                         (arr.combined_side(one, zero, side), psi)):
+            assert got.shape == (1, arr.count) and np.shares_memory(got, col)
+            assert got[0].tobytes() == col.tobytes()
+        assert arr.combined_side(two, zero, side)[0].tobytes() == (2.0 * psi).tobytes()
+        both = arr.combined_side(one, one, side)
+        assert not np.shares_memory(both, psi) and both[0].tobytes() == (psi + phi).tobytes()
+        pair = arr.combined_side(np.ones(2), np.zeros(2), side)
+        assert not np.shares_memory(pair, psi)
 
 
 
@@ -1009,9 +1084,10 @@ def test_table_without_psi_equals_full_table_bit_for_bit(request, name, cache_wo
 def test_table_without_psi_raises_on_a_psi_read(mp):
     arr = CylinderTable(mp, geometric(-0.7), psi=False).level(5)
     for side in (0, 1):
-        assert arr.combined_side(0.0, 1.0, side) is (arr.phi_lo, arr.phi_hi)[side]
+        col = (arr.phi_lo, arr.phi_hi)[side]
+        assert np.shares_memory(arr.combined_side(np.zeros(1), np.ones(1), side), col)
         for a, b in ((1.0, 0.0), (-0.5, 1.0), (0.0, 0.0)):
             with pytest.raises(ValueError, match="without psi"):
-                arr.combined_side(a, b, side)
+                arr.combined_side(np.array([a]), np.array([b]), side)
         with pytest.raises(ValueError, match="without psi"):
             arr.combined_side(np.array([0.0, 1.0]), np.array([1.0, 1.0]), side)
